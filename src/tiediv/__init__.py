@@ -4,16 +4,13 @@ from .encounter import Encounter, EncounterSet, detect_encounters
 from .features import (
     Observation,
     PairFeatures,
-    TemporalEncounterVector,
     build_observations,
-    build_tev,
     compute_pair_features,
     hill_diversity,
+    interval_counts,
     location_diversity,
     mean_encounters,
-    renyi_temporal_diversity,
     shannon_entropy,
-    shannon_temporal_diversity,
     temporal_diversity,
 )
 from .geo import geohash_decode_bounds, geohash_encode, haversine_m
@@ -44,10 +41,8 @@ __all__ = [
     "RegressionResult",
     "SurveyRecord",
     "SynthConfig",
-    "TemporalEncounterVector",
     "ValidDaySet",
     "build_observations",
-    "build_tev",
     "common_days",
     "compute_pair_features",
     "dedupe",
@@ -60,15 +55,14 @@ __all__ = [
     "geohash_encode",
     "haversine_m",
     "hill_diversity",
+    "interval_counts",
     "location_diversity",
     "mean_encounters",
     "parse_gps_log",
     "parse_survey",
     "pearson_r",
     "regroup_closeness",
-    "renyi_temporal_diversity",
     "shannon_entropy",
-    "shannon_temporal_diversity",
     "snap_to_slot",
     "synth_generate",
     "temporal_diversity",

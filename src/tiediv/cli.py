@@ -9,25 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import artifacts, experiments, features, synth
-from .config import RunConfig, build_config, load_config_file
+from .config import RunConfig, build_config, flags, load_config_file
 from .encounter import canonical_pair, detect_encounters
 from .ingest import SchemaError, parse_gps_log, parse_survey
 from .preprocess import filter_pipeline
-
-STAGES = (
-    "ingest",
-    "preprocess",
-    "encounters",
-    "features",
-    "compare",
-    "sweep-t",
-    "sweep-q",
-    "subgroups",
-    "evolve",
-)
 
 
 class CliError(RuntimeError):
@@ -281,18 +270,13 @@ def stage_synth(cfg: RunConfig) -> list[Path]:
 
 def stage_all(cfg: RunConfig) -> list[Path]:
     written = []
-    written += stage_ingest(cfg)
-    written += stage_preprocess(cfg)
-    written += stage_encounters(cfg)
-    written += stage_features(cfg)
-    written += stage_compare(cfg)
-    written += stage_sweep_t(cfg)
-    written += stage_sweep_q(cfg)
-    written += stage_subgroups(cfg)
-    written += stage_evolve(cfg)
+    for name, stage in _STAGE_FUNCS.items():
+        if name not in _NOT_PIPELINE:
+            written += stage(cfg)
     return written
 
 
+# command -> stage; `all` runs every entry not in _NOT_PIPELINE, in order
 _STAGE_FUNCS = {
     "ingest": stage_ingest,
     "preprocess": stage_preprocess,
@@ -306,37 +290,7 @@ _STAGE_FUNCS = {
     "synth": stage_synth,
     "all": stage_all,
 }
-
-# flag name -> config key; every stage accepts the full set
-_FLAGS = {
-    "--gps": "gps",
-    "--survey": "survey",
-    "--outdir": "outdir",
-    "--delimiter": "delimiter",
-    "--naive-utc-offset": "naive_utc_offset_minutes",
-    "--window-start": "window_start",
-    "--window-end": "window_end",
-    "--zone-offset": "zone_offset_minutes",
-    "--accuracy-cutoff": "accuracy_cutoff_m",
-    "--coverage-fraction": "coverage_fraction",
-    "--min-days": "min_days",
-    "--min-common-days": "min_common_days",
-    "--threshold-m": "threshold_m",
-    "--width-t": "width_t",
-    "--q": "q",
-    "--width-grid": "width_grid",
-    "--q-grid": "q_grid",
-    "--max-horizon": "max_horizon",
-    "--seed": "seed",
-    "--synth-pairs": "synth_pairs",
-    "--synth-days": "synth_days",
-    "--synth-encounters-per-day": "synth_encounters_per_day",
-    "--synth-schedule-slots": "synth_schedule_slots",
-    "--synth-jitter": "synth_jitter",
-    "--synth-meet-prob": "synth_meet_prob",
-    "--synth-places": "synth_places",
-    "--synth-coverage-slots": "synth_coverage_slots",
-}
+_NOT_PIPELINE = ("synth", "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command in _STAGE_FUNCS:
         stage = sub.add_parser(command, help=f"run the {command} stage")
         stage.add_argument("--config", help="flat key=value config file")
-        stage.add_argument("-o", dest="outdir_short", metavar="DIR", help="output directory")
-        for flag, key in _FLAGS.items():
-            stage.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE")
+        # every stage accepts every setting
+        for f in fields(RunConfig):
+            stage.add_argument(*flags(f), dest=f"cfg_{f.name}", metavar="VALUE")
     return parser
 
 
@@ -364,8 +318,6 @@ def main(argv: list[str] | None = None) -> int:
             for key, value in vars(args).items()
             if key.startswith("cfg_") and value is not None
         }
-        if args.outdir_short is not None:
-            flag_values["outdir"] = args.outdir_short
         cfg = build_config(file_values, flag_values)
         _verify_written(_STAGE_FUNCS[args.command](cfg))
     except (CliError, SchemaError, ValueError, OSError) as exc:

@@ -4,11 +4,17 @@ Values come from three layers: built-in defaults, a flat key=value
 config file, and command-line flags, in increasing precedence. All
 values arrive as strings and are converted here, so both layers share
 one parser and one set of error messages.
+
+`RunConfig` is the only list of settings. Each field's parser follows
+from its type (`parse` in the field metadata overrides it), and its
+flag is `--` plus the dashed field name unless `flags` in the metadata
+lists other spellings. A config-file key may be the field name or any
+long flag without its dashes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -57,17 +63,34 @@ def _parse_q(text: str) -> float | None:
     return float(text)
 
 
+# field annotation (a string, see the __future__ import) -> parser
+_TYPE_PARSERS: dict[str, Callable[[str], Any]] = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "float | None": _parse_q,
+    "date": _parse_date,
+    "tuple[int, ...]": _parse_int_grid,
+    "tuple[float, ...]": _parse_float_grid,
+}
+
+
+def _zone_offset(default: int, flag: str) -> Any:
+    return field(default=default, metadata={"flags": (flag,), "parse": parse_zone_offset})
+
+
 @dataclass
 class RunConfig:
     gps: str | None = None
     survey: str | None = None
-    outdir: str = "out"
+    outdir: str = field(default="out", metadata={"flags": ("-o", "--outdir")})
     delimiter: str = ","
-    naive_utc_offset_minutes: int = 0
+    naive_utc_offset_minutes: int = _zone_offset(0, "--naive-utc-offset")
     window_start: date = date(2016, 4, 1)
     window_end: date = date(2016, 5, 1)
-    zone_offset_minutes: int = 330
-    accuracy_cutoff_m: float = 60.0
+    zone_offset_minutes: int = _zone_offset(330, "--zone-offset")
+    accuracy_cutoff_m: float = field(default=60.0, metadata={"flags": ("--accuracy-cutoff",)})
     coverage_fraction: float = 0.2
     min_days: int = 5
     min_common_days: int = 7
@@ -88,21 +111,10 @@ class RunConfig:
     synth_coverage_slots: int = 60
 
     def ingest_options(self) -> IngestOptions:
-        return IngestOptions(
-            delimiter=self.delimiter,
-            naive_utc_offset_minutes=self.naive_utc_offset_minutes,
-        )
+        return IngestOptions(**{f.name: getattr(self, f.name) for f in fields(IngestOptions)})
 
     def preprocess_config(self) -> PreprocessConfig:
-        return PreprocessConfig(
-            window_start=self.window_start,
-            window_end=self.window_end,
-            zone_offset_minutes=self.zone_offset_minutes,
-            accuracy_cutoff_m=self.accuracy_cutoff_m,
-            coverage_fraction=self.coverage_fraction,
-            min_days=self.min_days,
-            min_common_days=self.min_common_days,
-        )
+        return PreprocessConfig(**{f.name: getattr(self, f.name) for f in fields(PreprocessConfig)})
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
@@ -132,38 +144,19 @@ class RunConfig:
         return out
 
 
-_PARSERS: dict[str, Callable[[str], Any]] = {
-    "gps": str,
-    "survey": str,
-    "outdir": str,
-    "delimiter": str,
-    "naive_utc_offset_minutes": parse_zone_offset,
-    "window_start": _parse_date,
-    "window_end": _parse_date,
-    "zone_offset_minutes": parse_zone_offset,
-    "accuracy_cutoff_m": float,
-    "coverage_fraction": float,
-    "min_days": int,
-    "min_common_days": int,
-    "threshold_m": float,
-    "width_t": int,
-    "q": _parse_q,
-    "width_grid": _parse_int_grid,
-    "q_grid": _parse_float_grid,
-    "max_horizon": int,
-    "seed": int,
-    "synth_pairs": int,
-    "synth_days": int,
-    "synth_encounters_per_day": int,
-    "synth_schedule_slots": _parse_int_grid,
-    "synth_jitter": int,
-    "synth_meet_prob": float,
-    "synth_places": int,
-    "synth_coverage_slots": int,
-}
+def flags(f: Field) -> tuple[str, ...]:
+    """Command-line spellings of a RunConfig field."""
+    return f.metadata.get("flags", ("--" + f.name.replace("_", "-"),))
 
-# config-file keys may use dashes; normalize to field names
-_ALIAS = {key.replace("_", "-"): key for key in _PARSERS}
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+# config-file key (field name or long flag, dashes as underscores) -> field name
+_KEYS = {
+    spelling[2:].replace("-", "_"): f.name
+    for f in _FIELDS.values()
+    for spelling in ("--" + f.name, *flags(f))
+    if spelling.startswith("--")
+}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -176,11 +169,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        key = key.strip().lower()
-        key = _ALIAS.get(key, key.replace("-", "_"))
-        if key not in _PARSERS:
+        key = key.strip().lower().replace("-", "_")
+        if key not in _KEYS:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = value.strip()
+        values[_KEYS[key]] = value.strip()
     return values
 
 
@@ -194,10 +186,11 @@ def build_config(
     merged.update(flag_values or {})
     kwargs: dict[str, Any] = {}
     for key, raw in merged.items():
-        if key not in _PARSERS:
+        if key not in _FIELDS:
             raise ValueError(f"unknown config key {key!r}")
+        f = _FIELDS[key]
         try:
-            kwargs[key] = _PARSERS[key](raw)
+            kwargs[key] = f.metadata.get("parse", _TYPE_PARSERS[f.type])(raw)
         except ValueError as exc:
             raise ValueError(f"bad value for {key!r}: {raw!r} ({exc})") from None
     return RunConfig(**kwargs)

@@ -1,11 +1,13 @@
 """Per-pair features: temporal diversity, location diversity, mean encounters.
 
-Temporal diversity is the effective number of daily time intervals a
-pair meets in: exp of the (Shannon or Renyi) entropy of the empirical
-distribution of encounters over width-t intervals of the day. Location
-diversity is the same effective-number construction over geohash cells.
-All entropies use the natural logarithm; exp(H) then reads directly as
-an effective category count (uniform over k categories gives exactly k).
+Both diversities are one formula, `hill_diversity`: the effective number
+of categories, exp of the Renyi entropy of order q (Shannon at q = 1) of
+a vector of counts. Temporal diversity applies it to `interval_counts`,
+a pair's encounters per width-t interval of the day, at the run's q
+(Shannon when q is None). Location diversity applies it at q = 1 to the
+encounters per geohash cell. All entropies use the natural logarithm;
+exp(H) then reads directly as an effective category count (uniform over
+k categories gives exactly k).
 """
 
 from __future__ import annotations
@@ -22,28 +24,6 @@ MINUTES_PER_DAY = 1440
 DEFAULT_WIDTH_T = 60
 # below this distance from 1, the Renyi order is treated as the Shannon limit
 _SHANNON_LIMIT_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class TemporalEncounterVector:
-    """Counts of a pair's encounters per width-t interval of the day."""
-
-    width_t: int  # minutes, divisor of 1440
-    counts: tuple[int, ...]  # length 1440 / width_t
-    n_days: int  # common days the counts were aggregated over
-
-    def __post_init__(self) -> None:
-        if self.width_t <= 0 or MINUTES_PER_DAY % self.width_t != 0:
-            raise ValueError(f"width_t must divide 1440, got {self.width_t}")
-        expected = MINUTES_PER_DAY // self.width_t
-        if len(self.counts) != expected:
-            raise ValueError(
-                f"counts length {len(self.counts)} != 1440/{self.width_t} = {expected}"
-            )
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -69,21 +49,18 @@ class Observation:
     encounters: EncounterSet
 
 
-def build_tev(encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T) -> TemporalEncounterVector:
-    """Aggregate a pair's encounters into interval counts.
+def interval_counts(encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T) -> tuple[int, ...]:
+    """A pair's encounters per width-t interval of the day, 1440/width_t counts.
 
     An encounter in slot s lands in the interval containing its start
     minute 5*s.
     """
     if width_t <= 0 or MINUTES_PER_DAY % width_t != 0:
         raise ValueError(f"width_t must divide 1440, got {width_t}")
-    n_bins = MINUTES_PER_DAY // width_t
-    counts = [0] * n_bins
+    counts = [0] * (MINUTES_PER_DAY // width_t)
     for enc in encounters.encounters:
         counts[(enc.slot * 5) // width_t] += 1
-    return TemporalEncounterVector(
-        width_t=width_t, counts=tuple(counts), n_days=encounters.n_common_days
-    )
+    return tuple(counts)
 
 
 def shannon_entropy(counts: Sequence[int]) -> float:
@@ -125,26 +102,12 @@ def hill_diversity(counts: Sequence[int], q: float) -> float:
     return exp(log(s) / (1.0 - q))
 
 
-def shannon_temporal_diversity(tev: TemporalEncounterVector) -> float:
-    """Effective number of intervals under Shannon entropy; 0 if no encounters."""
-    if tev.total == 0:
-        return 0.0
-    return exp(shannon_entropy(tev.counts))
-
-
-def renyi_temporal_diversity(tev: TemporalEncounterVector, q: float) -> float:
-    """Effective number of intervals at Renyi order q; 0 if no encounters."""
-    return hill_diversity(tev.counts, q)
-
-
 def location_diversity(encounters: EncounterSet) -> float:
     """Effective number of geohash cells the pair's encounters spread over."""
     cell_counts: dict[str, int] = {}
     for enc in encounters.encounters:
         cell_counts[enc.cell] = cell_counts.get(enc.cell, 0) + 1
-    if not cell_counts:
-        return 0.0
-    return exp(shannon_entropy(list(cell_counts.values())))
+    return hill_diversity(list(cell_counts.values()), 1.0)
 
 
 def mean_encounters(encounters: EncounterSet, n_common_days: int) -> float:
@@ -157,11 +120,11 @@ def mean_encounters(encounters: EncounterSet, n_common_days: int) -> float:
 def temporal_diversity(
     encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T, q: float | None = None
 ) -> float:
-    """Temporal diversity of a pair; Shannon when q is None, Renyi otherwise."""
-    tev = build_tev(encounters, width_t)
-    if q is None:
-        return shannon_temporal_diversity(tev)
-    return renyi_temporal_diversity(tev, q)
+    """Effective number of intervals a pair meets in; Shannon when q is None.
+
+    A pair with no encounters has diversity 0.
+    """
+    return hill_diversity(interval_counts(encounters, width_t), 1.0 if q is None else q)
 
 
 def compute_pair_features(

@@ -5,7 +5,9 @@ matched case-insensitively and through a small alias table, because
 field order and exact naming vary between log exports. Malformed rows
 are never dropped silently: every parse returns the accepted records
 plus a rejection report listing line number and reason for each bad
-row.
+row. Both readers share one table reader and differ only in their
+column aliases and per-row converter. A leading UTF-8 byte-order mark
+is ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import io
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from math import isfinite
-from typing import BinaryIO, Iterable, TextIO
+from typing import BinaryIO, Callable, Iterable, TextIO, TypeVar
 
 # accepted header spellings, lowercased
 _GPS_ALIASES = {
@@ -37,6 +39,8 @@ _SURVEY_ALIASES = {
     "proximity_raw": ("proximity_raw", "proximity"),
 }
 _SURVEY_REQUIRED = ("rater_id", "ratee_id", "closeness_raw", "proximity_raw")
+
+_T = TypeVar("_T")
 
 
 class SchemaError(ValueError):
@@ -121,13 +125,17 @@ def parse_timestamp(raw: str, naive_utc_offset_minutes: int = 0) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _as_text_lines(source: BinaryIO | TextIO | Iterable[str]) -> Iterable[str]:
+def _as_text_lines(source: BinaryIO | TextIO | Iterable[str]) -> list[str]:
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            return io.StringIO(data.decode("utf-8")).readlines()
-        return io.StringIO(data).readlines()
-    return list(source)
+            data = data.decode("utf-8")
+        lines = io.StringIO(data).readlines()
+    else:
+        lines = list(source)
+    if lines:  # spreadsheet exports often start with a UTF-8 byte-order mark
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return lines
 
 
 def _is_comment(cells: list[str]) -> bool:
@@ -180,6 +188,99 @@ def _optional_int(cell: str) -> int | None:
     return int(cell)
 
 
+def _read_table(
+    source: BinaryIO | TextIO | Iterable[str],
+    delimiter: str,
+    aliases: dict[str, tuple[str, ...]],
+    required: tuple[str, ...],
+    convert: Callable[[dict[str, str]], _T],
+) -> tuple[list[_T], RejectionReport]:
+    """Records from one delimited table plus a rejection report.
+
+    The first non-blank, non-comment line is the header. Each data row
+    goes to `convert` as a canonical-name -> cell mapping; a ValueError
+    rejects the row with the exception text as its reason.
+    """
+    rows = list(csv.reader(_as_text_lines(source), delimiter=delimiter))
+    header_idx = _find_header(rows)
+    header = rows[header_idx]
+    positions = _resolve_header(header, aliases, required)
+    header_lowered = [c.strip().lower() for c in header]
+
+    records: list[_T] = []
+    report = RejectionReport()
+    for line_no, cells in enumerate(rows[header_idx + 1 :], start=header_idx + 2):
+        if _is_blank(cells) or _is_comment(cells):
+            continue
+        if [c.strip().lower() for c in cells] == header_lowered:
+            report.reject(line_no, "duplicate header row")
+            continue
+        if len(cells) < len(header):
+            report.reject(line_no, f"expected {len(header)} fields, got {len(cells)}")
+            continue
+        try:
+            records.append(convert({name: cells[i] for name, i in positions.items()}))
+        except ValueError as exc:
+            report.reject(line_no, str(exc))
+    report.n_accepted = len(records)
+    return records, report
+
+
+def _gps_record(row: dict[str, str], naive_utc_offset_minutes: int) -> RawFix:
+    ts = parse_timestamp(row["timestamp"], naive_utc_offset_minutes)
+    try:
+        lat, lon, accuracy = float(row["lat"]), float(row["lon"]), float(row["accuracy"])
+    except ValueError:
+        raise ValueError("non-numeric lat/lon/accuracy") from None
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError("lat out of range")
+    if not -180.0 <= lon < 180.0:
+        raise ValueError("lon out of range")
+    if not isfinite(accuracy) or accuracy < 0.0:
+        raise ValueError("accuracy negative or non-finite")
+    user_id = row["user_id"].strip()
+    if not user_id:
+        raise ValueError("empty user id")
+    try:
+        elevation = _optional_float(row.get("elevation", ""))
+        satellites = _optional_int(row.get("satellites", ""))
+    except ValueError:
+        raise ValueError("non-numeric elevation/satellites") from None
+    if satellites is not None and satellites < 0:
+        raise ValueError("negative satellite count")
+    return RawFix(
+        user_id=user_id,
+        timestamp=ts,
+        lat=lat,
+        lon=lon,
+        accuracy=accuracy,
+        elevation=elevation,
+        satellites=satellites,
+        provider=row.get("provider", "").strip() or None,
+    )
+
+
+def _survey_record(row: dict[str, str]) -> SurveyRecord:
+    rater = row["rater_id"].strip()
+    ratee = row["ratee_id"].strip()
+    if not rater or not ratee:
+        raise ValueError("empty rater/ratee id")
+    if rater == ratee:
+        raise ValueError("self-rating")
+    try:
+        closeness = int(row["closeness_raw"].strip())
+        proximity = int(row["proximity_raw"].strip())
+    except ValueError:
+        raise ValueError("non-integer closeness/proximity") from None
+    if closeness not in range(6):
+        raise ValueError("closeness out of range")
+    if proximity not in range(1, 6):
+        raise ValueError("proximity out of range")
+    return SurveyRecord(
+        rater_id=rater, ratee_id=ratee, closeness_raw=closeness, proximity_raw=proximity
+    )
+
+
 def parse_gps_log(
     source: BinaryIO | TextIO | Iterable[str],
     options: IngestOptions | None = None,
@@ -191,78 +292,10 @@ def parse_gps_log(
     lines further down the file count as rejected rows, not as errors.
     """
     opts = options or IngestOptions()
-    lines = _as_text_lines(source)
-    reader = csv.reader(lines, delimiter=opts.delimiter)
-    rows = list(reader)
-    header_idx = _find_header(rows)
-    header = rows[header_idx]
-    positions = _resolve_header(header, _GPS_ALIASES, _GPS_REQUIRED)
-    header_lowered = [c.strip().lower() for c in header]
-
-    fixes: list[RawFix] = []
-    report = RejectionReport()
-    for line_no, cells in enumerate(rows[header_idx + 1 :], start=header_idx + 2):
-        if _is_blank(cells) or _is_comment(cells):
-            continue
-        if [c.strip().lower() for c in cells] == header_lowered:
-            report.reject(line_no, "duplicate header row")
-            continue
-        if len(cells) < len(header):
-            report.reject(line_no, f"expected {len(header)} fields, got {len(cells)}")
-            continue
-
-        def cell(name: str) -> str:
-            return cells[positions[name]] if name in positions else ""
-
-        try:
-            ts = parse_timestamp(cell("timestamp"), opts.naive_utc_offset_minutes)
-        except ValueError as exc:
-            report.reject(line_no, str(exc))
-            continue
-        try:
-            lat = float(cell("lat"))
-            lon = float(cell("lon"))
-            accuracy = float(cell("accuracy"))
-        except ValueError:
-            report.reject(line_no, "non-numeric lat/lon/accuracy")
-            continue
-        if not -90.0 <= lat <= 90.0:
-            report.reject(line_no, "lat out of range")
-            continue
-        if not -180.0 <= lon < 180.0:
-            report.reject(line_no, "lon out of range")
-            continue
-        if not isfinite(accuracy) or accuracy < 0.0:
-            report.reject(line_no, "accuracy negative or non-finite")
-            continue
-        user_id = cell("user_id").strip()
-        if not user_id:
-            report.reject(line_no, "empty user id")
-            continue
-        try:
-            elevation = _optional_float(cell("elevation"))
-            satellites = _optional_int(cell("satellites"))
-        except ValueError:
-            report.reject(line_no, "non-numeric elevation/satellites")
-            continue
-        if satellites is not None and satellites < 0:
-            report.reject(line_no, "negative satellite count")
-            continue
-        provider = cell("provider").strip() or None
-        fixes.append(
-            RawFix(
-                user_id=user_id,
-                timestamp=ts,
-                lat=lat,
-                lon=lon,
-                accuracy=accuracy,
-                elevation=elevation,
-                satellites=satellites,
-                provider=provider,
-            )
-        )
-        report.n_accepted += 1
-    return fixes, report
+    offset = opts.naive_utc_offset_minutes
+    return _read_table(
+        source, opts.delimiter, _GPS_ALIASES, _GPS_REQUIRED, lambda row: _gps_record(row, offset)
+    )
 
 
 def parse_survey(
@@ -274,52 +307,4 @@ def parse_survey(
     Self-ratings and out-of-range scores are rejected row by row.
     """
     opts = options or IngestOptions()
-    lines = _as_text_lines(source)
-    reader = csv.reader(lines, delimiter=opts.delimiter)
-    rows = list(reader)
-    header_idx = _find_header(rows)
-    header = rows[header_idx]
-    positions = _resolve_header(header, _SURVEY_ALIASES, _SURVEY_REQUIRED)
-    header_lowered = [c.strip().lower() for c in header]
-
-    records: list[SurveyRecord] = []
-    report = RejectionReport()
-    for line_no, cells in enumerate(rows[header_idx + 1 :], start=header_idx + 2):
-        if _is_blank(cells) or _is_comment(cells):
-            continue
-        if [c.strip().lower() for c in cells] == header_lowered:
-            report.reject(line_no, "duplicate header row")
-            continue
-        if len(cells) < len(header):
-            report.reject(line_no, f"expected {len(header)} fields, got {len(cells)}")
-            continue
-        rater = cells[positions["rater_id"]].strip()
-        ratee = cells[positions["ratee_id"]].strip()
-        if not rater or not ratee:
-            report.reject(line_no, "empty rater/ratee id")
-            continue
-        if rater == ratee:
-            report.reject(line_no, "self-rating")
-            continue
-        try:
-            closeness = int(cells[positions["closeness_raw"]].strip())
-            proximity = int(cells[positions["proximity_raw"]].strip())
-        except ValueError:
-            report.reject(line_no, "non-integer closeness/proximity")
-            continue
-        if closeness not in range(6):
-            report.reject(line_no, "closeness out of range")
-            continue
-        if proximity not in range(1, 6):
-            report.reject(line_no, "proximity out of range")
-            continue
-        records.append(
-            SurveyRecord(
-                rater_id=rater,
-                ratee_id=ratee,
-                closeness_raw=closeness,
-                proximity_raw=proximity,
-            )
-        )
-        report.n_accepted += 1
-    return records, report
+    return _read_table(source, opts.delimiter, _SURVEY_ALIASES, _SURVEY_REQUIRED, _survey_record)

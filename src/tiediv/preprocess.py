@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from math import ceil
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .ingest import RawFix, SurveyRecord
 
@@ -222,17 +222,3 @@ def common_days(a: ValidDaySet, b: ValidDaySet) -> tuple[date, ...]:
     """Chronological intersection of two users' valid-day sets."""
     shared = set(a.days) & set(b.days)
     return tuple(sorted(shared))
-
-
-def eligible_pairs(
-    valid_days: Mapping[str, ValidDaySet], min_common_days: int
-) -> dict[tuple[str, str], tuple[date, ...]]:
-    """All canonically ordered user pairs with enough common days."""
-    users = sorted(valid_days)
-    pairs: dict[tuple[str, str], tuple[date, ...]] = {}
-    for i, lo in enumerate(users):
-        for hi in users[i + 1 :]:
-            shared = common_days(valid_days[lo], valid_days[hi])
-            if len(shared) >= min_common_days:
-                pairs[(lo, hi)] = shared
-    return pairs

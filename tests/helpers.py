@@ -5,7 +5,6 @@ from __future__ import annotations
 from datetime import date, timedelta
 
 from tiediv.encounter import Encounter, EncounterSet
-from tiediv.features import TemporalEncounterVector
 
 START = date(2016, 4, 1)
 
@@ -47,7 +46,7 @@ def encounter_set_from_counts(
     n_common_days: int = 14,
     pair: tuple[str, str] = ("alice", "bob"),
 ) -> EncounterSet:
-    """EncounterSet whose TEV at width_t equals the given counts.
+    """EncounterSet whose interval counts at width_t equal the given counts.
 
     Each bin's encounters go to the bin's first slot, spread over days.
     """
@@ -60,7 +59,3 @@ def encounter_set_from_counts(
     # same slot may repeat across bins only if bins differ, and it cannot:
     # distinct bins have distinct start slots, so (day, slot) stays unique
     return make_encounter_set(events, n_common_days=n_common_days, pair=pair)
-
-
-def tev(counts, width_t: int = 120, n_days: int = 14) -> TemporalEncounterVector:
-    return TemporalEncounterVector(width_t=width_t, counts=tuple(counts), n_days=n_days)

@@ -178,6 +178,19 @@ class TestConfigFile:
         meta, _, _ = read_table(outdir / "synth_gps.csv")
         assert meta["zone_offset_minutes"] == "330"
 
+    def test_file_accepts_flag_spellings(self, outdir, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text(
+            "zone-offset=+04:00\naccuracy-cutoff=45\nnaive_utc_offset=-90\n"
+            "synth-pairs=1\nsynth-days=8\n",
+            encoding="utf-8",
+        )
+        assert run("synth", "--config", str(config), "-o", str(outdir)) == 0
+        meta, _, _ = read_table(outdir / "synth_gps.csv")
+        assert meta["zone_offset_minutes"] == "240"
+        assert meta["accuracy_cutoff_m"] == "45.0"
+        assert meta["naive_utc_offset_minutes"] == "-90"
+
 
 class TestProvenance:
     def test_outputs_embed_config_and_input_hashes(self, outdir):

@@ -1,4 +1,4 @@
-"""Temporal encounter vectors and the diversity features.
+"""Interval counts (the temporal encounter vector) and the diversity features.
 
 Known-value checks freeze the worked example vectors
 (0,0,0,2,10,3,0,0,0,2,0,0) and (3,0,4,0,3,0,2,2,0,0,0,3); random-vector
@@ -18,18 +18,17 @@ from tiediv.encounter import EncounterSet
 from tiediv.features import (
     Observation,
     build_observations,
-    build_tev,
     compute_pair_features,
     hill_diversity,
+    interval_counts,
     location_diversity,
     mean_encounters,
-    renyi_temporal_diversity,
     shannon_entropy,
-    shannon_temporal_diversity,
+    temporal_diversity,
 )
 from tiediv.ingest import SurveyRecord
 
-from helpers import encounter_set_from_counts, make_encounter_set, tev
+from helpers import encounter_set_from_counts, make_encounter_set
 
 T_AB = (0, 0, 0, 2, 10, 3, 0, 0, 0, 2, 0, 0)
 T_AC = (3, 0, 4, 0, 3, 0, 2, 2, 0, 0, 0, 3)
@@ -52,50 +51,61 @@ def mp_hill(counts, q) -> float:
         return float(s ** (1 / (mpmath.mpf(1) - q)))
 
 
+def td(counts, q=None, width_t: int = 120) -> float:
+    """Temporal diversity of a pair whose interval counts at width_t are `counts`."""
+    es = encounter_set_from_counts(counts, width_t, n_common_days=max(14, *counts))
+    assert interval_counts(es, width_t) == tuple(counts)
+    return temporal_diversity(es, width_t, q)
+
+
 class TestBuildTev:
+    """`interval_counts` builds the temporal encounter vector (TEV)."""
+
     def test_two_encounters_same_hour(self):
         # 08:05 is slot 97, 08:40 is slot 104
         es = make_encounter_set([(0, 97), (1, 104)])
-        assert build_tev(es, 60).counts[8] == 2
-        assert sum(build_tev(es, 60).counts) == 2
+        assert interval_counts(es, 60)[8] == 2
+        assert sum(interval_counts(es, 60)) == 2
 
     def test_empty_set_is_zero_vector(self):
         es = make_encounter_set([], n_common_days=7)
-        vec = build_tev(es, 60)
-        assert vec.counts == (0,) * 24
-        assert vec.total == 0
+        counts = interval_counts(es, 60)
+        assert counts == (0,) * 24
+        assert sum(counts) == 0
 
     def test_reproduces_reference_vector_at_120(self):
         es = encounter_set_from_counts(T_AB, width_t=120)
-        assert build_tev(es, 120).counts == T_AB
+        assert interval_counts(es, 120) == T_AB
 
     def test_vector_length_and_total(self):
         es = encounter_set_from_counts(T_AC, width_t=120)
-        vec = build_tev(es, 120)
-        assert len(vec.counts) == 1440 // 120
-        assert vec.total == es.n_encounters == 17
+        counts = interval_counts(es, 120)
+        assert len(counts) == 1440 // 120
+        assert sum(counts) == es.n_encounters == 17
 
     def test_width_must_divide_day(self):
         es = make_encounter_set([(0, 10)])
         with pytest.raises(ValueError):
-            build_tev(es, 7)
+            interval_counts(es, 7)
 
     def test_slot_start_minute_binning(self):
         # slot 23 starts at minute 115: bin 1 at t=60, not bin 2
         es = make_encounter_set([(0, 23)])
-        assert build_tev(es, 60).counts[1] == 1
+        assert interval_counts(es, 60)[1] == 1
 
 
 class TestShannonDiversity:
+    """`temporal_diversity` with q = None."""
+
     def test_reference_vector_ab(self):
         assert shannon_entropy(T_AB) == pytest.approx(1.1218, abs=5e-4)
-        d = shannon_temporal_diversity(tev(T_AB))
+        d = td(T_AB)
         assert round(d, 1) == 3.1
         assert d == pytest.approx(3.0703, abs=1e-3)
 
     def test_reference_vector_ac(self):
         assert shannon_entropy(T_AC) == pytest.approx(1.7623, abs=5e-4)
-        d = shannon_temporal_diversity(tev(T_AC))
+        d = td(T_AC)
         assert round(d, 1) == 5.8
         assert d == pytest.approx(5.8259, abs=1e-3)
 
@@ -103,36 +113,34 @@ class TestShannonDiversity:
     def test_single_nonzero_bin(self, k):
         counts = [0] * 11 + [k]
         assert shannon_entropy(counts) == 0.0
-        assert shannon_temporal_diversity(tev(counts)) == 1.0
+        assert td(counts) == 1.0
 
     def test_uniform_vector_gives_bin_count(self):
-        assert shannon_temporal_diversity(tev((1, 1, 1, 1), width_t=360)) == pytest.approx(
-            4.0, rel=1e-12
-        )
+        assert td((1, 1, 1, 1), width_t=360) == pytest.approx(4.0, rel=1e-12)
 
     def test_empty_vector_is_zero(self):
-        assert shannon_temporal_diversity(tev((0,) * 12)) == 0.0
+        assert td((0,) * 12) == 0.0
 
 
 class TestRenyiDiversity:
+    """`temporal_diversity` at order q, and `hill_diversity` behind it."""
+
     def test_order_zero_counts_support(self):
-        assert renyi_temporal_diversity(tev(T_AB), 0.0) == 4.0
+        assert td(T_AB, 0.0) == 4.0
 
     def test_order_two_reference_value(self):
         # sum p^2 = (4 + 100 + 9 + 4) / 17^2 = 117/289, D = 289/117
-        assert renyi_temporal_diversity(tev(T_AB), 2.0) == pytest.approx(289 / 117, rel=1e-12)
+        assert td(T_AB, 2.0) == pytest.approx(289 / 117, rel=1e-12)
 
     def test_order_one_matches_shannon(self):
-        assert renyi_temporal_diversity(tev(T_AB), 1.0) == pytest.approx(
-            shannon_temporal_diversity(tev(T_AB)), rel=1e-9
-        )
+        assert td(T_AB, 1.0) == pytest.approx(td(T_AB), rel=1e-9)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            renyi_temporal_diversity(tev(T_AB), -0.5)
+            td(T_AB, -0.5)
 
     def test_empty_vector_is_zero(self):
-        assert renyi_temporal_diversity(tev((0,) * 12), 2.0) == 0.0
+        assert td((0,) * 12, 2.0) == 0.0
 
     @pytest.mark.parametrize("q", [0.0, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 3.0])
     def test_against_high_precision_oracle(self, q):

@@ -177,3 +177,25 @@ class TestParseSurvey:
         rows = ["A,B,5,4", "A,A,3,2", "B,A,0,1", "C,D,9,1"]
         records, report = parse_survey(survey_source(*rows))
         assert len(records) + report.n_rejected == len(rows)
+
+
+class TestByteOrderMark:
+    """Spreadsheet exports often begin with a UTF-8 byte-order mark."""
+
+    def test_gps_log_with_bom(self):
+        plain = gps_source("u1,2016-04-03T10:02:11Z,23.188,72.628,,36.0,,gps").getvalue()
+        fixes, report = parse_gps_log(io.BytesIO(b"\xef\xbb\xbf" + plain))
+        assert [f.user_id for f in fixes] == ["u1"]
+        assert report.entries == []
+        assert fixes == parse_gps_log(io.BytesIO(plain))[0]
+
+    def test_survey_with_bom(self):
+        plain = survey_source("A,B,5,4", "A,A,3,2").getvalue()
+        records, report = parse_survey(io.BytesIO(b"\xef\xbb\xbf" + plain))
+        assert [(r.rater_id, r.ratee_id) for r in records] == [("A", "B")]
+        assert report.entries == [(3, "self-rating")]
+
+    def test_text_source_with_bom(self):
+        text = "\ufeffrater_id,ratee_id,closeness,proximity\nA,B,5,4\n"
+        records, _ = parse_survey(io.StringIO(text))
+        assert [r.rater_id for r in records] == ["A"]
