@@ -14,13 +14,13 @@ from .features import (
     temporal_diversity,
 )
 from .geo import geohash_decode_bounds, geohash_encode, haversine_m
-from .ingest import RawFix, SurveyRecord, parse_gps_log, parse_survey
+from .ingest import FixTable, RawFix, SurveyRecord, parse_gps_log, parse_survey
 from .preprocess import (
     CleanFix,
+    CleanTable,
     PreprocessConfig,
     ValidDaySet,
     common_days,
-    dedupe,
     filter_pipeline,
     regroup_closeness,
     snap_to_slot,
@@ -32,8 +32,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CleanFix",
+    "CleanTable",
     "Encounter",
     "EncounterSet",
+    "FixTable",
     "Observation",
     "PairFeatures",
     "PreprocessConfig",
@@ -45,7 +47,6 @@ __all__ = [
     "build_observations",
     "common_days",
     "compute_pair_features",
-    "dedupe",
     "detect_encounters",
     "evaluate_feature",
     "f_from_r",

@@ -5,20 +5,41 @@ provenance lines (config echo, input hashes), one header line, then
 data rows. Writing the same records with the same config produces
 byte-identical files, so re-runs are cheap to verify and artifacts can
 be diffed.
+
+The fix artifacts are written from and read back into column tables
+(`FixTable` for `fixes.csv`, `CleanTable` for `clean_fixes.csv`): each
+column is formatted or parsed as a whole (floats as their shortest
+round-trip `repr`, times as `isoformat()` UTC), and `csv` handles the
+quoting. Readers parse every row and raise ValueError on a malformed
+cell.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 from datetime import date
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .encounter import Encounter, EncounterSet
-from .ingest import RawFix, SurveyRecord, parse_timestamp
-from .preprocess import CleanFix, ValidDaySet
+from .ingest import (
+    CHUNK_ROWS,
+    US_PER_S,
+    FixTable,
+    SurveyRecord,
+    TextColumn,
+    bulk_timestamps_us,
+    elevation_texts,
+    gc_paused,
+    parse_timestamp,
+    satellite_texts,
+    to_epoch_us,
+)
+from .preprocess import CleanTable, ValidDaySet, epoch_day
 
 _DAY_SEP = "|"
 
@@ -42,24 +63,28 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _write_text_rows(
+    path: str | Path, meta: Mapping[str, str], columns: Sequence[str], rows: Iterable[Sequence[str]]
+) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        for key, value in meta.items():
+            handle.write(f"# {key}={value}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def write_table(
     path: str | Path,
     meta: Mapping[str, str],
     columns: Sequence[str],
     rows: Iterable[Sequence],
 ) -> None:
-    buffer = io.StringIO()
-    for key, value in meta.items():
-        buffer.write(f"# {key}={value}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+    _write_text_rows(path, meta, columns, ([fmt(cell) for cell in row] for row in rows))
 
 
-def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Parse an artifact back into (meta, columns, rows)."""
+def _parse(path: str | Path) -> tuple[dict[str, str], list[str], Iterator[list[str]]]:
+    """(meta, columns, rows) of an artifact; rows are parsed as they are read."""
     meta: dict[str, str] = {}
     data_lines: list[str] = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -72,8 +97,60 @@ def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[s
         data_lines.append(line)
     if not data_lines:
         raise ValueError(f"{path}: no header line")
-    parsed = list(csv.reader(data_lines))
-    return meta, parsed[0], parsed[1:]
+    rows = csv.reader(data_lines)
+    return meta, next(rows), rows
+
+
+def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Parse an artifact back into (meta, columns, rows)."""
+    meta, columns, rows = _parse(path)
+    with gc_paused():
+        return meta, columns, list(rows)
+
+
+def count_rows(path: str | Path) -> int:
+    """Parse every row of an artifact, holding one chunk at a time; the row count."""
+    _, _, rows = _parse(path)
+    return sum(len(chunk) for chunk in _chunks(rows))
+
+
+def _chunks(rows: Iterator[list[str]]) -> Iterator[list[list[str]]]:
+    with gc_paused():
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            yield chunk
+
+
+def _column_chunks(path: str | Path, names: Sequence[str]) -> Iterator[dict[str, Sequence[str]]]:
+    """The cells of the named columns of an artifact, CHUNK_ROWS rows at a time."""
+    _, columns, rows = _parse(path)
+    at = [columns.index(name) for name in names]
+    for chunk in _chunks(rows):
+        transposed = list(zip(*chunk))
+        yield {name: transposed[i] for name, i in zip(names, at)}
+
+
+def iso_utc_texts(t_us: np.ndarray) -> list[str]:
+    """`datetime.isoformat()` of each UTC instant, as `fixes.csv` stores it."""
+    seconds = t_us // US_PER_S
+    micros = (t_us - seconds * US_PER_S).tolist()
+    whole = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
+    return [
+        f"{s}+00:00" if not us else f"{s}.{us:06d}+00:00" for s, us in zip(whole, micros)
+    ]
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    return np.array(list(map(float, cells)), dtype=np.float64)
+
+
+def _row_chunks(n_rows: int, format_chunk) -> Iterator[Sequence[str]]:
+    """Rows of text, formatted column-wise CHUNK_ROWS rows at a time."""
+    for start in range(0, n_rows, CHUNK_ROWS):
+        yield from zip(*format_chunk(slice(start, start + CHUNK_ROWS)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,41 +160,42 @@ def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[s
 FIX_COLUMNS = ("user_id", "timestamp", "lat", "lon", "elevation", "accuracy", "satellites", "provider")
 
 
-def write_fixes(path: str | Path, fixes: Iterable[RawFix], meta: Mapping[str, str]) -> None:
-    rows = [
-        (
-            f.user_id,
-            f.timestamp.isoformat(),
-            f.lat,
-            f.lon,
-            f.elevation,
-            f.accuracy,
-            f.satellites,
-            f.provider,
-        )
-        for f in fixes
-    ]
-    write_table(path, meta, FIX_COLUMNS, rows)
+def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> None:
+    def columns(rows: slice) -> list[list[str]]:
+        return [
+            fixes.user[rows].texts(),
+            iso_utc_texts(fixes.t_us[rows]),
+            _reprs(fixes.lat[rows]),
+            _reprs(fixes.lon[rows]),
+            fixes.elevation[rows].texts(),
+            _reprs(fixes.accuracy[rows]),
+            fixes.satellites[rows].texts(),
+            fixes.provider[rows].texts(),
+        ]
+
+    _write_text_rows(path, meta, FIX_COLUMNS, _row_chunks(len(fixes), columns))
 
 
-def read_fixes(path: str | Path) -> list[RawFix]:
-    _, columns, rows = read_table(path)
-    idx = {name: columns.index(name) for name in FIX_COLUMNS}
-    fixes = []
-    for row in rows:
-        fixes.append(
-            RawFix(
-                user_id=row[idx["user_id"]],
-                timestamp=parse_timestamp(row[idx["timestamp"]]),
-                lat=float(row[idx["lat"]]),
-                lon=float(row[idx["lon"]]),
-                accuracy=float(row[idx["accuracy"]]),
-                elevation=float(row[idx["elevation"]]) if row[idx["elevation"]] else None,
-                satellites=int(row[idx["satellites"]]) if row[idx["satellites"]] else None,
-                provider=row[idx["provider"]] or None,
+def read_fixes(path: str | Path) -> FixTable:
+    chunks = []
+    for cells in _column_chunks(path, FIX_COLUMNS):
+        times = cells["timestamp"]
+        t_us, ok = bulk_timestamps_us(times)
+        for i in np.flatnonzero(~ok).tolist():
+            t_us[i] = to_epoch_us(parse_timestamp(times[i]))
+        chunks.append(
+            FixTable(
+                user=TextColumn.of(cells["user_id"]),
+                t_us=t_us,
+                lat=_floats(cells["lat"]),
+                lon=_floats(cells["lon"]),
+                accuracy=_floats(cells["accuracy"]),
+                elevation=TextColumn.of(elevation_texts(cells["elevation"])),
+                satellites=TextColumn.of(satellite_texts(cells["satellites"])),
+                provider=TextColumn.of(cells["provider"]),
             )
         )
-    return fixes
+    return FixTable.concat(chunks)
 
 
 SURVEY_COLUMNS = ("rater_id", "ratee_id", "closeness_raw", "proximity_raw")
@@ -145,24 +223,35 @@ def read_survey(path: str | Path) -> list[SurveyRecord]:
 CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
 
 
-def write_clean_fixes(path: str | Path, fixes: Iterable[CleanFix], meta: Mapping[str, str]) -> None:
-    rows = [(f.user_id, f.day, f.slot, f.lat, f.lon) for f in fixes]
-    write_table(path, meta, CLEAN_FIX_COLUMNS, rows)
+def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> None:
+    def columns(rows: slice) -> list[list[str]]:
+        return [
+            fixes.user[rows].texts(),
+            np.datetime_as_string(fixes.day[rows].astype("datetime64[D]")).tolist(),
+            list(map(str, fixes.slot[rows].tolist())),
+            _reprs(fixes.lat[rows]),
+            _reprs(fixes.lon[rows]),
+        ]
+
+    _write_text_rows(path, meta, CLEAN_FIX_COLUMNS, _row_chunks(len(fixes), columns))
 
 
-def read_clean_fixes(path: str | Path) -> list[CleanFix]:
-    _, columns, rows = read_table(path)
-    idx = {name: columns.index(name) for name in CLEAN_FIX_COLUMNS}
-    return [
-        CleanFix(
-            user_id=row[idx["user_id"]],
-            day=date.fromisoformat(row[idx["day"]]),
-            slot=int(row[idx["slot"]]),
-            lat=float(row[idx["lat"]]),
-            lon=float(row[idx["lon"]]),
+def read_clean_fixes(path: str | Path) -> CleanTable:
+    chunks = []
+    days: dict[str, int] = {}
+    for cells in _column_chunks(path, CLEAN_FIX_COLUMNS):
+        for text in set(cells["day"]).difference(days):
+            days[text] = epoch_day(date.fromisoformat(text))
+        chunks.append(
+            CleanTable(
+                user=TextColumn.of(cells["user_id"]),
+                day=np.array([days[text] for text in cells["day"]], dtype=np.int64),
+                slot=np.array(list(map(int, cells["slot"])), dtype=np.int64),
+                lat=_floats(cells["lat"]),
+                lon=_floats(cells["lon"]),
+            )
         )
-        for row in rows
-    ]
+    return CleanTable.concat(chunks)
 
 
 VALID_DAY_COLUMNS = ("user_id", "day")

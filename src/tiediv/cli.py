@@ -3,6 +3,15 @@
 Each subcommand reads the previous stage's artifacts from the output
 directory and writes its own, so the pipeline is resumable and every
 intermediate is inspectable text. `all` runs the whole chain.
+
+Within one `main` call, what a stage writes is also kept in memory, in a
+dict by artifact path that `main` passes to the stage: the fix and
+clean-fix column tables, the survey, the valid days and the encounter
+sets. A later stage of the same call takes them from there instead of
+parsing the file back, so `all` writes each artifact once and never
+re-reads it; a single-stage subcommand reads the artifacts of earlier
+calls from disk. Every written file is still parsed back once, as the
+check behind the exit status.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 from . import artifacts, experiments, features, synth
 from .config import RunConfig, build_config, flags, load_config_file
@@ -41,14 +51,31 @@ def _meta(cfg: RunConfig, *input_paths: Path | str) -> dict[str, str]:
     return meta
 
 
+# What the stages of one `main` call wrote, by artifact path. Each stage
+# takes it as `written`; a stage called without it reads every input file.
+Written = dict[Path, object]
+
+
+def _keep(written: Written | None, path: Path, value: object) -> None:
+    if written is not None:
+        written[path] = value
+
+
+def _load(written: Written | None, path: Path, read: Callable[[Path], object]):
+    """What an earlier stage of the same `main` call wrote to `path`, else `read(path)`."""
+    if written is not None and path in written:
+        return written[path]
+    return read(path)
+
+
 def _verify_written(paths: list[Path]) -> None:
     # exit-status contract: an artifact counts only if it parses back
     for path in paths:
-        artifacts.read_table(path)
+        artifacts.count_rows(path)
         print(f"wrote {path}")
 
 
-def stage_ingest(cfg: RunConfig) -> list[Path]:
+def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Path]:
     if not cfg.gps or not cfg.survey:
         raise CliError("ingest needs --gps and --survey input paths")
     for path in (cfg.gps, cfg.survey):
@@ -64,6 +91,8 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
     meta = _meta(cfg, cfg.gps, cfg.survey)
     artifacts.write_fixes(_out(cfg, "fixes.csv"), fixes, meta)
     artifacts.write_survey(_out(cfg, "survey.csv"), survey, meta)
+    _keep(written, _out(cfg, "fixes.csv"), fixes)
+    _keep(written, _out(cfg, "survey.csv"), survey)
     _out(cfg, "ingest_rejects.txt").write_text(
         "== gps ==\n" + fix_report.as_text() + "== survey ==\n" + survey_report.as_text(),
         encoding="utf-8",
@@ -75,11 +104,11 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
     return [_out(cfg, "fixes.csv"), _out(cfg, "survey.csv")]
 
 
-def stage_preprocess(cfg: RunConfig) -> list[Path]:
+def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Path]:
     fixes_path = _require(cfg, "fixes.csv", "ingest")
     survey_path = _require(cfg, "survey.csv", "ingest")
-    fixes = artifacts.read_fixes(fixes_path)
-    survey = artifacts.read_survey(survey_path)
+    fixes = _load(written, fixes_path, artifacts.read_fixes)
+    survey = _load(written, survey_path, artifacts.read_survey)
     result = filter_pipeline(fixes, survey, cfg.preprocess_config())
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -89,6 +118,8 @@ def stage_preprocess(cfg: RunConfig) -> list[Path]:
         meta[f"count_{key}"] = str(value)
     artifacts.write_clean_fixes(_out(cfg, "clean_fixes.csv"), result.clean_fixes, meta)
     artifacts.write_valid_days(_out(cfg, "valid_days.csv"), result.valid_days, meta)
+    _keep(written, _out(cfg, "clean_fixes.csv"), result.clean_fixes)
+    _keep(written, _out(cfg, "valid_days.csv"), result.valid_days)
     print(
         f"preprocess: {len(result.clean_fixes)} clean fixes, "
         f"{len(result.retained_users)} retained users"
@@ -96,13 +127,13 @@ def stage_preprocess(cfg: RunConfig) -> list[Path]:
     return [_out(cfg, "clean_fixes.csv"), _out(cfg, "valid_days.csv")]
 
 
-def stage_encounters(cfg: RunConfig) -> list[Path]:
+def stage_encounters(cfg: RunConfig, written: Written | None = None) -> list[Path]:
     clean_path = _require(cfg, "clean_fixes.csv", "preprocess")
     days_path = _require(cfg, "valid_days.csv", "preprocess")
     survey_path = _require(cfg, "survey.csv", "ingest")
-    clean = artifacts.read_clean_fixes(clean_path)
-    valid_days = artifacts.read_valid_days(days_path)
-    survey = artifacts.read_survey(survey_path)
+    clean = _load(written, clean_path, artifacts.read_clean_fixes)
+    valid_days = _load(written, days_path, artifacts.read_valid_days)
+    survey = _load(written, survey_path, artifacts.read_survey)
     surveyed_pairs = sorted(
         {canonical_pair(rec.rater_id, rec.ratee_id) for rec in survey}
     )
@@ -116,25 +147,28 @@ def stage_encounters(cfg: RunConfig) -> list[Path]:
     meta = _meta(cfg, clean_path, days_path, survey_path)
     artifacts.write_pairs(_out(cfg, "pairs.csv"), encounter_sets, meta)
     artifacts.write_encounters(_out(cfg, "encounters.csv"), encounter_sets, meta)
+    _keep(written, _out(cfg, "encounters.csv"), encounter_sets)
     n_enc = sum(es.n_encounters for es in encounter_sets.values())
     print(f"encounters: {n_enc} encounters across {len(encounter_sets)} eligible pairs")
     return [_out(cfg, "pairs.csv"), _out(cfg, "encounters.csv")]
 
 
-def _load_observations(cfg: RunConfig):
+def _load_observations(cfg: RunConfig, written: Written | None):
     enc_path = _require(cfg, "encounters.csv", "encounters")
     pairs_path = _require(cfg, "pairs.csv", "encounters")
     survey_path = _require(cfg, "survey.csv", "ingest")
-    encounter_sets = artifacts.read_encounter_sets(enc_path, pairs_path)
-    survey = artifacts.read_survey(survey_path)
+    encounter_sets = _load(
+        written, enc_path, lambda path: artifacts.read_encounter_sets(path, pairs_path)
+    )
+    survey = _load(written, survey_path, artifacts.read_survey)
     observations = features.build_observations(survey, encounter_sets)
     if not observations:
         raise CliError("no observations: no surveyed pair passed the pipeline")
     return observations, [enc_path, pairs_path, survey_path]
 
 
-def stage_features(cfg: RunConfig) -> list[Path]:
-    observations, inputs = _load_observations(cfg)
+def stage_features(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+    observations, inputs = _load_observations(cfg, written)
     meta = _meta(cfg, *inputs)
     meta["zero_encounter_pairs"] = "included with diversity 0"
     rows = []
@@ -169,8 +203,8 @@ def stage_features(cfg: RunConfig) -> list[Path]:
     return [_out(cfg, "features.csv")]
 
 
-def stage_compare(cfg: RunConfig) -> list[Path]:
-    observations, inputs = _load_observations(cfg)
+def stage_compare(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+    observations, inputs = _load_observations(cfg, written)
     results = experiments.compare_features(observations, cfg.width_t)
     rows = []
     for fr in results:
@@ -188,8 +222,8 @@ def stage_compare(cfg: RunConfig) -> list[Path]:
     return [_out(cfg, "compare.csv")]
 
 
-def stage_sweep_t(cfg: RunConfig) -> list[Path]:
-    observations, inputs = _load_observations(cfg)
+def stage_sweep_t(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+    observations, inputs = _load_observations(cfg, written)
     rows = experiments.sweep_width(observations, cfg.width_grid)
     out_rows = [(int(r.parameter), r.f_value, r.p_value, r.error) for r in rows]
     path = _out(cfg, "sweep_t.csv")
@@ -199,8 +233,8 @@ def stage_sweep_t(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
-def stage_sweep_q(cfg: RunConfig) -> list[Path]:
-    observations, inputs = _load_observations(cfg)
+def stage_sweep_q(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+    observations, inputs = _load_observations(cfg, written)
     rows = experiments.sweep_q(observations, cfg.q_grid, cfg.width_t)
     out_rows = [(r.parameter, r.f_value, r.p_value, r.error) for r in rows]
     path = _out(cfg, "sweep_q.csv")
@@ -210,8 +244,8 @@ def stage_sweep_q(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
-def stage_subgroups(cfg: RunConfig) -> list[Path]:
-    observations, inputs = _load_observations(cfg)
+def stage_subgroups(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+    observations, inputs = _load_observations(cfg, written)
     summaries = experiments.subgroup_distributions(observations, cfg.width_t)
     rows = [
         (
@@ -238,8 +272,8 @@ def stage_subgroups(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
-def stage_evolve(cfg: RunConfig) -> list[Path]:
-    observations, inputs = _load_observations(cfg)
+def stage_evolve(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+    observations, inputs = _load_observations(cfg, written)
     rows_in = experiments.evolution(
         observations, range(1, cfg.max_horizon + 1), cfg.width_t
     )
@@ -251,7 +285,7 @@ def stage_evolve(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
-def stage_synth(cfg: RunConfig) -> list[Path]:
+def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Path]:
     result = synth.synth_generate(cfg.synth_config())
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = cfg.echo()
@@ -268,12 +302,12 @@ def stage_synth(cfg: RunConfig) -> list[Path]:
     return [_out(cfg, "synth_gps.csv"), _out(cfg, "synth_survey.csv")]
 
 
-def stage_all(cfg: RunConfig) -> list[Path]:
-    written = []
+def stage_all(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+    paths = []
     for name, stage in _STAGE_FUNCS.items():
         if name not in _NOT_PIPELINE:
-            written += stage(cfg)
-    return written
+            paths += stage(cfg, written)
+    return paths
 
 
 # command -> stage; `all` runs every entry not in _NOT_PIPELINE, in order
@@ -319,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             if key.startswith("cfg_") and value is not None
         }
         cfg = build_config(file_values, flag_values)
-        _verify_written(_STAGE_FUNCS[args.command](cfg))
+        _verify_written(_STAGE_FUNCS[args.command](cfg, {}))
     except (CliError, SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .experiments import DEFAULT_MAX_HORIZON, DEFAULT_Q_GRID, DEFAULT_WIDTH_GRID
+from .features import check_order, check_width_t
 from .ingest import IngestOptions
 from .preprocess import PreprocessConfig
 from .synth import SynthConfig
@@ -193,4 +194,9 @@ def build_config(
             kwargs[key] = f.metadata.get("parse", _TYPE_PARSERS[f.type])(raw)
         except ValueError as exc:
             raise ValueError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    # fail before any stage runs, with the messages the features stage gives
+    check_width_t(cfg.width_t)
+    if cfg.q is not None:
+        check_order(cfg.q)
+    return cfg

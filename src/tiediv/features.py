@@ -12,8 +12,9 @@ k categories gives exactly k).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, expm1, log, log1p
 from typing import Iterable, Mapping, Sequence
 
 from .encounter import EncounterSet, canonical_pair
@@ -24,6 +25,9 @@ MINUTES_PER_DAY = 1440
 DEFAULT_WIDTH_T = 60
 # below this distance from 1, the Renyi order is treated as the Shannon limit
 _SHANNON_LIMIT_EPS = 1e-9
+# below this distance from 1, sum p^q is summed as 1 + sum p (p^(q-1) - 1),
+# because log(sum p^q) would lose its digits to the 1 it is close to
+_NEAR_SHANNON = 1e-3
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,25 @@ class Observation:
     encounters: EncounterSet
 
 
+def check_width_t(width_t: int) -> None:
+    """Raise unless width_t minutes tile the day."""
+    if width_t <= 0 or MINUTES_PER_DAY % width_t != 0:
+        raise ValueError(f"width_t must divide 1440, got {width_t}")
+
+
+def check_order(q: float) -> None:
+    """Raise unless q is a valid diversity order."""
+    if q < 0:
+        raise ValueError(f"diversity order must be >= 0, got {q}")
+
+
 def interval_counts(encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T) -> tuple[int, ...]:
     """A pair's encounters per width-t interval of the day, 1440/width_t counts.
 
     An encounter in slot s lands in the interval containing its start
     minute 5*s.
     """
-    if width_t <= 0 or MINUTES_PER_DAY % width_t != 0:
-        raise ValueError(f"width_t must divide 1440, got {width_t}")
+    check_width_t(width_t)
     counts = [0] * (MINUTES_PER_DAY // width_t)
     for enc in encounters.encounters:
         counts[(enc.slot * 5) // width_t] += 1
@@ -85,8 +100,7 @@ def hill_diversity(counts: Sequence[int], q: float) -> float:
     q = 0 counts the support, q -> 1 is the Shannon limit, larger q
     weighs frequent categories more. Empty input gives 0 by convention.
     """
-    if q < 0:
-        raise ValueError(f"diversity order must be >= 0, got {q}")
+    check_order(q)
     total = sum(counts)
     if total == 0:
         return 0.0
@@ -94,11 +108,19 @@ def hill_diversity(counts: Sequence[int], q: float) -> float:
         return float(sum(1 for c in counts if c > 0))
     if abs(q - 1.0) <= _SHANNON_LIMIT_EPS:
         return exp(shannon_entropy(counts))
+    if abs(q - 1.0) < _NEAR_SHANNON:
+        ps = [c / total for c in counts if c > 0]
+        return exp(log1p(sum(p * expm1((q - 1.0) * log(p)) for p in ps)) / (1.0 - q))
     s = 0.0
     for c in counts:
         if c > 0:
             s += exp(q * log(c / total))
-    # D = (sum p^q)^(1/(1-q)), evaluated in log space for stability near q=1
+    if s < sys.float_info.min:
+        # p^q underflowed (large q): factor out the largest p, log-sum-exp style
+        log_p_max = log(max(counts) / total)
+        scaled = sum(exp(q * (log(c / total) - log_p_max)) for c in counts if c > 0)
+        return exp((q * log_p_max + log(scaled)) / (1.0 - q))
+    # D = (sum p^q)^(1/(1-q)), evaluated in log space
     return exp(log(s) / (1.0 - q))
 
 

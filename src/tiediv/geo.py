@@ -3,11 +3,20 @@
 Distances use the spherical haversine formula; at campus scale the
 error versus an ellipsoid is well below typical GPS accuracy, so the
 sphere is good enough for co-location thresholds.
+
+`haversine_m` and `geohash_encode` are the scalar definitions. The
+column versions give the same answers: `within_m` decides each pair in
+bulk and re-decides, with `haversine_m`, every distance so close to the
+threshold that numpy's and libm's last-ulp differences could matter, and
+`geohash_encode_many` runs the same bisection arithmetic on float64
+columns, so its cells are bit-identical by construction.
 """
 
 from __future__ import annotations
 
 from math import asin, cos, radians, sin, sqrt
+
+import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -67,6 +76,58 @@ def geohash_encode(lat: float, lon: float, length: int = 8) -> str:
             bits = 0
             n_bits = 0
     return "".join(chars)
+
+
+# Bulk distances within this fraction of the threshold (at least 1e-6 m)
+# are re-decided by the scalar haversine_m. numpy's and libm's sin, cos
+# and asin may differ in the last ulp; the two distances then agree to
+# ~1e-15 relative, and to ~0.1 m next to the antipode, inside the band.
+_RECHECK_REL = 1e-6
+
+
+def within_m(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray, threshold_m: float
+) -> np.ndarray:
+    """Mask of `haversine_m(...) <= threshold_m` for columns of point pairs."""
+    phi1, lam1, phi2, lam2 = (np.radians(c) for c in (lat1, lon1, lat2, lon2))
+    a = (
+        np.sin((phi2 - phi1) / 2.0) ** 2
+        + np.cos(phi1) * np.cos(phi2) * np.sin((lam2 - lam1) / 2.0) ** 2
+    )
+    distance = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    inside = distance <= threshold_m
+    band = _RECHECK_REL * max(threshold_m, 1.0)
+    for i in np.flatnonzero(np.abs(distance - threshold_m) <= band).tolist():
+        scalar = haversine_m(float(lat1[i]), float(lon1[i]), float(lat2[i]), float(lon2[i]))
+        inside[i] = scalar <= threshold_m
+    return inside
+
+
+def geohash_encode_many(lat: np.ndarray, lon: np.ndarray, length: int = 8) -> list[str]:
+    """`geohash_encode` of columns of points."""
+    if not 1 <= length <= 12:
+        raise ValueError(f"geohash length must be in 1..12, got {length}")
+    bad = np.flatnonzero(~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon < 180.0)))
+    if bad.size:
+        geohash_encode(float(lat[bad[0]]), float(lon[bad[0]]), length)  # raises its error
+
+    n = len(lat)
+    lat_lo, lat_hi = np.full(n, -90.0), np.full(n, 90.0)
+    lon_lo, lon_hi = np.full(n, -180.0), np.full(n, 180.0)
+    codes = np.zeros((n, length), dtype=np.int64)
+    for n_bit in range(5 * length):
+        if n_bit % 2 == 0:  # longitude bit first
+            mid = (lon_lo + lon_hi) / 2.0
+            bit = lon >= mid
+            lon_lo, lon_hi = np.where(bit, mid, lon_lo), np.where(bit, lon_hi, mid)
+        else:
+            mid = (lat_lo + lat_hi) / 2.0
+            bit = lat >= mid
+            lat_lo, lat_hi = np.where(bit, mid, lat_lo), np.where(bit, lat_hi, mid)
+        codes[:, n_bit // 5] = codes[:, n_bit // 5] * 2 + bit
+    alphabet = np.frombuffer(GEOHASH_BASE32.encode("ascii"), dtype=np.uint8)
+    text = alphabet[codes].tobytes().decode("ascii")
+    return [text[i : i + length] for i in range(0, len(text), length)]
 
 
 def geohash_decode_bounds(code: str) -> tuple[float, float, float, float]:

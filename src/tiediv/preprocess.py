@@ -5,19 +5,46 @@ the 5-minute grid, per-slot dedup, day-coverage filter, minimum-days
 filter, and restriction to surveyed users. Day attribution happens in
 local time (schedules are local-time phenomena), with a configurable
 fixed UTC offset.
+
+Every step works on whole columns of a `FixTable`: the window and
+accuracy filters are masks on epoch microseconds and accuracy, snapping
+is integer arithmetic on local whole seconds, dedup is one `np.lexsort`
+that keeps the first row of each (user, day, slot), and coverage is a
+count per user-day. The survivors come back as a `CleanTable`, which
+iterates as `CleanFix` rows. `snap_to_slot` is the scalar definition of
+the snapping that `snap_to_slots` applies to a column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from math import ceil
 from typing import Iterable
 
-from .ingest import RawFix, SurveyRecord
+import numpy as np
+
+from .ingest import (
+    US_PER_S,
+    ColumnTable,
+    FixTable,
+    RawFix,
+    SurveyRecord,
+    TextColumn,
+)
 
 SLOT_SECONDS = 300
 SLOTS_PER_DAY = 288  # 24h of 5-minute slots
+SECONDS_PER_DAY = 86400
+EPOCH_DAY = date(1970, 1, 1)
+
+
+def epoch_day(day: date) -> int:
+    return (day - EPOCH_DAY).days
+
+
+def day_of(epoch_days: int) -> date:
+    return EPOCH_DAY + timedelta(days=epoch_days)
 
 
 @dataclass(frozen=True)
@@ -29,6 +56,37 @@ class CleanFix:
     slot: int  # 0..287
     lat: float
     lon: float
+
+
+@dataclass(frozen=True, eq=False)
+class CleanTable(ColumnTable):
+    """Clean fixes as columns; row i of every column is one fix."""
+
+    user: TextColumn
+    day: np.ndarray  # int64 local days since 1970-01-01
+    slot: np.ndarray  # int64 0..287
+    lat: np.ndarray  # float64 degrees
+    lon: np.ndarray
+
+    def row(self, i: int) -> CleanFix:
+        return CleanFix(
+            user_id=self.user.values[self.user.codes[i]],
+            day=day_of(int(self.day[i])),
+            slot=int(self.slot[i]),
+            lat=float(self.lat[i]),
+            lon=float(self.lon[i]),
+        )
+
+    @classmethod
+    def from_rows(cls, fixes: Iterable[CleanFix]) -> "CleanTable":
+        fixes = list(fixes)
+        return cls(
+            user=TextColumn.of([f.user_id for f in fixes]),
+            day=np.array([epoch_day(f.day) for f in fixes], dtype=np.int64),
+            slot=np.array([f.slot for f in fixes], dtype=np.int64),
+            lat=np.array([f.lat for f in fixes], dtype=np.float64),
+            lon=np.array([f.lon for f in fixes], dtype=np.float64),
+        )
 
 
 @dataclass(frozen=True)
@@ -54,24 +112,11 @@ class PreprocessConfig:
 
 @dataclass
 class PreprocessResult:
-    clean_fixes: list[CleanFix]
+    clean_fixes: CleanTable
     valid_days: dict[str, ValidDaySet]
     retained_users: frozenset[str]
     counts: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-
-
-# internal carrier between snapping and dedup: keeps the quality fields
-# that the dedup tie-break needs but CleanFix no longer carries
-@dataclass(frozen=True)
-class SlotCandidate:
-    user_id: str
-    day: date
-    slot: int
-    lat: float
-    lon: float
-    accuracy: float
-    timestamp: datetime
 
 
 def snap_to_slot(timestamp: datetime, zone_offset_minutes: int) -> tuple[date, int]:
@@ -91,25 +136,17 @@ def snap_to_slot(timestamp: datetime, zone_offset_minutes: int) -> tuple[date, i
     return day, slot
 
 
-def dedupe(candidates: Iterable[SlotCandidate]) -> list[CleanFix]:
-    """Keep exactly one fix per (user, day, slot).
+def snap_to_slots(t_us: np.ndarray, zone_offset_minutes: int) -> tuple[np.ndarray, np.ndarray]:
+    """`snap_to_slot` of a column of epoch microseconds: (epoch days, slots).
 
-    The survivor is the candidate with the smallest accuracy; ties go to
-    the earliest raw timestamp, then lexicographically smallest (lat, lon).
+    Like the scalar version it drops the microseconds (floor to whole
+    local seconds) before rounding to the nearest slot.
     """
-    best: dict[tuple[str, date, int], SlotCandidate] = {}
-    for cand in candidates:
-        key = (cand.user_id, cand.day, cand.slot)
-        cur = best.get(key)
-        if cur is None or (
-            (cand.accuracy, cand.timestamp, cand.lat, cand.lon)
-            < (cur.accuracy, cur.timestamp, cur.lat, cur.lon)
-        ):
-            best[key] = cand
-    return [
-        CleanFix(user_id=c.user_id, day=c.day, slot=c.slot, lat=c.lat, lon=c.lon)
-        for _, c in sorted(best.items(), key=lambda kv: kv[0])
-    ]
+    local_s = (t_us + zone_offset_minutes * 60 * US_PER_S) // US_PER_S
+    day = local_s // SECONDS_PER_DAY
+    slot = (local_s - day * SECONDS_PER_DAY + SLOT_SECONDS // 2) // SLOT_SECONDS
+    rolled = slot == SLOTS_PER_DAY
+    return day + rolled, np.where(rolled, 0, slot)
 
 
 def coverage_threshold(fraction: float) -> int:
@@ -117,8 +154,19 @@ def coverage_threshold(fraction: float) -> int:
     return ceil(fraction * SLOTS_PER_DAY)
 
 
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted keys that start a new group."""
+    n = len(keys[0])
+    start = np.zeros(n, dtype=bool)
+    if n:
+        start[0] = True
+        for key in keys:
+            start[1:] |= key[1:] != key[:-1]
+    return start
+
+
 def filter_pipeline(
-    fixes: Iterable[RawFix],
+    fixes: FixTable | Iterable[RawFix],
     survey: Iterable[SurveyRecord],
     config: PreprocessConfig | None = None,
 ) -> PreprocessResult:
@@ -129,78 +177,76 @@ def filter_pipeline(
     result's warnings list, never raised.
     """
     cfg = config or PreprocessConfig()
-    tz = timezone(timedelta(minutes=cfg.zone_offset_minutes))
-    start_dt = datetime.combine(cfg.window_start, time(0, 0), tzinfo=tz)
-    end_dt = datetime.combine(cfg.window_end, time(0, 0), tzinfo=tz)
+    table = fixes if isinstance(fixes, FixTable) else FixTable.from_rows(fixes)
+    offset_us = cfg.zone_offset_minutes * 60 * US_PER_S
 
-    counts: dict[str, int] = {}
-    fixes = list(fixes)
-    counts["input_fixes"] = len(fixes)
+    def local_midnight_us(day: date) -> int:
+        return epoch_day(day) * SECONDS_PER_DAY * US_PER_S - offset_us
 
-    windowed = [f for f in fixes if start_dt <= f.timestamp.astimezone(tz) <= end_dt]
-    counts["in_window"] = len(windowed)
+    counts: dict[str, int] = {"input_fixes": len(table)}
+    t_us = table.t_us
+    start_us, end_us = local_midnight_us(cfg.window_start), local_midnight_us(cfg.window_end)
+    keep = (t_us >= start_us) & (t_us <= end_us)  # closed at both ends
+    counts["in_window"] = int(keep.sum())
+    keep &= table.accuracy < cfg.accuracy_cutoff_m
+    counts["accurate"] = int(keep.sum())
 
-    accurate = [f for f in windowed if f.accuracy < cfg.accuracy_cutoff_m]
-    counts["accurate"] = len(accurate)
-
-    candidates = []
-    for f in accurate:
-        day, slot = snap_to_slot(f.timestamp, cfg.zone_offset_minutes)
-        candidates.append(
-            SlotCandidate(
-                user_id=f.user_id,
-                day=day,
-                slot=slot,
-                lat=f.lat,
-                lon=f.lon,
-                accuracy=f.accuracy,
-                timestamp=f.timestamp,
-            )
-        )
-    snapped = dedupe(candidates)
-    counts["deduped"] = len(snapped)
+    # dedup: per (user, day, slot) the smallest accuracy survives; ties go
+    # to the earliest raw timestamp, then the smallest (lat, lon), then
+    # the earlier row
+    rows = np.flatnonzero(keep)
+    user = table.user.codes[rows]
+    day, slot = snap_to_slots(t_us[rows], cfg.zone_offset_minutes)
+    lat, lon = table.lat[rows], table.lon[rows]
+    order = np.lexsort((lon, lat, t_us[rows], table.accuracy[rows], slot, day, user))
+    user, day, slot, lat, lon = (col[order] for col in (user, day, slot, lat, lon))
+    first = _starts(user, day, slot)
+    user, day, slot, lat, lon = (col[first] for col in (user, day, slot, lat, lon))
+    counts["deduped"] = len(user)
 
     # day-coverage filter: a user-day survives with >= ceil(f * 288) slots
-    threshold = coverage_threshold(cfg.coverage_fraction)
-    slots_per_user_day: dict[tuple[str, date], int] = {}
-    for fix in snapped:
-        key = (fix.user_id, fix.day)
-        slots_per_user_day[key] = slots_per_user_day.get(key, 0) + 1
-    good_days: dict[str, list[date]] = {}
-    for (user, day), n_slots in sorted(slots_per_user_day.items()):
-        if n_slots >= threshold:
-            good_days.setdefault(user, []).append(day)
+    user_day_start = np.flatnonzero(_starts(user, day))
+    n_slots = np.diff(np.append(user_day_start, len(user)))
+    good = n_slots >= coverage_threshold(cfg.coverage_fraction)
+    good_user = user[user_day_start[good]]
+    good_day = day[user_day_start[good]]
+    days_per_user = np.bincount(good_user, minlength=len(table.user.values))
 
-    surveyed = set()
-    for rec in survey:
-        surveyed.add(rec.rater_id)
-        surveyed.add(rec.ratee_id)
-
-    retained = frozenset(
-        user
-        for user, days in good_days.items()
-        if len(days) >= cfg.min_days and user in surveyed
-    )
+    surveyed = {u for rec in survey for u in (rec.rater_id, rec.ratee_id)}
+    names = table.user.values
+    retained_codes = [
+        code
+        for code in np.flatnonzero(days_per_user >= max(cfg.min_days, 1)).tolist()
+        if names[code] in surveyed
+    ]
     valid_days = {
-        user: ValidDaySet(user_id=user, days=tuple(sorted(good_days[user])))
-        for user in sorted(retained)
+        names[code]: ValidDaySet(
+            user_id=names[code],
+            days=tuple(day_of(d) for d in good_day[good_user == code].tolist()),
+        )
+        for code in retained_codes
     }
-    kept_user_days = {
-        (user, day) for user in retained for day in valid_days[user].days
-    }
-    clean = [f for f in snapped if (f.user_id, f.day) in kept_user_days]
+    kept_user_day = good & np.isin(user[user_day_start], retained_codes)
+    clean_rows = np.repeat(kept_user_day, n_slots)
+    clean = CleanTable(
+        user=TextColumn(user[clean_rows], names),
+        day=day[clean_rows],
+        slot=slot[clean_rows],
+        lat=lat[clean_rows],
+        lon=lon[clean_rows],
+    )
     counts["clean_fixes"] = len(clean)
-    counts["users_with_good_days"] = len(good_days)
-    counts["retained_users"] = len(retained)
+    counts["users_with_good_days"] = int(np.count_nonzero(days_per_user))
+    counts["retained_users"] = len(retained_codes)
 
     warnings: list[str] = []
-    if not clean:
+    if not len(clean):
         warnings.append("empty survivor set: no fixes pass the cleaning pipeline")
 
     return PreprocessResult(
         clean_fixes=clean,
         valid_days=valid_days,
-        retained_users=retained,
+        retained_users=frozenset(valid_days),
         counts=counts,
         warnings=warnings,
     )

@@ -1,16 +1,26 @@
 """CLI stages, chaining, determinism, and error handling."""
 
 import hashlib
+import random
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiediv import artifacts
 from tiediv.artifacts import read_table
 from tiediv.cli import main
+
+from test_golden import MESSY_GPS, MESSY_SURVEY
 
 DATA = Path(__file__).parent / "data"
 GPS = str(DATA / "mini_gps.csv")
 SURVEY = str(DATA / "mini_survey.csv")
+STAGES = ("ingest", "preprocess", "encounters", "features", "compare",
+          "sweep-t", "sweep-q", "subgroups", "evolve")
 
 
 def run(*args: str) -> int:
@@ -90,7 +100,103 @@ class TestFullChain:
             assert (cols_a, rows_a) == (cols_b, rows_b), name
 
 
+def messy_inputs(directory: Path, shuffle: random.Random | None = None) -> list[str]:
+    """The golden messy log and survey around the mini fixture's rows.
+
+    The messy rows bring every timestamp shape and rejection reason; the
+    mini rows make the full chain produce observations. With `shuffle`,
+    every GPS line after the header comes in a shuffled order.
+    """
+    comment, header, rest = MESSY_GPS.split("\n", 2)
+    body = rest.splitlines() + (DATA / "mini_gps.csv").read_text().splitlines()[1:]
+    if shuffle is not None:
+        shuffle.shuffle(body)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "gps.csv").write_text("\n".join([comment, header] + body) + "\n", encoding="utf-8")
+    survey = MESSY_SURVEY + "".join((DATA / "mini_survey.csv").read_text().splitlines(True)[1:])
+    (directory / "survey.csv").write_text(survey, encoding="utf-8")
+    return ["--gps", str(directory / "gps.csv"), "--survey", str(directory / "survey.csv"),
+            "--naive-utc-offset", "+05:30"]
+
+
+def data_rows(outdir: Path, names) -> dict:
+    """Header and data rows of each named artifact; '#' meta lines excluded."""
+    return {name: read_table(outdir / name)[1:] for name in names}
+
+
+class TestMessyChain:
+    def test_stagewise_equals_all_on_messy_log(self, tmp_path):
+        inputs = messy_inputs(tmp_path / "in")
+        assert run("all", *inputs, "-o", str(tmp_path / "all")) == 0
+        for stage in STAGES:
+            assert run(stage, *inputs, "-o", str(tmp_path / "staged")) == 0
+        names = ALL_ARTIFACTS + ["ingest_rejects.txt"]
+        a, b = hash_dir(tmp_path / "all"), hash_dir(tmp_path / "staged")
+        assert sorted(a) == sorted(b) == sorted(names)
+        # only the config echo (the outdir) differs between the two runs
+        assert data_rows(tmp_path / "all", ALL_ARTIFACTS) == data_rows(
+            tmp_path / "staged", ALL_ARTIFACTS
+        )
+        assert a["ingest_rejects.txt"] == b["ingest_rejects.txt"]
+        rejects = (tmp_path / "all" / "ingest_rejects.txt").read_text()
+        assert "duplicate header row" in rejects and "negative satellite count" in rejects
+
+
+SHUFFLE_INVARIANT = ("clean_fixes.csv", "valid_days.csv", "pairs.csv", "encounters.csv", "features.csv")
+
+
+@lru_cache(maxsize=1)
+def unshuffled_rows() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        assert main(["all", *messy_inputs(root / "in"), "-o", str(root / "out")]) == 0
+        return data_rows(root / "out", SHUFFLE_INVARIANT)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_shuffled_gps_rows_give_identical_data_rows(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shuffled = messy_inputs(root / "in", shuffle=random.Random(seed))
+        assert main(["all", *shuffled, "-o", str(root / "out")]) == 0
+        assert data_rows(root / "out", SHUFFLE_INVARIANT) == unshuffled_rows()
+
+
+class TestInMemoryHandoff:
+    READERS = ("read_fixes", "read_survey", "read_clean_fixes", "read_valid_days", "read_encounter_sets")
+
+    def test_all_never_reads_back_what_it_wrote(self, outdir, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"`all` re-read {args[0]}")
+
+        for name in self.READERS:
+            monkeypatch.setattr(artifacts, name, refuse)
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+
+    def test_each_main_call_reads_earlier_calls_artifacts(self, outdir, monkeypatch):
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        calls = []
+        read_fixes = artifacts.read_fixes
+        monkeypatch.setattr(artifacts, "read_fixes", lambda path: calls.append(path) or read_fixes(path))
+        assert run("preprocess", "-o", str(outdir)) == 0
+        assert run("preprocess", "-o", str(outdir)) == 0
+        assert calls == [outdir / "fixes.csv"] * 2
+
+
 class TestStageErrors:
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--width-t", "7", "width_t must divide 1440, got 7"),
+            ("--q", "-1", "diversity order must be >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_analysis_setting_fails_before_any_stage(self, outdir, capsys, flag, value, message):
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), flag, value) == 1
+        assert message in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     def test_missing_upstream_artifact(self, outdir, capsys):
         assert run("sweep-t", "-o", str(outdir)) == 1
         err = capsys.readouterr().err

@@ -207,6 +207,45 @@ class TestDiversityInvariants:
         )
 
 
+class TestWholeOrderRange:
+    """Orders next to 1, and so large that p^q underflows to 0 everywhere."""
+
+    @pytest.mark.parametrize("q", [200.0, 1e4])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_uniform_288_slots(self, k, q):
+        assert hill_diversity([k] * 288, q) == pytest.approx(288.0, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1.0 - 1e-4, 1.0 + 2e-9, 1.0 + 1e-7, 1.0 + 1e-4, 50.0, 200.0, 1e4])
+    def test_against_high_precision_oracle(self, q):
+        rng = np.random.default_rng(200)
+        for _ in range(25):
+            counts = [int(c) for c in rng.integers(1, 40, size=int(rng.integers(2, 300)))]
+            assert hill_diversity(counts, q) == pytest.approx(mp_hill(counts, q), rel=1e-9)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=300).filter(
+            lambda counts: sum(counts) > 0
+        ),
+        st.lists(
+            st.one_of(st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=0.99999, max_value=1.00001)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(min_value=2, max_value=9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_finite_bounded_monotone_scale_invariant(self, counts, qs, k):
+        support = sum(1 for c in counts if c > 0)
+        previous = math.inf
+        for q in sorted(qs):
+            d = hill_diversity(counts, q)
+            assert math.isfinite(d)
+            assert 1.0 - 1e-12 <= d <= support * (1.0 + 1e-12)
+            assert d <= previous * (1.0 + 1e-9)
+            assert hill_diversity([c * k for c in counts], q) == pytest.approx(d, rel=1e-9)
+            previous = d
+
+
 class TestLocationDiversity:
     def test_single_cell(self):
         es = make_encounter_set([(0, 10, "cellaaaa"), (1, 20, "cellaaaa")])

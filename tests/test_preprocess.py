@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from tiediv.ingest import RawFix, SurveyRecord
 from tiediv.preprocess import (
     PreprocessConfig,
-    SlotCandidate,
     ValidDaySet,
     common_days,
     coverage_threshold,
-    dedupe,
     filter_pipeline,
     regroup_closeness,
     snap_to_slot,
@@ -61,24 +59,28 @@ class TestSnapToSlot:
         assert day in (date(2016, 4, 3), date(2016, 4, 4))
 
 
-def candidate(user="u1", day=date(2016, 4, 3), slot=100, lat=23.19, lon=72.63,
-              accuracy=10.0, hh=8, mm=20) -> SlotCandidate:
-    return SlotCandidate(
-        user_id=user, day=day, slot=slot, lat=lat, lon=lon, accuracy=accuracy,
-        timestamp=local(3, hh, mm),
-    )
+def candidate(user="u1", slot=100, lat=23.19, lon=72.63, accuracy=10.0, offset_s=0) -> RawFix:
+    """A raw fix `offset_s` after the local start of a slot on 2016-04-03."""
+    start = datetime(2016, 4, 3, tzinfo=IST) + timedelta(seconds=slot * 300 + offset_s)
+    return raw(user, start.astimezone(UTC), lat=lat, lon=lon, accuracy=accuracy)
+
+
+def survivors(fixes):
+    """The clean fixes of a pipeline run that keeps every user-day: dedup only."""
+    config = PreprocessConfig(coverage_fraction=0.0, min_days=1)
+    return list(filter_pipeline(fixes, [SurveyRecord("u1", "u2", 3, 3)], config).clean_fixes)
 
 
 class TestDedupe:
     def test_smallest_accuracy_wins(self):
-        survivors = dedupe(
+        kept = survivors(
             [candidate(accuracy=30.0, lat=1.0), candidate(accuracy=12.0, lat=2.0)]
         )
-        assert len(survivors) == 1
-        assert survivors[0].lat == 2.0
+        assert len(kept) == 1
+        assert kept[0].lat == 2.0
 
     def test_single_fix_unchanged(self):
-        (fix,) = dedupe([candidate()])
+        (fix,) = survivors([candidate()])
         assert (fix.user_id, fix.day, fix.slot, fix.lat, fix.lon) == (
             "u1",
             date(2016, 4, 3),
@@ -88,22 +90,27 @@ class TestDedupe:
         )
 
     def test_equal_accuracy_earliest_timestamp_wins(self):
-        survivors = dedupe(
+        # 08:22, 08:18 and 08:20 local all snap to slot 100 (08:20)
+        kept = survivors(
             [
-                candidate(hh=8, mm=22, lat=3.0),
-                candidate(hh=8, mm=18, lat=1.0),
-                candidate(hh=8, mm=20, lat=2.0),
+                candidate(offset_s=120, lat=3.0),
+                candidate(offset_s=-120, lat=1.0),
+                candidate(offset_s=0, lat=2.0),
             ]
         )
-        assert survivors[0].lat == 1.0
+        assert kept[0].lat == 1.0
 
     def test_full_tie_smallest_lat_lon_wins(self):
-        survivors = dedupe([candidate(lat=2.0, lon=5.0), candidate(lat=2.0, lon=4.0)])
-        assert survivors[0].lon == 4.0
+        kept = survivors([candidate(lat=2.0, lon=5.0), candidate(lat=2.0, lon=4.0)])
+        assert kept[0].lon == 4.0
+
+    def test_full_tie_smaller_lat_beats_smaller_lon(self):
+        kept = survivors([candidate(lat=2.0, lon=4.0), candidate(lat=1.0, lon=5.0)])
+        assert (kept[0].lat, kept[0].lon) == (1.0, 5.0)
 
     def test_distinct_slots_all_kept(self):
-        survivors = dedupe([candidate(slot=100), candidate(slot=101)])
-        assert len(survivors) == 2
+        kept = survivors([candidate(slot=100), candidate(slot=101)])
+        assert len(kept) == 2
 
 
 class TestRegroupCloseness:
@@ -219,6 +226,14 @@ class TestFilterPipeline:
         ]
         result = filter_pipeline(march + build_user_days("u1", 6, 60) + build_user_days("u2", 6, 60), SURVEY)
         assert result.counts["in_window"] == result.counts["input_fixes"] - 1
+
+    def test_window_is_closed_at_both_ends(self):
+        cfg = PreprocessConfig(window_start=date(2016, 4, 2), window_end=date(2016, 4, 5))
+        edges = [datetime(2016, 4, 2, tzinfo=IST), datetime(2016, 4, 5, tzinfo=IST)]
+        one_us = timedelta(microseconds=1)
+        inside = [raw("u1", t.astimezone(UTC)) for t in edges]
+        outside = [raw("u1", (edges[0] - one_us).astimezone(UTC)), raw("u1", (edges[1] + one_us).astimezone(UTC))]
+        assert filter_pipeline(inside + outside, SURVEY, cfg).counts["in_window"] == 2
 
     def test_no_clean_fix_on_invalid_day(self):
         fixes = build_user_days("u1", 6, 60) + build_user_days("u2", 6, 60)
