@@ -7,10 +7,18 @@ byte-identical files, so re-runs are cheap to verify and artifacts can
 be diffed.
 
 The fix artifacts are written from and read back into column tables
-(`FixTable` for `fixes.csv`, `CleanTable` for `clean_fixes.csv`): each
-column is formatted or parsed as a whole (floats as their shortest
-round-trip `repr`, times as `isoformat()` UTC), and `csv` handles the
-quoting. Readers parse every row and raise ValueError on a malformed
+(`FixTable` for `fixes.csv`, `CleanTable` for `clean_fixes.csv`). The
+writers format CHUNK_ROWS rows at a time, a column at a time, and join
+each chunk's rows into one string. Floats are their shortest round-trip
+`repr`, times `isoformat()` UTC. Each distinct value of a chunk's
+column (told apart by its bits, so -0.0 is not 0.0) is formatted once.
+Only text columns can need csv quoting; each distinct value of a text
+column is quoted once per artifact, by the csv module itself. The bytes
+are those `csv.writer` would write.
+
+Readers stream the file: the '#' lines before the header are the meta,
+and `csv.reader` parses the rest as it is read, so a row ends only where
+csv ends it. They parse every row and raise ValueError on a malformed
 cell.
 """
 
@@ -18,10 +26,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from contextlib import contextmanager
 from datetime import date
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -63,15 +73,14 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_text_rows(
-    path: str | Path, meta: Mapping[str, str], columns: Sequence[str], rows: Iterable[Sequence[str]]
-) -> None:
+@contextmanager
+def _artifact(path: str | Path, meta: Mapping[str, str], columns: Sequence[str]) -> Iterator[TextIO]:
+    """An artifact open for its data rows, its meta and header lines written."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        csv.writer(handle, lineterminator="\n").writerow(columns)
+        yield handle
 
 
 def write_table(
@@ -80,53 +89,94 @@ def write_table(
     columns: Sequence[str],
     rows: Iterable[Sequence],
 ) -> None:
-    _write_text_rows(path, meta, columns, ([fmt(cell) for cell in row] for row in rows))
+    with _artifact(path, meta, columns) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerows([fmt(cell) for cell in row] for row in rows)
 
 
-def _parse(path: str | Path) -> tuple[dict[str, str], list[str], Iterator[list[str]]]:
-    """(meta, columns, rows) of an artifact; rows are parsed as they are read."""
+def _write_columns(
+    path: str | Path,
+    meta: Mapping[str, str],
+    columns: Sequence[str],
+    n_rows: int,
+    format_chunk: Callable[[slice], Sequence[list[str]]],
+) -> None:
+    """Write rows whose cells `format_chunk` gives, column-wise, CHUNK_ROWS rows at a time.
+
+    The cells must already be csv cells, quoted where csv would quote them.
+    """
+    with _artifact(path, meta, columns) as handle:
+        for start in range(0, n_rows, CHUNK_ROWS):
+            cells = format_chunk(slice(start, start + CHUNK_ROWS))
+            handle.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+
+
+def _csv_cells(texts: Sequence[str]) -> np.ndarray:
+    """Each text as a csv cell, quoted exactly where the csv module quotes it."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    # a second cell, because csv quotes an empty cell that is alone in its row
+    writer.writerows((text, "") for text in texts)
+    return np.array([line[:-2] for line in lines], dtype=object)
+
+
+def _text_cells(column: TextColumn) -> Callable[[slice], list[str]]:
+    """The csv cells of a slice of the column; each distinct value is quoted once."""
+    cells = _csv_cells(column.values)
+    return lambda rows: cells[column.codes[rows]].tolist()
+
+
+def _distinct_texts(values: np.ndarray, texts: Callable[[np.ndarray], list[str]]) -> list[str]:
+    """`texts(values)`, formatting each distinct value only once.
+
+    Values are told apart by their bit pattern, not by `==`, so 0.0 and
+    -0.0 keep their own texts.
+    """
+    distinct, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+    return np.array(texts(distinct.view(values.dtype)), dtype=object)[inverse].tolist()
+
+
+@contextmanager
+def _rows(path: str | Path) -> Iterator[tuple[dict[str, str], list[str], Iterator[list[str]]]]:
+    """(meta, columns, rows) of an artifact; rows are parsed as they are read.
+
+    The '#' meta lines come before the header. The rest of the file is
+    csv, so rows end only where csv ends them.
+    """
     meta: dict[str, str] = {}
-    data_lines: list[str] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
+    with open(path, encoding="utf-8", newline="") as handle:
+        for line in handle:
+            if not line.startswith("#"):
+                break
             stripped = line.lstrip("#").strip()
             if "=" in stripped:
                 key, _, value = stripped.partition("=")
                 meta[key.strip()] = value.strip()
-            continue
-        data_lines.append(line)
-    if not data_lines:
-        raise ValueError(f"{path}: no header line")
-    rows = csv.reader(data_lines)
-    return meta, next(rows), rows
+        else:
+            raise ValueError(f"{path}: no header line")
+        rows = csv.reader(chain([line], handle))
+        yield meta, next(rows), rows
 
 
 def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """Parse an artifact back into (meta, columns, rows)."""
-    meta, columns, rows = _parse(path)
-    with gc_paused():
+    with _rows(path) as (meta, columns, rows), gc_paused():
         return meta, columns, list(rows)
 
 
 def count_rows(path: str | Path) -> int:
-    """Parse every row of an artifact, holding one chunk at a time; the row count."""
-    _, _, rows = _parse(path)
-    return sum(len(chunk) for chunk in _chunks(rows))
-
-
-def _chunks(rows: Iterator[list[str]]) -> Iterator[list[list[str]]]:
-    with gc_paused():
-        while chunk := list(islice(rows, CHUNK_ROWS)):
-            yield chunk
+    """Parse every row of an artifact as it is read; the row count."""
+    with _rows(path) as (_, _, rows):
+        return sum(1 for _ in rows)
 
 
 def _column_chunks(path: str | Path, names: Sequence[str]) -> Iterator[dict[str, Sequence[str]]]:
     """The cells of the named columns of an artifact, CHUNK_ROWS rows at a time."""
-    _, columns, rows = _parse(path)
-    at = [columns.index(name) for name in names]
-    for chunk in _chunks(rows):
-        transposed = list(zip(*chunk))
-        yield {name: transposed[i] for name, i in zip(names, at)}
+    with _rows(path) as (_, columns, rows), gc_paused():
+        at = [columns.index(name) for name in names]
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            transposed = list(zip(*chunk))
+            yield {name: transposed[i] for name, i in zip(names, at)}
 
 
 def iso_utc_texts(t_us: np.ndarray) -> list[str]:
@@ -139,18 +189,12 @@ def iso_utc_texts(t_us: np.ndarray) -> list[str]:
     ]
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    return list(map(repr, values.tolist()))
+def _float_cells(values: np.ndarray) -> list[str]:
+    return _distinct_texts(values, lambda floats: list(map(repr, floats.tolist())))
 
 
 def _floats(cells: Sequence[str]) -> np.ndarray:
     return np.array(list(map(float, cells)), dtype=np.float64)
-
-
-def _row_chunks(n_rows: int, format_chunk) -> Iterator[Sequence[str]]:
-    """Rows of text, formatted column-wise CHUNK_ROWS rows at a time."""
-    for start in range(0, n_rows, CHUNK_ROWS):
-        yield from zip(*format_chunk(slice(start, start + CHUNK_ROWS)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +205,24 @@ FIX_COLUMNS = ("user_id", "timestamp", "lat", "lon", "elevation", "accuracy", "s
 
 
 def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> None:
+    user, elevation, satellites, provider = (
+        _text_cells(column)
+        for column in (fixes.user, fixes.elevation, fixes.satellites, fixes.provider)
+    )
+
     def columns(rows: slice) -> list[list[str]]:
         return [
-            fixes.user[rows].texts(),
+            user(rows),
             iso_utc_texts(fixes.t_us[rows]),
-            _reprs(fixes.lat[rows]),
-            _reprs(fixes.lon[rows]),
-            fixes.elevation[rows].texts(),
-            _reprs(fixes.accuracy[rows]),
-            fixes.satellites[rows].texts(),
-            fixes.provider[rows].texts(),
+            _float_cells(fixes.lat[rows]),
+            _float_cells(fixes.lon[rows]),
+            elevation(rows),
+            _float_cells(fixes.accuracy[rows]),
+            satellites(rows),
+            provider(rows),
         ]
 
-    _write_text_rows(path, meta, FIX_COLUMNS, _row_chunks(len(fixes), columns))
+    _write_columns(path, meta, FIX_COLUMNS, len(fixes), columns)
 
 
 def read_fixes(path: str | Path) -> FixTable:
@@ -224,16 +273,22 @@ CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
 
 
 def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> None:
+    user = _text_cells(fixes.user)
+
     def columns(rows: slice) -> list[list[str]]:
         return [
-            fixes.user[rows].texts(),
-            np.datetime_as_string(fixes.day[rows].astype("datetime64[D]")).tolist(),
-            list(map(str, fixes.slot[rows].tolist())),
-            _reprs(fixes.lat[rows]),
-            _reprs(fixes.lon[rows]),
+            user(rows),
+            _distinct_texts(fixes.day[rows], _day_texts),
+            _distinct_texts(fixes.slot[rows], lambda slots: list(map(str, slots.tolist()))),
+            _float_cells(fixes.lat[rows]),
+            _float_cells(fixes.lon[rows]),
         ]
 
-    _write_text_rows(path, meta, CLEAN_FIX_COLUMNS, _row_chunks(len(fixes), columns))
+    _write_columns(path, meta, CLEAN_FIX_COLUMNS, len(fixes), columns)
+
+
+def _day_texts(days: np.ndarray) -> list[str]:
+    return np.datetime_as_string(days.astype("datetime64[D]")).tolist()
 
 
 def read_clean_fixes(path: str | Path) -> CleanTable:

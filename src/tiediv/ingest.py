@@ -14,13 +14,21 @@ The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
 time, and the optional elevation, satellite and provider cells kept as
 canonical text so that `fixes.csv` can be written without rounding.
-Columns are converted with Python's own `float` and `int`. Timestamps in
-the common shapes (integer epoch seconds, `YYYY-MM-DDTHH:MM:SS` with an
-optional 3- or 6-digit fraction and a `Z` or `+hh:mm` zone) are parsed
-in bulk. Every row the bulk checks do not accept goes through the
-per-row converter `_gps_record`, which either accepts it or rejects it
-with the same reason, from the same first failing check, as a row-by-row
-parse would. The table iterates as `RawFix` rows.
+Columns are converted with Python's own `float` and `int`; the optional
+elevation and satellite cells once per distinct cell. Timestamps in
+these shapes are parsed in bulk:
+
+- integer epoch seconds of up to 11 ASCII digits;
+- fractional epoch seconds below 2**32 with 1 to 6 fraction digits,
+  where `datetime.fromtimestamp` gives the cell's exact microsecond;
+- `YYYY-MM-DDTHH:MM:SS`, with an optional 3- or 6-digit fraction, and
+  with a `Z` or `+hh:mm` zone or none (naive, `naive_utc_offset_minutes`
+  east of UTC); a naive time may have a space in place of the `T`.
+
+Every row the bulk checks do not accept goes through the per-row
+converter `_gps_record`, which either accepts it or rejects it with the
+same reason, from the same first failing check, as a row-by-row parse
+would. The table iterates as `RawFix` rows.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -120,15 +129,8 @@ class TextColumn:
         ]
         return cls(np.concatenate(codes) if codes else np.zeros(0, np.int32), tuple(values))
 
-    def __getitem__(self, rows) -> "TextColumn":
-        return TextColumn(self.codes[rows], self.values)
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def texts(self) -> list[str]:
-        values = self.values
-        return [values[code] for code in self.codes.tolist()]
 
 
 class ColumnTable:
@@ -285,11 +287,16 @@ def parse_timestamp(raw: str, naive_utc_offset_minutes: int = 0) -> datetime:
 
 # epoch seconds of at most this many ASCII digits are parsed in bulk
 _EPOCH_DIGITS = 11
+# Fractional epoch seconds are parsed in bulk below 2**32 s with at most 6
+# fraction digits. There half an ulp of the double is under 0.5 us, so
+# `datetime.fromtimestamp(float(cell))` rounds to the cell's exact microsecond.
+_FRACTIONAL_EPOCH = re.compile(r"[0-9]{1,10}\.[0-9]{1,6}")
+_FRACTIONAL_EPOCH_LIMIT_S = 2**32
 # (fraction digits, zone) of the ISO shapes parsed in bulk; zone 'Z' means
-# a 'Z' or 'z' suffix, '+' a '+hh:mm' or '-hh:mm' offset
-_ISO_SHAPES = tuple((frac, zone) for frac in (0, 3, 6) for zone in ("Z", "+"))
+# a 'Z' or 'z' suffix, '+' a '+hh:mm' or '-hh:mm' offset, '' none (naive)
+_ISO_SHAPES = tuple((frac, zone) for frac in (0, 3, 6) for zone in ("Z", "+", ""))
 _DATE_TIME_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
-_DATE_TIME_SEPARATORS = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"))
+_DATE_TIME_SEPARATORS = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -303,12 +310,15 @@ def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np
     return era * 146097 + day_of_era - 719468
 
 
-def _iso_us(chars: np.ndarray, frac: int, zone: str) -> tuple[np.ndarray, np.ndarray]:
+def _iso_us(
+    chars: np.ndarray, frac: int, zone: str, naive_offset_s: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Epoch microseconds and validity of rows of one fixed ISO shape.
 
     `chars` holds one timestamp per row as Unicode code points. A row is
     valid only if it is a real date and time whose UTC instant lies well
     inside `datetime`'s range; others are left to `parse_timestamp`.
+    Naive times are `naive_offset_s` seconds east of UTC.
     """
     digits = chars.astype(np.int64) - ord("0")
 
@@ -330,12 +340,17 @@ def _iso_us(chars: np.ndarray, frac: int, zone: str) -> tuple[np.ndarray, np.nda
     ok = ((picked >= 0) & (picked <= 9)).all(axis=1)
     for col, char in separators:
         ok &= chars[:, col] == ord(char)
+    # a naive time may also have the space of `str(datetime)` before the time
+    ok &= (chars[:, 10] == ord("T")) | ((chars[:, 10] == ord(" ")) & (zone == ""))
 
-    sign = chars[:, zone_at]
-    if zone == "Z":
+    if zone == "":
+        offset_s = naive_offset_s
+    elif zone == "Z":
+        sign = chars[:, zone_at]
         ok &= (sign == ord("Z")) | (sign == ord("z"))
         offset_s = 0
     else:
+        sign = chars[:, zone_at]
         ok &= (sign == ord("+")) | (sign == ord("-"))
         off_h, off_m = number(zone_at + 1, zone_at + 2), number(zone_at + 4, zone_at + 5)
         ok &= (off_h <= 23) & (off_m <= 59)
@@ -356,11 +371,14 @@ def _iso_us(chars: np.ndarray, frac: int, zone: str) -> tuple[np.ndarray, np.nda
     return np.where(ok, t_us, 0), ok
 
 
-def bulk_timestamps_us(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def bulk_timestamps_us(
+    cells: Sequence[str], naive_utc_offset_minutes: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Epoch microseconds of the cells in a bulk-parsed shape, and which those are.
 
-    Where the mask is True the value equals `parse_timestamp(cell)`;
-    every other cell is left for `parse_timestamp` to accept or reject.
+    Where the mask is True the value equals
+    `parse_timestamp(cell, naive_utc_offset_minutes)`; every other cell is
+    left for `parse_timestamp` to accept or reject.
     """
     n = len(cells)
     t_us = np.zeros(n, dtype=np.int64)
@@ -374,14 +392,30 @@ def bulk_timestamps_us(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         t_us[digit_rows] = seconds * US_PER_S
         ok[digit_rows] = True
 
+    # `_FRACTIONAL_EPOCH` matches cells of 3 to 17 characters
+    rows = np.flatnonzero((lengths >= 3) & (lengths <= 17)).tolist()
+    frac_rows = [i for i in rows if _FRACTIONAL_EPOCH.fullmatch(cells[i])]
+    if frac_rows:
+        whole, fraction = zip(*(cells[i].split(".") for i in frac_rows))
+        seconds = np.array(list(map(int, whole)), dtype=np.int64)
+        micros = np.array([int(f.ljust(6, "0")) for f in fraction], dtype=np.int64)
+        exact = seconds < _FRACTIONAL_EPOCH_LIMIT_S
+        exact_rows = np.array(frac_rows)[exact]
+        t_us[exact_rows] = (seconds * US_PER_S + micros)[exact]
+        ok[exact_rows] = True
+
+    # `timezone` takes offsets strictly inside a day; others fail per row
+    naive = abs(naive_utc_offset_minutes) < 24 * 60
     for frac, zone in _ISO_SHAPES:
-        width = 19 + (frac + 1 if frac else 0) + (1 if zone == "Z" else 6)
+        if zone == "" and not naive:
+            continue
+        width = 19 + (frac + 1 if frac else 0) + {"Z": 1, "+": 6, "": 0}[zone]
         rows = np.flatnonzero(lengths == width)
         if not rows.size:
             continue
         text = np.array([cells[i] for i in rows.tolist()], dtype=f"U{width}")
         chars = text.view(np.uint32).reshape(len(rows), width)
-        t_us[rows], ok[rows] = _iso_us(chars, frac, zone)
+        t_us[rows], ok[rows] = _iso_us(chars, frac, zone, naive_utc_offset_minutes * 60)
     return t_us, ok
 
 
@@ -643,14 +677,20 @@ def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values, dtype=np.float64), ok
 
 
+def _each_distinct(convert: Callable[[str], str], cells: Sequence[str]) -> list[str]:
+    """`convert` of every cell, calling it once per distinct cell."""
+    texts = {cell: convert(cell) for cell in set(cells)}
+    return list(map(texts.__getitem__, cells))
+
+
 # canonical text of optional cells: what _optional_text gives for the value
 # that _optional_float (or _optional_int) reads from the cell
 def elevation_texts(cells: Sequence[str]) -> list[str]:
-    return [repr(float(s)) if (s := c.strip()) else "" for c in cells]
+    return _each_distinct(lambda c: repr(float(s)) if (s := c.strip()) else "", cells)
 
 
 def satellite_texts(cells: Sequence[str]) -> list[str]:
-    return [str(int(s)) if (s := c.strip()) else "" for c in cells]
+    return _each_distinct(lambda c: str(int(s)) if (s := c.strip()) else "", cells)
 
 
 def _gps_chunk(
@@ -662,7 +702,7 @@ def _gps_chunk(
     """The accepted rows of one chunk; the others go to `report`."""
     n = len(line_nos)
     blank = [""] * n
-    t_us, ok = bulk_timestamps_us(columns["timestamp"])
+    t_us, ok = bulk_timestamps_us(columns["timestamp"], naive_utc_offset_minutes)
     lat, lat_ok = _floats(columns["lat"])
     lon, lon_ok = _floats(columns["lon"])
     accuracy, accuracy_ok = _floats(columns["accuracy"])

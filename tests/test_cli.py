@@ -141,6 +141,27 @@ class TestMessyChain:
         rejects = (tmp_path / "all" / "ingest_rejects.txt").read_text()
         assert "duplicate header row" in rejects and "negative satellite count" in rejects
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0b"])
+    def test_user_ids_holding_a_line_separator(self, tmp_path, separator):
+        # str.splitlines breaks a line at these characters; csv does not
+        renamed = {"sch000a": f"sch{separator}000a", "soc000b": f"soc{separator}000b"}
+        inputs = []
+        for flag, name in (("--gps", "mini_gps.csv"), ("--survey", "mini_survey.csv")):
+            text = (DATA / name).read_text(encoding="utf-8")
+            for old, new in renamed.items():
+                text = text.replace(old, new)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            inputs += [flag, str(tmp_path / name)]
+        assert run("all", *inputs, "-o", str(tmp_path / "all")) == 0
+        for stage in ("ingest", "preprocess", "encounters"):
+            assert run(stage, *inputs, "-o", str(tmp_path / "staged")) == 0, stage
+        names = ["fixes.csv", "survey.csv", "clean_fixes.csv", "valid_days.csv", "pairs.csv", "encounters.csv"]
+        staged = data_rows(tmp_path / "staged", names)
+        assert staged == data_rows(tmp_path / "all", names)
+        _, rows = staged["pairs.csv"]
+        pairs = [(renamed["sch000a"], "sch000b"), ("soc000a", renamed["soc000b"])]
+        assert {tuple(row[:2]) for row in rows} == {tuple(sorted(pair)) for pair in pairs}
+
 
 SHUFFLE_INVARIANT = ("clean_fixes.csv", "valid_days.csv", "pairs.csv", "encounters.csv", "features.csv")
 

@@ -7,6 +7,7 @@ row: timestamps against `parse_timestamp`, snapping against
 what straightforward row-by-row versions of them give.
 """
 
+import csv
 import io
 import random
 from datetime import date, datetime, timedelta, timezone
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiediv.artifacts import (
+    CLEAN_FIX_COLUMNS,
+    FIX_COLUMNS,
     iso_utc_texts,
     read_clean_fixes,
     read_fixes,
@@ -26,11 +29,13 @@ from tiediv.artifacts import (
 from tiediv.encounter import Encounter, EncounterSet, detect_encounters
 from tiediv.geo import geohash_decode_bounds, geohash_encode, geohash_encode_many, haversine_m, within_m
 from tiediv.ingest import (
+    CHUNK_ROWS,
     FixTable,
     RawFix,
     SurveyRecord,
     TextColumn,
     bulk_timestamps_us,
+    from_epoch_us,
     parse_gps_log,
     parse_timestamp,
     to_epoch_us,
@@ -73,8 +78,12 @@ def renderings(instant: datetime, rng: random.Random) -> list[str]:
         local.isoformat(),
         local.isoformat(timespec="seconds"),
         local.isoformat(timespec="milliseconds").replace("+00:00", "Z"),
-        instant.strftime("%Y-%m-%d %H:%M:%S"),  # naive: not a bulk shape
-        f"{instant.timestamp():.3f}",  # fractional epoch: not a bulk shape
+        instant.strftime("%Y-%m-%d %H:%M:%S"),  # naive
+        instant.strftime("%Y-%m-%dT%H:%M:%S"),
+        instant.replace(tzinfo=None).isoformat(sep=" ", timespec="milliseconds"),
+        instant.replace(tzinfo=None).isoformat(timespec="microseconds"),
+        f"{instant.timestamp():.3f}",  # fractional epoch
+        f"{whole.timestamp():.{rng.randint(1, 6)}f}",
     ]
 
 
@@ -82,12 +91,47 @@ class TestBulkTimestamps:
     def test_matches_parse_timestamp_on_every_accepted_cell(self):
         rng = random.Random(3)
         cells = [text for t in random_instants(rng, 400) for text in renderings(t, rng)]
-        t_us, ok = bulk_timestamps_us(cells)
-        for cell, value, accepted in zip(cells, t_us.tolist(), ok.tolist()):
-            if accepted:
-                assert value == to_epoch_us(parse_timestamp(cell)), cell
-        # every zoned ISO shape and integer epoch goes the bulk way
-        assert ok.sum() == 8 * 400
+        for naive_offset in (0, 330, -240, 1439, -1439):
+            t_us, ok = bulk_timestamps_us(cells, naive_offset)
+            for cell, value, accepted in zip(cells, t_us.tolist(), ok.tolist()):
+                if accepted:
+                    assert value == to_epoch_us(parse_timestamp(cell, naive_offset)), cell
+            # every rendering goes the bulk way: the instants lie below 2**32 s
+            assert ok.sum() == 14 * 400
+
+    def test_naive_cells_with_an_offset_outside_a_day_are_left_alone(self):
+        # `parse_timestamp` rejects such an offset row by row
+        cells = ["2016-04-03 10:00:00", "2016-04-03T10:00:00Z"]
+        assert bulk_timestamps_us(cells, 1440)[1].tolist() == [False, True]
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "4294967295.999999",  # the largest bulk value, 1 us below 2**32 s
+            "4294967295.5",
+            "4294967294.000001",
+            "0.000001",
+            "0000000001.123456",
+            "1459677731.9",
+        ],
+    )
+    def test_fractional_epochs_inside_the_exact_range(self, cell):
+        t_us, ok = bulk_timestamps_us([cell])
+        assert ok[0]
+        assert t_us[0] == to_epoch_us(parse_timestamp(cell))
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda k: st.integers(min_value=0, max_value=10**k - 1).map(lambda f: f"{f:0{k}d}")
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fractional_epochs_match_fromtimestamp(self, seconds, fraction):
+        cell = f"{seconds}.{fraction}"
+        t_us, ok = bulk_timestamps_us([cell])
+        assert ok[0]
+        assert t_us[0] == to_epoch_us(parse_timestamp(cell))
 
     @pytest.mark.parametrize(
         "cell",
@@ -111,6 +155,17 @@ class TestBulkTimestamps:
             "१४५९६७७७३१",
             "99999999999999",
             "-1459677731",
+            "4294967296.0",  # 2**32 s, the limit of the bulk range
+            "4294967296.000001",
+            "1459677731.1234567",  # 7 fraction digits
+            "1.1234567",
+            "0.0000005",
+            "-1459677731.5",
+            "1459677731.",
+            ".5",
+            "1e9",
+            "2016-04-03x10:00:00",  # naive, but not 'T' or ' '
+            "2016-04-03 10:00:00.1234",
         ],
     )
     def test_other_cells_are_left_to_the_scalar_parser(self, cell):
@@ -216,6 +271,16 @@ class TestGeohashMany:
             geohash_encode_many(np.array([0.0]), np.array([180.0]))
 
 
+def csv_writer_file(path, meta, columns, rows):
+    """An artifact as `csv.writer` writes it: the writers' byte-for-byte reference."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        for key, value in meta.items():
+            handle.write(f"# {key}={value}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 class TestTables:
     def test_fix_table_round_trip_through_fixes_csv(self, tmp_path):
         text = (
@@ -249,10 +314,77 @@ class TestTables:
         write_clean_fixes(tmp_path / "clean.csv", table, {})
         assert list(read_clean_fixes(tmp_path / "clean.csv")) == rows
 
+    @pytest.mark.parametrize("repeats", [True, False])
+    def test_fix_writers_equal_a_csv_writer(self, tmp_path, repeats):
+        # two chunks; with repeats every float column holds many 0.0 and -0.0,
+        # without them every value of lat and lon is distinct and day and slot
+        # are narrower ints
+        n = CHUNK_ROWS + 1000
+        rng = np.random.default_rng(4)
+
+        def floats(pool):
+            if repeats:
+                return np.array(pool)[rng.integers(0, len(pool), n)]
+            return np.where(rng.random(n) < 0.01, -0.0, rng.uniform(-90.0, 90.0, n))
+
+        texts = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", " lead", "trail ", "", "line\u2028sep", "\x85", "plain"]
+
+        def text_column():
+            return TextColumn(rng.integers(0, len(texts), n).astype(np.int32), tuple(sorted(texts)))
+
+        lat, lon = floats([0.0, -0.0, 23.5]), floats([-0.0, 0.0, 72.5, 1e-300])
+        accuracy = np.abs(floats([0.0, -0.0, 12.5])) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        fixes = FixTable(
+            user=text_column(),
+            t_us=rng.integers(0, 4 * 10**15, n),
+            lat=lat,
+            lon=lon,
+            accuracy=accuracy,
+            elevation=text_column(),
+            satellites=text_column(),
+            provider=text_column(),
+        )
+        clean = CleanTable(
+            user=text_column(),
+            day=rng.integers(16800, 16830, n, dtype=np.int64 if repeats else np.int32),
+            slot=rng.integers(0, 288, n, dtype=np.int64 if repeats else np.int16),
+            lat=lat,
+            lon=lon,
+        )
+        meta = {"run": "writer test", "n": str(n)}
+        write_fixes(tmp_path / "fixes.csv", fixes, meta)
+        write_clean_fixes(tmp_path / "clean.csv", clean, meta)
+        if repeats:
+            assert (np.signbit(lat) & (lat == 0.0)).sum() > n // 4
+        def cells(column):
+            return [column.values[code] for code in column.codes.tolist()]
+
+        fix_rows = zip(
+            cells(fixes.user),
+            [from_epoch_us(t).isoformat() for t in fixes.t_us.tolist()],
+            map(repr, lat.tolist()),
+            map(repr, lon.tolist()),
+            cells(fixes.elevation),
+            map(repr, accuracy.tolist()),
+            cells(fixes.satellites),
+            cells(fixes.provider),
+        )
+        clean_rows = zip(
+            cells(clean.user),
+            [day_of(day).isoformat() for day in clean.day.tolist()],
+            map(str, clean.slot.tolist()),
+            map(repr, lat.tolist()),
+            map(repr, lon.tolist()),
+        )
+        csv_writer_file(tmp_path / "fixes_ref.csv", meta, FIX_COLUMNS, fix_rows)
+        csv_writer_file(tmp_path / "clean_ref.csv", meta, CLEAN_FIX_COLUMNS, clean_rows)
+        assert (tmp_path / "fixes.csv").read_bytes() == (tmp_path / "fixes_ref.csv").read_bytes()
+        assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "clean_ref.csv").read_bytes()
+
     def test_text_column_codes_follow_string_order(self):
         column = TextColumn.of(["b", "a", "é", "B", "a"])
         assert column.values == ("B", "a", "b", "é")
-        assert column.texts() == ["b", "a", "é", "B", "a"]
+        assert [column.values[code] for code in column.codes] == ["b", "a", "é", "B", "a"]
         assert column.codes.tolist() == [2, 1, 3, 0, 1]
 
 
