@@ -19,7 +19,11 @@ are those `csv.writer` would write.
 Readers stream the file: the '#' lines before the header are the meta,
 and `csv.reader` parses the rest as it is read, so a row ends only where
 csv ends it. They parse every row and raise ValueError on a malformed
-cell.
+cell. `read_fixes` and `read_survey` hand their columns to the
+converters ingest uses (`convert_gps`, `convert_survey`), so a staged
+run reads a cell into the same value by the same checks as ingest did;
+the error for a row those reject names the artifact, the row and the
+reason.
 """
 
 from __future__ import annotations
@@ -40,14 +44,12 @@ from .ingest import (
     CHUNK_ROWS,
     US_PER_S,
     FixTable,
+    RejectionReport,
     SurveyRecord,
     TextColumn,
-    bulk_timestamps_us,
-    elevation_texts,
+    convert_gps,
+    convert_survey,
     gc_paused,
-    parse_timestamp,
-    satellite_texts,
-    to_epoch_us,
 )
 from .preprocess import CleanTable, ValidDaySet, epoch_day
 
@@ -193,8 +195,21 @@ def _float_cells(values: np.ndarray) -> list[str]:
     return _distinct_texts(values, lambda floats: list(map(repr, floats.tolist())))
 
 
-def _floats(cells: Sequence[str]) -> np.ndarray:
-    return np.array(list(map(float, cells)), dtype=np.float64)
+def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> list:
+    """`convert(row_nos, cells, report)` of each chunk of the named columns.
+
+    Rows are numbered from 1 after the header. Raises ValueError naming
+    the artifact, the row and the reason if `convert` rejects a row.
+    """
+    chunks, report, start = [], RejectionReport(), 1
+    for cells in _column_chunks(path, names):
+        n = len(cells[names[0]])
+        chunks.append(convert(range(start, start + n), cells, report))
+        if report.entries:
+            row, reason = min(report.entries)
+            raise ValueError(f"{path}: data row {row}: {reason}")
+        start += n
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +241,8 @@ def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> N
 
 
 def read_fixes(path: str | Path) -> FixTable:
-    chunks = []
-    for cells in _column_chunks(path, FIX_COLUMNS):
-        times = cells["timestamp"]
-        t_us, ok = bulk_timestamps_us(times)
-        for i in np.flatnonzero(~ok).tolist():
-            t_us[i] = to_epoch_us(parse_timestamp(times[i]))
-        chunks.append(
-            FixTable(
-                user=TextColumn.of(cells["user_id"]),
-                t_us=t_us,
-                lat=_floats(cells["lat"]),
-                lon=_floats(cells["lon"]),
-                accuracy=_floats(cells["accuracy"]),
-                elevation=TextColumn.of(elevation_texts(cells["elevation"])),
-                satellites=TextColumn.of(satellite_texts(cells["satellites"])),
-                provider=TextColumn.of(cells["provider"]),
-            )
-        )
-    return FixTable.concat(chunks)
+    """The fixes of `fixes.csv`, checked and converted as ingest converts a GPS log."""
+    return FixTable.concat(_converted(path, FIX_COLUMNS, convert_gps))
 
 
 SURVEY_COLUMNS = ("rater_id", "ratee_id", "closeness_raw", "proximity_raw")
@@ -256,17 +254,9 @@ def write_survey(path: str | Path, records: Iterable[SurveyRecord], meta: Mappin
 
 
 def read_survey(path: str | Path) -> list[SurveyRecord]:
-    _, columns, rows = read_table(path)
-    idx = {name: columns.index(name) for name in SURVEY_COLUMNS}
-    return [
-        SurveyRecord(
-            rater_id=row[idx["rater_id"]],
-            ratee_id=row[idx["ratee_id"]],
-            closeness_raw=int(row[idx["closeness_raw"]]),
-            proximity_raw=int(row[idx["proximity_raw"]]),
-        )
-        for row in rows
-    ]
+    """The records of `survey.csv`, checked and converted as ingest converts a survey."""
+    chunks = _converted(path, SURVEY_COLUMNS, convert_survey)
+    return [record for chunk in chunks for record in chunk]
 
 
 CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
@@ -302,8 +292,8 @@ def read_clean_fixes(path: str | Path) -> CleanTable:
                 user=TextColumn.of(cells["user_id"]),
                 day=np.array([days[text] for text in cells["day"]], dtype=np.int64),
                 slot=np.array(list(map(int, cells["slot"])), dtype=np.int64),
-                lat=_floats(cells["lat"]),
-                lon=_floats(cells["lon"]),
+                lat=np.array(cells["lat"], dtype=np.float64),
+                lon=np.array(cells["lon"], dtype=np.float64),
             )
         )
     return CleanTable.concat(chunks)

@@ -27,21 +27,29 @@ from .synth import SynthConfig
 
 
 def parse_zone_offset(text: str) -> int:
-    """Accept minutes ("330", "-240") or hh:mm offsets ("+05:30")."""
+    """Accept minutes ("330", "-240") or hh:mm offsets ("+05:30") strictly inside +-24 h."""
     text = text.strip()
     try:
-        return int(text)
+        offset = int(text)
     except ValueError:
-        pass
+        offset = _hh_mm_offset(text)
+    # `datetime.timezone` takes only offsets strictly inside a day
+    if not -24 * 60 < offset < 24 * 60:
+        raise ValueError(f"zone offset must lie strictly inside +-1440 minutes, got {offset}")
+    return offset
+
+
+def _hh_mm_offset(text: str) -> int:
     sign = -1 if text.startswith("-") else 1
-    body = text.lstrip("+-")
-    parts = body.split(":")
+    parts = text.lstrip("+-").split(":")
     if len(parts) != 2:
         raise ValueError(f"unparseable zone offset: {text!r}")
     try:
         hours, minutes = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"unparseable zone offset: {text!r}") from None
+    if not 0 <= minutes <= 59:
+        raise ValueError(f"zone offset minutes must be 0-59, got {text!r}")
     return sign * (hours * 60 + minutes)
 
 

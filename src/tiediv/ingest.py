@@ -25,10 +25,15 @@ these shapes are parsed in bulk:
   with a `Z` or `+hh:mm` zone or none (naive, `naive_utc_offset_minutes`
   east of UTC); a naive time may have a space in place of the `T`.
 
-Every row the bulk checks do not accept goes through the per-row
-converter `_gps_record`, which either accepts it or rejects it with the
-same reason, from the same first failing check, as a row-by-row parse
-would. The table iterates as `RawFix` rows.
+Cells in other shapes go to `parse_timestamp` one at a time.
+
+Each table's rules are one ordered list of column checks (`convert_gps`,
+`convert_survey`): a mask of the rows that fail the check, and the
+reason. A rejected row gets the reason of the first check it fails; a
+timestamp's reason is the text of the error `parse_timestamp` raised.
+The staged artifact readers convert their columns with the same two
+functions, so how a cell becomes a value is decided here only. The
+table iterates as `RawFix` rows.
 """
 
 from __future__ import annotations
@@ -40,10 +45,9 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from functools import partial
 from itertools import islice
 from math import isfinite
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -67,8 +71,6 @@ _SURVEY_ALIASES = {
     "proximity_raw": ("proximity_raw", "proximity"),
 }
 _SURVEY_REQUIRED = ("rater_id", "ratee_id", "closeness_raw", "proximity_raw")
-
-_T = TypeVar("_T")
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 US_PER_S = 1_000_000
@@ -271,7 +273,10 @@ def parse_timestamp(raw: str, naive_utc_offset_minutes: int = 0) -> datetime:
     else:
         if not isfinite(epoch):
             raise ValueError(f"non-finite epoch timestamp: {raw!r}")
-        return datetime.fromtimestamp(epoch, tz=timezone.utc)
+        try:
+            return datetime.fromtimestamp(epoch, tz=timezone.utc)
+        except (OverflowError, OSError):
+            raise ValueError(f"timestamp out of range: {raw!r}") from None
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
@@ -280,7 +285,10 @@ def parse_timestamp(raw: str, naive_utc_offset_minutes: int = 0) -> datetime:
         raise ValueError(f"unparseable timestamp: {raw!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone(timedelta(minutes=naive_utc_offset_minutes)))
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range: {raw!r}") from None
 
 
 # --- bulk timestamp parsing --------------------------------------------------
@@ -553,98 +561,27 @@ def _read_table(
         start += len(chunk)
 
 
-def _convert(
-    line_nos: list[int],
-    columns: dict[str, Sequence[str]],
-    rows: Iterable[int],
-    convert: Callable[[dict[str, str]], _T],
+# --- the column checks -------------------------------------------------------
+
+
+def _passing(
+    line_nos: Sequence[int],
+    checks: Iterable[tuple[Sequence[bool], str | dict[int, str]]],
     report: RejectionReport,
-) -> Iterator[tuple[int, _T]]:
-    """(row, record) for each row `convert` accepts.
+) -> np.ndarray:
+    """Which rows pass every check.
 
-    Each row goes to `convert` as a canonical-name -> cell mapping; a
-    ValueError rejects the row with the exception text as its reason.
+    A check is (mask of the rows that fail it, reason); the reason is one
+    text for all of them or a text per row. A row that fails goes to
+    `report` with the reason of the first check it fails.
     """
-    for i in rows:
-        try:
-            yield i, convert({name: cells[i] for name, cells in columns.items()})
-        except ValueError as exc:
-            report.reject(line_nos[i], str(exc))
-
-
-# --- per-row converters ------------------------------------------------------
-
-
-def _optional_float(cell: str) -> float | None:
-    cell = cell.strip()
-    if not cell:
-        return None
-    return float(cell)
-
-
-def _optional_int(cell: str) -> int | None:
-    cell = cell.strip()
-    if not cell:
-        return None
-    return int(cell)
-
-
-def _gps_record(row: dict[str, str], naive_utc_offset_minutes: int) -> RawFix:
-    ts = parse_timestamp(row["timestamp"], naive_utc_offset_minutes)
-    try:
-        lat, lon, accuracy = float(row["lat"]), float(row["lon"]), float(row["accuracy"])
-    except ValueError:
-        raise ValueError("non-numeric lat/lon/accuracy") from None
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError("lat out of range")
-    if not -180.0 <= lon < 180.0:
-        raise ValueError("lon out of range")
-    if not isfinite(accuracy) or accuracy < 0.0:
-        raise ValueError("accuracy negative or non-finite")
-    user_id = row["user_id"].strip()
-    if not user_id:
-        raise ValueError("empty user id")
-    try:
-        elevation = _optional_float(row.get("elevation", ""))
-        satellites = _optional_int(row.get("satellites", ""))
-    except ValueError:
-        raise ValueError("non-numeric elevation/satellites") from None
-    if satellites is not None and satellites < 0:
-        raise ValueError("negative satellite count")
-    return RawFix(
-        user_id=user_id,
-        timestamp=ts,
-        lat=lat,
-        lon=lon,
-        accuracy=accuracy,
-        elevation=elevation,
-        satellites=satellites,
-        provider=row.get("provider", "").strip() or None,
-    )
-
-
-def _survey_record(row: dict[str, str]) -> SurveyRecord:
-    rater = row["rater_id"].strip()
-    ratee = row["ratee_id"].strip()
-    if not rater or not ratee:
-        raise ValueError("empty rater/ratee id")
-    if rater == ratee:
-        raise ValueError("self-rating")
-    try:
-        closeness = int(row["closeness_raw"].strip())
-        proximity = int(row["proximity_raw"].strip())
-    except ValueError:
-        raise ValueError("non-integer closeness/proximity") from None
-    if closeness not in range(6):
-        raise ValueError("closeness out of range")
-    if proximity not in range(1, 6):
-        raise ValueError("proximity out of range")
-    return SurveyRecord(
-        rater_id=rater, ratee_id=ratee, closeness_raw=closeness, proximity_raw=proximity
-    )
-
-
-# --- bulk column converters --------------------------------------------------
+    ok = np.ones(len(line_nos), dtype=bool)
+    for failing, reason in checks:
+        failing = np.asarray(failing, dtype=bool)
+        for i in np.flatnonzero(failing & ok).tolist():
+            report.reject(line_nos[i], reason if isinstance(reason, str) else reason[i])
+        ok &= ~failing
+    return ok
 
 
 def _bulk(
@@ -672,75 +609,91 @@ def _bulk(
 
 def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     values, ok = _bulk(lambda cs: list(map(float, cs)), cells)
-    if not ok.all():
-        values = [np.nan if v is None else v for v in values]
-    return np.array(values, dtype=np.float64), ok
+    return np.array(values, dtype=np.float64), ok  # numpy reads a None as NaN
 
 
-def _each_distinct(convert: Callable[[str], str], cells: Sequence[str]) -> list[str]:
-    """`convert` of every cell, calling it once per distinct cell."""
-    texts = {cell: convert(cell) for cell in set(cells)}
+def _canonical_texts(kind: type, cells: Sequence[str]) -> list[str]:
+    """Each cell's canonical text: '' if blank, else `repr(kind(cell))`.
+
+    `kind` is called once per distinct cell.
+    """
+    texts = {cell: repr(kind(s)) if (s := cell.strip()) else "" for cell in set(cells)}
     return list(map(texts.__getitem__, cells))
 
 
-# canonical text of optional cells: what _optional_text gives for the value
-# that _optional_float (or _optional_int) reads from the cell
-def elevation_texts(cells: Sequence[str]) -> list[str]:
-    return _each_distinct(lambda c: repr(float(s)) if (s := c.strip()) else "", cells)
-
-
-def satellite_texts(cells: Sequence[str]) -> list[str]:
-    return _each_distinct(lambda c: str(int(s)) if (s := c.strip()) else "", cells)
-
-
-def _gps_chunk(
-    line_nos: list[int],
+def convert_gps(
+    line_nos: Sequence[int],
     columns: dict[str, Sequence[str]],
-    naive_utc_offset_minutes: int,
     report: RejectionReport,
+    naive_utc_offset_minutes: int = 0,
 ) -> FixTable:
-    """The accepted rows of one chunk; the others go to `report`."""
-    n = len(line_nos)
-    blank = [""] * n
-    t_us, ok = bulk_timestamps_us(columns["timestamp"], naive_utc_offset_minutes)
+    """The rows of one chunk of GPS columns that pass the checks; the others go to `report`."""
+    blank = [""] * len(line_nos)
+    times = columns["timestamp"]
+    t_us, time_ok = bulk_timestamps_us(times, naive_utc_offset_minutes)
+    time_reasons = {}
+    for i in np.flatnonzero(~time_ok).tolist():
+        try:
+            t_us[i] = to_epoch_us(parse_timestamp(times[i], naive_utc_offset_minutes))
+            time_ok[i] = True
+        except ValueError as exc:
+            time_reasons[i] = str(exc)
     lat, lat_ok = _floats(columns["lat"])
     lon, lon_ok = _floats(columns["lon"])
     accuracy, accuracy_ok = _floats(columns["accuracy"])
-    ok &= lat_ok & lon_ok & accuracy_ok
-    with np.errstate(invalid="ignore"):
-        ok &= (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon < 180.0)
-        ok &= np.isfinite(accuracy) & (accuracy >= 0.0)
     users = [cell.strip() for cell in columns["user_id"]]
-    ok &= np.fromiter(map(bool, users), bool, n)
-    elevation, elevation_ok = _bulk(elevation_texts, columns.get("elevation", blank))
-    satellites, satellites_ok = _bulk(satellite_texts, columns.get("satellites", blank))
-    ok &= elevation_ok & satellites_ok
-    ok &= np.fromiter((s is None or not s.startswith("-") for s in satellites), bool, n)
-    providers = [cell.strip() for cell in columns.get("provider", blank)]
+    elevation, elevation_ok = _bulk(
+        lambda cells: _canonical_texts(float, cells), columns.get("elevation", blank)
+    )
+    satellites, satellites_ok = _bulk(
+        lambda cells: _canonical_texts(int, cells), columns.get("satellites", blank)
+    )
+    negative = {text for text in set(satellites) if text and text[0] == "-"}
+    with np.errstate(invalid="ignore"):
+        ok = _passing(line_nos, [
+            (~time_ok, time_reasons),
+            (~(lat_ok & lon_ok & accuracy_ok), "non-numeric lat/lon/accuracy"),
+            (~((lat >= -90.0) & (lat <= 90.0)), "lat out of range"),
+            (~((lon >= -180.0) & (lon < 180.0)), "lon out of range"),
+            (~(np.isfinite(accuracy) & (accuracy >= 0.0)), "accuracy negative or non-finite"),
+            (~np.fromiter(map(bool, users), bool, len(users)), "empty user id"),
+            (~(elevation_ok & satellites_ok), "non-numeric elevation/satellites"),
+            (list(map(negative.__contains__, satellites)), "negative satellite count"),
+        ], report)
 
-    # every row the bulk checks did not accept is parsed one by one
-    recheck = np.flatnonzero(~ok).tolist()
-    convert = partial(_gps_record, naive_utc_offset_minutes=naive_utc_offset_minutes)
-    for i, fix in _convert(line_nos, columns, recheck, convert, report):
-        ok[i] = True
-        t_us[i] = to_epoch_us(fix.timestamp)
-        lat[i], lon[i], accuracy[i] = fix.lat, fix.lon, fix.accuracy
-        elevation[i] = _optional_text(fix.elevation, float)
-        satellites[i] = _optional_text(fix.satellites, int)
-        providers[i] = fix.provider or ""
-
-    kept = np.flatnonzero(ok)
-    rows = kept.tolist()
+    rows = np.flatnonzero(ok).tolist()
+    providers = columns.get("provider", blank)
     return FixTable(
         user=TextColumn.of([users[i] for i in rows]),
-        t_us=t_us[kept],
-        lat=lat[kept],
-        lon=lon[kept],
-        accuracy=accuracy[kept],
+        t_us=t_us[ok],
+        lat=lat[ok],
+        lon=lon[ok],
+        accuracy=accuracy[ok],
         elevation=TextColumn.of([elevation[i] for i in rows]),
         satellites=TextColumn.of([satellites[i] for i in rows]),
-        provider=TextColumn.of([providers[i] for i in rows]),
+        provider=TextColumn.of([providers[i].strip() for i in rows]),
     )
+
+
+def convert_survey(
+    line_nos: Sequence[int], columns: dict[str, Sequence[str]], report: RejectionReport
+) -> list[SurveyRecord]:
+    """The rows of one chunk of survey columns that pass the checks; the others go to `report`."""
+    raters = [cell.strip() for cell in columns["rater_id"]]
+    ratees = [cell.strip() for cell in columns["ratee_id"]]
+    closeness, closeness_ok = _bulk(lambda cells: list(map(int, cells)), columns["closeness_raw"])
+    proximity, proximity_ok = _bulk(lambda cells: list(map(int, cells)), columns["proximity_raw"])
+    ok = _passing(line_nos, [
+        ([not (a and b) for a, b in zip(raters, ratees)], "empty rater/ratee id"),
+        (list(map(str.__eq__, raters, ratees)), "self-rating"),
+        (~(closeness_ok & proximity_ok), "non-integer closeness/proximity"),
+        ([c not in range(6) for c in closeness], "closeness out of range"),
+        ([p not in range(1, 6) for p in proximity], "proximity out of range"),
+    ], report)
+    return [
+        SurveyRecord(raters[i], ratees[i], closeness[i], proximity[i])
+        for i in np.flatnonzero(ok).tolist()
+    ]
 
 
 def parse_gps_log(
@@ -757,7 +710,7 @@ def parse_gps_log(
     report = RejectionReport()
     with gc_paused():
         chunks = [
-            _gps_chunk(line_nos, columns, opts.naive_utc_offset_minutes, report)
+            convert_gps(line_nos, columns, report, opts.naive_utc_offset_minutes)
             for line_nos, columns in _read_table(
                 source, opts.delimiter, _GPS_ALIASES, _GPS_REQUIRED, report
             )
@@ -782,8 +735,7 @@ def parse_survey(
     for line_nos, columns in _read_table(
         source, opts.delimiter, _SURVEY_ALIASES, _SURVEY_REQUIRED, report
     ):
-        converted = _convert(line_nos, columns, range(len(line_nos)), _survey_record, report)
-        records += [record for _, record in converted]
+        records += convert_survey(line_nos, columns, report)
     report.entries.sort()
     report.n_accepted = len(records)
     return records, report

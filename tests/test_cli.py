@@ -244,6 +244,27 @@ class TestStageErrors:
         assert run("synth", "-o", str(outdir), "--seed", "pi") == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("name", "column", "cell", "reason"),
+        [
+            ("fixes.csv", "lat", "north", "non-numeric lat/lon/accuracy"),
+            ("survey.csv", "closeness_raw", "x", "non-integer closeness/proximity"),
+        ],
+    )
+    def test_corrupted_staged_artifact(self, outdir, capsys, name, column, cell, reason):
+        assert run("ingest", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / name
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        cells = lines[header + 2].split(",")
+        cells[lines[header].rstrip("\n").split(",").index(column)] = cell
+        lines[header + 2] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("preprocess", "-o", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: data row 2: {reason}\n"
+
 
 class TestSynthCommand:
     def test_same_seed_identical_hashes(self, outdir, tmp_path):

@@ -1,10 +1,11 @@
 """Settings derived from the RunConfig fields: flags, parsers, defaults."""
 
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
-from tiediv.cli import build_parser
+from tiediv.cli import build_parser, main
 from tiediv.config import RunConfig, build_config, load_config_file
 
 # the command-line spellings every stage has accepted since the first release
@@ -96,3 +97,40 @@ def test_stage_options_come_from_run_config():
     assert cfg.ingest_options().delimiter == ";"
     pre = cfg.preprocess_config()
     assert (pre.zone_offset_minutes, pre.min_days) == (60, 3)
+
+
+ZONE_OFFSET_FIELDS = ("naive_utc_offset_minutes", "zone_offset_minutes")
+
+
+@pytest.mark.parametrize("name", ZONE_OFFSET_FIELDS)
+@pytest.mark.parametrize("text", ["1440", "-1440", "+24:00", "-24:00", "100000"])
+def test_zone_offsets_outside_a_day_are_rejected(name, text):
+    # `datetime.timezone` takes only offsets strictly inside a day: the run
+    # stops here rather than ingest rejecting every naive row
+    with pytest.raises(ValueError, match=f"bad value for '{name}'.*strictly inside"):
+        build_config(flag_values={name: text})
+
+
+@pytest.mark.parametrize("name", ZONE_OFFSET_FIELDS)
+@pytest.mark.parametrize("text", ["+05:75", "05:60", "-05:-30"])
+def test_zone_offset_minutes_past_59_are_rejected(name, text):
+    with pytest.raises(ValueError, match=f"bad value for '{name}'.*minutes must be 0-59"):
+        build_config(flag_values={name: text})
+
+
+@pytest.mark.parametrize("name", ZONE_OFFSET_FIELDS)
+@pytest.mark.parametrize(
+    ("text", "minutes"),
+    [("1439", 1439), ("-1439", -1439), ("+23:59", 1439), ("-23:59", -1439), ("+00:00", 0)],
+)
+def test_zone_offsets_inside_a_day_are_accepted(name, text, minutes):
+    assert getattr(build_config(flag_values={name: text}), name) == minutes
+
+
+def test_naive_offset_outside_a_day_stops_ingest_before_it_writes(tmp_path, capsys):
+    out = tmp_path / "out"
+    data = Path(__file__).parent / "data"
+    inputs = ["--gps", str(data / "mini_gps.csv"), "--survey", str(data / "mini_survey.csv")]
+    assert main(["ingest", *inputs, "-o", str(out), "--naive-utc-offset", "1440"]) == 1
+    assert "naive_utc_offset_minutes" in capsys.readouterr().err
+    assert not out.exists()

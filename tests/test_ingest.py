@@ -1,10 +1,13 @@
 """Parsing of GPS logs and survey files."""
 
 import io
+import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
+from tiediv.cli import main
 from tiediv.ingest import (
     IngestOptions,
     SchemaError,
@@ -145,6 +148,96 @@ class TestParseGpsLog:
         assert report1.n_accepted + report1.n_rejected == len(rows)
         assert fixes1 == fixes2
         assert report1.entries == report2.entries
+
+
+# Rows with more than one fault, and the reason each is rejected with:
+# the checks run in a fixed order and the first one a row fails names it.
+MULTI_FAULT_GPS = [
+    ("u1,not-a-time,91,72.6,,30,,gps", "unparseable timestamp: 'not-a-time'"),
+    ("u1,,north,200,x,-5,-2,gps", "empty timestamp"),
+    (",2016-04-03T10:02:11Z,23.1,72.6,,30,-2,gps", "empty user id"),
+    ("u1,2016-04-03T10:02:11Z,north,200,,-5,,gps", "non-numeric lat/lon/accuracy"),
+    ("u1,2016-04-03T10:02:11Z,23.1,72.6,,acc,,gps", "non-numeric lat/lon/accuracy"),
+    ("u1,2016-04-03T10:02:11Z,91,200,,-5,,gps", "lat out of range"),
+    ("u1,2016-04-03T10:02:11Z,nan,72.6,,30,,gps", "lat out of range"),
+    ("u1,2016-04-03T10:02:11Z,23.1,180,,inf,,gps", "lon out of range"),
+    (",2016-04-03T10:02:11Z,23.1,72.6,,inf,x,gps", "accuracy negative or non-finite"),
+    (" ,2016-04-03T10:02:11Z,23.1,72.6,high,30,-2,gps", "empty user id"),
+    ("u1,2016-04-03T10:02:11Z,23.1,72.6,high,30,-2,gps", "non-numeric elevation/satellites"),
+    ("u1,2016-04-03T10:02:11Z,23.1,72.6,,30,1.5,gps", "non-numeric elevation/satellites"),
+    ("u1,2016-04-03T10:02:11Z,23.1,72.6,,30,-2,gps", "negative satellite count"),
+]
+
+
+@pytest.mark.parametrize(("row", "reason"), MULTI_FAULT_GPS)
+def test_first_failing_check_names_a_gps_row(row, reason):
+    fixes, report = parse_gps_log(gps_source("u0,2016-04-03T10:00:00Z,23.1,72.6,,30,,gps", row))
+    assert report.entries == [(3, reason)]
+    assert [f.user_id for f in fixes] == ["u0"]
+
+
+def test_multi_fault_gps_rows_together_keep_their_reasons():
+    rows = [row for row, _ in MULTI_FAULT_GPS]
+    _, report = parse_gps_log(gps_source(*rows))
+    assert report.entries == [(i + 2, reason) for i, (_, reason) in enumerate(MULTI_FAULT_GPS)]
+
+
+MULTI_FAULT_SURVEY = [
+    (",B,x,1", "empty rater/ratee id"),
+    ("A, ,9,0", "empty rater/ratee id"),
+    (" , ,x,9", "empty rater/ratee id"),  # also a self-rating of ''
+    ("A,A,x,9", "self-rating"),
+    ("A, A ,3,2", "self-rating"),
+    ("A,B,x,9", "non-integer closeness/proximity"),
+    ("A,B,9,y", "non-integer closeness/proximity"),
+    ("A,B,7,0", "closeness out of range"),
+    ("A,B,-1,3", "closeness out of range"),
+    ("A,B,5,6", "proximity out of range"),
+]
+
+
+@pytest.mark.parametrize(("row", "reason"), MULTI_FAULT_SURVEY)
+def test_first_failing_check_names_a_survey_row(row, reason):
+    records, report = parse_survey(survey_source("A,B,5,4", row))
+    assert report.entries == [(3, reason)]
+    assert [(r.rater_id, r.ratee_id) for r in records] == [("A", "B")]
+
+
+class TestOutOfRangeTimestamps:
+    """Instants `datetime` cannot hold are rejected rows, not a crash."""
+
+    ROWS = (
+        "u1,2016-04-03T10:02:11Z,23.1,72.6,,30,,gps",
+        "u1,1e20,23.1,72.6,,30,,gps",
+        "u1,0001-01-01T00:00:00+01:00,23.1,72.6,,30,,gps",
+        "u1,9999-12-31T23:00:00-05:00,23.1,72.6,,30,,gps",
+        "u2,2016-04-03T10:04:11Z,23.2,72.7,,12,,gps",
+    )
+    REASONS = [
+        (3, "timestamp out of range: '1e20'"),
+        (4, "timestamp out of range: '0001-01-01T00:00:00+01:00'"),
+        (5, "timestamp out of range: '9999-12-31T23:00:00-05:00'"),
+    ]
+
+    @pytest.mark.parametrize("cell", ["1e20", "-1e20", "0001-01-01T00:00:00+01:00"])
+    def test_parse_timestamp_raises_value_error(self, cell):
+        with pytest.raises(ValueError, match=re.escape(f"timestamp out of range: '{cell}'")):
+            parse_timestamp(cell)
+
+    def test_rows_rejected_and_others_kept(self):
+        fixes, report = parse_gps_log(gps_source(*self.ROWS))
+        assert report.entries == self.REASONS
+        assert [f.user_id for f in fixes] == ["u1", "u2"]
+
+    def test_ingest_exits_zero(self, tmp_path):
+        gps = tmp_path / "gps.csv"
+        gps.write_bytes(gps_source(*self.ROWS).getvalue())
+        survey = Path(__file__).parent / "data" / "mini_survey.csv"
+        out = tmp_path / "out"
+        assert main(["ingest", "--gps", str(gps), "--survey", str(survey), "-o", str(out)]) == 0
+        rejects = (out / "ingest_rejects.txt").read_text(encoding="utf-8")
+        assert "".join(f"{line}\t{reason}\n" for line, reason in self.REASONS) in rejects
+        assert "# accepted=2 rejected=3" in rejects
 
 
 class TestParseSurvey:
