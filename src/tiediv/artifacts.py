@@ -13,29 +13,42 @@ each chunk's rows into one string. Floats are their shortest round-trip
 `repr`, times `isoformat()` UTC. Each distinct value of a chunk's
 column (told apart by its bits, so -0.0 is not 0.0) is formatted once.
 Only text columns can need csv quoting; each distinct value of a text
-column is quoted once per artifact, by the csv module itself. The bytes
-are those `csv.writer` would write.
+column is quoted once per artifact, by the csv module itself, which
+quotes a cell holding a delimiter, a quote or either line-break
+character. `write_table` writes rows of any values the same way: each
+distinct cell text of a chunk is quoted once.
+
+Every writer checks what it formats, once per distinct text: each quoted
+cell must parse back through csv to its text, and each float, day and
+slot text must read back, as the reader reads it, to its value's bits;
+otherwise it raises ValueError naming the artifact. It returns a
+`Receipt`: the path, the lines before the data, the row count, and
+whether a quoted cell holds a line break. `check_written` checks the
+file against it by counting line ends, or, where a quoted cell holds a
+line break, by parsing the file and counting rows.
 
 Readers stream the file: the '#' lines before the header are the meta,
 and `csv.reader` parses the rest as it is read, so a row ends only where
-csv ends it. They parse every row and raise ValueError on a malformed
-cell. `read_fixes` and `read_survey` hand their columns to the
-converters ingest uses (`convert_gps`, `convert_survey`), so a staged
-run reads a cell into the same value by the same checks as ingest did;
-the error for a row those reject names the artifact, the row and the
-reason.
+csv ends it. They parse every row and raise ValueError naming the
+artifact, the data row and the reason on a malformed cell or a row of
+the wrong width. `read_fixes` and `read_survey` hand their columns to
+the converters ingest uses (`convert_gps`, `convert_survey`), so a
+staged run reads a cell into the same value by the same checks as ingest
+did. The other readers convert whole columns and look for the bad cell
+only when a conversion fails.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from contextlib import contextmanager
 from datetime import date
 from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +79,8 @@ def file_sha256(path: str | Path) -> str:
 
 def fmt(value) -> str:
     """Canonical cell text: shortest round-trip floats, '' for absent."""
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, float):
@@ -75,25 +90,82 @@ def fmt(value) -> str:
     return str(value)
 
 
+class Receipt(NamedTuple):
+    """What a writer wrote to `path`.
+
+    `head_lines` counts the line ends of the meta lines and the header;
+    `rows` the data rows. If `quoted_line_break`, some quoted cell holds
+    a line break, so lines are not rows.
+    """
+
+    path: Path
+    head_lines: int
+    rows: int
+    quoted_line_break: bool
+
+
 @contextmanager
-def _artifact(path: str | Path, meta: Mapping[str, str], columns: Sequence[str]) -> Iterator[TextIO]:
-    """An artifact open for its data rows, its meta and header lines written."""
+def _naming(path: str | Path) -> Iterator[None]:
+    """Re-raise a ValueError, OverflowError or csv.Error as a ValueError that names the artifact."""
+    try:
+        yield
+    except (ValueError, OverflowError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _write(
+    path: str | Path,
+    meta: Mapping[str, str],
+    columns: Sequence[str],
+    n_rows: int,
+    chunks: Iterable[tuple[str, bool]],
+) -> Receipt:
+    """Write the meta lines, the header and each chunk's data lines.
+
+    A chunk is (its lines, whether a quoted cell in it holds a line break);
+    `n_rows` is the number of rows the chunks are meant to hold.
+    """
+    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    head += ",".join(_csv_cells(columns)) + "\n"
+    line_break = False
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        for key, value in meta.items():
-            handle.write(f"# {key}={value}\n")
-        csv.writer(handle, lineterminator="\n").writerow(columns)
-        yield handle
+        handle.write(head)
+        for text, breaks in chunks:
+            handle.write(text)
+            line_break = line_break or breaks
+    return Receipt(Path(path), head.count("\n"), n_rows, line_break)
+
+
+def _join_rows(rows: Iterable[Sequence[str]]) -> str:
+    """Rows of csv cells as lines of text."""
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def write_table(
     path: str | Path,
     meta: Mapping[str, str],
     columns: Sequence[str],
-    rows: Iterable[Sequence],
-) -> None:
-    with _artifact(path, meta, columns) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerows([fmt(cell) for cell in row] for row in rows)
+    rows: Sequence[Sequence],
+) -> Receipt:
+    """Write rows of values as `fmt` texts.
+
+    Each distinct text of a chunk is quoted and checked once.
+    """
+
+    def chunks() -> Iterator[tuple[str, bool]]:
+        for start in range(0, len(rows), CHUNK_ROWS):
+            texts = [[fmt(cell) for cell in row] for row in rows[start : start + CHUNK_ROWS]]
+            distinct = list(dict.fromkeys(chain.from_iterable(texts)))
+            cells, line_break = _checked_cells(distinct)
+            quoted = {text: cell for text, cell in zip(distinct, cells.tolist()) if cell != text}
+            if len(columns) == 1:
+                quoted[""] = '""'  # csv quotes an empty cell that is alone in its row
+            if quoted:
+                texts = [[quoted.get(text, text) for text in row] for row in texts]
+            yield _join_rows(texts), line_break
+
+    with _naming(path):
+        return _write(path, meta, columns, len(rows), chunks())
 
 
 def _write_columns(
@@ -102,40 +174,89 @@ def _write_columns(
     columns: Sequence[str],
     n_rows: int,
     format_chunk: Callable[[slice], Sequence[list[str]]],
-) -> None:
+    line_break: bool,
+) -> Receipt:
     """Write rows whose cells `format_chunk` gives, column-wise, CHUNK_ROWS rows at a time.
 
-    The cells must already be csv cells, quoted where csv would quote them.
+    The cells must already be checked csv cells; `line_break` says
+    whether one of them holds a line break.
     """
-    with _artifact(path, meta, columns) as handle:
-        for start in range(0, n_rows, CHUNK_ROWS):
-            cells = format_chunk(slice(start, start + CHUNK_ROWS))
-            handle.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+    chunks = (
+        (_join_rows(zip(*format_chunk(slice(start, start + CHUNK_ROWS)), strict=True)), line_break)
+        for start in range(0, n_rows, CHUNK_ROWS)
+    )
+    return _write(path, meta, columns, n_rows, chunks)
 
 
 def _csv_cells(texts: Sequence[str]) -> np.ndarray:
-    """Each text as a csv cell, quoted exactly where the csv module quotes it."""
+    """Each text as a csv cell, quoted exactly where the csv module quotes it.
+
+    The csv writer is told that rows end in "\r\n", so it quotes a text
+    holding either line-break character: the reader ends a row at both.
+    """
     lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     # a second cell, because csv quotes an empty cell that is alone in its row
     writer.writerows((text, "") for text in texts)
-    return np.array([line[:-2] for line in lines], dtype=object)
+    return np.array([line[:-3] for line in lines], dtype=object)
 
 
-def _text_cells(column: TextColumn) -> Callable[[slice], list[str]]:
-    """The csv cells of a slice of the column; each distinct value is quoted once."""
-    cells = _csv_cells(column.values)
-    return lambda rows: cells[column.codes[rows]].tolist()
+def _checked_cells(texts: Sequence[str]) -> tuple[np.ndarray, bool]:
+    """`_csv_cells(texts)`, and whether a text holds a line break.
+
+    Each cell, followed by a delimiter, must parse back through csv to
+    its text, or ValueError (or csv.Error, if csv cannot parse them).
+    """
+    cells = _csv_cells(texts)
+    source = io.StringIO("".join(f"{cell},\n" for cell in cells.tolist()), newline="")
+    back = list(csv.reader(source))
+    if back != [[text, ""] for text in texts]:
+        i = next(
+            (i for i, text in enumerate(texts) if i >= len(back) or back[i] != [text, ""]),
+            len(texts) - 1,
+        )
+        raise ValueError(f"csv cell {cells[i]!r} does not parse back to {texts[i]!r}")
+    return cells, any("\n" in text or "\r" in text for text in texts)
 
 
-def _distinct_texts(values: np.ndarray, texts: Callable[[np.ndarray], list[str]]) -> list[str]:
+def _text_cells(*columns: TextColumn) -> tuple[list[Callable[[slice], list[str]]], bool]:
+    """For each column, the csv cells of a slice of it; and whether a cell holds a line break.
+
+    Each distinct value is quoted and checked once.
+    """
+    cells = []
+    line_break = False
+    for column in columns:
+        quoted, breaks = _checked_cells(column.values)
+        cells.append(lambda rows, quoted=quoted, codes=column.codes: quoted[codes[rows]].tolist())
+        line_break = line_break or breaks
+    return cells, line_break
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return values.view(f"i{values.itemsize}")
+
+
+def _distinct_texts(
+    values: np.ndarray,
+    texts: Callable[[np.ndarray], list[str]],
+    parse: Callable[[list[str]], Sequence],
+) -> list[str]:
     """`texts(values)`, formatting each distinct value only once.
 
     Values are told apart by their bit pattern, not by `==`, so 0.0 and
-    -0.0 keep their own texts.
+    -0.0 keep their own texts. `parse` reads texts back as the reader
+    does; each distinct text must give its value's bits back, or
+    ValueError.
     """
-    distinct, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
-    return np.array(texts(distinct.view(values.dtype)), dtype=object)[inverse].tolist()
+    bits, inverse = np.unique(_bits(values), return_inverse=True)
+    distinct = bits.view(values.dtype)
+    formatted = texts(distinct)
+    wrong = _bits(np.asarray(parse(formatted), dtype=values.dtype)) != bits
+    if wrong.any():
+        i = int(np.flatnonzero(wrong)[0])
+        raise ValueError(f"{formatted[i]!r} does not read back as {distinct[i].item()!r}")
+    return np.array(formatted, dtype=object)[inverse].tolist()
 
 
 @contextmanager
@@ -166,19 +287,78 @@ def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[s
         return meta, columns, list(rows)
 
 
-def count_rows(path: str | Path) -> int:
-    """Parse every row of an artifact as it is read; the row count."""
-    with _rows(path) as (_, _, rows):
-        return sum(1 for _ in rows)
+def check_written(receipt: Receipt) -> None:
+    """Raise ValueError unless the file holds the lines its writer wrote.
+
+    The file must end with a line end and hold one per meta line, header
+    and data row. Where a quoted cell holds a line break, lines are not
+    rows; then the file is parsed as csv and its data rows counted.
+    """
+    path = receipt.path
+    line_ends, last = 0, b""
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            line_ends += block.count(b"\n")
+            last = block[-1:]
+    if last != b"\n":
+        raise ValueError(f"{path}: does not end with a line end")
+    if receipt.quoted_line_break:
+        with _rows(path) as (_, _, rows), _naming(path):
+            found = sum(1 for _ in rows)
+        expected, what = receipt.rows, "data rows"
+    else:
+        found, expected, what = line_ends, receipt.head_lines + receipt.rows, "lines"
+    if found != expected:
+        raise ValueError(f"{path}: holds {found} {what}, but {expected} were written")
 
 
-def _column_chunks(path: str | Path, names: Sequence[str]) -> Iterator[dict[str, Sequence[str]]]:
-    """The cells of the named columns of an artifact, CHUNK_ROWS rows at a time."""
+def _column_chunks(
+    path: str | Path, names: Sequence[str]
+) -> Iterator[tuple[int, dict[str, Sequence[str]]]]:
+    """(first row, cells of the named columns) of an artifact, CHUNK_ROWS rows at a time.
+
+    Rows are numbered from 1 after the header. Raises ValueError naming
+    the artifact and row if a row has more or fewer cells than the header.
+    """
     with _rows(path) as (_, columns, rows), gc_paused():
         at = [columns.index(name) for name in names]
+        first = 1
         while chunk := list(islice(rows, CHUNK_ROWS)):
-            transposed = list(zip(*chunk))
-            yield {name: transposed[i] for name, i in zip(names, at)}
+            try:
+                transposed = list(zip(*chunk, strict=True))
+            except ValueError:
+                transposed = []
+            if len(transposed) != len(columns):
+                i = next(i for i, row in enumerate(chunk) if len(row) != len(columns))
+                raise ValueError(
+                    f"{path}: data row {first + i}: {len(chunk[i])} cells, {len(columns)} columns"
+                )
+            yield first, {name: transposed[i] for name, i in zip(names, at)}
+            first += len(chunk)
+
+
+@contextmanager
+def _cells_named(
+    path: str | Path,
+    first: int,
+    cells: Mapping[str, Sequence[str]],
+    parsers: Mapping[str, Callable[[str], object]],
+) -> Iterator[None]:
+    """On a ValueError in the block, find the first cell its column's parser rejects.
+
+    Raises ValueError naming the artifact, the row and the column. Only
+    the failure path looks at single cells.
+    """
+    try:
+        yield
+    except ValueError:
+        for i, row in enumerate(zip(*(cells[name] for name in parsers))):
+            for name, parse, cell in zip(parsers, parsers.values(), row):
+                try:
+                    parse(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: data row {first + i}: {name}: {exc}") from None
+        raise
 
 
 def iso_utc_texts(t_us: np.ndarray) -> list[str]:
@@ -191,24 +371,26 @@ def iso_utc_texts(t_us: np.ndarray) -> list[str]:
     ]
 
 
+def _float_texts(floats: np.ndarray) -> list[str]:
+    return list(map(repr, floats.tolist()))
+
+
 def _float_cells(values: np.ndarray) -> list[str]:
-    return _distinct_texts(values, lambda floats: list(map(repr, floats.tolist())))
+    return _distinct_texts(values, _float_texts, lambda texts: list(map(float, texts)))
 
 
 def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> list:
     """`convert(row_nos, cells, report)` of each chunk of the named columns.
 
-    Rows are numbered from 1 after the header. Raises ValueError naming
-    the artifact, the row and the reason if `convert` rejects a row.
+    Raises ValueError naming the artifact, the row and the reason if
+    `convert` rejects a row.
     """
-    chunks, report, start = [], RejectionReport(), 1
-    for cells in _column_chunks(path, names):
-        n = len(cells[names[0]])
-        chunks.append(convert(range(start, start + n), cells, report))
+    chunks, report = [], RejectionReport()
+    for first, cells in _column_chunks(path, names):
+        chunks.append(convert(range(first, first + len(cells[names[0]])), cells, report))
         if report.entries:
             row, reason = min(report.entries)
             raise ValueError(f"{path}: data row {row}: {reason}")
-        start += n
     return chunks
 
 
@@ -219,25 +401,25 @@ def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> lis
 FIX_COLUMNS = ("user_id", "timestamp", "lat", "lon", "elevation", "accuracy", "satellites", "provider")
 
 
-def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> None:
-    user, elevation, satellites, provider = (
-        _text_cells(column)
-        for column in (fixes.user, fixes.elevation, fixes.satellites, fixes.provider)
-    )
+def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> Receipt:
+    with _naming(path):
+        (user, elevation, satellites, provider), line_break = _text_cells(
+            fixes.user, fixes.elevation, fixes.satellites, fixes.provider
+        )
 
-    def columns(rows: slice) -> list[list[str]]:
-        return [
-            user(rows),
-            iso_utc_texts(fixes.t_us[rows]),
-            _float_cells(fixes.lat[rows]),
-            _float_cells(fixes.lon[rows]),
-            elevation(rows),
-            _float_cells(fixes.accuracy[rows]),
-            satellites(rows),
-            provider(rows),
-        ]
+        def columns(rows: slice) -> list[list[str]]:
+            return [
+                user(rows),
+                iso_utc_texts(fixes.t_us[rows]),
+                _float_cells(fixes.lat[rows]),
+                _float_cells(fixes.lon[rows]),
+                elevation(rows),
+                _float_cells(fixes.accuracy[rows]),
+                satellites(rows),
+                provider(rows),
+            ]
 
-    _write_columns(path, meta, FIX_COLUMNS, len(fixes), columns)
+        return _write_columns(path, meta, FIX_COLUMNS, len(fixes), columns, line_break)
 
 
 def read_fixes(path: str | Path) -> FixTable:
@@ -248,9 +430,11 @@ def read_fixes(path: str | Path) -> FixTable:
 SURVEY_COLUMNS = ("rater_id", "ratee_id", "closeness_raw", "proximity_raw")
 
 
-def write_survey(path: str | Path, records: Iterable[SurveyRecord], meta: Mapping[str, str]) -> None:
+def write_survey(
+    path: str | Path, records: Iterable[SurveyRecord], meta: Mapping[str, str]
+) -> Receipt:
     rows = [(r.rater_id, r.ratee_id, r.closeness_raw, r.proximity_raw) for r in records]
-    write_table(path, meta, SURVEY_COLUMNS, rows)
+    return write_table(path, meta, SURVEY_COLUMNS, rows)
 
 
 def read_survey(path: str | Path) -> list[SurveyRecord]:
@@ -262,40 +446,51 @@ def read_survey(path: str | Path) -> list[SurveyRecord]:
 CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
 
 
-def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> None:
-    user = _text_cells(fixes.user)
+def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> Receipt:
+    with _naming(path):
+        (user,), line_break = _text_cells(fixes.user)
 
-    def columns(rows: slice) -> list[list[str]]:
-        return [
-            user(rows),
-            _distinct_texts(fixes.day[rows], _day_texts),
-            _distinct_texts(fixes.slot[rows], lambda slots: list(map(str, slots.tolist()))),
-            _float_cells(fixes.lat[rows]),
-            _float_cells(fixes.lon[rows]),
-        ]
+        def columns(rows: slice) -> list[list[str]]:
+            return [
+                user(rows),
+                _distinct_texts(fixes.day[rows], _day_texts, lambda days: list(map(_epoch_day, days))),
+                _distinct_texts(fixes.slot[rows], _int_texts, lambda texts: list(map(int, texts))),
+                _float_cells(fixes.lat[rows]),
+                _float_cells(fixes.lon[rows]),
+            ]
 
-    _write_columns(path, meta, CLEAN_FIX_COLUMNS, len(fixes), columns)
+        return _write_columns(path, meta, CLEAN_FIX_COLUMNS, len(fixes), columns, line_break)
 
 
 def _day_texts(days: np.ndarray) -> list[str]:
     return np.datetime_as_string(days.astype("datetime64[D]")).tolist()
 
 
+def _int_texts(values: np.ndarray) -> list[str]:
+    return list(map(str, values.tolist()))
+
+
+def _epoch_day(text: str) -> int:
+    return epoch_day(date.fromisoformat(text))
+
+
 def read_clean_fixes(path: str | Path) -> CleanTable:
     chunks = []
     days: dict[str, int] = {}
-    for cells in _column_chunks(path, CLEAN_FIX_COLUMNS):
-        for text in set(cells["day"]).difference(days):
-            days[text] = epoch_day(date.fromisoformat(text))
-        chunks.append(
-            CleanTable(
-                user=TextColumn.of(cells["user_id"]),
-                day=np.array([days[text] for text in cells["day"]], dtype=np.int64),
-                slot=np.array(list(map(int, cells["slot"])), dtype=np.int64),
-                lat=np.array(cells["lat"], dtype=np.float64),
-                lon=np.array(cells["lon"], dtype=np.float64),
+    parsers = {"day": _epoch_day, "slot": int, "lat": float, "lon": float}
+    for first, cells in _column_chunks(path, CLEAN_FIX_COLUMNS):
+        with _cells_named(path, first, cells, parsers):
+            for text in set(cells["day"]).difference(days):
+                days[text] = _epoch_day(text)
+            chunks.append(
+                CleanTable(
+                    user=TextColumn.of(cells["user_id"]),
+                    day=np.array([days[text] for text in cells["day"]], dtype=np.int64),
+                    slot=np.array(list(map(int, cells["slot"])), dtype=np.int64),
+                    lat=np.array(cells["lat"], dtype=np.float64),
+                    lon=np.array(cells["lon"], dtype=np.float64),
+                )
             )
-        )
     return CleanTable.concat(chunks)
 
 
@@ -304,23 +499,22 @@ VALID_DAY_COLUMNS = ("user_id", "day")
 
 def write_valid_days(
     path: str | Path, valid_days: Mapping[str, ValidDaySet], meta: Mapping[str, str]
-) -> None:
+) -> Receipt:
     rows = [
         (user, day)
         for user in sorted(valid_days)
         for day in valid_days[user].days
     ]
-    write_table(path, meta, VALID_DAY_COLUMNS, rows)
+    return write_table(path, meta, VALID_DAY_COLUMNS, rows)
 
 
 def read_valid_days(path: str | Path) -> dict[str, ValidDaySet]:
-    _, columns, rows = read_table(path)
-    idx = {name: columns.index(name) for name in VALID_DAY_COLUMNS}
     days_by_user: dict[str, list[date]] = {}
-    for row in rows:
-        days_by_user.setdefault(row[idx["user_id"]], []).append(
-            date.fromisoformat(row[idx["day"]])
-        )
+    for first, cells in _column_chunks(path, VALID_DAY_COLUMNS):
+        with _cells_named(path, first, cells, {"day": date.fromisoformat}):
+            days = list(map(date.fromisoformat, cells["day"]))
+        for user, day in zip(cells["user_id"], days):
+            days_by_user.setdefault(user, []).append(day)
     return {
         user: ValidDaySet(user_id=user, days=tuple(sorted(days)))
         for user, days in days_by_user.items()
@@ -334,7 +528,7 @@ def write_pairs(
     path: str | Path,
     encounter_sets: Mapping[tuple[str, str], EncounterSet],
     meta: Mapping[str, str],
-) -> None:
+) -> Receipt:
     rows = []
     for pair in sorted(encounter_sets):
         es = encounter_sets[pair]
@@ -346,7 +540,7 @@ def write_pairs(
                 _DAY_SEP.join(d.isoformat() for d in es.common_days),
             )
         )
-    write_table(path, meta, PAIR_COLUMNS, rows)
+    return write_table(path, meta, PAIR_COLUMNS, rows)
 
 
 ENCOUNTER_COLUMNS = ("user_lo", "user_hi", "day", "slot", "cell")
@@ -356,45 +550,41 @@ def write_encounters(
     path: str | Path,
     encounter_sets: Mapping[tuple[str, str], EncounterSet],
     meta: Mapping[str, str],
-) -> None:
+) -> Receipt:
     rows = []
     for pair in sorted(encounter_sets):
         for enc in encounter_sets[pair].encounters:
             rows.append((enc.user_lo, enc.user_hi, enc.day, enc.slot, enc.cell))
-    write_table(path, meta, ENCOUNTER_COLUMNS, rows)
+    return write_table(path, meta, ENCOUNTER_COLUMNS, rows)
+
+
+def _common_days(text: str) -> tuple[date, ...]:
+    return tuple(date.fromisoformat(part) for part in text.split(_DAY_SEP) if part)
 
 
 def read_encounter_sets(
     encounters_path: str | Path, pairs_path: str | Path
 ) -> dict[tuple[str, str], EncounterSet]:
     """Rebuild per-pair encounter sets from the two interchange files."""
-    _, pair_cols, pair_rows = read_table(pairs_path)
-    pidx = {name: pair_cols.index(name) for name in PAIR_COLUMNS}
     common: dict[tuple[str, str], tuple[date, ...]] = {}
-    for row in pair_rows:
-        pair = (row[pidx["user_lo"]], row[pidx["user_hi"]])
-        days_text = row[pidx["common_days"]]
-        days = tuple(
-            date.fromisoformat(part) for part in days_text.split(_DAY_SEP) if part
-        )
-        common[pair] = days
+    for first, cells in _column_chunks(pairs_path, PAIR_COLUMNS):
+        with _cells_named(pairs_path, first, cells, {"common_days": _common_days}):
+            days = list(map(_common_days, cells["common_days"]))
+        common.update(zip(zip(cells["user_lo"], cells["user_hi"]), days))
 
-    _, enc_cols, enc_rows = read_table(encounters_path)
-    eidx = {name: enc_cols.index(name) for name in ENCOUNTER_COLUMNS}
     by_pair: dict[tuple[str, str], list[Encounter]] = {pair: [] for pair in common}
-    for row in enc_rows:
-        pair = (row[eidx["user_lo"]], row[eidx["user_hi"]])
-        if pair not in by_pair:
-            raise ValueError(f"encounter for unknown pair {pair}")
-        by_pair[pair].append(
-            Encounter(
-                user_lo=pair[0],
-                user_hi=pair[1],
-                day=date.fromisoformat(row[eidx["day"]]),
-                slot=int(row[eidx["slot"]]),
-                cell=row[eidx["cell"]],
-            )
-        )
+    parsers = {"day": date.fromisoformat, "slot": int}
+    for first, cells in _column_chunks(encounters_path, ENCOUNTER_COLUMNS):
+        with _cells_named(encounters_path, first, cells, parsers):
+            days = list(map(date.fromisoformat, cells["day"]))
+            slots = list(map(int, cells["slot"]))
+        rows = zip(cells["user_lo"], cells["user_hi"], days, slots, cells["cell"])
+        for row_no, (lo, hi, day, slot, cell) in enumerate(rows, first):
+            if (lo, hi) not in by_pair:
+                raise ValueError(
+                    f"{encounters_path}: data row {row_no}: encounter for unknown pair {(lo, hi)}"
+                )
+            by_pair[lo, hi].append(Encounter(user_lo=lo, user_hi=hi, day=day, slot=slot, cell=cell))
     return {
         pair: EncounterSet(
             user_lo=pair[0],

@@ -10,8 +10,16 @@ clean-fix column tables, the survey, the valid days and the encounter
 sets. A later stage of the same call takes them from there instead of
 parsing the file back, so `all` writes each artifact once and never
 re-reads it; a single-stage subcommand reads the artifacts of earlier
-calls from disk. Every written file is still parsed back once, as the
-check behind the exit status.
+calls from disk.
+
+The exit status rests on a write check. Each stage returns the receipts
+of its writers (`artifacts.Receipt`). The writers have already checked
+every distinct cell text they wrote: it parses back, through csv or as a
+number, to the value it stands for. `main` then checks each file against
+its receipt: it ends with a line end and holds one line end per meta
+line, header and data row, so no row is missing, cut short or split.
+Where a quoted cell holds a line break, the file is parsed as csv and its
+rows are counted instead.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import artifacts, experiments, features, synth
+from .artifacts import Receipt
 from .config import RunConfig, build_config, flags, load_config_file
 from .encounter import canonical_pair, detect_encounters
 from .ingest import SchemaError, parse_gps_log, parse_survey
@@ -68,14 +77,14 @@ def _load(written: Written | None, path: Path, read: Callable[[Path], object]):
     return read(path)
 
 
-def _verify_written(paths: list[Path]) -> None:
-    # exit-status contract: an artifact counts only if it parses back
-    for path in paths:
-        artifacts.count_rows(path)
-        print(f"wrote {path}")
+def _verify_written(receipts: list[Receipt]) -> None:
+    # exit-status contract: an artifact counts only if it holds what its writer wrote
+    for receipt in receipts:
+        artifacts.check_written(receipt)
+        print(f"wrote {receipt.path}")
 
 
-def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     if not cfg.gps or not cfg.survey:
         raise CliError("ingest needs --gps and --survey input paths")
     for path in (cfg.gps, cfg.survey):
@@ -89,8 +98,10 @@ def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Path]:
 
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, cfg.gps, cfg.survey)
-    artifacts.write_fixes(_out(cfg, "fixes.csv"), fixes, meta)
-    artifacts.write_survey(_out(cfg, "survey.csv"), survey, meta)
+    receipts = [
+        artifacts.write_fixes(_out(cfg, "fixes.csv"), fixes, meta),
+        artifacts.write_survey(_out(cfg, "survey.csv"), survey, meta),
+    ]
     _keep(written, _out(cfg, "fixes.csv"), fixes)
     _keep(written, _out(cfg, "survey.csv"), survey)
     _out(cfg, "ingest_rejects.txt").write_text(
@@ -101,10 +112,10 @@ def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Path]:
         f"ingest: {fix_report.n_accepted} fixes (+{fix_report.n_rejected} rejected), "
         f"{survey_report.n_accepted} survey records (+{survey_report.n_rejected} rejected)"
     )
-    return [_out(cfg, "fixes.csv"), _out(cfg, "survey.csv")]
+    return receipts
 
 
-def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     fixes_path = _require(cfg, "fixes.csv", "ingest")
     survey_path = _require(cfg, "survey.csv", "ingest")
     fixes = _load(written, fixes_path, artifacts.read_fixes)
@@ -116,18 +127,20 @@ def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Pat
     meta["dedupe"] = "per-slot, min accuracy, earliest timestamp, smallest lat/lon"
     for key, value in result.counts.items():
         meta[f"count_{key}"] = str(value)
-    artifacts.write_clean_fixes(_out(cfg, "clean_fixes.csv"), result.clean_fixes, meta)
-    artifacts.write_valid_days(_out(cfg, "valid_days.csv"), result.valid_days, meta)
+    receipts = [
+        artifacts.write_clean_fixes(_out(cfg, "clean_fixes.csv"), result.clean_fixes, meta),
+        artifacts.write_valid_days(_out(cfg, "valid_days.csv"), result.valid_days, meta),
+    ]
     _keep(written, _out(cfg, "clean_fixes.csv"), result.clean_fixes)
     _keep(written, _out(cfg, "valid_days.csv"), result.valid_days)
     print(
         f"preprocess: {len(result.clean_fixes)} clean fixes, "
         f"{len(result.retained_users)} retained users"
     )
-    return [_out(cfg, "clean_fixes.csv"), _out(cfg, "valid_days.csv")]
+    return receipts
 
 
-def stage_encounters(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_encounters(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     clean_path = _require(cfg, "clean_fixes.csv", "preprocess")
     days_path = _require(cfg, "valid_days.csv", "preprocess")
     survey_path = _require(cfg, "survey.csv", "ingest")
@@ -145,12 +158,14 @@ def stage_encounters(cfg: RunConfig, written: Written | None = None) -> list[Pat
         pairs=surveyed_pairs,
     )
     meta = _meta(cfg, clean_path, days_path, survey_path)
-    artifacts.write_pairs(_out(cfg, "pairs.csv"), encounter_sets, meta)
-    artifacts.write_encounters(_out(cfg, "encounters.csv"), encounter_sets, meta)
+    receipts = [
+        artifacts.write_pairs(_out(cfg, "pairs.csv"), encounter_sets, meta),
+        artifacts.write_encounters(_out(cfg, "encounters.csv"), encounter_sets, meta),
+    ]
     _keep(written, _out(cfg, "encounters.csv"), encounter_sets)
     n_enc = sum(es.n_encounters for es in encounter_sets.values())
     print(f"encounters: {n_enc} encounters across {len(encounter_sets)} eligible pairs")
-    return [_out(cfg, "pairs.csv"), _out(cfg, "encounters.csv")]
+    return receipts
 
 
 def _load_observations(cfg: RunConfig, written: Written | None):
@@ -167,7 +182,7 @@ def _load_observations(cfg: RunConfig, written: Written | None):
     return observations, [enc_path, pairs_path, survey_path]
 
 
-def stage_features(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_features(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     observations, inputs = _load_observations(cfg, written)
     meta = _meta(cfg, *inputs)
     meta["zero_encounter_pairs"] = "included with diversity 0"
@@ -185,7 +200,7 @@ def stage_features(cfg: RunConfig, written: Written | None = None) -> list[Path]
                 pf.n_common_days,
             )
         )
-    artifacts.write_table(
+    receipt = artifacts.write_table(
         _out(cfg, "features.csv"),
         meta,
         (
@@ -200,10 +215,10 @@ def stage_features(cfg: RunConfig, written: Written | None = None) -> list[Path]
         rows,
     )
     print(f"features: {len(rows)} observations")
-    return [_out(cfg, "features.csv")]
+    return [receipt]
 
 
-def stage_compare(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_compare(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     observations, inputs = _load_observations(cfg, written)
     results = experiments.compare_features(observations, cfg.width_t)
     rows = []
@@ -213,38 +228,27 @@ def stage_compare(cfg: RunConfig, written: Written | None = None) -> list[Path]:
         else:
             r = fr.result
             rows.append((fr.feature, r.n, r.f_value, r.p_value, r.r, None))
-    artifacts.write_table(
-        _out(cfg, "compare.csv"),
-        _meta(cfg, *inputs),
-        ("feature", "n", "f_value", "p_value", "r", "error"),
-        rows,
-    )
-    return [_out(cfg, "compare.csv")]
+    columns = ("feature", "n", "f_value", "p_value", "r", "error")
+    return [artifacts.write_table(_out(cfg, "compare.csv"), _meta(cfg, *inputs), columns, rows)]
 
 
-def stage_sweep_t(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_sweep_t(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     observations, inputs = _load_observations(cfg, written)
     rows = experiments.sweep_width(observations, cfg.width_grid)
     out_rows = [(int(r.parameter), r.f_value, r.p_value, r.error) for r in rows]
-    path = _out(cfg, "sweep_t.csv")
-    artifacts.write_table(
-        path, _meta(cfg, *inputs), ("width_t", "f_value", "p_value", "error"), out_rows
-    )
-    return [path]
+    columns = ("width_t", "f_value", "p_value", "error")
+    return [artifacts.write_table(_out(cfg, "sweep_t.csv"), _meta(cfg, *inputs), columns, out_rows)]
 
 
-def stage_sweep_q(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_sweep_q(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     observations, inputs = _load_observations(cfg, written)
     rows = experiments.sweep_q(observations, cfg.q_grid, cfg.width_t)
     out_rows = [(r.parameter, r.f_value, r.p_value, r.error) for r in rows]
-    path = _out(cfg, "sweep_q.csv")
-    artifacts.write_table(
-        path, _meta(cfg, *inputs), ("q", "f_value", "p_value", "error"), out_rows
-    )
-    return [path]
+    columns = ("q", "f_value", "p_value", "error")
+    return [artifacts.write_table(_out(cfg, "sweep_q.csv"), _meta(cfg, *inputs), columns, out_rows)]
 
 
-def stage_subgroups(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_subgroups(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     observations, inputs = _load_observations(cfg, written)
     summaries = experiments.subgroup_distributions(observations, cfg.width_t)
     rows = [
@@ -262,52 +266,43 @@ def stage_subgroups(cfg: RunConfig, written: Written | None = None) -> list[Path
         )
         for s in summaries
     ]
-    path = _out(cfg, "subgroups.csv")
-    artifacts.write_table(
-        path,
-        _meta(cfg, *inputs),
-        ("feature", "closeness", "count", "mean", "min", "q1", "median", "q3", "max", "outliers"),
-        rows,
-    )
-    return [path]
+    columns = ("feature", "closeness", "count", "mean", "min", "q1", "median", "q3", "max", "outliers")
+    return [artifacts.write_table(_out(cfg, "subgroups.csv"), _meta(cfg, *inputs), columns, rows)]
 
 
-def stage_evolve(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_evolve(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     observations, inputs = _load_observations(cfg, written)
     rows_in = experiments.evolution(
         observations, range(1, cfg.max_horizon + 1), cfg.width_t
     )
     rows = [(r.closeness, r.d, r.mean_temporal_diversity, r.n) for r in rows_in]
-    path = _out(cfg, "evolution.csv")
-    artifacts.write_table(
-        path, _meta(cfg, *inputs), ("closeness", "d", "mean_temporal_diversity", "n"), rows
-    )
-    return [path]
+    columns = ("closeness", "d", "mean_temporal_diversity", "n")
+    return [artifacts.write_table(_out(cfg, "evolution.csv"), _meta(cfg, *inputs), columns, rows)]
 
 
-def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Path]:
+def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     result = synth.synth_generate(cfg.synth_config())
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = cfg.echo()
     gps_rows = synth.fixes_to_raw_rows(result.fixes, cfg.zone_offset_minutes)
-    artifacts.write_table(_out(cfg, "synth_gps.csv"), meta, gps_rows[0], gps_rows[1:])
     survey_rows = synth.survey_to_rows(result.survey)
-    artifacts.write_table(
-        _out(cfg, "synth_survey.csv"), meta, survey_rows[0], survey_rows[1:]
-    )
+    receipts = [
+        artifacts.write_table(_out(cfg, name), meta, rows[0], rows[1:])
+        for name, rows in (("synth_gps.csv", gps_rows), ("synth_survey.csv", survey_rows))
+    ]
     print(
         f"synth: {len(result.fixes)} fixes, {len(result.survey)} survey records "
         f"({cfg.synth_pairs} pairs per archetype)"
     )
-    return [_out(cfg, "synth_gps.csv"), _out(cfg, "synth_survey.csv")]
+    return receipts
 
 
-def stage_all(cfg: RunConfig, written: Written | None = None) -> list[Path]:
-    paths = []
+def stage_all(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+    receipts = []
     for name, stage in _STAGE_FUNCS.items():
         if name not in _NOT_PIPELINE:
-            paths += stage(cfg, written)
-    return paths
+            receipts += stage(cfg, written)
+    return receipts
 
 
 # command -> stage; `all` runs every entry not in _NOT_PIPELINE, in order

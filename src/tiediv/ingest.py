@@ -275,7 +275,7 @@ def parse_timestamp(raw: str, naive_utc_offset_minutes: int = 0) -> datetime:
             raise ValueError(f"non-finite epoch timestamp: {raw!r}")
         try:
             return datetime.fromtimestamp(epoch, tz=timezone.utc)
-        except (OverflowError, OSError):
+        except (OverflowError, OSError, ValueError):
             raise ValueError(f"timestamp out of range: {raw!r}") from None
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"

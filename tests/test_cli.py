@@ -4,8 +4,10 @@ import hashlib
 import random
 import tempfile
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,21 +251,126 @@ class TestStageErrors:
         [
             ("fixes.csv", "lat", "north", "non-numeric lat/lon/accuracy"),
             ("survey.csv", "closeness_raw", "x", "non-integer closeness/proximity"),
+            ("clean_fixes.csv", "lat", "north", "lat: could not convert string to float: 'north'"),
+            ("valid_days.csv", "day", "x", "day: Invalid isoformat string: 'x'"),
+            ("encounters.csv", "slot", "x", "slot: invalid literal for int() with base 10: 'x'"),
         ],
     )
     def test_corrupted_staged_artifact(self, outdir, capsys, name, column, cell, reason):
-        assert run("ingest", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
         path = outdir / name
         lines = path.read_text(encoding="utf-8").splitlines(True)
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        cells = lines[header + 2].split(",")
+        cells = lines[header + 2].rstrip("\n").split(",")
         cells[lines[header].rstrip("\n").split(",").index(column)] = cell
-        lines[header + 2] = ",".join(cells)
+        lines[header + 2] = ",".join(cells) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()
-        assert run("preprocess", "-o", str(outdir)) == 1
+        assert run(self.READ_BY[name], "-o", str(outdir)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: data row 2: {reason}\n"
+
+    def test_staged_row_of_the_wrong_width(self, outdir, capsys):
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / "clean_fixes.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[header + 3] = lines[header + 3].rstrip("\n") + ",extra\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("encounters", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {path}: data row 3: 6 cells, 5 columns\n"
+
+    READ_BY = {
+        "fixes.csv": "preprocess",
+        "survey.csv": "preprocess",
+        "clean_fixes.csv": "encounters",
+        "valid_days.csv": "encounters",
+        "encounters.csv": "features",
+    }
+
+
+def renamed_inputs(directory: Path, renamed: dict[str, str]) -> list[str]:
+    """--gps/--survey arguments for the mini fixture with user ids renamed, each new id quoted."""
+    directory.mkdir(parents=True, exist_ok=True)
+    inputs = []
+    for flag, name in (("--gps", "mini_gps.csv"), ("--survey", "mini_survey.csv")):
+        text = (DATA / name).read_text(encoding="utf-8")
+        for old, new in renamed.items():
+            text = text.replace(old, '"' + new.replace('"', '""') + '"')
+        (directory / name).write_bytes(text.encode("utf-8"))
+        inputs += [flag, str(directory / name)]
+    return inputs
+
+
+class TestWriteCheck:
+    """The exit status holds only if each artifact holds what its writer wrote."""
+
+    def run_ingest(self, outdir, capsys, inputs=("--gps", GPS, "--survey", SURVEY)) -> str:
+        capsys.readouterr()
+        assert run("ingest", *inputs, "-o", str(outdir)) == 1
+        return capsys.readouterr().err
+
+    def patch_join_rows(self, monkeypatch, change):
+        """Make the writers join their rows by `change(join_rows)`."""
+        monkeypatch.setattr(artifacts, "_join_rows", change(artifacts._join_rows))
+
+    def head_lines(self, path: Path) -> int:
+        """The '#' meta lines and the header of an artifact."""
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+
+    def test_unquoted_comma_in_a_user_id(self, tmp_path, outdir, capsys, monkeypatch):
+        inputs = renamed_inputs(tmp_path / "in", {"sch000a": "sch,000a"})
+        monkeypatch.setattr(artifacts, "_csv_cells", lambda texts: np.array(list(texts), dtype=object))
+        err = self.run_ingest(outdir, capsys, inputs)
+        assert err == f"error: {outdir / 'fixes.csv'}: csv cell 'sch,000a' does not parse back to 'sch,000a'\n"
+
+    def test_dropped_row(self, outdir, capsys, monkeypatch):
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(islice(rows, 1, None)))
+        err = self.run_ingest(outdir, capsys)
+        path = outdir / "fixes.csv"
+        written = self.head_lines(path) + 3120
+        assert err == f"error: {path}: holds {written - 1} lines, but {written} were written\n"
+
+    def test_float_text_that_does_not_round_trip(self, outdir, capsys, monkeypatch):
+        monkeypatch.setattr(artifacts, "_float_texts", lambda floats: [f"{v:.6g}" for v in floats.tolist()])
+        err = self.run_ingest(outdir, capsys)
+        assert err == f"error: {outdir / 'fixes.csv'}: '23.194' does not read back as 23.194000000000003\n"
+
+    def test_truncated_file(self, outdir, capsys, monkeypatch):
+        # the last chunk, cut mid-row
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(rows)[:-5])
+        err = self.run_ingest(outdir, capsys)
+        assert err == f"error: {outdir / 'fixes.csv'}: does not end with a line end\n"
+
+    def test_header_only_artifact_when_rows_were_written(self, outdir, capsys, monkeypatch):
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: "")
+        err = self.run_ingest(outdir, capsys)
+        path = outdir / "fixes.csv"
+        head = self.head_lines(path)
+        assert err == f"error: {path}: holds {head} lines, but {head + 3120} were written\n"
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r"])
+    def test_quoted_line_break_is_checked_by_a_full_parse(self, tmp_path, outdir, capsys, monkeypatch, line_break):
+        inputs = renamed_inputs(tmp_path / "in", {"sch000a": f"sch{line_break}000a"})
+        receipts = []
+        check_written = artifacts.check_written
+        monkeypatch.setattr(artifacts, "check_written", lambda r: receipts.append(r) or check_written(r))
+        assert run("all", *inputs, "-o", str(outdir)) == 0
+        breaks = {receipt.path.name for receipt in receipts if receipt.quoted_line_break}
+        assert breaks == {"fixes.csv", "survey.csv", "clean_fixes.csv", "valid_days.csv",
+                          "pairs.csv", "encounters.csv", "features.csv"}
+        assert receipts[0].path.name == "fixes.csv" and receipts[0].rows == 3120
+        # the staged readers read each such cell back: a rerun stage writes the same bytes
+        written = hash_dir(outdir)
+        for stage in ("preprocess", "encounters", "features"):
+            assert run(stage, *inputs, "-o", str(outdir)) == 0, stage
+        assert hash_dir(outdir) == written
+        # lines are not rows here, so only the parse can see a dropped row
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(islice(rows, 1, None)))
+        err = self.run_ingest(tmp_path / "dropped", capsys, inputs)
+        assert err == f"error: {tmp_path / 'dropped' / 'fixes.csv'}: holds 3119 data rows, but 3120 were written\n"
 
 
 class TestSynthCommand:

@@ -272,13 +272,19 @@ class TestGeohashMany:
 
 
 def csv_writer_file(path, meta, columns, rows):
-    """An artifact as `csv.writer` writes it: the writers' byte-for-byte reference."""
+    """An artifact as `csv.writer` quotes it: the writers' byte-for-byte reference.
+
+    Each row is written by a `csv.writer` told that rows end in "\r\n", so
+    it quotes a cell holding either line-break character; the row then
+    ends in "\n".
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        for row in [columns, *rows]:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            handle.write(line.getvalue()[:-2] + "\n")
 
 
 class TestTables:
@@ -380,6 +386,8 @@ class TestTables:
         csv_writer_file(tmp_path / "clean_ref.csv", meta, CLEAN_FIX_COLUMNS, clean_rows)
         assert (tmp_path / "fixes.csv").read_bytes() == (tmp_path / "fixes_ref.csv").read_bytes()
         assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "clean_ref.csv").read_bytes()
+        # every text, "cr\rlf" too, reads back as the cell it was
+        assert [fix.user_id for fix in read_clean_fixes(tmp_path / "clean.csv")] == cells(clean.user)
 
     def test_text_column_codes_follow_string_order(self):
         column = TextColumn.of(["b", "a", "é", "B", "a"])
