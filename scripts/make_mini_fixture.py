@@ -4,16 +4,20 @@
 Five users over ten days: one scheduled pair, one social pair, and one
 extra user who logs fixes but never appears in the survey (so the
 survey-membership filter has something to drop).
+
+    PYTHONPATH=src python scripts/make_mini_fixture.py
 """
 
 from __future__ import annotations
 
-import csv
-from datetime import timedelta
 from pathlib import Path
 
-from tiediv.preprocess import CleanFix
-from tiediv.synth import SynthConfig, fixes_to_raw_rows, survey_to_rows, synth_generate
+import numpy as np
+
+from tiediv.artifacts import write_fixes, write_table
+from tiediv.ingest import TextColumn
+from tiediv.preprocess import SLOTS_PER_DAY, CleanTable, epoch_day
+from tiediv.synth import SynthConfig, gps_log, survey_to_rows, synth_generate
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -22,20 +26,26 @@ LONER = "lone0"
 LONER_LAT, LONER_LON = 22.5, 71.5  # far from every pair area
 
 
-def main() -> None:
+def main(out_dir: Path = OUT_DIR) -> None:
     result = synth_generate(CFG)
-    fixes = list(result.fixes)
-    for day_index in range(CFG.n_days):
-        day = CFG.start_day + timedelta(days=day_index)
-        for slot in range(0, 288, 288 // CFG.coverage_slots):
-            fixes.append(CleanFix(LONER, day, slot, LONER_LAT, LONER_LON))
+    # the loner's fixes: evenly strided slots on every day
+    slots = np.arange(0, SLOTS_PER_DAY, SLOTS_PER_DAY // CFG.coverage_slots)
+    days = epoch_day(CFG.start_day) + np.arange(CFG.n_days)
+    n = len(days) * len(slots)
+    loner = CleanTable(
+        user=TextColumn(np.zeros(n, dtype=np.int32), (LONER,)),
+        day=np.repeat(days, len(slots)),
+        slot=np.tile(slots, len(days)),
+        lat=np.full(n, LONER_LAT),
+        lon=np.full(n, LONER_LON),
+    )
+    fixes = CleanTable.concat([result.fixes, loner])
 
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    with open(OUT_DIR / "mini_gps.csv", "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(fixes_to_raw_rows(fixes, 330))
-    with open(OUT_DIR / "mini_survey.csv", "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(survey_to_rows(result.survey))
-    users = sorted({f.user_id for f in fixes})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_fixes(out_dir / "mini_gps.csv", gps_log(fixes, 330), {})
+    survey_rows = survey_to_rows(result.survey)
+    write_table(out_dir / "mini_survey.csv", {}, survey_rows[0], survey_rows[1:])
+    users = fixes.user.values
     print(f"wrote fixture: {len(fixes)} fixes, {len(users)} users: {', '.join(users)}")
 
 

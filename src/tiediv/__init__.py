@@ -16,7 +16,6 @@ from .features import (
 from .geo import geohash_decode_bounds, geohash_encode, haversine_m
 from .ingest import FixTable, RawFix, SurveyRecord, parse_gps_log, parse_survey
 from .preprocess import (
-    CleanFix,
     CleanTable,
     PreprocessConfig,
     ValidDaySet,
@@ -31,7 +30,6 @@ from .synth import SynthConfig, synth_generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CleanFix",
     "CleanTable",
     "Encounter",
     "EncounterSet",

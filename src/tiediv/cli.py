@@ -16,10 +16,12 @@ The exit status rests on a write check. Each stage returns the receipts
 of its writers (`artifacts.Receipt`). The writers have already checked
 every distinct cell text they wrote: it parses back, through csv or as a
 number, to the value it stands for. `main` then checks each file against
-its receipt: it ends with a line end and holds one line end per meta
-line, header and data row, so no row is missing, cut short or split.
-Where a quoted cell holds a line break, the file is parsed as csv and its
-rows are counted instead.
+its receipt: it ends with a line end and holds exactly the line ends its
+writer wrote, one per meta line, header and data row plus each "\n"
+inside a quoted cell, so no row is missing, cut short or split.
+
+`synth` writes its generated fixes through the same fix writer as
+`ingest`, as a raw GPS log that `ingest` reads back.
 """
 
 from __future__ import annotations
@@ -284,11 +286,12 @@ def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]
     result = synth.synth_generate(cfg.synth_config())
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = cfg.echo()
-    gps_rows = synth.fixes_to_raw_rows(result.fixes, cfg.zone_offset_minutes)
     survey_rows = synth.survey_to_rows(result.survey)
     receipts = [
-        artifacts.write_table(_out(cfg, name), meta, rows[0], rows[1:])
-        for name, rows in (("synth_gps.csv", gps_rows), ("synth_survey.csv", survey_rows))
+        artifacts.write_fixes(
+            _out(cfg, "synth_gps.csv"), synth.gps_log(result.fixes, cfg.zone_offset_minutes), meta
+        ),
+        artifacts.write_table(_out(cfg, "synth_survey.csv"), meta, survey_rows[0], survey_rows[1:]),
     ]
     print(
         f"synth: {len(result.fixes)} fixes, {len(result.survey)} survey records "

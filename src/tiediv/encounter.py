@@ -24,15 +24,7 @@ import numpy as np
 
 from .geo import geohash_encode_many, within_m
 from .ingest import CHUNK_ROWS
-from .preprocess import (
-    SLOTS_PER_DAY,
-    CleanFix,
-    CleanTable,
-    ValidDaySet,
-    common_days,
-    day_of,
-    epoch_day,
-)
+from .preprocess import SLOTS_PER_DAY, CleanTable, ValidDaySet, common_days, day_of, epoch_day
 
 GEOHASH_LENGTH = 8
 DEFAULT_THRESHOLD_M = 50.0
@@ -116,7 +108,7 @@ def _slots_by_user(
 
 
 def detect_encounters(
-    fixes: CleanTable | Iterable[CleanFix],
+    fixes: CleanTable,
     valid_days: Mapping[str, ValidDaySet],
     threshold_m: float = DEFAULT_THRESHOLD_M,
     min_common_days: int = 7,
@@ -133,7 +125,6 @@ def detect_encounters(
     """
     if threshold_m <= 0:
         raise ValueError(f"distance threshold must be positive, got {threshold_m}")
-    table = fixes if isinstance(fixes, CleanTable) else CleanTable.from_rows(fixes)
 
     if pairs is None:
         users = sorted(valid_days)
@@ -153,7 +144,7 @@ def detect_encounters(
                 eligible.append((lo, hi, shared))
 
     # join each pair's sorted (day, slot) keys; resolve co-occurrences in batches
-    slots = _slots_by_user(table, valid_days, {u for lo, hi, _ in eligible for u in (lo, hi)})
+    slots = _slots_by_user(fixes, valid_days, {u for lo, hi, _ in eligible for u in (lo, hi)})
     result: dict[tuple[str, str], EncounterSet] = {}
     batch: list[tuple[str, str, tuple[date, ...]]] = []
     rows_lo: list[np.ndarray] = []
@@ -170,10 +161,10 @@ def detect_encounters(
         rows_hi.append(at_hi[pos[found]])
         n_rows += len(rows_lo[-1])
         if n_rows >= CHUNK_ROWS:
-            _resolve(table, batch, rows_lo, rows_hi, threshold_m, result)
+            _resolve(fixes, batch, rows_lo, rows_hi, threshold_m, result)
             batch, rows_lo, rows_hi, n_rows = [], [], [], 0
     if batch:
-        _resolve(table, batch, rows_lo, rows_hi, threshold_m, result)
+        _resolve(fixes, batch, rows_lo, rows_hi, threshold_m, result)
     return result
 
 

@@ -136,37 +136,18 @@ class TextColumn:
 
 
 class ColumnTable:
-    """Sequence behaviour shared by the column tables.
+    """Base of the column tables.
 
-    A table is a frozen dataclass whose fields are equal-length columns
-    (numpy arrays or `TextColumn`s). It iterates, indexes and compares
-    as the list of its row objects, which `row` builds on demand.
+    Each table is a frozen dataclass whose fields are equal-length
+    columns (numpy arrays or `TextColumn`s).
     """
-
-    def row(self, i: int):
-        raise NotImplementedError
 
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
-    def __getitem__(self, i: int):
-        return self.row(range(len(self))[i])
-
-    def __iter__(self) -> Iterator:
-        return map(self.row, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (ColumnTable, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
     @classmethod
     def concat(cls, tables: Sequence["ColumnTable"]):
-        """The tables' rows one after another, in one table."""
-        if not tables:
-            return cls.from_rows([])
+        """The rows of one or more tables one after another, in one table."""
         columns = {}
         for f in fields(cls):
             parts = [getattr(table, f.name) for table in tables]
@@ -177,7 +158,10 @@ class ColumnTable:
 
 @dataclass(frozen=True, eq=False)
 class FixTable(ColumnTable):
-    """GPS fixes as columns; row i of every column is one fix."""
+    """GPS fixes as columns; row i of every column is one fix.
+
+    It iterates and indexes as read-only `RawFix` rows, built on demand.
+    """
 
     user: TextColumn
     t_us: np.ndarray  # int64 microseconds since the epoch, UTC
@@ -202,23 +186,11 @@ class FixTable(ColumnTable):
             provider=self.provider.values[self.provider.codes[i]] or None,
         )
 
-    @classmethod
-    def from_rows(cls, fixes: Iterable[RawFix]) -> "FixTable":
-        fixes = list(fixes)
-        return cls(
-            user=TextColumn.of([f.user_id for f in fixes]),
-            t_us=np.array([to_epoch_us(f.timestamp) for f in fixes], dtype=np.int64),
-            lat=np.array([f.lat for f in fixes], dtype=np.float64),
-            lon=np.array([f.lon for f in fixes], dtype=np.float64),
-            accuracy=np.array([f.accuracy for f in fixes], dtype=np.float64),
-            elevation=TextColumn.of([_optional_text(f.elevation, float) for f in fixes]),
-            satellites=TextColumn.of([_optional_text(f.satellites, int) for f in fixes]),
-            provider=TextColumn.of([f.provider or "" for f in fixes]),
-        )
+    def __getitem__(self, i: int) -> RawFix:
+        return self.row(range(len(self))[i])
 
-
-def _optional_text(value, kind: type) -> str:
-    return "" if value is None else repr(kind(value))
+    def __iter__(self) -> Iterator[RawFix]:
+        return map(self.row, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -457,18 +429,13 @@ def _split_lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-def _text_lines(source: BinaryIO | TextIO | Iterable[str]) -> Iterable[str]:
-    """The source's lines; a file's are split lazily from one decoded string."""
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        # spreadsheet exports often start with a UTF-8 byte-order mark
-        return _split_lines(data.removeprefix("\ufeff"))
-    lines = list(source)
-    if lines:
-        lines[0] = lines[0].removeprefix("\ufeff")
-    return lines
+def _text_lines(source: BinaryIO | TextIO) -> Iterator[str]:
+    """The file's lines, split lazily from one decoded string."""
+    data = source.read()
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    # spreadsheet exports often start with a UTF-8 byte-order mark
+    return _split_lines(data.removeprefix("\ufeff"))
 
 
 def _is_comment(cells: list[str]) -> bool:
@@ -481,9 +448,13 @@ def _is_blank(cells: list[str]) -> bool:
 
 def _find_header(rows: Iterator[list[str]]) -> tuple[int, list[str]]:
     """Index and cells of the first non-blank, non-comment row; raises if none."""
-    for i, cells in enumerate(rows):
-        if not (_is_blank(cells) or _is_comment(cells)):
-            return i, cells
+    line = 0
+    try:
+        for line, cells in enumerate(rows, 1):
+            if not (_is_blank(cells) or _is_comment(cells)):
+                return line - 1, cells
+    except csv.Error as exc:
+        raise SchemaError(f"line {line + 1}: {exc}") from None
     raise SchemaError("empty input: no header line")
 
 
@@ -510,8 +481,25 @@ def _resolve_header(
 CHUNK_ROWS = 1 << 15
 
 
+def _csv_rows(rows: Iterator[list[str]], start: int, report: RejectionReport) -> list[list[str]]:
+    """The next CHUNK_ROWS rows; `start` is the line number of the first.
+
+    A row csv cannot parse (say, a field over csv's size limit) goes to
+    `report` with csv's reason and stands in the chunk as a blank row;
+    the reader goes on at the next line.
+    """
+    chunk: list[list[str]] = []
+    while True:
+        try:
+            chunk.extend(islice(rows, CHUNK_ROWS - len(chunk)))
+            return chunk
+        except csv.Error as exc:
+            report.reject(start + len(chunk), str(exc))
+            chunk.append([])
+
+
 def _read_table(
-    source: BinaryIO | TextIO | Iterable[str],
+    source: BinaryIO | TextIO,
     delimiter: str,
     aliases: dict[str, tuple[str, ...]],
     required: tuple[str, ...],
@@ -521,8 +509,9 @@ def _read_table(
 
     The first non-blank, non-comment line is the header. Each chunk
     holds up to CHUNK_ROWS kept rows: their line numbers and the cells
-    of every resolved column (by canonical name). Blank and comment
-    lines are skipped; duplicate-header and short rows go to `report`.
+    of every resolved column (by canonical name). There is at least one
+    chunk, which may hold no rows. Blank and comment lines are skipped;
+    duplicate-header, short and unparseable rows go to `report`.
     """
     rows = csv.reader(_text_lines(source), delimiter=delimiter)
     header_idx, header = _find_header(rows)
@@ -531,7 +520,8 @@ def _read_table(
     width, first = len(header), header_lowered[0]
 
     start = header_idx + 2  # line number of the chunk's first row
-    while chunk := list(islice(rows, CHUNK_ROWS)):
+    while True:
+        chunk = _csv_rows(rows, start, report)
         # A full-width row whose first cell is neither blank, a comment,
         # nor the header's first cell is kept as is; others need a look.
         odd = [
@@ -555,9 +545,10 @@ def _read_table(
                 continue
             dropped.add(i)
         kept = [i for i in range(len(chunk)) if i not in dropped] if dropped else range(len(chunk))
-        if kept:
-            transposed = list(zip(*(chunk[i] for i in kept)))
-            yield [start + i for i in kept], {name: transposed[i] for name, i in positions.items()}
+        transposed = list(zip(*(chunk[i] for i in kept))) or [()] * width
+        yield [start + i for i in kept], {name: transposed[i] for name, i in positions.items()}
+        if len(chunk) < CHUNK_ROWS:
+            return
         start += len(chunk)
 
 
@@ -697,7 +688,7 @@ def convert_survey(
 
 
 def parse_gps_log(
-    source: BinaryIO | TextIO | Iterable[str],
+    source: BinaryIO | TextIO,
     options: IngestOptions | None = None,
 ) -> tuple[FixTable, RejectionReport]:
     """Parse a delimited GPS log into a FixTable plus a rejection report.
@@ -722,7 +713,7 @@ def parse_gps_log(
 
 
 def parse_survey(
-    source: BinaryIO | TextIO | Iterable[str],
+    source: BinaryIO | TextIO,
     options: IngestOptions | None = None,
 ) -> tuple[list[SurveyRecord], RejectionReport]:
     """Parse the closeness survey into SurveyRecord rows.

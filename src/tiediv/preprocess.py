@@ -10,9 +10,9 @@ Every step works on whole columns of a `FixTable`: the window and
 accuracy filters are masks on epoch microseconds and accuracy, snapping
 is integer arithmetic on local whole seconds, dedup is one `np.lexsort`
 that keeps the first row of each (user, day, slot), and coverage is a
-count per user-day. The survivors come back as a `CleanTable`, which
-iterates as `CleanFix` rows. `snap_to_slot` is the scalar definition of
-the snapping that `snap_to_slots` applies to a column.
+count per user-day. The survivors come back as a `CleanTable` of
+columns. `snap_to_slot` is the scalar definition of the snapping that
+`snap_to_slots` applies to a column.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import (
-    US_PER_S,
-    ColumnTable,
-    FixTable,
-    RawFix,
-    SurveyRecord,
-    TextColumn,
-)
+from .ingest import US_PER_S, ColumnTable, FixTable, SurveyRecord, TextColumn
 
 SLOT_SECONDS = 300
 SLOTS_PER_DAY = 288  # 24h of 5-minute slots
@@ -47,46 +40,18 @@ def day_of(epoch_days: int) -> date:
     return EPOCH_DAY + timedelta(days=epoch_days)
 
 
-@dataclass(frozen=True)
-class CleanFix:
-    """A deduplicated fix snapped to one 5-minute slot of a local day."""
-
-    user_id: str
-    day: date
-    slot: int  # 0..287
-    lat: float
-    lon: float
-
-
 @dataclass(frozen=True, eq=False)
 class CleanTable(ColumnTable):
-    """Clean fixes as columns; row i of every column is one fix."""
+    """Deduplicated fixes, each snapped to one 5-minute slot of a local day.
+
+    Row i of every column is one fix.
+    """
 
     user: TextColumn
     day: np.ndarray  # int64 local days since 1970-01-01
     slot: np.ndarray  # int64 0..287
     lat: np.ndarray  # float64 degrees
     lon: np.ndarray
-
-    def row(self, i: int) -> CleanFix:
-        return CleanFix(
-            user_id=self.user.values[self.user.codes[i]],
-            day=day_of(int(self.day[i])),
-            slot=int(self.slot[i]),
-            lat=float(self.lat[i]),
-            lon=float(self.lon[i]),
-        )
-
-    @classmethod
-    def from_rows(cls, fixes: Iterable[CleanFix]) -> "CleanTable":
-        fixes = list(fixes)
-        return cls(
-            user=TextColumn.of([f.user_id for f in fixes]),
-            day=np.array([epoch_day(f.day) for f in fixes], dtype=np.int64),
-            slot=np.array([f.slot for f in fixes], dtype=np.int64),
-            lat=np.array([f.lat for f in fixes], dtype=np.float64),
-            lon=np.array([f.lon for f in fixes], dtype=np.float64),
-        )
 
 
 @dataclass(frozen=True)
@@ -166,7 +131,7 @@ def _starts(*keys: np.ndarray) -> np.ndarray:
 
 
 def filter_pipeline(
-    fixes: FixTable | Iterable[RawFix],
+    fixes: FixTable,
     survey: Iterable[SurveyRecord],
     config: PreprocessConfig | None = None,
 ) -> PreprocessResult:
@@ -177,28 +142,27 @@ def filter_pipeline(
     result's warnings list, never raised.
     """
     cfg = config or PreprocessConfig()
-    table = fixes if isinstance(fixes, FixTable) else FixTable.from_rows(fixes)
     offset_us = cfg.zone_offset_minutes * 60 * US_PER_S
 
     def local_midnight_us(day: date) -> int:
         return epoch_day(day) * SECONDS_PER_DAY * US_PER_S - offset_us
 
-    counts: dict[str, int] = {"input_fixes": len(table)}
-    t_us = table.t_us
+    counts: dict[str, int] = {"input_fixes": len(fixes)}
+    t_us = fixes.t_us
     start_us, end_us = local_midnight_us(cfg.window_start), local_midnight_us(cfg.window_end)
     keep = (t_us >= start_us) & (t_us <= end_us)  # closed at both ends
     counts["in_window"] = int(keep.sum())
-    keep &= table.accuracy < cfg.accuracy_cutoff_m
+    keep &= fixes.accuracy < cfg.accuracy_cutoff_m
     counts["accurate"] = int(keep.sum())
 
     # dedup: per (user, day, slot) the smallest accuracy survives; ties go
     # to the earliest raw timestamp, then the smallest (lat, lon), then
     # the earlier row
     rows = np.flatnonzero(keep)
-    user = table.user.codes[rows]
+    user = fixes.user.codes[rows]
     day, slot = snap_to_slots(t_us[rows], cfg.zone_offset_minutes)
-    lat, lon = table.lat[rows], table.lon[rows]
-    order = np.lexsort((lon, lat, t_us[rows], table.accuracy[rows], slot, day, user))
+    lat, lon = fixes.lat[rows], fixes.lon[rows]
+    order = np.lexsort((lon, lat, t_us[rows], fixes.accuracy[rows], slot, day, user))
     user, day, slot, lat, lon = (col[order] for col in (user, day, slot, lat, lon))
     first = _starts(user, day, slot)
     user, day, slot, lat, lon = (col[first] for col in (user, day, slot, lat, lon))
@@ -210,10 +174,10 @@ def filter_pipeline(
     good = n_slots >= coverage_threshold(cfg.coverage_fraction)
     good_user = user[user_day_start[good]]
     good_day = day[user_day_start[good]]
-    days_per_user = np.bincount(good_user, minlength=len(table.user.values))
+    days_per_user = np.bincount(good_user, minlength=len(fixes.user.values))
 
     surveyed = {u for rec in survey for u in (rec.rater_id, rec.ratee_id)}
-    names = table.user.values
+    names = fixes.user.values
     retained_codes = [
         code
         for code in np.flatnonzero(days_per_user >= max(cfg.min_days, 1)).tolist()

@@ -14,17 +14,23 @@ Pairs live on a coarse lattice far apart from each other, so encounters
 only ever happen within a pair. The implied survey labels the
 archetypes closeness 1 (scheduled) versus 5 (social), which the
 regrouping maps to 1 versus 4.
+
+The fixes come back as a `CleanTable`. The random draws are made per
+pair and per day, in that order, and only decide each day's meeting
+slots and places; the columns are then built in bulk from those slots.
+`gps_log` turns the table into the raw GPS log that `tiediv synth`
+writes, with each fix at the UTC instant its local slot starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date
 
 import numpy as np
 
-from .ingest import SurveyRecord
-from .preprocess import SLOTS_PER_DAY, CleanFix
+from .ingest import US_PER_S, FixTable, SurveyRecord, TextColumn
+from .preprocess import SECONDS_PER_DAY, SLOT_SECONDS, SLOTS_PER_DAY, CleanTable, epoch_day
 
 # pair areas sit on a 0.1 degree lattice (~11 km apart); within a pair,
 # meeting places are ~200 m apart and solo spots ~450 m off to the side,
@@ -36,6 +42,7 @@ _LATTICE_STEP_DEG = 0.1
 _LATTICE_COLS = 20
 _PLACE_STEP_DEG = 0.002
 _SOLO_OFFSET_DEG = 0.004
+_ACCURACY_M = 8.0
 
 SCHEDULED = "scheduled"
 SOCIAL = "social"
@@ -57,7 +64,7 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthResult:
-    fixes: list[CleanFix]
+    fixes: CleanTable  # per pair and day: the meetings, then the solo slots; user a before b
     survey: list[SurveyRecord]
     archetypes: dict[tuple[str, str], str]  # canonical pair -> archetype
 
@@ -125,7 +132,11 @@ def synth_generate(cfg: SynthConfig | None = None) -> SynthResult:
     _validate(cfg)
     rng = np.random.default_rng(cfg.seed)
 
-    fixes: list[CleanFix] = []
+    users: list[str] = []  # user a and user b of each pair
+    spots: list[list[tuple[float, float]]] = []  # per pair: its places, solo a, solo b
+    slots: list[int] = []  # per pair-day: its meeting slots, then its solo slots
+    places: list[int] = []  # each slot's place index, or -1 for a solo slot
+    n_slots: list[int] = []  # slots per pair-day
     survey: list[SurveyRecord] = []
     archetypes: dict[tuple[str, str], str] = {}
 
@@ -135,11 +146,12 @@ def synth_generate(cfg: SynthConfig | None = None) -> SynthResult:
         tag = "sch" if archetype == SCHEDULED else "soc"
         user_a = f"{tag}{pair_index % n:03d}a"
         user_b = f"{tag}{pair_index % n:03d}b"
-        places, solo_a, solo_b = _pair_geometry(pair_index, cfg.n_places)
+        pair_places, solo_a, solo_b = _pair_geometry(pair_index, cfg.n_places)
+        users += [user_a, user_b]
+        spots.append(pair_places + [solo_a, solo_b])
         archetypes[(user_a, user_b)] = archetype
 
-        for day_index in range(cfg.n_days):
-            day = cfg.start_day + timedelta(days=day_index)
+        for _ in range(cfg.n_days):
             meetings: dict[int, int] = {}  # slot -> place index
             if archetype == SCHEDULED:
                 for idx in range(cfg.encounters_per_day):
@@ -152,48 +164,59 @@ def synth_generate(cfg: SynthConfig | None = None) -> SynthResult:
             else:
                 n_meet = int(rng.binomial(cfg.encounters_per_day, cfg.meet_prob))
                 if n_meet:
-                    slots = rng.choice(SLOTS_PER_DAY, size=n_meet, replace=False)
-                    for slot in sorted(int(s) for s in slots):
+                    drawn = rng.choice(SLOTS_PER_DAY, size=n_meet, replace=False)
+                    for slot in sorted(int(s) for s in drawn):
                         meetings[slot] = int(rng.integers(0, cfg.n_places))
 
+            meeting_slots = sorted(meetings)
             solo = _solo_slots(set(meetings), cfg.coverage_slots)
-            for slot, place_index in sorted(meetings.items()):
-                lat, lon = places[place_index]
-                fixes.append(CleanFix(user_a, day, slot, lat, lon))
-                fixes.append(CleanFix(user_b, day, slot, lat, lon))
-            for slot in solo:
-                fixes.append(CleanFix(user_a, day, slot, solo_a[0], solo_a[1]))
-                fixes.append(CleanFix(user_b, day, slot, solo_b[0], solo_b[1]))
+            slots += meeting_slots + solo
+            places += [meetings[slot] for slot in meeting_slots] + [-1] * len(solo)
+            n_slots.append(len(meeting_slots) + len(solo))
 
         closeness = 1 if archetype == SCHEDULED else 5
         proximity = 2 if archetype == SCHEDULED else 4
         survey.append(SurveyRecord(user_a, user_b, closeness, proximity))
         survey.append(SurveyRecord(user_b, user_a, closeness, proximity))
 
+    # two rows per slot: user a's, then user b's; a solo slot puts each at their own spot
+    pair, day = np.divmod(np.repeat(np.arange(len(n_slots)), n_slots), cfg.n_days)
+    pair, day = np.repeat(pair, 2), np.repeat(day, 2)
+    side = np.tile([0, 1], len(slots))
+    place = np.repeat(np.array(places, dtype=np.int64), 2)
+    place = np.where(place >= 0, place, cfg.n_places + side)
+    spot = np.array(spots, dtype=np.float64)  # (pair, place, lat/lon)
+    user = TextColumn.of(users)
+    fixes = CleanTable(
+        user=TextColumn(user.codes[2 * pair + side], user.values),
+        day=day + epoch_day(cfg.start_day),
+        slot=np.repeat(np.array(slots, dtype=np.int64), 2),
+        lat=spot[pair, place, 0],
+        lon=spot[pair, place, 1],
+    )
     return SynthResult(fixes=fixes, survey=survey, archetypes=archetypes)
 
 
-def fixes_to_raw_rows(
-    fixes: list[CleanFix],
-    zone_offset_minutes: int = 330,
-    accuracy_m: float = 8.0,
-) -> list[list[str]]:
-    """Serialize clean fixes as raw GPS log rows (header included).
+def gps_log(fixes: CleanTable, zone_offset_minutes: int) -> FixTable:
+    """The clean fixes as a raw GPS log: each at the UTC instant its local slot starts.
 
-    Timestamps are the local slot-start instants converted to UTC, so
-    the snapping step maps each row back onto exactly its slot.
+    Accuracy is 8 m, elevation and satellites are blank and the
+    provider is `synthetic`. Snapping at the same zone offset maps each
+    row back onto exactly its (day, slot).
     """
-    tz = timezone(timedelta(minutes=zone_offset_minutes))
-    rows = [["user_id", "timestamp", "lat", "lon", "elevation", "accuracy", "satellites", "provider"]]
-    for fix in fixes:
-        local = datetime.combine(fix.day, time(0, 0), tzinfo=tz) + timedelta(
-            seconds=fix.slot * 300
-        )
-        ts = local.astimezone(timezone.utc).isoformat()
-        rows.append(
-            [fix.user_id, ts, repr(fix.lat), repr(fix.lon), "", repr(accuracy_m), "", "synthetic"]
-        )
-    return rows
+    n = len(fixes)
+    local_s = fixes.day * SECONDS_PER_DAY + fixes.slot * SLOT_SECONDS
+    blank = TextColumn(np.zeros(n, dtype=np.int32), ("",))
+    return FixTable(
+        user=fixes.user,
+        t_us=(local_s - zone_offset_minutes * 60) * US_PER_S,
+        lat=fixes.lat,
+        lon=fixes.lon,
+        accuracy=np.full(n, _ACCURACY_M),
+        elevation=blank,
+        satellites=blank,
+        provider=TextColumn(np.zeros(n, dtype=np.int32), ("synthetic",)),
+    )
 
 
 def survey_to_rows(survey: list[SurveyRecord]) -> list[list[str]]:

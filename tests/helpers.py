@@ -3,10 +3,59 @@
 from __future__ import annotations
 
 from datetime import date, timedelta
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from tiediv.encounter import Encounter, EncounterSet
+from tiediv.ingest import FixTable, RawFix, TextColumn, to_epoch_us
+from tiediv.preprocess import CleanTable, day_of, epoch_day
 
 START = date(2016, 4, 1)
+
+
+class CleanRow(NamedTuple):
+    """One row of a CleanTable, as the tests write and read it."""
+
+    user_id: str
+    day: date
+    slot: int
+    lat: float
+    lon: float
+
+
+def fix_table(fixes: Sequence[RawFix]) -> FixTable:
+    """The FixTable of the rows' user, time, position and accuracy; other cells blank."""
+    blank = TextColumn(np.zeros(len(fixes), dtype=np.int32), ("",))
+    return FixTable(
+        user=TextColumn.of([f.user_id for f in fixes]),
+        t_us=np.array([to_epoch_us(f.timestamp) for f in fixes], dtype=np.int64),
+        lat=np.array([f.lat for f in fixes], dtype=np.float64),
+        lon=np.array([f.lon for f in fixes], dtype=np.float64),
+        accuracy=np.array([f.accuracy for f in fixes], dtype=np.float64),
+        elevation=blank,
+        satellites=blank,
+        provider=blank,
+    )
+
+
+def clean_table(rows: Sequence[tuple[str, date, int, float, float]]) -> CleanTable:
+    """The CleanTable of (user, day, slot, lat, lon) rows."""
+    return CleanTable(
+        user=TextColumn.of([row[0] for row in rows]),
+        day=np.array([epoch_day(row[1]) for row in rows], dtype=np.int64),
+        slot=np.array([row[2] for row in rows], dtype=np.int64),
+        lat=np.array([row[3] for row in rows], dtype=np.float64),
+        lon=np.array([row[4] for row in rows], dtype=np.float64),
+    )
+
+
+def clean_rows(table: CleanTable) -> list[CleanRow]:
+    """The rows of a CleanTable, in table order."""
+    users = [table.user.values[code] for code in table.user.codes.tolist()]
+    days = [day_of(d) for d in table.day.tolist()]
+    columns = (users, days, table.slot.tolist(), table.lat.tolist(), table.lon.tolist())
+    return [CleanRow(*row) for row in zip(*columns)]
 
 
 def day(offset: int) -> date:

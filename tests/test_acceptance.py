@@ -131,7 +131,7 @@ def test_c7_synthetic_hypothesis_check():
     result = synth_generate(cfg)
 
     days = tuple(cfg.start_day + timedelta(days=i) for i in range(cfg.n_days))
-    valid = {u: ValidDaySet(u, days) for u in sorted({f.user_id for f in result.fixes})}
+    valid = {u: ValidDaySet(u, days) for u in result.fixes.user.values}
     pairs = sorted({canonical_pair(r.rater_id, r.ratee_id) for r in result.survey})
     sets = detect_encounters(result.fixes, valid, threshold_m=50.0, min_common_days=7, pairs=pairs)
 

@@ -254,6 +254,11 @@ class TestStageErrors:
             ("clean_fixes.csv", "lat", "north", "lat: could not convert string to float: 'north'"),
             ("valid_days.csv", "day", "x", "day: Invalid isoformat string: 'x'"),
             ("encounters.csv", "slot", "x", "slot: invalid literal for int() with base 10: 'x'"),
+            *(
+                pytest.param(name, "user_id", "x" * 200_000, "field larger than field limit (131072)",
+                             id=f"{name}-user_id-over the csv field limit")
+                for name in ("fixes.csv", "clean_fixes.csv")
+            ),
         ],
     )
     def test_corrupted_staged_artifact(self, outdir, capsys, name, column, cell, reason):
@@ -269,6 +274,13 @@ class TestStageErrors:
         assert run(self.READ_BY[name], "-o", str(outdir)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: data row 2: {reason}\n"
+
+    def test_staged_artifacts_without_data_rows(self, outdir):
+        # no fix is accurate to 1 m: clean_fixes.csv and valid_days.csv hold only a header
+        for stage in ("ingest", "preprocess", "encounters"):
+            assert run(stage, "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), "--accuracy-cutoff", "1") == 0
+        assert read_table(outdir / "clean_fixes.csv")[2] == []
+        assert read_table(outdir / "pairs.csv")[2] == []
 
     def test_staged_row_of_the_wrong_width(self, outdir, capsys):
         assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
@@ -352,25 +364,38 @@ class TestWriteCheck:
         assert err == f"error: {path}: holds {head} lines, but {head + 3120} were written\n"
 
     @pytest.mark.parametrize("line_break", ["\n", "\r"])
-    def test_quoted_line_break_is_checked_by_a_full_parse(self, tmp_path, outdir, capsys, monkeypatch, line_break):
+    def test_quoted_line_break_is_counted(self, tmp_path, outdir, capsys, monkeypatch, line_break):
         inputs = renamed_inputs(tmp_path / "in", {"sch000a": f"sch{line_break}000a"})
         receipts = []
         check_written = artifacts.check_written
         monkeypatch.setattr(artifacts, "check_written", lambda r: receipts.append(r) or check_written(r))
         assert run("all", *inputs, "-o", str(outdir)) == 0
-        breaks = {receipt.path.name for receipt in receipts if receipt.quoted_line_break}
-        assert breaks == {"fixes.csv", "survey.csv", "clean_fixes.csv", "valid_days.csv",
-                          "pairs.csv", "encounters.csv", "features.csv"}
-        assert receipts[0].path.name == "fixes.csv" and receipts[0].rows == 3120
+        # fixes.csv: one line end per row, and one more inside each of the 600 cells of sch\n000a
+        fixes = outdir / "fixes.csv"
+        in_cells = 600 if line_break == "\n" else 0
+        assert receipts[0] == (fixes, self.head_lines(fixes) + 3120 + in_cells)
         # the staged readers read each such cell back: a rerun stage writes the same bytes
         written = hash_dir(outdir)
         for stage in ("preprocess", "encounters", "features"):
             assert run(stage, *inputs, "-o", str(outdir)) == 0, stage
         assert hash_dir(outdir) == written
-        # lines are not rows here, so only the parse can see a dropped row
         self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(islice(rows, 1, None)))
         err = self.run_ingest(tmp_path / "dropped", capsys, inputs)
-        assert err == f"error: {tmp_path / 'dropped' / 'fixes.csv'}: holds 3119 data rows, but 3120 were written\n"
+        path = tmp_path / "dropped" / "fixes.csv"
+        written = self.head_lines(path) + 3120 + in_cells
+        dropped = 1 + (line_break == "\n")  # the first row is sch\n000a's
+        assert err == f"error: {path}: holds {written - dropped} lines, but {written} were written\n"
+
+    def test_cut_inside_a_quoted_line_break(self, tmp_path, capsys, monkeypatch):
+        # each chunk loses its text up to its first "\n", which lies inside the
+        # first row's quoted user id: the rows that csv reads stay 3120
+        inputs = renamed_inputs(tmp_path / "in", {"sch000a": "sch\n000a"})
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(rows).partition("\n")[2])
+        err = self.run_ingest(tmp_path / "cut", capsys, inputs)
+        path = tmp_path / "cut" / "fixes.csv"
+        assert path.read_text(encoding="utf-8").splitlines()[self.head_lines(path)].startswith('000a",')
+        written = self.head_lines(path) + 3120 + 600
+        assert err == f"error: {path}: holds {written - 1} lines, but {written} were written\n"
 
 
 class TestSynthCommand:

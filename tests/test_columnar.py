@@ -41,7 +41,6 @@ from tiediv.ingest import (
     to_epoch_us,
 )
 from tiediv.preprocess import (
-    CleanFix,
     CleanTable,
     PreprocessConfig,
     ValidDaySet,
@@ -52,6 +51,8 @@ from tiediv.preprocess import (
     snap_to_slot,
     snap_to_slots,
 )
+
+from helpers import CleanRow, clean_rows, clean_table, fix_table
 
 UTC = timezone.utc
 OFFSETS = (-240, 0, 330, 540)
@@ -303,22 +304,23 @@ class TestTables:
         assert [f.user_id for f in table] == ["u2", "u,1", "u1"]
         assert table.user.values == ("u,1", "u1", "u2")  # sorted name table
 
-    def test_fix_table_from_rows_is_the_parsed_table(self):
+    def test_fix_table_rows_are_the_parsed_rows(self):
         text = "user_id,timestamp,lat,lon,accuracy\nb,2016-04-03T10:02:11Z,1.5,2.5,3.0\na,1459677731,1.0,2.0,0.5\n"
         table, _ = parse_gps_log(io.BytesIO(text.encode()))
         rows = list(table)
-        assert isinstance(rows[0], RawFix)
-        assert FixTable.from_rows(rows) == table
-        assert table == rows and table[-1] == rows[-1]
+        assert rows == [
+            RawFix("b", datetime(2016, 4, 3, 10, 2, 11, tzinfo=UTC), 1.5, 2.5, 3.0),
+            RawFix("a", datetime(2016, 4, 3, 10, 2, 11, tzinfo=UTC), 1.0, 2.0, 0.5),
+        ]
+        assert table[-1] == rows[-1] and table[0] == rows[0]
 
     def test_clean_table_round_trip_through_clean_fixes_csv(self, tmp_path):
         rows = [
-            CleanFix("b", date(2016, 4, 2), 5, 23.1, 72.5),
-            CleanFix("a", date(2016, 4, 1), 287, -0.0, 1e-300),
+            CleanRow("b", date(2016, 4, 2), 5, 23.1, 72.5),
+            CleanRow("a", date(2016, 4, 1), 287, -0.0, 1e-300),
         ]
-        table = CleanTable.from_rows(rows)
-        write_clean_fixes(tmp_path / "clean.csv", table, {})
-        assert list(read_clean_fixes(tmp_path / "clean.csv")) == rows
+        write_clean_fixes(tmp_path / "clean.csv", clean_table(rows), {})
+        assert clean_rows(read_clean_fixes(tmp_path / "clean.csv")) == rows
 
     @pytest.mark.parametrize("repeats", [True, False])
     def test_fix_writers_equal_a_csv_writer(self, tmp_path, repeats):
@@ -387,7 +389,7 @@ class TestTables:
         assert (tmp_path / "fixes.csv").read_bytes() == (tmp_path / "fixes_ref.csv").read_bytes()
         assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "clean_ref.csv").read_bytes()
         # every text, "cr\rlf" too, reads back as the cell it was
-        assert [fix.user_id for fix in read_clean_fixes(tmp_path / "clean.csv")] == cells(clean.user)
+        assert cells(read_clean_fixes(tmp_path / "clean.csv").user) == cells(clean.user)
 
     def test_text_column_codes_follow_string_order(self):
         column = TextColumn.of(["b", "a", "é", "B", "a"])
@@ -432,7 +434,7 @@ def reference_pipeline(fixes, survey, cfg):
     surveyed = {u for r in survey for u in (r.rater_id, r.ratee_id)}
     retained = {u for u, days in good.items() if len(days) >= cfg.min_days and u in surveyed}
     clean = [
-        CleanFix(user, day, slot, f.lat, f.lon)
+        CleanRow(user, day, slot, f.lat, f.lon)
         for (user, day, slot), f in snapped
         if user in retained and day in good[user]
     ]
@@ -494,14 +496,14 @@ def test_pipeline_and_scan_match_row_by_row_reference(seed):
         window_end=date(2016, 4, rng.randint(3, 9)), coverage_fraction=rng.choice((0.0, 0.05, 0.1)),
         min_days=rng.randint(1, 3), zone_offset_minutes=330,
     )
-    result = filter_pipeline(fixes, survey, cfg)
+    result = filter_pipeline(fix_table(fixes), survey, cfg)
     clean, valid = reference_pipeline(fixes, survey, cfg)
-    assert list(result.clean_fixes) == clean
+    assert clean_rows(result.clean_fixes) == clean
     assert result.valid_days == valid
 
     threshold = rng.choice((10.0, 35.0, 50.0, 60.0))
     min_common = rng.randint(1, 4)
     # the rows again in shuffled order, with a few repeated (user, day, slot) keys
-    rows = clean + [CleanFix(f.user_id, f.day, f.slot, f.lon % 90, f.lat) for f in rng.sample(clean, len(clean) // 20)]
+    rows = clean + [CleanRow(f.user_id, f.day, f.slot, f.lon % 90, f.lat) for f in rng.sample(clean, len(clean) // 20)]
     rng.shuffle(rows)
-    assert detect_encounters(rows, valid, threshold, min_common) == reference_detect(rows, valid, threshold, min_common)
+    assert detect_encounters(clean_table(rows), valid, threshold, min_common) == reference_detect(rows, valid, threshold, min_common)

@@ -6,7 +6,9 @@ import pytest
 
 from tiediv.encounter import canonical_pair, detect_encounters
 from tiediv.geo import geohash_encode, haversine_m
-from tiediv.preprocess import CleanFix, ValidDaySet
+from tiediv.preprocess import ValidDaySet
+
+from helpers import CleanRow, clean_table
 
 BASE_LAT, BASE_LON = 23.19, 72.63
 START = date(2016, 4, 1)
@@ -25,13 +27,13 @@ def vds(user: str, n_days: int = 8) -> ValidDaySet:
     return ValidDaySet(user_id=user, days=tuple(day(i) for i in range(n_days)))
 
 
-def fix(user: str, d: int, slot: int, dlat: float = 0.0, dlon: float = 0.0) -> CleanFix:
-    return CleanFix(user_id=user, day=day(d), slot=slot, lat=BASE_LAT + dlat, lon=BASE_LON + dlon)
+def fix(user: str, d: int, slot: int, dlat: float = 0.0, dlon: float = 0.0) -> CleanRow:
+    return CleanRow(user_id=user, day=day(d), slot=slot, lat=BASE_LAT + dlat, lon=BASE_LON + dlon)
 
 
 def detect(fixes, users=("a", "b"), threshold=50.0, min_common=7, **kwargs):
     valid = {u: vds(u) for u in users}
-    return detect_encounters(fixes, valid, threshold_m=threshold, min_common_days=min_common, **kwargs)
+    return detect_encounters(clean_table(fixes), valid, threshold_m=threshold, min_common_days=min_common, **kwargs)
 
 
 class TestDetectEncounters:
@@ -88,7 +90,7 @@ class TestDetectEncounters:
         }
         # co-located on day 0, but day 0 is not common
         fixes = [fix("a", d, 100) for d in range(8)] + [fix("b", d, 100) for d in range(8)]
-        result = detect_encounters(fixes, valid, threshold_m=50.0, min_common_days=7)
+        result = detect_encounters(clean_table(fixes), valid, threshold_m=50.0, min_common_days=7)
         es = result[("a", "b")]
         assert es.common_days == tuple(day(i) for i in range(1, 8))
         assert all(e.day != day(0) for e in es.encounters)
@@ -99,7 +101,7 @@ class TestDetectEncounters:
             "a": ValidDaySet("a", tuple(day(i) for i in range(6))),
             "b": ValidDaySet("b", tuple(day(i) for i in range(6))),
         }
-        result = detect_encounters([fix("a", 0, 100), fix("b", 0, 100)], valid, min_common_days=7)
+        result = detect_encounters(clean_table([fix("a", 0, 100), fix("b", 0, 100)]), valid, min_common_days=7)
         assert result == {}
 
     def test_eligible_pair_without_encounters_gets_empty_set(self):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from tiediv import ingest
 from tiediv.cli import main
 from tiediv.ingest import (
+    CHUNK_ROWS,
     IngestOptions,
     SchemaError,
     parse_gps_log,
@@ -80,12 +82,12 @@ class TestParseGpsLog:
         fixes, report = parse_gps_log(
             gps_source("u1,2016-04-03T10:02:11Z,91.2,72.628,,36.0,,gps")
         )
-        assert fixes == []
+        assert len(fixes) == 0
         assert report.entries == [(2, "lat out of range")]
 
     def test_empty_file_with_header(self):
         fixes, report = parse_gps_log(gps_source())
-        assert fixes == []
+        assert len(fixes) == 0
         assert report.n_rejected == 0
         assert report.n_accepted == 0
 
@@ -146,7 +148,7 @@ class TestParseGpsLog:
         fixes1, report1 = parse_gps_log(gps_source(*rows))
         fixes2, report2 = parse_gps_log(gps_source(*rows))
         assert report1.n_accepted + report1.n_rejected == len(rows)
-        assert fixes1 == fixes2
+        assert list(fixes1) == list(fixes2)
         assert report1.entries == report2.entries
 
 
@@ -280,7 +282,7 @@ class TestByteOrderMark:
         fixes, report = parse_gps_log(io.BytesIO(b"\xef\xbb\xbf" + plain))
         assert [f.user_id for f in fixes] == ["u1"]
         assert report.entries == []
-        assert fixes == parse_gps_log(io.BytesIO(plain))[0]
+        assert list(fixes) == list(parse_gps_log(io.BytesIO(plain))[0])
 
     def test_survey_with_bom(self):
         plain = survey_source("A,B,5,4", "A,A,3,2").getvalue()
@@ -292,3 +294,41 @@ class TestByteOrderMark:
         text = "\ufeffrater_id,ratee_id,closeness,proximity\nA,B,5,4\n"
         records, _ = parse_survey(io.StringIO(text))
         assert [r.rater_id for r in records] == ["A"]
+
+
+class TestOversizedField:
+    """A cell over csv's field size limit is a rejected row, not a crash."""
+
+    BIG = "x" * 200_000
+    REASON = "field larger than field limit (131072)"
+    GPS_ROWS = (
+        "u1,2016-04-03T10:02:11Z,23.1,72.6,,30,,gps",
+        f"{BIG},2016-04-03T10:02:11Z,23.1,72.6,,30,,gps",
+        "u2,2016-04-03T10:04:11Z,23.2,72.7,,12,,gps",
+        "u3,later,23.2,72.7,,12,,gps",
+    )
+
+    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 2])
+    def test_gps_row_rejected_and_reading_goes_on(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        fixes, report = parse_gps_log(gps_source(*self.GPS_ROWS))
+        assert report.entries == [(3, self.REASON), (5, "unparseable timestamp: 'later'")]
+        assert [f.user_id for f in fixes] == ["u1", "u2"]
+
+    def test_survey_row_rejected_and_reading_goes_on(self):
+        records, report = parse_survey(survey_source("A,B,5,4", f"A,{self.BIG},3,2", "B,A,4,3"))
+        assert report.entries == [(3, self.REASON)]
+        assert [(r.rater_id, r.ratee_id) for r in records] == [("A", "B"), ("B", "A")]
+
+    def test_oversized_header_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match=re.escape(f"line 2: {self.REASON}")):
+            parse_survey(io.BytesIO(f"# export\nrater_id,{self.BIG}\nA,B,5,4\n".encode()))
+
+    def test_ingest_exits_zero(self, tmp_path):
+        gps = tmp_path / "gps.csv"
+        gps.write_bytes(gps_source(*self.GPS_ROWS).getvalue())
+        survey = Path(__file__).parent / "data" / "mini_survey.csv"
+        out = tmp_path / "out"
+        assert main(["ingest", "--gps", str(gps), "--survey", str(survey), "-o", str(out)]) == 0
+        rejects = (out / "ingest_rejects.txt").read_text(encoding="utf-8")
+        assert rejects.startswith(f"== gps ==\n3\t{self.REASON}\n5\t")

@@ -17,6 +17,8 @@ from tiediv.preprocess import (
     snap_to_slot,
 )
 
+from helpers import clean_rows, fix_table
+
 IST = timezone(timedelta(minutes=330))
 UTC = timezone.utc
 
@@ -68,7 +70,7 @@ def candidate(user="u1", slot=100, lat=23.19, lon=72.63, accuracy=10.0, offset_s
 def survivors(fixes):
     """The clean fixes of a pipeline run that keeps every user-day: dedup only."""
     config = PreprocessConfig(coverage_fraction=0.0, min_days=1)
-    return list(filter_pipeline(fixes, [SurveyRecord("u1", "u2", 3, 3)], config).clean_fixes)
+    return clean_rows(filter_pipeline(fix_table(fixes), [SurveyRecord("u1", "u2", 3, 3)], config).clean_fixes)
 
 
 class TestDedupe:
@@ -190,25 +192,25 @@ class TestFilterPipeline:
             )
         ]
         assert len(fixes) - len(removed_one) == 1
-        result = filter_pipeline(removed_one, SURVEY)
+        result = filter_pipeline(fix_table(removed_one), SURVEY)
         assert result.valid_days["u1"].days == tuple(
             date(2016, 4, 2) + timedelta(days=i) for i in range(5)
         )
 
     def test_day_with_58_slots_kept(self):
-        result = filter_pipeline(build_user_days("u1", 6, 58) + build_user_days("u2", 6, 58), SURVEY)
+        result = filter_pipeline(fix_table(build_user_days("u1", 6, 58) + build_user_days("u2", 6, 58)), SURVEY)
         assert len(result.valid_days["u1"].days) == 6
 
     def test_user_with_four_days_dropped(self):
         fixes = build_user_days("u1", 4, 60) + build_user_days("u2", 6, 60)
-        result = filter_pipeline(fixes, SURVEY)
+        result = filter_pipeline(fix_table(fixes), SURVEY)
         assert "u1" not in result.retained_users
         # u2 keeps its days regardless
         assert len(result.valid_days["u2"].days) == 6
 
     def test_user_missing_from_survey_dropped(self):
         fixes = build_user_days("u1", 6, 60) + build_user_days("u3", 6, 60)
-        result = filter_pipeline(fixes, SURVEY)
+        result = filter_pipeline(fix_table(fixes), SURVEY)
         assert result.retained_users == frozenset({"u1"})
 
     def test_accuracy_cutoff(self):
@@ -216,15 +218,15 @@ class TestFilterPipeline:
         bad = [
             RawFix(f.user_id, f.timestamp, f.lat, f.lon, accuracy=60.0) for f in good
         ]
-        result = filter_pipeline(bad, SURVEY)
-        assert result.clean_fixes == []
+        result = filter_pipeline(fix_table(bad), SURVEY)
+        assert len(result.clean_fixes) == 0
         assert result.warnings  # structured warning, not a crash
 
     def test_date_window(self):
         march = [
             raw("u1", datetime(2016, 3, 20, 10, 0, tzinfo=IST).astimezone(UTC))
         ]
-        result = filter_pipeline(march + build_user_days("u1", 6, 60) + build_user_days("u2", 6, 60), SURVEY)
+        result = filter_pipeline(fix_table(march + build_user_days("u1", 6, 60) + build_user_days("u2", 6, 60)), SURVEY)
         assert result.counts["in_window"] == result.counts["input_fixes"] - 1
 
     def test_window_is_closed_at_both_ends(self):
@@ -233,21 +235,21 @@ class TestFilterPipeline:
         one_us = timedelta(microseconds=1)
         inside = [raw("u1", t.astimezone(UTC)) for t in edges]
         outside = [raw("u1", (edges[0] - one_us).astimezone(UTC)), raw("u1", (edges[1] + one_us).astimezone(UTC))]
-        assert filter_pipeline(inside + outside, SURVEY, cfg).counts["in_window"] == 2
+        assert filter_pipeline(fix_table(inside + outside), SURVEY, cfg).counts["in_window"] == 2
 
     def test_no_clean_fix_on_invalid_day(self):
         fixes = build_user_days("u1", 6, 60) + build_user_days("u2", 6, 60)
         # u1 gets a sparse extra day that must not survive
         sparse_day = datetime(2016, 4, 20, 10, 0, tzinfo=IST)
         fixes.append(raw("u1", sparse_day.astimezone(UTC)))
-        result = filter_pipeline(fixes, SURVEY)
+        result = filter_pipeline(fix_table(fixes), SURVEY)
         assert date(2016, 4, 20) not in result.valid_days["u1"].days
-        assert all(f.day != date(2016, 4, 20) for f in result.clean_fixes)
+        assert all(f.day != date(2016, 4, 20) for f in clean_rows(result.clean_fixes))
 
     def test_idempotent_on_own_output(self):
         fixes = build_user_days("u1", 6, 60) + build_user_days("u2", 8, 70)
-        first = filter_pipeline(fixes, SURVEY)
-        assert first.clean_fixes
+        first = filter_pipeline(fix_table(fixes), SURVEY)
+        assert len(first.clean_fixes)
         re_expressed = [
             RawFix(
                 user_id=f.user_id,
@@ -259,16 +261,16 @@ class TestFilterPipeline:
                 lon=f.lon,
                 accuracy=0.0,
             )
-            for f in first.clean_fixes
+            for f in clean_rows(first.clean_fixes)
         ]
-        second = filter_pipeline(re_expressed, SURVEY)
-        assert second.clean_fixes == first.clean_fixes
+        second = filter_pipeline(fix_table(re_expressed), SURVEY)
+        assert clean_rows(second.clean_fixes) == clean_rows(first.clean_fixes)
         assert second.valid_days == first.valid_days
         assert second.retained_users == first.retained_users
 
     def test_cross_midnight_snap_attributes_next_day(self):
         late = raw("u1", local(3, 23, 58, 40))
         fixes = [late] + build_user_days("u1", 6, 60) + build_user_days("u2", 6, 60)
-        result = filter_pipeline(fixes, SURVEY)
+        result = filter_pipeline(fix_table(fixes), SURVEY)
         # the rolled fix lands on Apr 4 slot 0, which is occupied anyway
         assert date(2016, 4, 4) in result.valid_days["u1"].days

@@ -1,10 +1,11 @@
 """Synthetic trace generator: determinism, feasibility, archetype contrast."""
 
 from datetime import date, timedelta
-import io
 
 import pytest
 
+from tiediv.artifacts import read_clean_fixes, write_fixes
+from tiediv.cli import main
 from tiediv.encounter import canonical_pair, detect_encounters
 from tiediv.features import temporal_diversity
 from tiediv.ingest import parse_gps_log
@@ -13,18 +14,19 @@ from tiediv.synth import (
     SCHEDULED,
     SOCIAL,
     SynthConfig,
-    fixes_to_raw_rows,
+    gps_log,
     survey_to_rows,
     synth_generate,
 )
+
+from helpers import clean_rows
 
 SMALL = SynthConfig(n_pairs_per_archetype=5, n_days=10, seed=42)
 
 
 def run_detection(result, cfg, pairs=None, threshold=50.0):
     days = tuple(cfg.start_day + timedelta(days=i) for i in range(cfg.n_days))
-    users = sorted({f.user_id for f in result.fixes})
-    valid = {u: ValidDaySet(u, days) for u in users}
+    valid = {u: ValidDaySet(u, days) for u in result.fixes.user.values}
     if pairs is None:
         pairs = sorted({canonical_pair(r.rater_id, r.ratee_id) for r in result.survey})
     return detect_encounters(
@@ -36,21 +38,21 @@ class TestDeterminism:
     def test_same_seed_identical_output(self):
         a = synth_generate(SMALL)
         b = synth_generate(SMALL)
-        assert a.fixes == b.fixes
+        assert clean_rows(a.fixes) == clean_rows(b.fixes)
         assert a.survey == b.survey
         assert a.archetypes == b.archetypes
 
     def test_different_seed_differs(self):
         a = synth_generate(SMALL)
         b = synth_generate(SynthConfig(n_pairs_per_archetype=5, n_days=10, seed=43))
-        assert a.fixes != b.fixes
+        assert clean_rows(a.fixes) != clean_rows(b.fixes)
 
 
 class TestStructure:
     def test_coverage_slots_per_user_day(self):
         result = synth_generate(SMALL)
         per_user_day = {}
-        for fix in result.fixes:
+        for fix in clean_rows(result.fixes):
             per_user_day.setdefault((fix.user_id, fix.day), set()).add(fix.slot)
         assert all(len(slots) == SMALL.coverage_slots for slots in per_user_day.values())
         n_users = 4 * SMALL.n_pairs_per_archetype
@@ -70,7 +72,7 @@ class TestStructure:
         cfg = SynthConfig(n_pairs_per_archetype=2, n_days=8, seed=3)
         result = synth_generate(cfg)
         # scan all pairs of users, not just surveyed ones
-        users = sorted({f.user_id for f in result.fixes})
+        users = result.fixes.user.values
         all_pairs = [(a, b) for i, a in enumerate(users) for b in users[i + 1 :]]
         sets = run_detection(result, cfg, pairs=all_pairs)
         surveyed = {canonical_pair(r.rater_id, r.ratee_id) for r in result.survey}
@@ -141,19 +143,18 @@ class TestConfigValidation:
 
 
 class TestRawSerialization:
-    def test_round_trip_through_parser_and_snapping(self):
+    def test_round_trip_through_parser_and_snapping(self, tmp_path):
         cfg = SynthConfig(n_pairs_per_archetype=1, n_days=8, seed=9)
         result = synth_generate(cfg)
-        rows = fixes_to_raw_rows(result.fixes, zone_offset_minutes=330)
-        text = "\n".join(",".join(r) for r in rows) + "\n"
-        parsed, report = parse_gps_log(io.BytesIO(text.encode()))
+        write_fixes(tmp_path / "gps.csv", gps_log(result.fixes, zone_offset_minutes=330), {})
+        with open(tmp_path / "gps.csv", "rb") as handle:
+            parsed, report = parse_gps_log(handle)
         assert report.n_rejected == 0
         assert len(parsed) == len(result.fixes)
         snapped = [
             (f.user_id, *snap_to_slot(f.timestamp, 330), f.lat, f.lon) for f in parsed
         ]
-        original = [(f.user_id, f.day, f.slot, f.lat, f.lon) for f in result.fixes]
-        assert snapped == original
+        assert snapped == clean_rows(result.fixes)
 
     def test_survey_rows_round_trip(self):
         result = synth_generate(SynthConfig(n_pairs_per_archetype=1, n_days=8, seed=9))
@@ -163,3 +164,18 @@ class TestRawSerialization:
 
     def test_start_day_within_default_window(self):
         assert SynthConfig().start_day == date(2016, 4, 1)
+
+
+@pytest.mark.parametrize("offset", [-240, 0, 330, 540])
+def test_synth_ingest_preprocess_recovers_the_fixes(tmp_path, offset):
+    # every synthetic user-day passes the cleaning, so preprocess gives back
+    # exactly synth's fixes, in (user, day, slot) order
+    synth_args = ["--synth-pairs", "2", "--synth-days", "6", "--seed", "5"]
+    zone = ["--zone-offset", str(offset)]
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert main(["synth", "-o", str(gen), *synth_args, *zone]) == 0
+    inputs = ["--gps", str(gen / "synth_gps.csv"), "--survey", str(gen / "synth_survey.csv")]
+    for stage in ("ingest", "preprocess"):
+        assert main([stage, *inputs, "-o", str(out), *zone]) == 0
+    fixes = synth_generate(SynthConfig(n_pairs_per_archetype=2, n_days=6, seed=5)).fixes
+    assert clean_rows(read_clean_fixes(out / "clean_fixes.csv")) == sorted(clean_rows(fixes))
