@@ -2,8 +2,8 @@
 
 from .encounter import Encounter, EncounterSet, detect_encounters
 from .features import (
+    FeatureRow,
     Observation,
-    PairFeatures,
     build_observations,
     compute_pair_features,
     hill_diversity,
@@ -33,9 +33,9 @@ __all__ = [
     "CleanTable",
     "Encounter",
     "EncounterSet",
+    "FeatureRow",
     "FixTable",
     "Observation",
-    "PairFeatures",
     "PreprocessConfig",
     "RawFix",
     "RegressionResult",

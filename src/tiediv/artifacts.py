@@ -19,8 +19,8 @@ character. `write_table` writes rows of any values the same way: each
 distinct cell text of a chunk is quoted once.
 
 Every writer checks what it formats, once per distinct text: each quoted
-cell must parse back through csv to its text, and each float, day and
-slot text must read back, as the reader reads it, to its value's bits;
+cell must parse back through csv to its text, and each float, time, day
+and slot text must read back, as the reader reads it, to its value's bits;
 otherwise it raises ValueError naming the artifact. It returns a
 `Receipt`: the path and the number of line ends ("\n") it wrote, one
 per meta line, header and data row plus each one inside a cell, counted
@@ -63,10 +63,12 @@ from .ingest import (
     convert_gps,
     convert_survey,
     gc_paused,
+    timestamps_us,
 )
 from .preprocess import CleanTable, ValidDaySet, epoch_day
 
-_DAY_SEP = "|"
+# joins the items of a tuple cell: `pairs.csv` common_days, `subgroups.csv` outliers
+_ITEM_SEP = "|"
 
 
 def file_sha256(path: str | Path) -> str:
@@ -78,7 +80,7 @@ def file_sha256(path: str | Path) -> str:
 
 
 def fmt(value) -> str:
-    """Canonical cell text: shortest round-trip floats, '' for absent."""
+    """Canonical cell text: shortest round-trip floats, '' for absent, a tuple's items joined by '|'."""
     if type(value) is str:
         return value
     if value is None:
@@ -87,6 +89,8 @@ def fmt(value) -> str:
         return repr(value)
     if isinstance(value, date):
         return value.isoformat()
+    if isinstance(value, tuple):
+        return _ITEM_SEP.join(map(fmt, value))
     return str(value)
 
 
@@ -425,7 +429,7 @@ def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> R
         def columns(rows: slice) -> list[list[str]]:
             return [
                 user(rows),
-                iso_utc_texts(fixes.t_us[rows]),
+                _distinct_texts(fixes.t_us[rows], iso_utc_texts, lambda texts: timestamps_us(texts)[0]),
                 _float_cells(fixes.lat[rows]),
                 _float_cells(fixes.lon[rows]),
                 elevation(rows),
@@ -442,14 +446,13 @@ def read_fixes(path: str | Path) -> FixTable:
     return FixTable.concat(_converted(path, FIX_COLUMNS, convert_gps))
 
 
-SURVEY_COLUMNS = ("rater_id", "ratee_id", "closeness_raw", "proximity_raw")
+SURVEY_COLUMNS = SurveyRecord._fields
 
 
 def write_survey(
-    path: str | Path, records: Iterable[SurveyRecord], meta: Mapping[str, str]
+    path: str | Path, records: Sequence[SurveyRecord], meta: Mapping[str, str]
 ) -> Receipt:
-    rows = [(r.rater_id, r.ratee_id, r.closeness_raw, r.proximity_raw) for r in records]
-    return write_table(path, meta, SURVEY_COLUMNS, rows)
+    return write_table(path, meta, SURVEY_COLUMNS, records)
 
 
 def read_survey(path: str | Path) -> list[SurveyRecord]:
@@ -544,21 +547,14 @@ def write_pairs(
     encounter_sets: Mapping[tuple[str, str], EncounterSet],
     meta: Mapping[str, str],
 ) -> Receipt:
-    rows = []
-    for pair in sorted(encounter_sets):
-        es = encounter_sets[pair]
-        rows.append(
-            (
-                es.user_lo,
-                es.user_hi,
-                es.n_common_days,
-                _DAY_SEP.join(d.isoformat() for d in es.common_days),
-            )
-        )
+    rows = [
+        (es.user_lo, es.user_hi, es.n_common_days, es.common_days)
+        for _, es in sorted(encounter_sets.items())
+    ]
     return write_table(path, meta, PAIR_COLUMNS, rows)
 
 
-ENCOUNTER_COLUMNS = ("user_lo", "user_hi", "day", "slot", "cell")
+ENCOUNTER_COLUMNS = Encounter._fields
 
 
 def write_encounters(
@@ -566,15 +562,12 @@ def write_encounters(
     encounter_sets: Mapping[tuple[str, str], EncounterSet],
     meta: Mapping[str, str],
 ) -> Receipt:
-    rows = []
-    for pair in sorted(encounter_sets):
-        for enc in encounter_sets[pair].encounters:
-            rows.append((enc.user_lo, enc.user_hi, enc.day, enc.slot, enc.cell))
+    rows = [enc for pair in sorted(encounter_sets) for enc in encounter_sets[pair].encounters]
     return write_table(path, meta, ENCOUNTER_COLUMNS, rows)
 
 
 def _common_days(text: str) -> tuple[date, ...]:
-    return tuple(date.fromisoformat(part) for part in text.split(_DAY_SEP) if part)
+    return tuple(date.fromisoformat(part) for part in text.split(_ITEM_SEP) if part)
 
 
 def read_encounter_sets(

@@ -20,6 +20,11 @@ its receipt: it ends with a line end and holds exactly the line ends its
 writer wrote, one per meta line, header and data row plus each "\n"
 inside a quoted cell, so no row is missing, cut short or split.
 
+The analysis stages (features, compare, sweep-t, sweep-q, subgroups,
+evolve) are one function, `_analysis_stage`: each writes the rows its
+function computes from the observations, and a row type's fields are its
+artifact's columns, in order.
+
 `synth` writes its generated fixes through the same fix writer as
 `ingest`, as a raw GPS log that `ingest` reads back.
 """
@@ -184,102 +189,55 @@ def _load_observations(cfg: RunConfig, written: Written | None):
     return observations, [enc_path, pairs_path, survey_path]
 
 
-def stage_features(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
-    observations, inputs = _load_observations(cfg, written)
-    meta = _meta(cfg, *inputs)
-    meta["zero_encounter_pairs"] = "included with diversity 0"
-    rows = []
-    for obs in observations:
-        pf = features.compute_pair_features(obs.encounters, cfg.width_t, cfg.q)
-        rows.append(
-            (
-                obs.rater_id,
-                obs.ratee_id,
-                pf.temporal_diversity,
-                pf.location_diversity,
-                pf.mean_encounters_per_day,
-                pf.n_encounters,
-                pf.n_common_days,
-            )
-        )
-    receipt = artifacts.write_table(
-        _out(cfg, "features.csv"),
-        meta,
-        (
-            "rater",
-            "ratee",
-            "temporal_diversity",
-            "location_diversity",
-            "mean_encounters",
-            "n_encounters",
-            "n_common_days",
-        ),
-        rows,
-    )
-    print(f"features: {len(rows)} observations")
-    return [receipt]
+def _analysis_stage(
+    artifact: str,
+    row_type: type,
+    rows_of: Callable[[list[features.Observation], RunConfig], list],
+    **extra_meta: str,
+) -> Callable[..., list[Receipt]]:
+    """A stage that writes `rows_of(observations, cfg)` to `artifact`, `row_type`'s fields as columns."""
+
+    def stage(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+        observations, inputs = _load_observations(cfg, written)
+        rows = rows_of(observations, cfg)
+        meta = {**_meta(cfg, *inputs), **extra_meta}
+        return [artifacts.write_table(_out(cfg, artifact), meta, row_type._fields, rows)]
+
+    return stage
 
 
-def stage_compare(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
-    observations, inputs = _load_observations(cfg, written)
-    results = experiments.compare_features(observations, cfg.width_t)
-    rows = []
-    for fr in results:
-        if fr.result is None:
-            rows.append((fr.feature, None, None, None, None, fr.error))
-        else:
-            r = fr.result
-            rows.append((fr.feature, r.n, r.f_value, r.p_value, r.r, None))
-    columns = ("feature", "n", "f_value", "p_value", "r", "error")
-    return [artifacts.write_table(_out(cfg, "compare.csv"), _meta(cfg, *inputs), columns, rows)]
-
-
-def stage_sweep_t(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
-    observations, inputs = _load_observations(cfg, written)
-    rows = experiments.sweep_width(observations, cfg.width_grid)
-    out_rows = [(int(r.parameter), r.f_value, r.p_value, r.error) for r in rows]
-    columns = ("width_t", "f_value", "p_value", "error")
-    return [artifacts.write_table(_out(cfg, "sweep_t.csv"), _meta(cfg, *inputs), columns, out_rows)]
-
-
-def stage_sweep_q(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
-    observations, inputs = _load_observations(cfg, written)
-    rows = experiments.sweep_q(observations, cfg.q_grid, cfg.width_t)
-    out_rows = [(r.parameter, r.f_value, r.p_value, r.error) for r in rows]
-    columns = ("q", "f_value", "p_value", "error")
-    return [artifacts.write_table(_out(cfg, "sweep_q.csv"), _meta(cfg, *inputs), columns, out_rows)]
-
-
-def stage_subgroups(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
-    observations, inputs = _load_observations(cfg, written)
-    summaries = experiments.subgroup_distributions(observations, cfg.width_t)
-    rows = [
-        (
-            s.feature,
-            s.closeness,
-            s.count,
-            s.mean,
-            s.minimum,
-            s.q1,
-            s.median,
-            s.q3,
-            s.maximum,
-            "|".join(repr(v) for v in s.outliers),
-        )
-        for s in summaries
-    ]
-    columns = ("feature", "closeness", "count", "mean", "min", "q1", "median", "q3", "max", "outliers")
-    return [artifacts.write_table(_out(cfg, "subgroups.csv"), _meta(cfg, *inputs), columns, rows)]
-
-
-def stage_evolve(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
-    observations, inputs = _load_observations(cfg, written)
-    rows_in = experiments.evolution(
-        observations, range(1, cfg.max_horizon + 1), cfg.width_t
-    )
-    rows = [(r.closeness, r.d, r.mean_temporal_diversity, r.n) for r in rows_in]
-    columns = ("closeness", "d", "mean_temporal_diversity", "n")
-    return [artifacts.write_table(_out(cfg, "evolution.csv"), _meta(cfg, *inputs), columns, rows)]
+# each looks its function up when it runs, so a wrapper set on the module takes effect
+stage_features = _analysis_stage(
+    "features.csv",
+    features.FeatureRow,
+    lambda obs, cfg: [features.compute_pair_features(o, cfg.width_t, cfg.q) for o in obs],
+    zero_encounter_pairs="included with diversity 0",
+)
+stage_compare = _analysis_stage(
+    "compare.csv",
+    experiments.CompareRow,
+    lambda obs, cfg: experiments.compare_features(obs, cfg.width_t),
+)
+stage_sweep_t = _analysis_stage(
+    "sweep_t.csv",
+    experiments.WidthRow,
+    lambda obs, cfg: experiments.sweep_width(obs, cfg.width_grid),
+)
+stage_sweep_q = _analysis_stage(
+    "sweep_q.csv",
+    experiments.OrderRow,
+    lambda obs, cfg: experiments.sweep_q(obs, cfg.q_grid, cfg.width_t),
+)
+stage_subgroups = _analysis_stage(
+    "subgroups.csv",
+    experiments.SubgroupRow,
+    lambda obs, cfg: experiments.subgroup_distributions(obs, cfg.width_t),
+)
+stage_evolve = _analysis_stage(
+    "evolution.csv",
+    experiments.EvolutionRow,
+    lambda obs, cfg: experiments.evolution(obs, range(1, cfg.max_horizon + 1), cfg.width_t),
+)
 
 
 def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:

@@ -10,6 +10,10 @@ from its type (`parse` in the field metadata overrides it), and its
 flag is `--` plus the dashed field name unless `flags` in the metadata
 lists other spellings. A config-file key may be the field name or any
 long flag without its dashes.
+
+`q` sets the order of `features.csv`'s `temporal_diversity` only:
+compare, subgroups, evolve and sweep-t use Shannon diversity, and
+sweep-q uses the orders of `q_grid`.
 """
 
 from __future__ import annotations

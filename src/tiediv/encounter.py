@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,9 +30,11 @@ GEOHASH_LENGTH = 8
 DEFAULT_THRESHOLD_M = 50.0
 
 
-@dataclass(frozen=True)
-class Encounter:
-    """One co-occurrence of a user pair in a (day, slot) at a cell."""
+class Encounter(NamedTuple):
+    """One co-occurrence of a user pair in a (day, slot) at a cell.
+
+    Its fields are the columns of `encounters.csv`.
+    """
 
     user_lo: str
     user_hi: str  # canonical order: user_lo < user_hi

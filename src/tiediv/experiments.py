@@ -4,23 +4,22 @@ Every function here is a pure, deterministic map from observations to
 table rows: interval-width sweeps, diversity-order sweeps, the
 three-feature comparison, per-closeness distribution summaries, and the
 evolution of temporal diversity as the common-day horizon grows.
+
+A row type's fields are its artifact's columns, in order: `cli` writes
+`compare.csv`, `sweep_t.csv`, `sweep_q.csv`, `subgroups.csv` and
+`evolution.csv` from `CompareRow`, `WidthRow`, `OrderRow`, `SubgroupRow`
+and `EvolutionRow`, one row per tuple. None is an empty cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .features import (
-    DEFAULT_WIDTH_T,
-    Observation,
-    location_diversity,
-    mean_encounters,
-    temporal_diversity,
-)
-from .stats import RegressionResult, StatsError, evaluate_feature
+from .encounter import EncounterSet
+from .features import DEFAULT_WIDTH_T, Observation, compute_pair_features, temporal_diversity
+from .stats import StatsError, evaluate_feature
 
 DEFAULT_WIDTH_GRID = (5, 15, 30, 60, 90, 120, 180, 240, 360, 720)
 DEFAULT_Q_GRID = tuple(round(i / 10, 1) for i in range(1, 21) if i != 10)
@@ -30,43 +29,51 @@ CLOSENESS_LABELS = (0, 1, 2, 3, 4)
 FEATURE_NAMES = ("location_diversity", "mean_encounters", "temporal_diversity")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """F-test outcome at one sweep point (interval width or order q)."""
-
-    parameter: float
-    f_value: float | None
-    p_value: float | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class FeatureResult:
-    """One feature's regression outcome, or the reason it has none."""
+class CompareRow(NamedTuple):
+    """One feature regressed on closeness, or the reason it has no regression."""
 
     feature: str
-    result: RegressionResult | None = None
+    n: int | None = None
+    f_value: float | None = None
+    p_value: float | None = None
+    r: float | None = None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SubgroupSummary:
+class WidthRow(NamedTuple):
+    """F-test of Shannon temporal diversity at one interval width."""
+
+    width_t: int
+    f_value: float | None
+    p_value: float | None
+    error: str | None
+
+
+class OrderRow(NamedTuple):
+    """F-test of Renyi temporal diversity at one order q."""
+
+    q: float
+    f_value: float | None
+    p_value: float | None
+    error: str | None
+
+
+class SubgroupRow(NamedTuple):
     """Distribution of one feature within one closeness subgroup."""
 
     feature: str
     closeness: int
     count: int
-    mean: float | None
-    minimum: float | None
-    q1: float | None
-    median: float | None
-    q3: float | None
-    maximum: float | None
+    mean: float | None = None
+    min: float | None = None
+    q1: float | None = None
+    median: float | None = None
+    q3: float | None = None
+    max: float | None = None
     outliers: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class EvolutionRow:
+class EvolutionRow(NamedTuple):
     """Mean temporal diversity of a subgroup at a common-day horizon d."""
 
     closeness: int
@@ -75,114 +82,82 @@ class EvolutionRow:
     n: int
 
 
-def _closeness_vector(observations: Sequence[Observation]) -> list[float]:
-    return [float(obs.closeness) for obs in observations]
-
-
-def _evaluate(
-    name: str, values: Sequence[float], target: Sequence[float]
-) -> tuple[RegressionResult | None, str | None]:
+def _regress(
+    feature: str, values: Sequence[float], observations: Sequence[Observation]
+) -> CompareRow:
+    """A feature column regressed on the observations' closeness."""
+    target = [float(obs.closeness) for obs in observations]
     try:
-        return evaluate_feature(name, values, target), None
+        fit = evaluate_feature(feature, values, target)
     except StatsError as exc:
-        return None, str(exc)
+        return CompareRow(feature, error=str(exc))
+    return CompareRow(feature, fit.n, fit.f_value, fit.p_value, fit.r)
+
+
+def _sweep(
+    row_type: type,
+    observations: Sequence[Observation],
+    grid: Iterable,
+    diversity: Callable[[EncounterSet, object], float],
+) -> list:
+    """One `row_type(value, f_value, p_value, error)` per distinct grid value, ascending."""
+    rows = []
+    for value in sorted(set(grid)):
+        values = [diversity(obs.encounters, value) for obs in observations]
+        fit = _regress("temporal_diversity", values, observations)
+        rows.append(row_type(value, fit.f_value, fit.p_value, fit.error))
+    return rows
 
 
 def sweep_width(
     observations: Sequence[Observation],
     widths: Iterable[int] = DEFAULT_WIDTH_GRID,
-) -> list[SweepRow]:
+) -> list[WidthRow]:
     """F-test temporal diversity (Shannon) against closeness per width."""
-    target = _closeness_vector(observations)
-    rows = []
-    for width in sorted(set(widths)):
-        values = [temporal_diversity(o.encounters, width) for o in observations]
-        result, error = _evaluate(f"temporal_diversity(t={width})", values, target)
-        if result is None:
-            rows.append(SweepRow(parameter=float(width), f_value=None, p_value=None, error=error))
-        else:
-            rows.append(
-                SweepRow(parameter=float(width), f_value=result.f_value, p_value=result.p_value)
-            )
-    return rows
+    return _sweep(WidthRow, observations, widths, temporal_diversity)
 
 
 def sweep_q(
     observations: Sequence[Observation],
     orders: Iterable[float] = DEFAULT_Q_GRID,
     width_t: int = DEFAULT_WIDTH_T,
-) -> list[SweepRow]:
+) -> list[OrderRow]:
     """F-test Renyi temporal diversity against closeness per order q."""
-    target = _closeness_vector(observations)
-    rows = []
-    for q in sorted(set(orders)):
-        values = [temporal_diversity(o.encounters, width_t, q) for o in observations]
-        result, error = _evaluate(f"temporal_diversity(q={q})", values, target)
-        if result is None:
-            rows.append(SweepRow(parameter=q, f_value=None, p_value=None, error=error))
-        else:
-            rows.append(SweepRow(parameter=q, f_value=result.f_value, p_value=result.p_value))
-    return rows
+    return _sweep(OrderRow, observations, orders, lambda es, q: temporal_diversity(es, width_t, q))
 
 
-def _feature_values(
-    observations: Sequence[Observation], feature: str, width_t: int
-) -> list[float]:
-    if feature == "location_diversity":
-        return [location_diversity(o.encounters) for o in observations]
-    if feature == "mean_encounters":
-        return [
-            mean_encounters(o.encounters, o.encounters.n_common_days)
-            for o in observations
-        ]
-    if feature == "temporal_diversity":
-        return [temporal_diversity(o.encounters, width_t) for o in observations]
-    raise ValueError(f"unknown feature: {feature}")
+def _feature_columns(
+    observations: Sequence[Observation], width_t: int
+) -> dict[str, list[float]]:
+    """Each of FEATURE_NAMES as a column over the observations (Shannon diversity)."""
+    rows = [compute_pair_features(obs, width_t) for obs in observations]
+    return {feature: [getattr(row, feature) for row in rows] for feature in FEATURE_NAMES}
 
 
 def compare_features(
     observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T
-) -> list[FeatureResult]:
+) -> list[CompareRow]:
     """Regress each of the three features against reported closeness.
 
     A degenerate feature column yields an error row; the other features
     are still evaluated.
     """
-    target = _closeness_vector(observations)
-    rows = []
-    for feature in FEATURE_NAMES:
-        values = _feature_values(observations, feature, width_t)
-        result, error = _evaluate(feature, values, target)
-        rows.append(FeatureResult(feature=feature, result=result, error=error))
-    return rows
+    columns = _feature_columns(observations, width_t)
+    return [_regress(feature, values, observations) for feature, values in columns.items()]
 
 
 def subgroup_distributions(
     observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T
-) -> list[SubgroupSummary]:
+) -> list[SubgroupRow]:
     """Five-number summary plus 1.5*IQR outliers per (closeness, feature)."""
-    summaries = []
-    for feature in FEATURE_NAMES:
+    rows = []
+    for feature, feature_values in _feature_columns(observations, width_t).items():
         values_by_label: dict[int, list[float]] = {c: [] for c in CLOSENESS_LABELS}
-        feature_values = _feature_values(observations, feature, width_t)
         for obs, value in zip(observations, feature_values):
             values_by_label[obs.closeness].append(value)
-        for label in CLOSENESS_LABELS:
-            values = values_by_label[label]
+        for label, values in values_by_label.items():
             if not values:
-                summaries.append(
-                    SubgroupSummary(
-                        feature=feature,
-                        closeness=label,
-                        count=0,
-                        mean=None,
-                        minimum=None,
-                        q1=None,
-                        median=None,
-                        q3=None,
-                        maximum=None,
-                    )
-                )
+                rows.append(SubgroupRow(feature, label, 0))
                 continue
             arr = np.asarray(values, dtype=float)
             q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
@@ -190,21 +165,21 @@ def subgroup_distributions(
             lo_fence = q1 - 1.5 * iqr
             hi_fence = q3 + 1.5 * iqr
             outliers = tuple(sorted(float(v) for v in arr if v < lo_fence or v > hi_fence))
-            summaries.append(
-                SubgroupSummary(
-                    feature=feature,
-                    closeness=label,
-                    count=len(values),
-                    mean=float(arr.mean()),
-                    minimum=float(arr.min()),
-                    q1=float(q1),
-                    median=float(median),
-                    q3=float(q3),
-                    maximum=float(arr.max()),
-                    outliers=outliers,
+            rows.append(
+                SubgroupRow(
+                    feature,
+                    label,
+                    len(values),
+                    float(arr.mean()),
+                    float(arr.min()),
+                    float(q1),
+                    float(median),
+                    float(q3),
+                    float(arr.max()),
+                    outliers,
                 )
             )
-    return summaries
+    return rows
 
 
 def evolution(
@@ -229,12 +204,5 @@ def evolution(
                 if restricted is not None:
                     diversities.append(temporal_diversity(restricted, width_t))
             mean = sum(diversities) / len(diversities) if diversities else None
-            rows.append(
-                EvolutionRow(
-                    closeness=label,
-                    d=d,
-                    mean_temporal_diversity=mean,
-                    n=len(diversities),
-                )
-            )
+            rows.append(EvolutionRow(label, d, mean, len(diversities)))
     return rows

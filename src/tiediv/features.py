@@ -8,6 +8,9 @@ a pair's encounters per width-t interval of the day, at the run's q
 encounters per geohash cell. All entropies use the natural logarithm;
 exp(H) then reads directly as an effective category count (uniform over
 k categories gives exactly k).
+
+`compute_pair_features` gives one `FeatureRow` per observation; its
+fields are the columns of `features.csv`, in order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import exp, expm1, log, log1p
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .encounter import EncounterSet, canonical_pair
 from .ingest import SurveyRecord
@@ -31,19 +34,6 @@ _NEAR_SHANNON = 1e-3
 
 
 @dataclass(frozen=True)
-class PairFeatures:
-    """The three per-pair features plus their supporting counts."""
-
-    user_lo: str
-    user_hi: str
-    temporal_diversity: float
-    location_diversity: float
-    mean_encounters_per_day: float
-    n_encounters: int
-    n_common_days: int
-
-
-@dataclass(frozen=True)
 class Observation:
     """One directed rater -> ratee record: pair data joined to its label."""
 
@@ -51,6 +41,18 @@ class Observation:
     ratee_id: str
     closeness: int  # regrouped 0..4
     encounters: EncounterSet
+
+
+class FeatureRow(NamedTuple):
+    """One row of `features.csv`: a directed observation's three features and their counts."""
+
+    rater: str
+    ratee: str
+    temporal_diversity: float
+    location_diversity: float
+    mean_encounters: float
+    n_encounters: int
+    n_common_days: int
 
 
 def check_width_t(width_t: int) -> None:
@@ -150,22 +152,23 @@ def temporal_diversity(
 
 
 def compute_pair_features(
-    encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T, q: float | None = None
-) -> PairFeatures:
-    """All three features for one pair.
+    observation: Observation, width_t: int = DEFAULT_WIDTH_T, q: float | None = None
+) -> FeatureRow:
+    """All three features of one observation's pair.
 
     Pairs with zero encounters get diversity 0 and rate 0; they stay in
     the analysis sample rather than being dropped, since most weakly
     tied pairs never meet at all.
     """
-    return PairFeatures(
-        user_lo=encounters.user_lo,
-        user_hi=encounters.user_hi,
-        temporal_diversity=temporal_diversity(encounters, width_t, q),
-        location_diversity=location_diversity(encounters),
-        mean_encounters_per_day=mean_encounters(encounters, encounters.n_common_days),
-        n_encounters=encounters.n_encounters,
-        n_common_days=encounters.n_common_days,
+    es = observation.encounters
+    return FeatureRow(
+        observation.rater_id,
+        observation.ratee_id,
+        temporal_diversity(es, width_t, q),
+        location_diversity(es),
+        mean_encounters(es, es.n_common_days),
+        es.n_encounters,
+        es.n_common_days,
     )
 
 

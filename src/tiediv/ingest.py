@@ -5,10 +5,11 @@ matched case-insensitively and through a small alias table, because
 field order and exact naming vary between log exports. Malformed rows
 are never dropped silently: every parse returns the accepted records
 plus a rejection report listing line number and reason for each bad
-row, in line order. Both readers share one table reader, which handles
-the header, blank, comment, duplicate-header and short rows, and differ
-only in their column aliases and converters. A leading UTF-8 byte-order
-mark is ignored.
+row, in line order. A row's number is the line it starts on, and the
+line breaks inside a quoted cell count as lines too. Both readers share
+one table reader, which handles the header, blank, comment,
+duplicate-header and short rows, and differ only in their column
+aliases and converters. A leading UTF-8 byte-order mark is ignored.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -42,12 +43,13 @@ import csv
 import gc
 import io
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from math import isfinite
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -193,9 +195,11 @@ class FixTable(ColumnTable):
         return map(self.row, range(len(self)))
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
-    """One directed rater -> ratee closeness report."""
+class SurveyRecord(NamedTuple):
+    """One directed rater -> ratee closeness report.
+
+    Its fields are the columns of `survey.csv`.
+    """
 
     rater_id: str
     ratee_id: str
@@ -399,6 +403,25 @@ def bulk_timestamps_us(
     return t_us, ok
 
 
+def timestamps_us(
+    cells: Sequence[str], naive_utc_offset_minutes: int = 0
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Epoch microseconds of timestamp cells, which cells parse, and why the others do not.
+
+    Shapes `bulk_timestamps_us` knows are parsed in bulk, the others by
+    `parse_timestamp` one at a time.
+    """
+    t_us, ok = bulk_timestamps_us(cells, naive_utc_offset_minutes)
+    reasons = {}
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            t_us[i] = to_epoch_us(parse_timestamp(cells[i], naive_utc_offset_minutes))
+            ok[i] = True
+        except ValueError as exc:
+            reasons[i] = str(exc)
+    return t_us, ok, reasons
+
+
 # --- the shared table reader -------------------------------------------------
 
 
@@ -429,13 +452,20 @@ def _split_lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-def _text_lines(source: BinaryIO | TextIO) -> Iterator[str]:
-    """The file's lines, split lazily from one decoded string."""
+def _text_lines(source: BinaryIO | TextIO) -> tuple[Iterator[str], int]:
+    """The file's lines, split lazily from one decoded string, and the longest one's length.
+
+    The length is in UTF-8 bytes and counts the line's '\\n', so it is at
+    least the number of characters in any cell that lies on one line.
+    """
     data = source.read()
+    raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    longest = int(np.diff(ends, prepend=-1, append=len(raw)).max())
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     # spreadsheet exports often start with a UTF-8 byte-order mark
-    return _split_lines(data.removeprefix("\ufeff"))
+    return _split_lines(data.removeprefix("\ufeff")), longest
 
 
 def _is_comment(cells: list[str]) -> bool:
@@ -446,13 +476,14 @@ def _is_blank(cells: list[str]) -> bool:
     return not cells or all(not c.strip() for c in cells)
 
 
-def _find_header(rows: Iterator[list[str]]) -> tuple[int, list[str]]:
-    """Index and cells of the first non-blank, non-comment row; raises if none."""
-    line = 0
+def _find_header(rows: Iterator[list[str]]) -> list[str]:
+    """Cells of the first non-blank, non-comment row of a csv reader; raises if none."""
+    line = 0  # the last line of the rows read so far
     try:
-        for line, cells in enumerate(rows, 1):
+        for cells in rows:
             if not (_is_blank(cells) or _is_comment(cells)):
-                return line - 1, cells
+                return cells
+            line = rows.line_num
     except csv.Error as exc:
         raise SchemaError(f"line {line + 1}: {exc}") from None
     raise SchemaError("empty input: no header line")
@@ -481,21 +512,47 @@ def _resolve_header(
 CHUNK_ROWS = 1 << 15
 
 
-def _csv_rows(rows: Iterator[list[str]], start: int, report: RejectionReport) -> list[list[str]]:
-    """The next CHUNK_ROWS rows; `start` is the line number of the first.
+def _csv_rows(
+    rows: Iterator[list[str]], report: RejectionReport, long_lines: bool
+) -> tuple[list[list[str]], list[int]]:
+    """The next CHUNK_ROWS rows of a csv reader, and the line each starts on.
 
-    A row csv cannot parse (say, a field over csv's size limit) goes to
-    `report` with csv's reason and stands in the chunk as a blank row;
-    the reader goes on at the next line.
+    A row whose quoted cells hold k line breaks spans k + 1 lines. csv's
+    field limit is lifted while parsing, so an oversized quoted cell is
+    read whole, line breaks and all; its row is then rejected with csv's
+    reason. Only a row that spans lines, or any row when the text has
+    lines longer than the limit (`long_lines`), can hold such a cell, so
+    only those rows are searched. A row csv cannot parse, or rejects,
+    goes to `report` and stands in the chunk as a blank row.
     """
     chunk: list[list[str]] = []
-    while True:
-        try:
-            chunk.extend(islice(rows, CHUNK_ROWS - len(chunk)))
-            return chunk
-        except csv.Error as exc:
-            report.reject(start + len(chunk), str(exc))
+    line_nos: list[int] = []
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        while True:
+            at, line = len(chunk), rows.line_num + 1
+            try:
+                chunk.extend(islice(rows, CHUNK_ROWS - len(chunk)))
+                failed = None
+            except csv.Error as exc:
+                failed = str(exc)
+            if failed is None and not long_lines and rows.line_num - line + 1 == len(chunk) - at:
+                line_nos.extend(range(line, rows.line_num + 1))
+            else:
+                for i in range(at, len(chunk)):
+                    cells = chunk[i]
+                    line_nos.append(line)
+                    if any(len(cell) > limit for cell in cells):
+                        report.reject(line, f"field larger than field limit ({limit})")
+                        chunk[i] = []
+                    line += 1 + sum(cell.count("\n") for cell in cells)
+            if failed is None:
+                return chunk, line_nos
+            report.reject(line, failed)
             chunk.append([])
+            line_nos.append(line)
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _read_table(
@@ -513,15 +570,16 @@ def _read_table(
     chunk, which may hold no rows. Blank and comment lines are skipped;
     duplicate-header, short and unparseable rows go to `report`.
     """
-    rows = csv.reader(_text_lines(source), delimiter=delimiter)
-    header_idx, header = _find_header(rows)
+    lines, longest = _text_lines(source)
+    long_lines = longest > csv.field_size_limit()
+    rows = csv.reader(lines, delimiter=delimiter)
+    header = _find_header(rows)
     positions = _resolve_header(header, aliases, required)
     header_lowered = [c.strip().lower() for c in header]
     width, first = len(header), header_lowered[0]
 
-    start = header_idx + 2  # line number of the chunk's first row
     while True:
-        chunk = _csv_rows(rows, start, report)
+        chunk, line_nos = _csv_rows(rows, report, long_lines)
         # A full-width row whose first cell is neither blank, a comment,
         # nor the header's first cell is kept as is; others need a look.
         odd = [
@@ -538,18 +596,17 @@ def _read_table(
             if _is_blank(cells) or _is_comment(cells):
                 pass
             elif [c.strip().lower() for c in cells] == header_lowered:
-                report.reject(start + i, "duplicate header row")
+                report.reject(line_nos[i], "duplicate header row")
             elif len(cells) < width:
-                report.reject(start + i, f"expected {width} fields, got {len(cells)}")
+                report.reject(line_nos[i], f"expected {width} fields, got {len(cells)}")
             else:
                 continue
             dropped.add(i)
         kept = [i for i in range(len(chunk)) if i not in dropped] if dropped else range(len(chunk))
         transposed = list(zip(*(chunk[i] for i in kept))) or [()] * width
-        yield [start + i for i in kept], {name: transposed[i] for name, i in positions.items()}
+        yield [line_nos[i] for i in kept], {name: transposed[i] for name, i in positions.items()}
         if len(chunk) < CHUNK_ROWS:
             return
-        start += len(chunk)
 
 
 # --- the column checks -------------------------------------------------------
@@ -620,15 +677,7 @@ def convert_gps(
 ) -> FixTable:
     """The rows of one chunk of GPS columns that pass the checks; the others go to `report`."""
     blank = [""] * len(line_nos)
-    times = columns["timestamp"]
-    t_us, time_ok = bulk_timestamps_us(times, naive_utc_offset_minutes)
-    time_reasons = {}
-    for i in np.flatnonzero(~time_ok).tolist():
-        try:
-            t_us[i] = to_epoch_us(parse_timestamp(times[i], naive_utc_offset_minutes))
-            time_ok[i] = True
-        except ValueError as exc:
-            time_reasons[i] = str(exc)
+    t_us, time_ok, time_reasons = timestamps_us(columns["timestamp"], naive_utc_offset_minutes)
     lat, lat_ok = _floats(columns["lat"])
     lon, lon_ok = _floats(columns["lon"])
     accuracy, accuracy_ok = _floats(columns["accuracy"])

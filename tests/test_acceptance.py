@@ -144,8 +144,8 @@ def test_c7_synthetic_hypothesis_check():
     observations = build_observations(result.survey, sets)
     assert len(observations) == 400
     results = {r.feature: r for r in compare_features(observations)}
-    f_td = results["temporal_diversity"].result.f_value
-    f_me = results["mean_encounters"].result.f_value
+    f_td = results["temporal_diversity"].f_value
+    f_me = results["mean_encounters"].f_value
     assert f_td > f_me
     assert f_me < 5.0  # equal-rate construction leaves only noise
     assert time.perf_counter() - start < 30.0
@@ -191,7 +191,7 @@ def test_c9_dataset_reproduction_optional():
     observations = build_observations(survey, sets)
 
     width_rows = sweep_width(observations)
-    f_by_width = {int(r.parameter): r.f_value for r in width_rows if r.f_value is not None}
+    f_by_width = {r.width_t: r.f_value for r in width_rows if r.f_value is not None}
     peak = max(f_by_width, key=f_by_width.get)
     assert 30 <= peak <= 120
     assert f_by_width[5] < f_by_width[peak]

@@ -186,6 +186,17 @@ def test_shuffled_gps_rows_give_identical_data_rows(seed):
         assert data_rows(root / "out", SHUFFLE_INVARIANT) == unshuffled_rows()
 
 
+def test_empty_grids_write_header_only_artifacts(outdir):
+    assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir),
+               "--width-grid", "", "--q-grid", "", "--max-horizon", "0") == 0
+    for name, columns in (
+        ("sweep_t.csv", ["width_t", "f_value", "p_value", "error"]),
+        ("sweep_q.csv", ["q", "f_value", "p_value", "error"]),
+        ("evolution.csv", ["closeness", "d", "mean_temporal_diversity", "n"]),
+    ):
+        assert read_table(outdir / name)[1:] == (columns, []), name
+
+
 class TestInMemoryHandoff:
     READERS = ("read_fixes", "read_survey", "read_clean_fixes", "read_valid_days", "read_encounter_sets")
 
@@ -349,6 +360,19 @@ class TestWriteCheck:
         monkeypatch.setattr(artifacts, "_float_texts", lambda floats: [f"{v:.6g}" for v in floats.tolist()])
         err = self.run_ingest(outdir, capsys)
         assert err == f"error: {outdir / 'fixes.csv'}: '23.194' does not read back as 23.194000000000003\n"
+
+    def test_time_text_that_does_not_round_trip(self, tmp_path, outdir, capsys, monkeypatch):
+        gps = tmp_path / "gps.csv"
+        text = (DATA / "mini_gps.csv").read_text(encoding="utf-8")
+        gps.write_text(text.replace("T07:00:00+", "T07:00:00.25+", 1), encoding="utf-8")
+        iso_utc_texts = artifacts.iso_utc_texts
+        monkeypatch.setattr(
+            artifacts, "iso_utc_texts", lambda t_us: [t.replace(".250000", "") for t in iso_utc_texts(t_us)]
+        )
+        err = self.run_ingest(outdir, capsys, ("--gps", str(gps), "--survey", SURVEY))
+        assert err == (
+            f"error: {outdir / 'fixes.csv'}: '2016-04-01T07:00:00+00:00' does not read back as 1459494000250000\n"
+        )
 
     def test_truncated_file(self, outdir, capsys, monkeypatch):
         # the last chunk, cut mid-row

@@ -50,7 +50,7 @@ class TestSweepWidth:
     def test_rows_sorted_by_parameter(self):
         observations = diversity_labelled_sample()
         rows = sweep_width(observations, widths=(120, 5, 60))
-        assert [r.parameter for r in rows] == [5.0, 60.0, 120.0]
+        assert [r.width_t for r in rows] == [5, 60, 120]
         assert all(r.error is None for r in rows)
 
     def test_singleton_sweep(self):
@@ -78,17 +78,17 @@ class TestSweepQ:
 
     def test_rows_sorted(self):
         rows = sweep_q(diversity_labelled_sample(), orders=(2.0, 0.1, 0.5))
-        assert [r.parameter for r in rows] == [0.1, 0.5, 2.0]
+        assert [r.q for r in rows] == [0.1, 0.5, 2.0]
 
 
 class TestCompareFeatures:
     def test_temporal_diversity_ranks_first_by_construction(self):
         results = {r.feature: r for r in compare_features(diversity_labelled_sample())}
-        td = results["temporal_diversity"].result
-        assert td is not None
+        td = results["temporal_diversity"]
+        assert td.f_value is not None
         for other in ("location_diversity", "mean_encounters"):
-            res = results[other].result
-            assert res is None or res.f_value < td.f_value
+            res = results[other]
+            assert res.f_value is None or res.f_value < td.f_value
 
     def test_three_rows_in_fixed_order(self):
         rows = compare_features(diversity_labelled_sample())
@@ -106,7 +106,7 @@ class TestCompareFeatures:
         ]
         rows = compare_features(observations)
         assert len(rows) == 3
-        assert all(r.result is None for r in rows)
+        assert all((r.n, r.f_value, r.p_value, r.r) == (None,) * 4 for r in rows)
         assert all("constant" in r.error for r in rows)
 
 
@@ -116,7 +116,7 @@ class TestSubgroupDistributions:
         summaries = subgroup_distributions([obs(es, 3)])
         row = next(s for s in summaries if s.feature == "temporal_diversity" and s.closeness == 3)
         assert row.count == 1
-        assert row.minimum == row.q1 == row.median == row.q3 == row.maximum
+        assert row.min == row.q1 == row.median == row.q3 == row.max
 
     def test_iqr_outlier_flagged(self):
         observations = []
@@ -128,7 +128,7 @@ class TestSubgroupDistributions:
         row = next(s for s in summaries if s.feature == "mean_encounters" and s.closeness == 2)
         # fences: q1=2, q3=4, iqr=2 -> anything past 7 is an outlier
         assert row.outliers == (100.0,)
-        assert row.minimum == 1.0 and row.maximum == 100.0
+        assert row.min == 1.0 and row.max == 100.0
 
     def test_empty_subgroup_has_count_zero(self):
         es = make_encounter_set([(0, 10)])
@@ -142,7 +142,7 @@ class TestSubgroupDistributions:
         assert len(summaries) == 3 * 5
         quartiled = [s for s in summaries if s.count > 0]
         for s in quartiled:
-            assert s.minimum <= s.q1 <= s.median <= s.q3 <= s.maximum
+            assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
 
 
 class TestEvolution:

@@ -308,15 +308,16 @@ class TestObservations:
 
     def test_pair_features_bundle(self):
         es = encounter_set_from_counts(T_AB, width_t=120, n_common_days=14)
-        pf = compute_pair_features(es, width_t=120)
+        pf = compute_pair_features(Observation("alice", "bob", 2, es), width_t=120)
+        assert (pf.rater, pf.ratee) == ("alice", "bob")
         assert pf.n_encounters == 17
         assert pf.n_common_days == 14
         assert pf.temporal_diversity == pytest.approx(3.0703, abs=1e-3)
-        assert pf.mean_encounters_per_day == pytest.approx(17 / 14)
+        assert pf.mean_encounters == pytest.approx(17 / 14)
 
     def test_empty_pair_keeps_zero_features(self):
         es = make_encounter_set([], n_common_days=9)
-        pf = compute_pair_features(es)
+        pf = compute_pair_features(Observation("bob", "alice", 0, es))
         assert pf.temporal_diversity == 0.0
         assert pf.location_diversity == 0.0
-        assert pf.mean_encounters_per_day == 0.0
+        assert pf.mean_encounters == 0.0

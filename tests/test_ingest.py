@@ -332,3 +332,55 @@ class TestOversizedField:
         assert main(["ingest", "--gps", str(gps), "--survey", str(survey), "-o", str(out)]) == 0
         rejects = (out / "ingest_rejects.txt").read_text(encoding="utf-8")
         assert rejects.startswith(f"== gps ==\n3\t{self.REASON}\n5\t")
+
+    # a cell over the limit on one long line, or on 1,400 short ones
+    @pytest.mark.parametrize(
+        "big,lines", [(BIG, 1), ("\n".join(["x" * 99] * 1400), 1400)], ids=["long line", "short lines"]
+    )
+    def test_oversized_cell_spanning_lines_is_one_rejected_row(self, big, lines):
+        # the cell's lines may not be read as rows
+        row = f'"{big}\nu9,2016-04-03T10:02:11Z,23.1,72.6,5\nend",2016-04-03T10:02:11Z,23.1,72.6,5'
+        source = "user_id,timestamp,lat,lon,accuracy\n" + row + "\n"
+        fixes, report = parse_gps_log(io.BytesIO(source.encode()))
+        assert report.entries == [(2, self.REASON)]
+        assert len(fixes) == 0
+        later = "u2,2016-04-03T10:04:11Z,23.2,72.7,12\nu3,later,23.2,72.7,12\n"
+        fixes, report = parse_gps_log(io.BytesIO((source + later).encode()))
+        assert report.entries == [(2, self.REASON), (lines + 5, "unparseable timestamp: 'later'")]
+        assert [f.user_id for f in fixes] == ["u2"]
+
+
+class TestLineNumbers:
+    """A rejected row is numbered by the line it starts on, quoted line breaks counted."""
+
+    ROWS = (
+        '"u\n1",2016-04-03T10:02:11Z,23.1,72.6,,5,,gps',
+        "u2,bad,23.1,72.6,,5,,gps",
+        '"u\r\n3","x\ny",23.1,72.6,,5,,gps',
+        "u4,2016-04-03T10:02:11Z,23.1,72.6,,5,,gps",
+        "u5,2016-04-03T10:02:11Z",
+        GPS_HEADER.rstrip("\n"),
+    )
+
+    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 1, 2])
+    def test_rows_after_quoted_line_breaks(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        fixes, report = parse_gps_log(gps_source(*self.ROWS))
+        assert report.entries == [
+            (4, "unparseable timestamp: 'bad'"),
+            (5, "unparseable timestamp: 'x\\ny'"),
+            (9, "expected 8 fields, got 2"),
+            (10, "duplicate header row"),
+        ]
+        assert [f.user_id for f in fixes] == ["u\n1", "u4"]
+
+    def test_row_csv_cannot_parse_after_a_quoted_line_break(self):
+        # csv stops at a carriage return inside an unquoted cell
+        fixes, report = parse_gps_log(gps_source(*self.ROWS[:1], "u2\rx,bad", "u4,bad,23.1,72.6,,5,,gps"))
+        assert [line for line, _ in report.entries] == [4, 5]
+        assert report.entries[0][1].startswith("new-line character seen in unquoted field")
+
+    def test_survey(self):
+        records, report = parse_survey(survey_source('"A\n\nx",B,5,4', "A,B,9,4"))
+        assert report.entries == [(5, "closeness out of range")]
+        assert [r.rater_id for r in records] == ["A\n\nx"]
