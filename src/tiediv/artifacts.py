@@ -6,17 +6,18 @@ data rows. Writing the same records with the same config produces
 byte-identical files, so re-runs are cheap to verify and artifacts can
 be diffed.
 
-The fix artifacts are written from and read back into column tables
-(`FixTable` for `fixes.csv`, `CleanTable` for `clean_fixes.csv`). The
-writers format CHUNK_ROWS rows at a time, a column at a time, and join
-each chunk's rows into one string. Floats are their shortest round-trip
-`repr`, times `isoformat()` UTC. Each distinct value of a chunk's
-column (told apart by its bits, so -0.0 is not 0.0) is formatted once.
-Only text columns can need csv quoting; each distinct value of a text
-column is quoted once per artifact, by the csv module itself, which
-quotes a cell holding a delimiter, a quote or either line-break
-character. `write_table` writes rows of any values the same way: each
-distinct cell text of a chunk is quoted once.
+One column writer writes every artifact, CHUNK_ROWS rows at a time, a
+column at a time, joining each chunk's rows into one string. The fix
+artifacts are written from and read back into column tables (`FixTable`
+for `fixes.csv`, `CleanTable` for `clean_fixes.csv`). Floats are their
+shortest round-trip `repr`, times `isoformat()` UTC. Each distinct value
+of a chunk's numeric column (told apart by its bits, so -0.0 is not
+0.0) is formatted once. A text column is a `TextColumn`; `write_table`
+makes one of the `fmt` texts of each column of its rows. Only text
+columns can need csv quoting: each distinct text of a column is quoted,
+checked and searched for line ends once per artifact, by the csv module
+itself, which quotes a cell holding a delimiter, a quote or either
+line-break character.
 
 Every writer checks what it formats, once per distinct text: each quoted
 cell must parse back through csv to its text, and each float, time, day
@@ -34,8 +35,8 @@ artifact, the data row and the reason on a malformed cell, a row of the
 wrong width or a row csv cannot parse. `read_fixes` and `read_survey`
 hand their columns to the converters ingest uses (`convert_gps`,
 `convert_survey`), so a staged run reads a cell into the same value by
-the same checks as ingest did. The other readers convert whole columns and look for the bad cell
-only when a conversion fails.
+the same checks as ingest did. The other readers convert whole columns
+and look for the bad cell only when a conversion fails.
 """
 
 from __future__ import annotations
@@ -110,28 +111,6 @@ def _naming(path: str | Path) -> Iterator[None]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write(
-    path: str | Path,
-    meta: Mapping[str, str],
-    columns: Sequence[str],
-    chunks: Iterable[tuple[str, int]],
-) -> Receipt:
-    """Write the meta lines, the header and each chunk's data lines.
-
-    A chunk is (its lines, the line ends they are meant to hold: one per
-    row plus the "\n"s inside its cells).
-    """
-    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
-    head += ",".join(_csv_cells(columns)) + "\n"
-    lines = head.count("\n")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(head)
-        for text, line_ends in chunks:
-            handle.write(text)
-            lines += line_ends
-    return Receipt(Path(path), lines)
-
-
 def _join_rows(rows: Iterable[Sequence[str]]) -> str:
     """Rows of csv cells as lines of text."""
     return "\n".join(map(",".join, rows)) + "\n"
@@ -143,30 +122,13 @@ def write_table(
     columns: Sequence[str],
     rows: Sequence[Sequence],
 ) -> Receipt:
-    """Write rows of values as `fmt` texts.
-
-    Each distinct text of a chunk is quoted, checked and searched for
-    line ends once.
-    """
-
-    def chunks() -> Iterator[tuple[str, int]]:
-        for start in range(0, len(rows), CHUNK_ROWS):
-            texts = [[fmt(cell) for cell in row] for row in rows[start : start + CHUNK_ROWS]]
-            distinct = list(dict.fromkeys(chain.from_iterable(texts)))
-            cells = _checked_cells(distinct)
-            quoted = {text: cell for text, cell in zip(distinct, cells.tolist()) if cell != text}
-            if len(columns) == 1:
-                quoted[""] = '""'  # csv quotes an empty cell that is alone in its row
-            breaks = {text: n for text in distinct if (n := text.count("\n"))}
-            line_ends = len(texts)
-            if breaks:
-                line_ends += sum(breaks.get(text, 0) for row in texts for text in row)
-            if quoted:
-                texts = [[quoted.get(text, text) for text in row] for row in texts]
-            yield _join_rows(texts), line_ends
-
+    """Write rows of values as their `fmt` texts, through the column writer."""
     with _naming(path):
-        return _write(path, meta, columns, chunks())
+        texts = [TextColumn.of(list(map(fmt, column))) for column in zip(*rows, strict=True)]
+        cells, line_ends = _text_cells(*texts)
+        return _write_columns(
+            path, meta, columns, len(rows), lambda chunk: [cell(chunk) for cell in cells], line_ends
+        )
 
 
 def _write_columns(
@@ -177,19 +139,22 @@ def _write_columns(
     format_chunk: Callable[[slice], Sequence[list[str]]],
     cell_line_ends: Callable[[slice], int],
 ) -> Receipt:
-    """Write rows whose cells `format_chunk` gives, column-wise, CHUNK_ROWS rows at a time.
+    """Write the meta lines, the header, and rows whose cells `format_chunk` gives.
 
-    The cells must already be checked csv cells; `cell_line_ends` counts
-    the "\n"s inside the cells of a slice of rows.
+    `format_chunk` gives the columns of a slice of rows, CHUNK_ROWS rows at
+    a time. The cells must already be checked csv cells; `cell_line_ends`
+    counts the "\n"s inside the cells of a slice of rows.
     """
-
-    def chunks() -> Iterator[tuple[str, int]]:
+    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    head += ",".join(_csv_cells(columns)) + "\n"
+    lines = head.count("\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(head)
         for start in range(0, n_rows, CHUNK_ROWS):
             rows = slice(start, min(start + CHUNK_ROWS, n_rows))
-            text = _join_rows(zip(*format_chunk(rows), strict=True))
-            yield text, rows.stop - rows.start + cell_line_ends(rows)
-
-    return _write(path, meta, columns, chunks())
+            handle.write(_join_rows(zip(*format_chunk(rows), strict=True)))
+            lines += rows.stop - rows.start + cell_line_ends(rows)
+    return Receipt(Path(path), lines)
 
 
 def _csv_cells(texts: Sequence[str]) -> np.ndarray:

@@ -41,7 +41,7 @@ from . import artifacts, experiments, features, synth
 from .artifacts import Receipt
 from .config import RunConfig, build_config, flags, load_config_file
 from .encounter import canonical_pair, detect_encounters
-from .ingest import SchemaError, parse_gps_log, parse_survey
+from .ingest import IngestOptions, parse_gps_log, parse_survey
 from .preprocess import filter_pipeline
 
 
@@ -91,6 +91,15 @@ def _verify_written(receipts: list[Receipt]) -> None:
         print(f"wrote {receipt.path}")
 
 
+def _parse_input(path: str, parse: Callable, opts: IngestOptions):
+    """`parse(handle, opts)` of the input file at `path`; a fatal error in it names the file."""
+    with open(path, "rb") as handle:
+        try:
+            return parse(handle, opts)
+        except ValueError as exc:  # a SchemaError or UnicodeDecodeError among them
+            raise CliError(f"{path}: {exc}") from None
+
+
 def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     if not cfg.gps or not cfg.survey:
         raise CliError("ingest needs --gps and --survey input paths")
@@ -98,10 +107,8 @@ def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Receipt
         if not Path(path).exists():
             raise CliError(f"input file not found: {path}")
     opts = cfg.ingest_options()
-    with open(cfg.gps, "rb") as handle:
-        fixes, fix_report = parse_gps_log(handle, opts)
-    with open(cfg.survey, "rb") as handle:
-        survey, survey_report = parse_survey(handle, opts)
+    fixes, fix_report = _parse_input(cfg.gps, parse_gps_log, opts)
+    survey, survey_report = _parse_input(cfg.survey, parse_survey, opts)
 
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, cfg.gps, cfg.survey)
@@ -310,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         cfg = build_config(file_values, flag_values)
         _verify_written(_STAGE_FUNCS[args.command](cfg, {}))
-    except (CliError, SchemaError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -53,10 +53,6 @@ class EncounterSet:
     encounters: tuple[Encounter, ...]
 
     @property
-    def pair(self) -> tuple[str, str]:
-        return (self.user_lo, self.user_hi)
-
-    @property
     def n_common_days(self) -> int:
         return len(self.common_days)
 

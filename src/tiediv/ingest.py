@@ -5,11 +5,16 @@ matched case-insensitively and through a small alias table, because
 field order and exact naming vary between log exports. Malformed rows
 are never dropped silently: every parse returns the accepted records
 plus a rejection report listing line number and reason for each bad
-row, in line order. A row's number is the line it starts on, and the
-line breaks inside a quoted cell count as lines too. Both readers share
-one table reader, which handles the header, blank, comment,
-duplicate-header and short rows, and differ only in their column
-aliases and converters. A leading UTF-8 byte-order mark is ignored.
+row, in line order. Both readers share one table reader, which handles
+the header, blank, comment, duplicate-header and short rows, and differ
+only in their column aliases and converters.
+
+The readers take a binary handle to UTF-8 text; a leading byte-order
+mark is ignored. csv reads the text as its documentation asks, in
+`newline=''` mode, so a line ends at "\\r\\n", "\\r" or "\\n", whichever
+the export uses. Rows are numbered by those lines: a row's number is the
+line it starts on, and the line ends inside a quoted cell count as lines
+too.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from math import isfinite
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -442,30 +447,20 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _split_lines(text: str) -> Iterator[str]:
-    """The lines of `text`, each with its '\\n', as `io.StringIO(text)` yields them."""
-    start = 0
-    while end := text.find("\n", start) + 1:
-        yield text[start:end]
-        start = end
-    if start < len(text):
-        yield text[start:]
+def _longest_line(raw: bytes) -> int:
+    """The length in UTF-8 bytes of the longest line between "\\n"s, its "\\n" counted.
 
-
-def _text_lines(source: BinaryIO | TextIO) -> tuple[Iterator[str], int]:
-    """The file's lines, split lazily from one decoded string, and the longest one's length.
-
-    The length is in UTF-8 bytes and counts the line's '\\n', so it is at
-    least the number of characters in any cell that lies on one line.
+    No line that csv reads is longer: it ends at "\\r\\n", "\\r" or "\\n".
+    So the length is at least the number of characters in any cell that
+    lies on one line.
     """
-    data = source.read()
-    raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
     ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    longest = int(np.diff(ends, prepend=-1, append=len(raw)).max())
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    # spreadsheet exports often start with a UTF-8 byte-order mark
-    return _split_lines(data.removeprefix("\ufeff")), longest
+    return int(np.diff(ends, prepend=-1, append=len(raw)).max())
+
+
+def _line_ends(cell: str) -> int:
+    """The line ends ("\\r\\n", "\\r" or "\\n") inside a cell."""
+    return cell.count("\n") + cell.count("\r") - cell.count("\r\n")
 
 
 def _is_comment(cells: list[str]) -> bool:
@@ -517,7 +512,7 @@ def _csv_rows(
 ) -> tuple[list[list[str]], list[int]]:
     """The next CHUNK_ROWS rows of a csv reader, and the line each starts on.
 
-    A row whose quoted cells hold k line breaks spans k + 1 lines. csv's
+    A row whose quoted cells hold k line ends spans k + 1 lines. csv's
     field limit is lifted while parsing, so an oversized quoted cell is
     read whole, line breaks and all; its row is then rejected with csv's
     reason. Only a row that spans lines, or any row when the text has
@@ -545,7 +540,7 @@ def _csv_rows(
                     if any(len(cell) > limit for cell in cells):
                         report.reject(line, f"field larger than field limit ({limit})")
                         chunk[i] = []
-                    line += 1 + sum(cell.count("\n") for cell in cells)
+                    line += 1 + sum(map(_line_ends, cells))
             if failed is None:
                 return chunk, line_nos
             report.reject(line, failed)
@@ -556,7 +551,7 @@ def _csv_rows(
 
 
 def _read_table(
-    source: BinaryIO | TextIO,
+    source: BinaryIO,
     delimiter: str,
     aliases: dict[str, tuple[str, ...]],
     required: tuple[str, ...],
@@ -568,45 +563,52 @@ def _read_table(
     holds up to CHUNK_ROWS kept rows: their line numbers and the cells
     of every resolved column (by canonical name). There is at least one
     chunk, which may hold no rows. Blank and comment lines are skipped;
-    duplicate-header, short and unparseable rows go to `report`.
+    duplicate-header, short and unparseable rows go to `report`. A
+    decode error gives the offset of the bad byte in the file.
     """
-    lines, longest = _text_lines(source)
-    long_lines = longest > csv.field_size_limit()
-    rows = csv.reader(lines, delimiter=delimiter)
-    header = _find_header(rows)
-    positions = _resolve_header(header, aliases, required)
-    header_lowered = [c.strip().lower() for c in header]
-    width, first = len(header), header_lowered[0]
+    raw = source.read()
+    long_lines = _longest_line(raw) > csv.field_size_limit()
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    rows = csv.reader(text, delimiter=delimiter)
+    try:
+        header = _find_header(rows)
+        positions = _resolve_header(header, aliases, required)
+        header_lowered = [c.strip().lower() for c in header]
+        width, first = len(header), header_lowered[0]
 
-    while True:
-        chunk, line_nos = _csv_rows(rows, report, long_lines)
-        # A full-width row whose first cell is neither blank, a comment,
-        # nor the header's first cell is kept as is; others need a look.
-        odd = [
-            i
-            for i, cells in enumerate(chunk)
-            if len(cells) < width
-            or not (head := cells[0].strip())
-            or head[0] == "#"
-            or head.lower() == first
-        ]
-        dropped = set()
-        for i in odd:
-            cells = chunk[i]
-            if _is_blank(cells) or _is_comment(cells):
-                pass
-            elif [c.strip().lower() for c in cells] == header_lowered:
-                report.reject(line_nos[i], "duplicate header row")
-            elif len(cells) < width:
-                report.reject(line_nos[i], f"expected {width} fields, got {len(cells)}")
-            else:
-                continue
-            dropped.add(i)
-        kept = [i for i in range(len(chunk)) if i not in dropped] if dropped else range(len(chunk))
-        transposed = list(zip(*(chunk[i] for i in kept))) or [()] * width
-        yield [line_nos[i] for i in kept], {name: transposed[i] for name, i in positions.items()}
-        if len(chunk) < CHUNK_ROWS:
-            return
+        while True:
+            chunk, line_nos = _csv_rows(rows, report, long_lines)
+            # A full-width row whose first cell is neither blank, a comment,
+            # nor the header's first cell is kept as is; others need a look.
+            odd = [
+                i
+                for i, cells in enumerate(chunk)
+                if len(cells) < width
+                or not (head := cells[0].strip())
+                or head[0] == "#"
+                or head.lower() == first
+            ]
+            dropped = set()
+            for i in odd:
+                cells = chunk[i]
+                if _is_blank(cells) or _is_comment(cells):
+                    pass
+                elif [c.strip().lower() for c in cells] == header_lowered:
+                    report.reject(line_nos[i], "duplicate header row")
+                elif len(cells) < width:
+                    report.reject(line_nos[i], f"expected {width} fields, got {len(cells)}")
+                else:
+                    continue
+                dropped.add(i)
+            kept = [i for i in range(len(chunk)) if i not in dropped] if dropped else range(len(chunk))
+            transposed = list(zip(*(chunk[i] for i in kept))) or [()] * width
+            yield [line_nos[i] for i in kept], {name: transposed[i] for name, i in positions.items()}
+            if len(chunk) < CHUNK_ROWS:
+                return
+    except UnicodeDecodeError:
+        # the wrapper counts a byte's position from the start of its chunk
+        raw.decode("utf-8")
+        raise
 
 
 # --- the column checks -------------------------------------------------------
@@ -737,7 +739,7 @@ def convert_survey(
 
 
 def parse_gps_log(
-    source: BinaryIO | TextIO,
+    source: BinaryIO,
     options: IngestOptions | None = None,
 ) -> tuple[FixTable, RejectionReport]:
     """Parse a delimited GPS log into a FixTable plus a rejection report.
@@ -762,7 +764,7 @@ def parse_gps_log(
 
 
 def parse_survey(
-    source: BinaryIO | TextIO,
+    source: BinaryIO,
     options: IngestOptions | None = None,
 ) -> tuple[list[SurveyRecord], RejectionReport]:
     """Parse the closeness survey into SurveyRecord rows.

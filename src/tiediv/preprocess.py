@@ -72,7 +72,6 @@ class PreprocessConfig:
     accuracy_cutoff_m: float = 60.0
     coverage_fraction: float = 0.2
     min_days: int = 5
-    min_common_days: int = 7
 
 
 @dataclass

@@ -290,11 +290,6 @@ class TestByteOrderMark:
         assert [(r.rater_id, r.ratee_id) for r in records] == [("A", "B")]
         assert report.entries == [(3, "self-rating")]
 
-    def test_text_source_with_bom(self):
-        text = "\ufeffrater_id,ratee_id,closeness,proximity\nA,B,5,4\n"
-        records, _ = parse_survey(io.StringIO(text))
-        assert [r.rater_id for r in records] == ["A"]
-
 
 class TestOversizedField:
     """A cell over csv's field size limit is a rejected row, not a crash."""
@@ -374,13 +369,108 @@ class TestLineNumbers:
         ]
         assert [f.user_id for f in fixes] == ["u\n1", "u4"]
 
-    def test_row_csv_cannot_parse_after_a_quoted_line_break(self):
-        # csv stops at a carriage return inside an unquoted cell
+    def test_lone_carriage_return_after_a_quoted_line_break(self):
+        # a carriage return inside an unquoted cell ends its line: two short rows
         fixes, report = parse_gps_log(gps_source(*self.ROWS[:1], "u2\rx,bad", "u4,bad,23.1,72.6,,5,,gps"))
-        assert [line for line, _ in report.entries] == [4, 5]
-        assert report.entries[0][1].startswith("new-line character seen in unquoted field")
+        assert report.entries == [
+            (4, "expected 8 fields, got 1"),
+            (5, "expected 8 fields, got 2"),
+            (6, "unparseable timestamp: 'bad'"),
+        ]
+        assert [f.user_id for f in fixes] == ["u\n1"]
 
     def test_survey(self):
         records, report = parse_survey(survey_source('"A\n\nx",B,5,4', "A,B,9,4"))
         assert report.entries == [(5, "closeness out of range")]
         assert [r.rater_id for r in records] == ["A\n\nx"]
+
+
+class TestLineEnds:
+    """A line ends at "\\r\\n", "\\r" or "\\n", as csv reads in newline='' mode."""
+
+    def test_lone_carriage_return_before_a_quoted_cell(self):
+        # the quote opened after the "\r" holds the next two lines: they are no rows
+        log = (
+            'user_id,timestamp,lat,lon,accuracy\nu1\rx,"y\n'
+            'u9,2016-04-03T10:02:11Z,23.1,72.6,5\nend",2016-04-03T10:02:11Z,23.1,72.6,5\n'
+        )
+        fixes, report = parse_gps_log(io.BytesIO(log.encode()))
+        assert len(fixes) == 0
+        assert report.entries == [
+            (2, "expected 5 fields, got 1"),
+            (3, "unparseable timestamp: 'y\\nu9,2016-04-03T10:02:11Z,23.1,72.6,5\\nend'"),
+        ]
+
+    LINES = (
+        "# exported by the logger",
+        GPS_HEADER.rstrip("\n"),
+        "u1,2016-04-03T10:02:11Z,23.188,72.628,,36.0,,gps",
+        '"u{eol}2",bad,23.1,72.6,,5,,gps',
+        "",
+        '"u,3",2016-04-03T10:04:11Z,23.2,72.7,51.5,12,7,"a,b"',
+        "u4,2016-04-03T10:06:11Z",
+        GPS_HEADER.rstrip("\n"),
+        "u5,1459677731,23.2,72.7,,12,,gps",
+    )
+    REJECTED = [
+        (4, "unparseable timestamp: 'bad'"),
+        (8, "expected 8 fields, got 2"),
+        (9, "duplicate header row"),
+    ]
+
+    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 2])
+    def test_lf_crlf_and_cr_logs_read_alike(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        parsed = {}
+        for eol in ("\n", "\r\n", "\r"):
+            log = "".join(line.format(eol=eol) + eol for line in self.LINES)
+            fixes, report = parse_gps_log(io.BytesIO(log.encode()))
+            parsed[eol] = (list(fixes), report.entries)
+        assert parsed["\r\n"] == parsed["\n"]
+        assert parsed["\r"] == parsed["\n"]
+        assert [f.user_id for f in parsed["\n"][0]] == ["u1", "u,3", "u5"]
+        assert parsed["\n"][1] == self.REJECTED
+
+    def test_cr_survey(self):
+        survey = "rater_id,ratee_id,closeness,proximity\rA,B,5,4\rA,A,3,2\rB,A,0,1\r"
+        records, report = parse_survey(io.BytesIO(survey.encode()))
+        assert [(r.rater_id, r.ratee_id) for r in records] == [("A", "B"), ("B", "A")]
+        assert report.entries == [(3, "self-rating")]
+
+
+class TestIngestErrors:
+    """A fatal error in an input file names the file."""
+
+    GPS = Path(__file__).parent / "data" / "mini_gps.csv"
+    SURVEY = Path(__file__).parent / "data" / "mini_survey.csv"
+
+    def ingest_error(self, capsys, tmp_path, gps=GPS, survey=SURVEY) -> str:
+        capsys.readouterr()
+        assert main(["ingest", "--gps", str(gps), "--survey", str(survey), "-o", str(tmp_path / "out")]) == 1
+        return capsys.readouterr().err
+
+    def test_missing_columns(self, tmp_path, capsys):
+        gps = tmp_path / "gps.csv"
+        gps.write_bytes(b"user_id,timestamp,lat\nu1,2016-04-03T10:02:11Z,23.1\n")
+        assert self.ingest_error(capsys, tmp_path, gps=gps) == (
+            f"error: {gps}: missing mandatory column(s): lon, accuracy\n"
+        )
+
+    def test_undecodable_byte_gives_its_offset_in_the_file(self, tmp_path, capsys):
+        # far past the first 8 KB block the decoder reads
+        head = gps_source(*["u1,2016-04-03T10:02:11Z,23.188,72.628,,36.0,,gps"] * 1000).getvalue()
+        gps = tmp_path / "gps.csv"
+        gps.write_bytes(head + "caf\u00e9,2016-04-03T10:02:11Z,23.1,72.6,,5,,gps\n".encode("latin-1"))
+        offset = len(head) + 3
+        assert offset > 1 << 15
+        assert self.ingest_error(capsys, tmp_path, gps=gps) == (
+            f"error: {gps}: 'utf-8' codec can't decode byte 0xe9 in position {offset}: "
+            "invalid continuation byte\n"
+        )
+
+    def test_survey_error_names_the_survey(self, tmp_path, capsys):
+        survey = tmp_path / "survey.csv"
+        survey.write_bytes(b"# no header\n")
+        assert self.ingest_error(capsys, tmp_path, survey=survey) == (
+            f"error: {survey}: empty input: no header line\n"
+        )
