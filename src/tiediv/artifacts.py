@@ -36,7 +36,8 @@ wrong width or a row csv cannot parse. `read_fixes` and `read_survey`
 hand their columns to the converters ingest uses (`convert_gps`,
 `convert_survey`), so a staged run reads a cell into the same value by
 the same checks as ingest did. The other readers convert whole columns
-and look for the bad cell only when a conversion fails.
+and look for the bad cell only when a conversion fails; `read_clean_fixes`
+then range-checks each slot and position (`first_out_of_range`).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .ingest import (
     gc_paused,
     timestamps_us,
 )
-from .preprocess import CleanTable, ValidDaySet, epoch_day
+from .preprocess import CleanTable, ValidDaySet, epoch_day, first_out_of_range
 
 # joins the items of a tuple cell: `pairs.csv` common_days, `subgroups.csv` outliers
 _ITEM_SEP = "|"
@@ -458,6 +459,12 @@ def _epoch_day(text: str) -> int:
 
 
 def read_clean_fixes(path: str | Path) -> CleanTable:
+    """The fixes of `clean_fixes.csv`.
+
+    Raises ValueError naming the artifact and the data row for a cell
+    that does not parse, a slot outside 0..287, or a lat or lon that
+    ingest would reject as out of range.
+    """
     chunks = []
     days: dict[str, int] = {}
     parsers = {"day": _epoch_day, "slot": int, "lat": float, "lon": float}
@@ -465,15 +472,18 @@ def read_clean_fixes(path: str | Path) -> CleanTable:
         with _cells_named(path, first, cells, parsers):
             for text in set(cells["day"]).difference(days):
                 days[text] = _epoch_day(text)
-            chunks.append(
-                CleanTable(
-                    user=TextColumn.of(cells["user_id"]),
-                    day=np.array([days[text] for text in cells["day"]], dtype=np.int64),
-                    slot=np.array(list(map(int, cells["slot"])), dtype=np.int64),
-                    lat=np.array(cells["lat"], dtype=np.float64),
-                    lon=np.array(cells["lon"], dtype=np.float64),
-                )
+            table = CleanTable(
+                user=TextColumn.of(cells["user_id"]),
+                day=np.array([days[text] for text in cells["day"]], dtype=np.int64),
+                slot=np.array(list(map(int, cells["slot"])), dtype=np.int64),
+                lat=np.array(cells["lat"], dtype=np.float64),
+                lon=np.array(cells["lon"], dtype=np.float64),
             )
+        out_of_range = first_out_of_range(table.slot, table.lat, table.lon)
+        if out_of_range:
+            i, reason = out_of_range
+            raise ValueError(f"{path}: data row {first + i}: {reason}")
+        chunks.append(table)
     return CleanTable.concat(chunks)
 
 

@@ -23,6 +23,7 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from .encounter import check_threshold
 from .experiments import DEFAULT_MAX_HORIZON, DEFAULT_Q_GRID, DEFAULT_WIDTH_GRID
 from .features import check_order, check_width_t
 from .ingest import IngestOptions
@@ -55,6 +56,17 @@ def _hh_mm_offset(text: str) -> int:
     if not 0 <= minutes <= 59:
         raise ValueError(f"zone offset minutes must be 0-59, got {text!r}")
     return sign * (hours * 60 + minutes)
+
+
+def _parse_delimiter(text: str) -> str:
+    """One character that csv can split on: not a quote and not a line break."""
+    if len(text) != 1 or text in '"\r\n':
+        raise ValueError(f"delimiter must be one character other than '\"', CR or LF, got {text!r}")
+    return text
+
+
+def _parse_threshold(text: str) -> float:
+    return check_threshold(float(text))
 
 
 def _parse_date(text: str) -> date:
@@ -98,7 +110,7 @@ class RunConfig:
     gps: str | None = None
     survey: str | None = None
     outdir: str = field(default="out", metadata={"flags": ("-o", "--outdir")})
-    delimiter: str = ","
+    delimiter: str = field(default=",", metadata={"parse": _parse_delimiter})
     naive_utc_offset_minutes: int = _zone_offset(0, "--naive-utc-offset")
     window_start: date = date(2016, 4, 1)
     window_end: date = date(2016, 5, 1)
@@ -107,7 +119,7 @@ class RunConfig:
     coverage_fraction: float = 0.2
     min_days: int = 5
     min_common_days: int = 7
-    threshold_m: float = 50.0
+    threshold_m: float = field(default=50.0, metadata={"parse": _parse_threshold})
     width_t: int = 60
     q: float | None = None
     width_grid: tuple[int, ...] = DEFAULT_WIDTH_GRID

@@ -671,6 +671,14 @@ def _canonical_texts(kind: type, cells: Sequence[str]) -> list[str]:
     return list(map(texts.__getitem__, cells))
 
 
+def position_checks(lat: np.ndarray, lon: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """The range checks of a fix's position: (mask of the rows that fail, reason); NaN fails."""
+    return [
+        (~((lat >= -90.0) & (lat <= 90.0)), "lat out of range"),
+        (~((lon >= -180.0) & (lon < 180.0)), "lon out of range"),
+    ]
+
+
 def convert_gps(
     line_nos: Sequence[int],
     columns: dict[str, Sequence[str]],
@@ -695,8 +703,7 @@ def convert_gps(
         ok = _passing(line_nos, [
             (~time_ok, time_reasons),
             (~(lat_ok & lon_ok & accuracy_ok), "non-numeric lat/lon/accuracy"),
-            (~((lat >= -90.0) & (lat <= 90.0)), "lat out of range"),
-            (~((lon >= -180.0) & (lon < 180.0)), "lon out of range"),
+            *position_checks(lat, lon),
             (~(np.isfinite(accuracy) & (accuracy >= 0.0)), "accuracy negative or non-finite"),
             (~np.fromiter(map(bool, users), bool, len(users)), "empty user id"),
             (~(elevation_ok & satellites_ok), "non-numeric elevation/satellites"),

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import US_PER_S, ColumnTable, FixTable, SurveyRecord, TextColumn
+from .ingest import US_PER_S, ColumnTable, FixTable, SurveyRecord, TextColumn, position_checks
 
 SLOT_SECONDS = 300
 SLOTS_PER_DAY = 288  # 24h of 5-minute slots
@@ -52,6 +52,15 @@ class CleanTable(ColumnTable):
     slot: np.ndarray  # int64 0..287
     lat: np.ndarray  # float64 degrees
     lon: np.ndarray
+
+
+def first_out_of_range(
+    slot: np.ndarray, lat: np.ndarray, lon: np.ndarray
+) -> tuple[int, str] | None:
+    """The first clean fix with a slot outside 0..287 or a position ingest rejects, and why."""
+    checks = [(~((slot >= 0) & (slot < SLOTS_PER_DAY)), "slot out of range"), *position_checks(lat, lon)]
+    failures = [(int(np.argmax(failing)), reason) for failing, reason in checks if failing.any()]
+    return min(failures, key=lambda failure: failure[0], default=None)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from datetime import date, timedelta
-from typing import NamedTuple, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from tiediv.encounter import Encounter, EncounterSet
+from tiediv.geo import geohash_encode, haversine_m
 from tiediv.ingest import FixTable, RawFix, TextColumn, to_epoch_us
-from tiediv.preprocess import CleanTable, day_of, epoch_day
+from tiediv.preprocess import CleanTable, ValidDaySet, day_of, epoch_day
 
 START = date(2016, 4, 1)
 
@@ -108,3 +110,41 @@ def encounter_set_from_counts(
     # same slot may repeat across bins only if bins differ, and it cannot:
     # distinct bins have distinct start slots, so (day, slot) stays unique
     return make_encounter_set(events, n_common_days=n_common_days, pair=pair)
+
+
+def brute_force_encounters(
+    rows: Sequence[CleanRow],
+    valid_days: Mapping[str, ValidDaySet],
+    threshold_m: float,
+    min_common_days: int,
+    pairs: Iterable[tuple[str, str]] | None = None,
+) -> dict[tuple[str, str], EncounterSet]:
+    """What `detect_encounters` returns, by comparing every two rows of a (day, slot).
+
+    The last row per (user, day, slot) counts; a hit is a scalar
+    `haversine_m` within the threshold on a common day, labelled with
+    the scalar `geohash_encode` of the midpoint.
+    """
+    last = {(row.user_id, row.day, row.slot): row for row in rows}
+    by_time: dict[tuple[date, int], list[CleanRow]] = {}
+    for (_, day_, slot), row in last.items():
+        by_time.setdefault((day_, slot), []).append(row)
+    if pairs is None:
+        users = sorted(valid_days)
+        wanted = [(a, b) for i, a in enumerate(users) for b in users[i + 1 :]]
+    else:
+        wanted = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+    shared = {}
+    for lo, hi in wanted:
+        if lo in valid_days and hi in valid_days:
+            days = tuple(sorted(set(valid_days[lo].days) & set(valid_days[hi].days)))
+            if len(days) >= min_common_days:
+                shared[(lo, hi)] = days
+    found: dict[tuple[str, str], list[Encounter]] = {pair: [] for pair in shared}
+    for (day_, slot), group in sorted(by_time.items()):
+        for p, q in combinations(sorted(group), 2):
+            pair = (p.user_id, q.user_id)
+            if pair in shared and day_ in shared[pair] and haversine_m(p.lat, p.lon, q.lat, q.lon) <= threshold_m:
+                cell = geohash_encode((p.lat + q.lat) / 2.0, (p.lon + q.lon) / 2.0, 8)
+                found[pair].append(Encounter(*pair, day_, slot, cell))
+    return {pair: EncounterSet(*pair, days, tuple(found[pair])) for pair, days in shared.items()}

@@ -224,11 +224,27 @@ class TestStageErrors:
         [
             ("--width-t", "7", "width_t must divide 1440, got 7"),
             ("--q", "-1", "diversity order must be >= 0, got -1.0"),
+            *(
+                ("--threshold-m", value, f"distance threshold must be positive and finite, got {value}")
+                for value in ("nan", "inf", "0.0", "-5.0")
+            ),
         ],
     )
     def test_bad_analysis_setting_fails_before_any_stage(self, outdir, capsys, flag, value, message):
         assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), flag, value) == 1
         assert message in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_huge_finite_threshold_keeps_every_co_occurrence(self, outdir):
+        # every fix of a pair's common slots lies within 1e300 m: the join's one-cell case
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), "--threshold-m", "1e300") == 0
+        assert len(read_table(outdir / "encounters.csv")[2]) == 1200
+
+    @pytest.mark.parametrize("delimiter", [";;", '"', "", "\n", "\r"])
+    def test_bad_delimiter_fails_before_any_stage(self, outdir, capsys, delimiter):
+        assert run("ingest", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), "--delimiter", delimiter) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for 'delimiter': ") and err.count("\n") == 1
         assert not outdir.exists() or not any(outdir.iterdir())
 
     def test_missing_upstream_artifact(self, outdir, capsys):
@@ -264,6 +280,12 @@ class TestStageErrors:
             ("survey.csv", "closeness_raw", "x", "non-integer closeness/proximity"),
             ("clean_fixes.csv", "lat", "north", "lat: could not convert string to float: 'north'"),
             ("valid_days.csv", "day", "x", "day: Invalid isoformat string: 'x'"),
+            ("clean_fixes.csv", "slot", "999", "slot out of range"),
+            ("clean_fixes.csv", "slot", "-1", "slot out of range"),
+            ("clean_fixes.csv", "lat", "nan", "lat out of range"),
+            ("clean_fixes.csv", "lat", "90.5", "lat out of range"),
+            ("clean_fixes.csv", "lon", "500", "lon out of range"),
+            ("clean_fixes.csv", "lon", "180.0", "lon out of range"),
             ("encounters.csv", "slot", "x", "slot: invalid literal for int() with base 10: 'x'"),
             *(
                 pytest.param(name, "user_id", "x" * 200_000, "field larger than field limit (131072)",

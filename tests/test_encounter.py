@@ -1,14 +1,19 @@
 """Co-location detection on the day-slot grid."""
 
 from datetime import date, timedelta
+from math import asin, atan2, cos, degrees, log10, pi, radians, sin
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiediv import encounter
 from tiediv.encounter import canonical_pair, detect_encounters
-from tiediv.geo import geohash_encode, haversine_m
+from tiediv.geo import EARTH_RADIUS_M, geohash_encode, haversine_m, within_m
 from tiediv.preprocess import ValidDaySet
 
-from helpers import CleanRow, clean_table
+from helpers import CleanRow, brute_force_encounters, clean_table
 
 BASE_LAT, BASE_LON = 23.19, 72.63
 START = date(2016, 4, 1)
@@ -120,6 +125,35 @@ class TestDetectEncounters:
         with pytest.raises(ValueError):
             detect([], threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_non_finite_or_negative_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="distance threshold must be positive and finite"):
+            detect([fix("a", 0, 100), fix("b", 0, 100)], threshold=threshold)
+
+    def test_fixes_across_the_antimeridian_meet(self):
+        # ~22 m apart at the equator, on either side of longitude +-180
+        fixes = [CleanRow("a", day(0), 100, 0.0, 179.9999), CleanRow("b", day(0), 100, 0.0, -179.9999)]
+        assert detect(fixes)[("a", "b")].n_encounters == 1
+
+    def test_fixes_across_the_pole_meet(self):
+        # ~22 m apart, on opposite meridians next to the north pole
+        fixes = [CleanRow("a", day(0), 100, 89.9999, 10.0), CleanRow("b", day(0), 100, 89.9999, -170.0)]
+        assert detect(fixes)[("a", "b")].n_encounters == 1
+
+    def test_huge_threshold_keeps_every_co_occurrence(self):
+        fixes = [CleanRow("a", day(0), 100, 89.0, 0.0), CleanRow("b", day(0), 100, -89.0, 179.0)]
+        assert detect(fixes, threshold=1e300)[("a", "b")].n_encounters == 1
+        assert detect(fixes, threshold=1e7)[("a", "b")].n_encounters == 0
+
+    @pytest.mark.parametrize(
+        "column,value,reason",
+        [("slot", 288, "slot"), ("slot", -1, "slot"), ("lat", float("nan"), "lat"), ("lon", 180.0, "lon")],
+    )
+    def test_fix_out_of_range_rejected(self, column, value, reason):
+        row = fix("a", 0, 100)._replace(**{column: value})
+        with pytest.raises(ValueError, match=f"clean fix 1: {reason} out of range"):
+            detect([fix("b", 0, 100), row])
+
     def test_one_encounter_per_slot_maximum(self):
         # both users present in one slot only once per (day, slot) by grid
         fixes = [fix("a", 0, 100), fix("b", 0, 100)]
@@ -150,3 +184,122 @@ class TestCanonicalPair:
     def test_identical_users_rejected(self):
         with pytest.raises(ValueError):
             canonical_pair("a", "a")
+
+
+def destination(lat: float, lon: float, distance_m: float, bearing: float) -> tuple[float, float]:
+    """The point distance_m from (lat, lon) along a bearing (degrees), with |lat| <= 89.99."""
+    angle, theta, phi = distance_m / EARTH_RADIUS_M, radians(bearing), radians(lat)
+    phi2 = asin(max(-1.0, min(1.0, sin(phi) * cos(angle) + cos(phi) * sin(angle) * cos(theta))))
+    lam2 = radians(lon) + atan2(sin(theta) * sin(angle) * cos(phi), cos(angle) - sin(phi) * sin(phi2))
+    lon2 = (degrees(lam2) + 180.0) % 360.0 - 180.0
+    return max(-89.99, min(89.99, degrees(phi2))), lon2 if lon2 < 180.0 else -180.0
+
+
+ANCHORS = [(23.19, 72.63), (0.0, 0.0), (0.0, -180.0), (45.0, 179.9999), (-30.0, -179.9999),
+           (89.99, 10.0), (-89.99, -170.0), (89.0, 180.0 - 1e-9)]
+USERS = ("a", "b", "c", "d")
+
+
+@st.composite
+def scenes(draw):
+    """Fixes near an anchor at distances around the threshold, and valid days.
+
+    Fixes sit at 0-3 thresholds from the anchor in any direction, so
+    pairs straddle the threshold and cell edges; users repeat (day, slot)
+    keys, and user "x" has no valid days.
+    """
+    threshold = draw(st.one_of(
+        st.sampled_from([1.0, 50.0, 2.0e7, pi * EARTH_RADIUS_M, 2.5e7]),
+        st.floats(0.0, log10(2.5e7)).map(lambda e: 10.0**e),
+    ))
+    lat, lon = draw(st.one_of(
+        st.sampled_from(ANCHORS),
+        st.tuples(st.floats(-89.99, 89.99), st.floats(-180.0, 180.0, exclude_max=True)),
+    ))
+    n_days = draw(st.integers(1, 3))
+    users = USERS[: draw(st.integers(2, len(USERS)))]
+    valid = {
+        u: ValidDaySet(u, tuple(day(i) for i in sorted(draw(st.sets(st.integers(0, n_days - 1))))))
+        for u in users
+    }
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        factor = draw(st.sampled_from([0.0, 0.25, 0.5, 0.999999, 1.0, 1.000001, 1.5, 2.0, 3.0]))
+        position = destination(lat, lon, factor * threshold, draw(st.floats(0.0, 360.0)))
+        user = draw(st.sampled_from(users + ("x",)))
+        rows.append(CleanRow(user, day(draw(st.integers(0, n_days))), draw(st.integers(0, 2)), *position))
+    anyone = st.sampled_from(USERS + ("x",))
+    pairs = draw(st.none() | st.lists(st.tuples(anyone, anyone).filter(lambda p: p[0] != p[1]), max_size=6))
+    return rows, valid, threshold, draw(st.integers(0, 2)), pairs
+
+
+@given(scenes())
+@settings(max_examples=300, deadline=None)
+def test_bucket_join_matches_brute_force(scene):
+    rows, valid, threshold, min_common, pairs = scene
+    result = detect_encounters(clean_table(rows), valid, threshold, min_common, pairs=pairs)
+    # whole dicts in order: keys, common days, encounters and their order
+    expected = brute_force_encounters(rows, valid, threshold, min_common, pairs)
+    assert list(result.items()) == list(expected.items())
+
+
+@given(
+    st.sampled_from([1.0, 50.0, 2.0e7, 2.5e7]) | st.floats(0.0, log10(2.5e7)).map(lambda e: 10.0**e),
+    st.floats(-89.99, 89.99),
+    st.floats(-180.0, 180.0, exclude_max=True),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 360.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_points_within_the_threshold_are_at_most_one_cell_apart(threshold, lat, lon, share, bearing):
+    lat2, lon2 = destination(lat, lon, share * threshold, bearing)
+    if haversine_m(lat, lon, lat2, lon2) > threshold:
+        return
+    grid = encounter._Grid.covering(threshold, max(abs(lat), abs(lat2)))
+    assert grid.n_cols != 2  # two columns would be each other's neighbour twice
+    (row, row2), (col, col2) = grid.cells(np.array([lat, lat2]), np.array([lon, lon2]))
+    assert abs(row - row2) <= 1
+    assert min((col - col2) % grid.n_cols, (col2 - col) % grid.n_cols) <= 1
+
+
+@given(
+    st.sampled_from([1, 3, 4, 7]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 6)), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_bucket_pairs_are_the_row_pairs_of_adjacent_cells(n_cols, cells):
+    rank, row, col = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    col = col % n_cols
+    first, second = encounter._bucket_pairs(rank, row, col, encounter._Grid(1.0, n_cols))
+    got = sorted(tuple(sorted(pair)) for pair in zip(first.tolist(), second.tolist()))
+
+    def adjacent(i, j):
+        steps = (col[i] - col[j]) % n_cols, (col[j] - col[i]) % n_cols
+        return rank[i] == rank[j] and abs(row[i] - row[j]) <= 1 and min(steps) <= 1
+
+    assert got == [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells)) if adjacent(i, j)]
+
+
+def test_distance_checks_grow_linearly_with_pairs(monkeypatch):
+    seen = []
+
+    def counting_within_m(lat1, *rest):
+        seen.append(len(lat1))
+        return within_m(lat1, *rest)
+
+    monkeypatch.setattr(encounter, "within_m", counting_within_m)
+    for n_pairs in (10, 20, 40):
+        # pair k meets at its own spot, 0.01 deg (~1.1 km) north of pair k-1's,
+        # in the same 12 slots of 8 days as every other pair
+        rows = [
+            fix(f"{side}{k:03d}", d, slot, dlat=0.01 * k)
+            for k in range(n_pairs) for side in "ab" for d in range(8) for slot in range(100, 112)
+        ]
+        users = sorted({row.user_id for row in rows})
+        seen.clear()
+        result = detect(rows, users=users)
+        assert sum(seen) == n_pairs * 8 * 12  # only the planted pairs' co-occurrences
+        assert len(result) == len(users) * (len(users) - 1) // 2
+        assert sorted(key for key, es in result.items() if es.encounters) == [
+            (f"a{k:03d}", f"b{k:03d}") for k in range(n_pairs)
+        ]
