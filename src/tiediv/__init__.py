@@ -13,13 +13,12 @@ from .features import (
     shannon_entropy,
     temporal_diversity,
 )
-from .geo import geohash_decode_bounds, geohash_encode, haversine_m
+from .geo import geohash_encode, haversine_m
 from .ingest import FixTable, RawFix, SurveyRecord, parse_gps_log, parse_survey
 from .preprocess import (
     CleanTable,
     PreprocessConfig,
     ValidDaySet,
-    common_days,
     filter_pipeline,
     regroup_closeness,
     snap_to_slot,
@@ -43,14 +42,12 @@ __all__ = [
     "SynthConfig",
     "ValidDaySet",
     "build_observations",
-    "common_days",
     "compute_pair_features",
     "detect_encounters",
     "evaluate_feature",
     "f_from_r",
     "f_sf",
     "filter_pipeline",
-    "geohash_decode_bounds",
     "geohash_encode",
     "haversine_m",
     "hill_diversity",

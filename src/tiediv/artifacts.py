@@ -62,6 +62,7 @@ from .ingest import (
     RejectionReport,
     SurveyRecord,
     TextColumn,
+    civil_from_days,
     convert_gps,
     convert_survey,
     gc_paused,
@@ -270,12 +271,6 @@ def _parsed(path: str | Path, rows: Iterable[list[str]], first: int) -> list[lis
     return parsed
 
 
-def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Parse an artifact back into (meta, columns, rows)."""
-    with _rows(path) as (meta, columns, rows), gc_paused():
-        return meta, columns, _parsed(path, rows, 1)
-
-
 def check_written(receipt: Receipt) -> None:
     """Raise ValueError unless the file holds the line ends its writer wrote, and ends with one."""
     path = receipt.path
@@ -346,14 +341,36 @@ def _cells_named(
         raise
 
 
+# "00" to "99" as a (2, 100) byte matrix: column k holds the two digits of k
+_DIGIT_PAIRS = np.array([list(f"{k:02d}".encode()) for k in range(100)], dtype=np.uint8).T.copy()
+# `isoformat()` of a UTC instant with microseconds, and a line end
+_ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00.000000+00:00\n", np.uint8)
+_ISO_FRACTION = slice(19, 26)
+
+
 def iso_utc_texts(t_us: np.ndarray) -> list[str]:
-    """`datetime.isoformat()` of each UTC instant, as `fixes.csv` stores it."""
-    seconds = t_us // US_PER_S
-    micros = (t_us - seconds * US_PER_S).tolist()
-    whole = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
-    return [
-        f"{s}+00:00" if not us else f"{s}.{us:06d}+00:00" for s, us in zip(whole, micros)
-    ]
+    """`datetime.isoformat()` of each UTC instant, as `fixes.csv` stores it.
+
+    The texts are built as one byte matrix, a column per instant, two
+    digits at a time: the civil date of the epoch day (`civil_from_days`),
+    then the time of day. An instant with no microseconds has no fraction
+    in `isoformat()`, so its fraction bytes are deleted.
+    """
+    seconds, micros = np.divmod(t_us, US_PER_S)
+    days, second = np.divmod(seconds, 86400)
+    year, month, day = civil_from_days(days)
+    hour, second = np.divmod(second, 3600)
+    minute, second = np.divmod(second, 60)
+    fields = (
+        year // 100, year % 100, month, day, hour, minute, second,
+        micros // 10_000, micros // 100 % 100, micros % 100,
+    )
+    chars = np.empty((len(_ISO_UTC), len(t_us)), dtype=np.uint8)
+    chars[:] = _ISO_UTC[:, None]
+    for at, value in zip((0, 2, 5, 8, 11, 14, 17, 20, 22, 24), fields):
+        chars[at : at + 2] = np.take(_DIGIT_PAIRS, value, axis=1)
+    chars[_ISO_FRACTION, micros == 0] = 0  # NUL bytes, deleted below
+    return chars.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
 def _float_texts(floats: np.ndarray) -> list[str]:

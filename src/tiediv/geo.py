@@ -129,32 +129,3 @@ def geohash_encode_many(lat: np.ndarray, lon: np.ndarray, length: int = 8) -> li
     text = alphabet[codes].tobytes().decode("ascii")
     return [text[i : i + length] for i in range(0, len(text), length)]
 
-
-def geohash_decode_bounds(code: str) -> tuple[float, float, float, float]:
-    """Return the (lat_lo, lat_hi, lon_lo, lon_hi) bounding box of a cell."""
-    if not code:
-        raise ValueError("empty geohash")
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -180.0, 180.0
-    even = True
-    for ch in code:
-        try:
-            value = GEOHASH_BASE32.index(ch)
-        except ValueError:
-            raise ValueError(f"invalid geohash character: {ch!r}") from None
-        for shift in range(4, -1, -1):
-            bit = (value >> shift) & 1
-            if even:
-                mid = (lon_lo + lon_hi) / 2.0
-                if bit:
-                    lon_lo = mid
-                else:
-                    lon_hi = mid
-            else:
-                mid = (lat_lo + lat_hi) / 2.0
-                if bit:
-                    lat_lo = mid
-                else:
-                    lat_hi = mid
-            even = not even
-    return lat_lo, lat_hi, lon_lo, lon_hi

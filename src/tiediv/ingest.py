@@ -20,9 +20,9 @@ The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
 time, and the optional elevation, satellite and provider cells kept as
 canonical text so that `fixes.csv` can be written without rounding.
-Columns are converted with Python's own `float` and `int`; the optional
-elevation and satellite cells once per distinct cell. Timestamps in
-these shapes are parsed in bulk:
+Columns are converted with Python's own `float` and `int`; the text
+columns (user, elevation, satellites, provider) once per distinct cell.
+Timestamps in these shapes are parsed in bulk:
 
 - integer epoch seconds of up to 11 ASCII digits;
 - fractional epoch seconds below 2**32 with 1 to 6 fraction digits,
@@ -30,8 +30,12 @@ these shapes are parsed in bulk:
 - `YYYY-MM-DDTHH:MM:SS`, with an optional 3- or 6-digit fraction, and
   with a `Z` or `+hh:mm` zone or none (naive, `naive_utc_offset_minutes`
   east of UTC); a naive time may have a space in place of the `T`.
+  The cells of each such shape are parsed together from one `uint8`
+  matrix of their UTF-8 bytes, a row per cell.
 
-Cells in other shapes go to `parse_timestamp` one at a time.
+Cells in other shapes go to `parse_timestamp` one at a time, and so does
+a cell holding a character outside ASCII, which is longer in bytes than
+in characters.
 
 Each table's rules are one ordered list of column checks (`convert_gps`,
 `convert_survey`): a mask of the rows that fail the check, and the
@@ -52,7 +56,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from itertools import islice
+from itertools import compress, islice, repeat
 from math import isfinite
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -137,6 +141,14 @@ class TextColumn:
             np.array([index[v] for v in c.values], dtype=np.int32)[c.codes] for c in columns
         ]
         return cls(np.concatenate(codes) if codes else np.zeros(0, np.int32), tuple(values))
+
+    def take(self, rows: np.ndarray) -> "TextColumn":
+        """The rows a mask or index array selects, over the values they use."""
+        codes = self.codes[rows]
+        used = np.flatnonzero(np.bincount(codes, minlength=len(self.values)))
+        index = np.zeros(len(self.values), dtype=np.int32)
+        index[used] = np.arange(len(used), dtype=np.int32)
+        return TextColumn(index[codes], tuple(self.values[i] for i in used.tolist()))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -299,22 +311,37 @@ def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np
     return era * 146097 + day_of_era - 719468
 
 
+def civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(year, month, day) of days since 1970-01-01; the inverse of `_days_from_civil`."""
+    days = days + 719468
+    era = days // 146097
+    day_of_era = days - era * 146097
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524 - day_of_era // 146096) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    month_from_march = (5 * day_of_year + 2) // 153
+    day = day_of_year - (153 * month_from_march + 2) // 5 + 1
+    month = np.where(month_from_march < 10, month_from_march + 3, month_from_march - 9)
+    return year_of_era + era * 400 + (month <= 2), month, day
+
+
 def _iso_us(
     chars: np.ndarray, frac: int, zone: str, naive_offset_s: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Epoch microseconds and validity of rows of one fixed ISO shape.
 
-    `chars` holds one timestamp per row as Unicode code points. A row is
+    `chars` holds one ASCII timestamp per row as a uint8 matrix. A row is
     valid only if it is a real date and time whose UTC instant lies well
     inside `datetime`'s range; others are left to `parse_timestamp`.
     Naive times are `naive_offset_s` seconds east of UTC.
     """
-    digits = chars.astype(np.int64) - ord("0")
+    chars = np.ascontiguousarray(chars.T)  # a row per character position
+    digits = chars - np.uint8(ord("0"))  # wraps, so a byte below "0" is above 9 too
 
     def number(*cols: int) -> np.ndarray:
-        value = np.zeros(len(chars), dtype=np.int64)
-        for col in cols:
-            value = value * 10 + digits[:, col]
+        # int32 holds any field of up to 6 digits, even of bytes that are not digits
+        value = digits[cols[0]].astype(np.int32)
+        for col in cols[1:]:
+            value = value * 10 + digits[col]
         return value
 
     zone_at = 19 + (frac + 1 if frac else 0)
@@ -325,21 +352,20 @@ def _iso_us(
     if zone == "+":
         digit_cols += [zone_at + 1, zone_at + 2, zone_at + 4, zone_at + 5]
         separators.append((zone_at + 3, ":"))
-    picked = digits[:, digit_cols]
-    ok = ((picked >= 0) & (picked <= 9)).all(axis=1)
+    ok = np.logical_and.reduce(digits[digit_cols] <= 9)
     for col, char in separators:
-        ok &= chars[:, col] == ord(char)
+        ok &= chars[col] == ord(char)
     # a naive time may also have the space of `str(datetime)` before the time
-    ok &= (chars[:, 10] == ord("T")) | ((chars[:, 10] == ord(" ")) & (zone == ""))
+    ok &= (chars[10] == ord("T")) | ((chars[10] == ord(" ")) & (zone == ""))
 
     if zone == "":
         offset_s = naive_offset_s
     elif zone == "Z":
-        sign = chars[:, zone_at]
+        sign = chars[zone_at]
         ok &= (sign == ord("Z")) | (sign == ord("z"))
         offset_s = 0
     else:
-        sign = chars[:, zone_at]
+        sign = chars[zone_at]
         ok &= (sign == ord("+")) | (sign == ord("-"))
         off_h, off_m = number(zone_at + 1, zone_at + 2), number(zone_at + 4, zone_at + 5)
         ok &= (off_h <= 23) & (off_m <= 59)
@@ -348,13 +374,13 @@ def _iso_us(
     year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
     hour, minute, second = number(11, 12), number(14, 15), number(17, 18)
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
     ok &= (year >= 2) & (year <= 9998) & (month >= 1) & (month <= 12)
     ok &= (day >= 1) & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
     year = np.where(ok, year, 1970)  # keep rejected rows' arithmetic in range
 
-    seconds = _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
-    t_us = (seconds - offset_s) * US_PER_S
+    days = _days_from_civil(year, month, day).astype(np.int64)
+    t_us = (days * 86400 + (hour * 3600 + minute * 60 + second - offset_s)) * US_PER_S
     if frac:
         t_us += number(*range(20, 20 + frac)) * 10 ** (6 - frac)
     return np.where(ok, t_us, 0), ok
@@ -367,7 +393,9 @@ def bulk_timestamps_us(
 
     Where the mask is True the value equals
     `parse_timestamp(cell, naive_utc_offset_minutes)`; every other cell is
-    left for `parse_timestamp` to accept or reject.
+    left for `parse_timestamp` to accept or reject. The cells of each ISO
+    shape are parsed from one byte matrix; a cell that is not ASCII is
+    longer in UTF-8 than in characters, and is left to `parse_timestamp`.
     """
     n = len(cells)
     t_us = np.zeros(n, dtype=np.int64)
@@ -399,11 +427,17 @@ def bulk_timestamps_us(
         if zone == "" and not naive:
             continue
         width = 19 + (frac + 1 if frac else 0) + {"Z": 1, "+": 6, "": 0}[zone]
-        rows = np.flatnonzero(lengths == width)
+        shaped = lengths == width
+        rows = np.flatnonzero(shaped)
         if not rows.size:
             continue
-        text = np.array([cells[i] for i in rows.tolist()], dtype=f"U{width}")
-        chars = text.view(np.uint32).reshape(len(rows), width)
+        texts = cells if rows.size == n else list(compress(cells, shaped.tolist()))
+        raw = "".join(texts).encode("utf-8", "surrogatepass")
+        if len(raw) != rows.size * width:
+            ascii = np.fromiter(map(str.isascii, texts), bool, rows.size)
+            rows = rows[ascii]
+            raw = "".join(compress(texts, ascii.tolist())).encode()
+        chars = np.frombuffer(raw, np.uint8).reshape(rows.size, width)
         t_us[rows], ok[rows] = _iso_us(chars, frac, zone, naive_utc_offset_minutes * 60)
     return t_us, ok
 
@@ -578,18 +612,21 @@ def _read_table(
 
         while True:
             chunk, line_nos = _csv_rows(rows, report, long_lines)
-            # A full-width row whose first cell is neither blank, a comment,
-            # nor the header's first cell is kept as is; others need a look.
-            odd = [
-                i
-                for i, cells in enumerate(chunk)
-                if len(cells) < width
-                or not (head := cells[0].strip())
-                or head[0] == "#"
-                or head.lower() == first
-            ]
-            dropped = set()
-            for i in odd:
+            # Short rows and rows whose first cell is blank, a comment or the
+            # header's first cell need a look. They are found from the row
+            # lengths and the distinct first cells; others are kept as is.
+            n = len(chunk)
+            odd = np.fromiter(map(len, chunk), np.int64, n) < width
+            firsts = list(map(next, map(iter, chunk), repeat("")))  # '' for an empty row
+            odd_firsts = {
+                cell
+                for cell in set(firsts)
+                if not (head := cell.strip()) or head[0] == "#" or head.lower() == first
+            }
+            if odd_firsts:
+                odd |= np.fromiter(map(odd_firsts.__contains__, firsts), bool, n)
+            keep = np.ones(n, dtype=bool)
+            for i in np.flatnonzero(odd).tolist():
                 cells = chunk[i]
                 if _is_blank(cells) or _is_comment(cells):
                     pass
@@ -599,11 +636,13 @@ def _read_table(
                     report.reject(line_nos[i], f"expected {width} fields, got {len(cells)}")
                 else:
                     continue
-                dropped.add(i)
-            kept = [i for i in range(len(chunk)) if i not in dropped] if dropped else range(len(chunk))
-            transposed = list(zip(*(chunk[i] for i in kept))) or [()] * width
-            yield [line_nos[i] for i in kept], {name: transposed[i] for name, i in positions.items()}
-            if len(chunk) < CHUNK_ROWS:
+                keep[i] = False
+            if not keep.all():
+                kept = keep.tolist()
+                chunk, line_nos = list(compress(chunk, kept)), list(compress(line_nos, kept))
+            transposed = list(zip(*chunk)) or [()] * width
+            yield line_nos, {name: transposed[i] for name, i in positions.items()}
+            if n < CHUNK_ROWS:
                 return
     except UnicodeDecodeError:
         # the wrapper counts a byte's position from the start of its chunk
@@ -634,41 +673,43 @@ def _passing(
     return ok
 
 
-def _bulk(
-    convert: Callable[[Sequence[str]], list], cells: Sequence[str]
-) -> tuple[list, np.ndarray]:
-    """`convert(cells)`, and which cells it accepts.
+def _bulk(convert: Callable[[str], object], cells: Sequence[str]) -> tuple[list, np.ndarray]:
+    """`convert` of each cell, and which cells it accepts; a rejected cell gets None.
 
-    If it rejects any cell, each cell is converted alone; a rejected
-    cell gets None.
+    One `map` converts the cells; after a cell it rejects, it goes on
+    with the next.
     """
-    try:
-        return convert(cells), np.ones(len(cells), dtype=bool)
-    except ValueError:
-        pass
     values: list = []
     ok = np.ones(len(cells), dtype=bool)
-    for i, cell in enumerate(cells):
+    rest = iter(cells)
+    while True:
         try:
-            values += convert([cell])
+            values.extend(map(convert, rest))  # keeps the values before a rejected cell
+            return values, ok
         except ValueError:
+            ok[len(values)] = False
             values.append(None)
-            ok[i] = False
-    return values, ok
 
 
 def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    values, ok = _bulk(lambda cs: list(map(float, cs)), cells)
+    values, ok = _bulk(float, cells)
     return np.array(values, dtype=np.float64), ok  # numpy reads a None as NaN
 
 
-def _canonical_texts(kind: type, cells: Sequence[str]) -> list[str]:
-    """Each cell's canonical text: '' if blank, else `repr(kind(cell))`.
+def _text_column(cells: Sequence[str], convert: Callable[[str], str]) -> tuple[TextColumn, np.ndarray]:
+    """`convert` of each cell as a `TextColumn`, and which cells it accepts.
 
-    `kind` is called once per distinct cell.
+    `convert` is called once per distinct cell. A rejected cell gets ''.
     """
-    texts = {cell: repr(kind(s)) if (s := cell.strip()) else "" for cell in set(cells)}
-    return list(map(texts.__getitem__, cells))
+    raw = TextColumn.of(cells)
+    texts, ok = _bulk(convert, raw.values)
+    converted = TextColumn.of([text if good else "" for text, good in zip(texts, ok.tolist())])
+    return TextColumn(converted.codes[raw.codes], converted.values), ok[raw.codes]
+
+
+def _canonical(kind: type) -> Callable[[str], str]:
+    """A cell's canonical text: '' if blank, else `repr(kind(cell))`."""
+    return lambda cell: repr(kind(s)) if (s := cell.strip()) else ""
 
 
 def position_checks(lat: np.ndarray, lon: np.ndarray) -> list[tuple[np.ndarray, str]]:
@@ -691,36 +732,32 @@ def convert_gps(
     lat, lat_ok = _floats(columns["lat"])
     lon, lon_ok = _floats(columns["lon"])
     accuracy, accuracy_ok = _floats(columns["accuracy"])
-    users = [cell.strip() for cell in columns["user_id"]]
-    elevation, elevation_ok = _bulk(
-        lambda cells: _canonical_texts(float, cells), columns.get("elevation", blank)
-    )
-    satellites, satellites_ok = _bulk(
-        lambda cells: _canonical_texts(int, cells), columns.get("satellites", blank)
-    )
-    negative = {text for text in set(satellites) if text and text[0] == "-"}
+    user, _ = _text_column(columns["user_id"], str.strip)
+    elevation, elevation_ok = _text_column(columns.get("elevation", blank), _canonical(float))
+    satellites, satellites_ok = _text_column(columns.get("satellites", blank), _canonical(int))
+    provider, _ = _text_column(columns.get("provider", blank), str.strip)
+    empty = np.array([not text for text in user.values], dtype=bool)
+    negative = np.array([text.startswith("-") for text in satellites.values], dtype=bool)
     with np.errstate(invalid="ignore"):
         ok = _passing(line_nos, [
             (~time_ok, time_reasons),
             (~(lat_ok & lon_ok & accuracy_ok), "non-numeric lat/lon/accuracy"),
             *position_checks(lat, lon),
             (~(np.isfinite(accuracy) & (accuracy >= 0.0)), "accuracy negative or non-finite"),
-            (~np.fromiter(map(bool, users), bool, len(users)), "empty user id"),
+            (empty[user.codes], "empty user id"),
             (~(elevation_ok & satellites_ok), "non-numeric elevation/satellites"),
-            (list(map(negative.__contains__, satellites)), "negative satellite count"),
+            (negative[satellites.codes], "negative satellite count"),
         ], report)
 
-    rows = np.flatnonzero(ok).tolist()
-    providers = columns.get("provider", blank)
     return FixTable(
-        user=TextColumn.of([users[i] for i in rows]),
+        user=user.take(ok),
         t_us=t_us[ok],
         lat=lat[ok],
         lon=lon[ok],
         accuracy=accuracy[ok],
-        elevation=TextColumn.of([elevation[i] for i in rows]),
-        satellites=TextColumn.of([satellites[i] for i in rows]),
-        provider=TextColumn.of([providers[i].strip() for i in rows]),
+        elevation=elevation.take(ok),
+        satellites=satellites.take(ok),
+        provider=provider.take(ok),
     )
 
 
@@ -730,8 +767,8 @@ def convert_survey(
     """The rows of one chunk of survey columns that pass the checks; the others go to `report`."""
     raters = [cell.strip() for cell in columns["rater_id"]]
     ratees = [cell.strip() for cell in columns["ratee_id"]]
-    closeness, closeness_ok = _bulk(lambda cells: list(map(int, cells)), columns["closeness_raw"])
-    proximity, proximity_ok = _bulk(lambda cells: list(map(int, cells)), columns["proximity_raw"])
+    closeness, closeness_ok = _bulk(int, columns["closeness_raw"])
+    proximity, proximity_ok = _bulk(int, columns["proximity_raw"])
     ok = _passing(line_nos, [
         ([not (a and b) for a, b in zip(raters, ratees)], "empty rater/ratee id"),
         (list(map(str.__eq__, raters, ratees)), "self-rating"),

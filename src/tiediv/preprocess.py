@@ -8,11 +8,13 @@ fixed UTC offset.
 
 Every step works on whole columns of a `FixTable`: the window and
 accuracy filters are masks on epoch microseconds and accuracy, snapping
-is integer arithmetic on local whole seconds, dedup is one `np.lexsort`
-that keeps the first row of each (user, day, slot), and coverage is a
-count per user-day. The survivors come back as a `CleanTable` of
-columns. `snap_to_slot` is the scalar definition of the snapping that
-`snap_to_slots` applies to a column.
+is integer arithmetic on local whole seconds, and coverage is a count
+per user-day. Dedup packs each row's (user, day, slot) into one int64
+and keeps the first row of each key after one stable argsort; only the
+rows whose key repeats are sorted by the tie-break columns as well. The
+survivors come back as a `CleanTable` of columns. `snap_to_slot` is the
+scalar definition of the snapping that `snap_to_slots` applies to a
+column.
 """
 
 from __future__ import annotations
@@ -127,6 +129,18 @@ def coverage_threshold(fraction: float) -> int:
     return ceil(fraction * SLOTS_PER_DAY)
 
 
+# local days since 0001-01-01 (`date.min`); every window's days lie within
+# `_DAYS` of it, so (user code, day, slot) packs into an int64 below
+# 2**31 * _DAYS * SLOTS_PER_DAY < 2**62
+_FIRST_DAY = epoch_day(date.min)
+_DAYS = (date.max - date.min).days + 1
+
+
+def _packed_key(user: np.ndarray, day: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """One int64 per (user, day, slot) that sorts as the triple does."""
+    return (user.astype(np.int64) * _DAYS + (day - _FIRST_DAY)) * SLOTS_PER_DAY + slot
+
+
 def _starts(*keys: np.ndarray) -> np.ndarray:
     """Mask of the rows of sorted keys that start a new group."""
     n = len(keys[0])
@@ -165,15 +179,26 @@ def filter_pipeline(
 
     # dedup: per (user, day, slot) the smallest accuracy survives; ties go
     # to the earliest raw timestamp, then the smallest (lat, lon), then
-    # the earlier row
+    # the earlier row. Rows are sorted by their packed key, and only rows
+    # whose key repeats are sorted by the tie-break too.
     rows = np.flatnonzero(keep)
     user = fixes.user.codes[rows]
     day, slot = snap_to_slots(t_us[rows], cfg.zone_offset_minutes)
-    lat, lon = fixes.lat[rows], fixes.lon[rows]
-    order = np.lexsort((lon, lat, t_us[rows], fixes.accuracy[rows], slot, day, user))
-    user, day, slot, lat, lon = (col[order] for col in (user, day, slot, lat, lon))
-    first = _starts(user, day, slot)
-    user, day, slot, lat, lon = (col[first] for col in (user, day, slot, lat, lon))
+    key = _packed_key(user, day, slot)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    same = key[1:] == key[:-1]
+    repeats = np.zeros(len(key), dtype=bool)
+    repeats[1:] |= same
+    repeats[:-1] |= same
+    if repeats.any():
+        tied = order[repeats]
+        at = rows[tied]
+        tie_break = (fixes.lon[at], fixes.lat[at], t_us[at], fixes.accuracy[at], key[repeats])
+        order[repeats] = tied[np.lexsort(tie_break)]
+    first = order[_starts(key)]
+    user, day, slot = user[first], day[first], slot[first]
+    lat, lon = fixes.lat[rows[first]], fixes.lon[rows[first]]
     counts["deduped"] = len(user)
 
     # day-coverage filter: a user-day survives with >= ceil(f * 288) slots
@@ -234,9 +259,3 @@ def regroup_closeness(closeness_raw: int) -> int:
         return _REGROUP[closeness_raw]
     except KeyError:
         raise ValueError(f"closeness must be in 0..5, got {closeness_raw}") from None
-
-
-def common_days(a: ValidDaySet, b: ValidDaySet) -> tuple[date, ...]:
-    """Chronological intersection of two users' valid-day sets."""
-    shared = set(a.days) & set(b.days)
-    return tuple(sorted(shared))

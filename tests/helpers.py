@@ -1,16 +1,23 @@
-"""Shared builders for test fixtures."""
+"""Shared builders for test fixtures, and oracles the pipeline does not use.
+
+`read_table`, `geohash_decode_bounds` and `common_days` are row-at-a-time
+definitions that only tests need: an artifact parsed back whole, a
+geohash cell's bounding box, and two users' common valid days.
+"""
 
 from __future__ import annotations
 
 from datetime import date, timedelta
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from tiediv.artifacts import _parsed, _rows
 from tiediv.encounter import Encounter, EncounterSet
-from tiediv.geo import geohash_encode, haversine_m
-from tiediv.ingest import FixTable, RawFix, TextColumn, to_epoch_us
+from tiediv.geo import GEOHASH_BASE32, geohash_encode, haversine_m
+from tiediv.ingest import FixTable, RawFix, TextColumn, gc_paused, to_epoch_us
 from tiediv.preprocess import CleanTable, ValidDaySet, day_of, epoch_day
 
 START = date(2016, 4, 1)
@@ -148,3 +155,45 @@ def brute_force_encounters(
                 cell = geohash_encode((p.lat + q.lat) / 2.0, (p.lon + q.lon) / 2.0, 8)
                 found[pair].append(Encounter(*pair, day_, slot, cell))
     return {pair: EncounterSet(*pair, days, tuple(found[pair])) for pair, days in shared.items()}
+
+
+def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Parse an artifact back into (meta, columns, rows)."""
+    with _rows(path) as (meta, columns, rows), gc_paused():
+        return meta, columns, _parsed(path, rows, 1)
+
+
+def geohash_decode_bounds(code: str) -> tuple[float, float, float, float]:
+    """Return the (lat_lo, lat_hi, lon_lo, lon_hi) bounding box of a cell."""
+    if not code:
+        raise ValueError("empty geohash")
+    lat_lo, lat_hi = -90.0, 90.0
+    lon_lo, lon_hi = -180.0, 180.0
+    even = True
+    for ch in code:
+        try:
+            value = GEOHASH_BASE32.index(ch)
+        except ValueError:
+            raise ValueError(f"invalid geohash character: {ch!r}") from None
+        for shift in range(4, -1, -1):
+            bit = (value >> shift) & 1
+            if even:
+                mid = (lon_lo + lon_hi) / 2.0
+                if bit:
+                    lon_lo = mid
+                else:
+                    lon_hi = mid
+            else:
+                mid = (lat_lo + lat_hi) / 2.0
+                if bit:
+                    lat_lo = mid
+                else:
+                    lat_hi = mid
+            even = not even
+    return lat_lo, lat_hi, lon_lo, lon_hi
+
+
+def common_days(a: ValidDaySet, b: ValidDaySet) -> tuple[date, ...]:
+    """Chronological intersection of two users' valid-day sets."""
+    shared = set(a.days) & set(b.days)
+    return tuple(sorted(shared))

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import tempfile
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiediv import artifacts
-from tiediv.artifacts import read_table
 from tiediv.cli import main
+from tiediv.ingest import to_epoch_us
 
+from helpers import read_table
 from test_golden import MESSY_GPS, MESSY_SURVEY
 
 DATA = Path(__file__).parent / "data"
@@ -184,6 +186,56 @@ def test_shuffled_gps_rows_give_identical_data_rows(seed):
         shuffled = messy_inputs(root / "in", shuffle=random.Random(seed))
         assert main(["all", *shuffled, "-o", str(root / "out")]) == 0
         assert data_rows(root / "out", SHUFFLE_INVARIANT) == unshuffled_rows()
+
+
+@lru_cache(maxsize=1)
+def mini_rows() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert main(["all", "--gps", GPS, "--survey", SURVEY, "-o", str(out)]) == 0
+        return data_rows(out, ALL_ARTIFACTS)
+
+
+def rerendered(timestamp: str, rng: random.Random, naive_offset: int) -> str:
+    """The instant of an ISO timestamp in a randomly chosen bulk-parsed shape.
+
+    A naive time is local time `naive_offset` minutes east of UTC.
+    """
+    instant = datetime.fromisoformat(timestamp)
+    shape = rng.choice(("epoch", "Z", "offset", "naive"))
+    if shape == "epoch":
+        seconds, micros = divmod(to_epoch_us(instant), 10**6)
+        return f"{seconds}.{micros:06d}" if micros else str(seconds)
+    if shape == "Z":
+        return instant.astimezone(timezone.utc).isoformat().replace("+00:00", rng.choice("Zz"))
+    if shape == "offset":
+        return instant.astimezone(timezone(timedelta(minutes=rng.randrange(-1439, 1440)))).isoformat()
+    local = instant.astimezone(timezone(timedelta(minutes=naive_offset)))
+    return local.replace(tzinfo=None).isoformat(sep=rng.choice("T "))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_rerendered_timestamps_and_inserted_comments_give_identical_data_rows(seed):
+    # every timestamp of the mini log as the same instant in another shape,
+    # with comment and blank lines in between
+    rng = random.Random(seed)
+    naive_offset = rng.randrange(-1439, 1440)
+    header, *lines = (DATA / "mini_gps.csv").read_text(encoding="utf-8").splitlines()
+    body = []
+    for line in lines:
+        user, timestamp, rest = line.split(",", 2)
+        body.append(f"{user},{rerendered(timestamp, rng, naive_offset)},{rest}")
+    for _ in range(rng.randrange(1, 40)):
+        inserted = rng.choice(["", "   ", ",,,,,,,", "# a comment", " #,short,comment", "# a,full,width,comment,row,of,8,cells", "#"])
+        body.insert(rng.randrange(len(body) + 1), inserted)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        gps = root / "gps.csv"
+        gps.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+        argv = ["all", "--gps", str(gps), "--survey", SURVEY, "-o", str(root / "out")]
+        assert main([*argv, "--naive-utc-offset", str(naive_offset)]) == 0
+        assert data_rows(root / "out", ALL_ARTIFACTS) == mini_rows()
 
 
 def test_empty_grids_write_header_only_artifacts(outdir):

@@ -27,7 +27,7 @@ from tiediv.artifacts import (
     write_fixes,
 )
 from tiediv.encounter import Encounter, EncounterSet, detect_encounters
-from tiediv.geo import geohash_decode_bounds, geohash_encode, geohash_encode_many, haversine_m, within_m
+from tiediv.geo import geohash_encode, geohash_encode_many, haversine_m, within_m
 from tiediv.ingest import (
     CHUNK_ROWS,
     FixTable,
@@ -44,7 +44,6 @@ from tiediv.preprocess import (
     CleanTable,
     PreprocessConfig,
     ValidDaySet,
-    common_days,
     coverage_threshold,
     day_of,
     filter_pipeline,
@@ -52,7 +51,7 @@ from tiediv.preprocess import (
     snap_to_slots,
 )
 
-from helpers import CleanRow, clean_rows, clean_table, fix_table
+from helpers import CleanRow, clean_rows, clean_table, common_days, fix_table, geohash_decode_bounds
 
 UTC = timezone.utc
 OFFSETS = (-240, 0, 330, 540)
@@ -183,6 +182,36 @@ class TestBulkTimestamps:
         instants = random_instants(random.Random(5), 300) + [datetime(1969, 12, 31, 23, 59, 59, 500000, tzinfo=UTC)]
         t_us = np.array([to_epoch_us(t) for t in instants], dtype=np.int64)
         assert iso_utc_texts(t_us) == [t.isoformat() for t in instants]
+
+
+    @given(
+        st.lists(
+            st.datetimes(min_value=datetime.min, max_value=datetime.max).flatmap(
+                lambda t: st.sampled_from([t, t.replace(microsecond=0)])
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_isoformat_texts_over_the_whole_datetime_range(self, instants):
+        t_us = [to_epoch_us(t.replace(tzinfo=UTC)) for t in instants]
+        assert iso_utc_texts(np.array(t_us, dtype=np.int64)) == [from_epoch_us(t).isoformat() for t in t_us]
+
+    def test_non_ascii_cells_in_a_batch_are_left_to_the_scalar_parser(self):
+        # each ASCII rendering next to one of the same length in characters
+        # that holds a multi-byte character: it is longer in UTF-8 bytes
+        rng = random.Random(13)
+        cells = []
+        for text in (text for t in random_instants(rng, 300) for text in renderings(t, rng)):
+            i = rng.randrange(len(text))
+            cells += [text, text[:i] + rng.choice("é２\u0663\u00a0\U0001d7ce") + text[i + 1 :]]
+        cells += ["2016-04-03é10:00:00Z", "２０１６-04-03T10:00:00Z", "１４５９６７７７３１"]
+        for naive_offset in (0, 330):
+            t_us, ok = bulk_timestamps_us(cells, naive_offset)
+            assert ok.tolist() == [cell.isascii() for cell in cells]
+            for cell, value, accepted in zip(cells, t_us.tolist(), ok.tolist()):
+                if accepted:
+                    assert value == to_epoch_us(parse_timestamp(cell, naive_offset)), cell
 
 
 class TestSnapToSlots:

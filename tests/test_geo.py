@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from tiediv.geo import (
     EARTH_RADIUS_M,
-    geohash_decode_bounds,
     geohash_encode,
     haversine_m,
 )
+
+from helpers import geohash_decode_bounds
 
 lat_strategy = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lon_strategy = st.floats(min_value=-180.0, max_value=179.999999, allow_nan=False)

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiediv.artifacts import write_clean_fixes
 from tiediv.ingest import RawFix, SurveyRecord
 from tiediv.preprocess import (
     PreprocessConfig,
     ValidDaySet,
-    common_days,
     coverage_threshold,
     filter_pipeline,
     regroup_closeness,
     snap_to_slot,
 )
 
-from helpers import clean_rows, fix_table
+from helpers import clean_rows, common_days, fix_table, read_table
 
 IST = timezone(timedelta(minutes=330))
 UTC = timezone.utc
@@ -113,6 +113,41 @@ class TestDedupe:
     def test_distinct_slots_all_kept(self):
         kept = survivors([candidate(slot=100), candidate(slot=101)])
         assert len(kept) == 2
+
+    @pytest.mark.parametrize("lat", [-0.0, 0.0])
+    def test_full_tie_keeps_the_earlier_row(self, tmp_path, lat):
+        # 0.0 == -0.0, so the rows tie on every key; the sign shows which survived
+        config = PreprocessConfig(coverage_fraction=0.0, min_days=1)
+        fixes = fix_table([candidate(lat=lat), candidate(lat=-lat)])
+        clean = filter_pipeline(fixes, [SurveyRecord("u1", "u2", 3, 3)], config).clean_fixes
+        write_clean_fixes(tmp_path / "clean_fixes.csv", clean, {})
+        (row,) = read_table(tmp_path / "clean_fixes.csv")[2]
+        assert row[3] == repr(lat)
+
+    def test_widest_window_with_many_users(self):
+        # the first and the last local day any window can hold, for 3,000
+        # users; per (user, day, slot) the pipeline must keep the best fix
+        config = PreprocessConfig(
+            window_start=date.min, window_end=date.max, coverage_fraction=0.0, min_days=1
+        )
+        users = [f"u{i:04d}" for i in range(3000)]
+        first = datetime(1, 1, 1, 6, 1, tzinfo=IST)
+        last = datetime(9999, 12, 30, 23, 50, tzinfo=IST)
+        fixes, expected = [], []
+        for i, user in enumerate(users):
+            # a second fix one minute later, in the same slot, is more accurate
+            # at i % 3 == 0, ties (the earlier fix wins) at 1 and is worse at 2
+            accuracy = 10.0 * (1 + i % 3)
+            for when in (first, last):
+                later = when + timedelta(minutes=1)
+                fixes.append(raw(user, when.astimezone(UTC), lat=1.0, accuracy=20.0))
+                fixes.append(raw(user, later.astimezone(UTC), lat=2.0, accuracy=accuracy))
+                slot = (when.hour * 60 + when.minute) // 5
+                expected.append((user, when.date(), slot, 2.0 if i % 3 == 0 else 1.0, 72.63))
+        survey = [SurveyRecord(a, b, 3, 3) for a, b in zip(users, users[1:])]
+        result = filter_pipeline(fix_table(fixes), survey, config)
+        assert result.counts["deduped"] == 2 * len(users)
+        assert clean_rows(result.clean_fixes) == expected
 
 
 class TestRegroupCloseness:
