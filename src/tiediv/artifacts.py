@@ -28,14 +28,18 @@ per meta line, header and data row plus each one inside a cell, counted
 once per distinct cell text. `check_written` counts the file's line
 ends against it.
 
-Readers stream the file: the '#' lines before the header are the meta,
-and `csv.reader` parses the rest as it is read, so a row ends only where
-csv ends it. They parse every row and raise ValueError naming the
-artifact, the data row and the reason on a malformed cell, a row of the
-wrong width or a row csv cannot parse. `read_fixes` and `read_survey`
-hand their columns to the converters ingest uses (`convert_gps`,
-`convert_survey`), so a staged run reads a cell into the same value by
-the same checks as ingest did. The other readers convert whole columns
+Readers stream the file in blocks of whole lines. They skip the '#'
+meta lines before the header and read the rest with ingest's
+`split_rows`: plain text (no '"', "\\r" or NUL) is split without csv,
+and from the first block that holds a cell the writer quoted, csv reads
+the rest, so a row ends only where csv would end it. They parse every
+row and raise ValueError naming the artifact, the data row and the
+reason on a malformed cell, a row of the wrong width or a row csv
+cannot parse, and the artifact and the byte's offset in the file on a
+byte that is not UTF-8. `read_fixes` and `read_survey` hand their
+columns to the converters ingest uses (`convert_gps`, `convert_survey`),
+so a staged run reads a cell into the same value by the same checks as
+ingest did. The other readers convert whole columns
 and look for the bad cell only when a conversion fails; `read_clean_fixes`
 then range-checks each slot and position (`first_out_of_range`).
 """
@@ -47,10 +51,9 @@ import hashlib
 import io
 from contextlib import contextmanager
 from datetime import date
-from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,7 +69,9 @@ from .ingest import (
     convert_gps,
     convert_survey,
     gc_paused,
+    split_rows,
     timestamps_us,
+    utf8_text,
 )
 from .preprocess import CleanTable, ValidDaySet, epoch_day, first_out_of_range
 
@@ -233,44 +238,6 @@ def _distinct_texts(
     return np.array(formatted, dtype=object)[inverse].tolist()
 
 
-@contextmanager
-def _rows(path: str | Path) -> Iterator[tuple[dict[str, str], list[str], Iterator[list[str]]]]:
-    """(meta, columns, rows) of an artifact; rows are parsed as they are read.
-
-    The '#' meta lines come before the header. The rest of the file is
-    csv, so rows end only where csv ends them.
-    """
-    meta: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        for line in handle:
-            if not line.startswith("#"):
-                break
-            stripped = line.lstrip("#").strip()
-            if "=" in stripped:
-                key, _, value = stripped.partition("=")
-                meta[key.strip()] = value.strip()
-        else:
-            raise ValueError(f"{path}: no header line")
-        rows = csv.reader(chain([line], handle))
-        with _naming(path):
-            columns = next(rows)
-        yield meta, columns, rows
-
-
-def _parsed(path: str | Path, rows: Iterable[list[str]], first: int) -> list[list[str]]:
-    """`list(rows)`, where `first` is the data row number of the first.
-
-    Raises ValueError naming the artifact and the data row if csv cannot
-    parse a row.
-    """
-    parsed: list[list[str]] = []
-    try:
-        parsed.extend(rows)
-    except csv.Error as exc:
-        raise ValueError(f"{path}: data row {first + len(parsed)}: {exc}") from None
-    return parsed
-
-
 def check_written(receipt: Receipt) -> None:
     """Raise ValueError unless the file holds the line ends its writer wrote, and ends with one."""
     path = receipt.path
@@ -285,36 +252,48 @@ def check_written(receipt: Receipt) -> None:
         raise ValueError(f"{path}: holds {line_ends} lines, but {receipt.lines} were written")
 
 
+def _skip_meta(handle: BinaryIO) -> int:
+    """Read past the '#' meta lines, checking that they decode; the number of the header's line."""
+    line, offset = 1, 0
+    for text in iter(handle.readline, b""):
+        if not text.startswith(b"#"):
+            handle.seek(offset)
+            return line
+        utf8_text(text, offset)
+        line, offset = line + 1, offset + len(text)
+    raise ValueError("no header line")
+
+
 def _column_chunks(
     path: str | Path, names: Sequence[str]
 ) -> Iterator[tuple[int, dict[str, Sequence[str]]]]:
-    """(first row, cells of the named columns) of an artifact, CHUNK_ROWS rows at a time.
+    """(first row, cells of the named columns) of an artifact, a chunk of `split_rows` at a time.
 
     Rows are numbered from 1 after the header. There is at least one
     chunk, which may hold no rows. Raises ValueError naming the artifact
     and row if a row has more or fewer cells than the header, or if csv
-    cannot parse it.
+    cannot parse it, and naming the artifact and the offset of a byte
+    that is not UTF-8.
     """
-    with _rows(path) as (_, columns, rows), gc_paused():
-        at = [columns.index(name) for name in names]
+    with open(path, "rb") as handle, gc_paused(), _naming(path):
+        columns: list[str] | None = None
         first = 1
-        while True:
-            # parsed while the last chunk is still held: rows parsed into its
-            # just-freed memory measured ~15% slower to convert
-            chunk = _parsed(path, islice(rows, CHUNK_ROWS), first)
-            try:
-                transposed = list(zip(*chunk, strict=True)) if chunk else [()] * len(columns)
-            except ValueError:
-                transposed = []
-            if len(transposed) != len(columns):
-                i = next(i for i, row in enumerate(chunk) if len(row) != len(columns))
-                raise ValueError(
-                    f"{path}: data row {first + i}: {len(chunk[i])} cells, {len(columns)} columns"
-                )
-            yield first, {name: transposed[i] for name, i in zip(names, at)}
-            if len(chunk) < CHUNK_ROWS:
-                return
-            first += len(chunk)
+        for rows in split_rows(handle, ",", _skip_meta(handle)):
+            head = int(columns is None)  # the first row is the header
+            if head:
+                if 0 in rows.failed:
+                    raise ValueError(rows.failed[0])
+                columns = rows.row(0)
+                at = [columns.index(name) for name in names]
+            data = np.arange(head, len(rows))
+            wrong = data[rows.widths[data] != len(columns)]
+            if len(wrong):
+                i = int(wrong[0])
+                reason = rows.failed.get(i, f"{rows.widths[i]} cells, {len(columns)} columns")
+                raise ValueError(f"data row {first + i - head}: {reason}")
+            cells = rows.columns(data, len(columns))
+            yield first, {name: cells[i] for name, i in zip(names, at)}
+            first += len(data)
 
 
 @contextmanager

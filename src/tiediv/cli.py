@@ -32,6 +32,7 @@ artifact's columns, in order.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -305,9 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves the parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         file_values = load_config_file(args.config) if args.config else {}
         flag_values = {

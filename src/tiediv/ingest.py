@@ -10,11 +10,18 @@ the header, blank, comment, duplicate-header and short rows, and differ
 only in their column aliases and converters.
 
 The readers take a binary handle to UTF-8 text; a leading byte-order
-mark is ignored. csv reads the text as its documentation asks, in
-`newline=''` mode, so a line ends at "\\r\\n", "\\r" or "\\n", whichever
-the export uses. Rows are numbered by those lines: a row's number is the
-line it starts on, and the line ends inside a quoted cell count as lines
-too.
+mark is ignored. Rows are what csv reads in `newline=''` mode: a line
+ends at "\\r\\n", "\\r" or "\\n", whichever the export uses, and a row's
+number is the line it starts on, line ends inside a quoted cell counted.
+Text is plain when it holds no '"', "\\r" or NUL and no line longer than
+csv's field limit, and the delimiter is ASCII. Each "\\n"-ended line of
+plain text is one row, `line.split(delimiter)`, or [] if it is empty,
+so `split_rows` splits plain text without csv: numpy counts the cells of
+each line from the bytes, and each chunk of lines is decoded once and
+split into one flat list of cells, whose strides are the columns. It
+reads the text in blocks of whole lines; from the first block that is
+not plain, csv reads the rest. A decode error gives the offset of the
+bad byte in the file. The staged artifact readers split with it too.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -48,6 +55,7 @@ table iterates as `RawFix` rows.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import io
@@ -56,7 +64,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice
 from math import isfinite
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -461,16 +469,17 @@ def timestamps_us(
     return t_us, ok, reasons
 
 
-# --- the shared table reader -------------------------------------------------
+# --- the line splitter -------------------------------------------------------
 
 
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Pause cyclic garbage collection while a table is built.
 
-    A parsed table holds one list per row. None of them forms a cycle,
-    but each batch of allocations would trigger a collection that
-    rescans every row allocated so far.
+    Reading a table allocates many lists: csv's rows, and the values the
+    converters build. None of them forms a cycle, but each batch of
+    allocations would trigger a collection that rescans every list
+    allocated so far.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -481,20 +490,189 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _longest_line(raw: bytes) -> int:
-    """The length in UTF-8 bytes of the longest line between "\\n"s, its "\\n" counted.
+# rows converted at a time; bounds the memory a large input needs
+CHUNK_ROWS = 1 << 15
+# bytes read at a time, then on to the end of the line
+BLOCK_BYTES = 1 << 21
 
-    No line that csv reads is longer: it ends at "\\r\\n", "\\r" or "\\n".
-    So the length is at least the number of characters in any cell that
-    lies on one line.
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A chunk of rows of delimited text, their cells in one flat list.
+
+    Row i starts on line `line_nos[i]` and is
+    `cells[starts[i]:starts[i] + widths[i]]`. A row csv could not read
+    has no cells, and csv's reason in `failed`.
     """
-    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    return int(np.diff(ends, prepend=-1, append=len(raw)).max())
+
+    line_nos: np.ndarray
+    widths: np.ndarray
+    starts: np.ndarray
+    cells: list[str]
+    failed: dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.line_nos)
+
+    def row(self, i: int) -> list[str]:
+        return self.cells[self.starts[i] : self.starts[i] + self.widths[i]]
+
+    def columns(self, rows: np.ndarray, width: int) -> list[list[str]]:
+        """Column j is cell j of each of `rows`, ascending indices of rows with at least `width` cells."""
+        if not len(rows):
+            return [[] for _ in range(width)]
+        starts = self.starts[rows]
+        # rows whose first `width` cells follow one another in `cells` are one slice of it
+        cut = np.flatnonzero(starts[1:] != starts[:-1] + width) + 1
+        lo = starts[np.concatenate(([0], cut))].tolist()
+        hi = (starts[np.concatenate((cut - 1, [len(rows) - 1]))] + width).tolist()
+        if len(lo) == 1:
+            cells, start, stop = self.cells, lo[0], hi[0]
+        else:
+            cells = list(chain.from_iterable(map(self.cells.__getitem__, map(slice, lo, hi))))
+            start, stop = 0, len(cells)
+        return [cells[start + j : stop : width] for j in range(width)]
+
+
+def utf8_text(data: bytes, offset: int) -> str:
+    """`data` as UTF-8 text; a decode error names the bad bytes' position as `offset` on."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start, end = offset + exc.start, offset + exc.end - 1
+        what = f"byte 0x{exc.object[exc.start]:02x}" if start == end else "bytes"
+        where = start if start == end else f"{start}-{end}"
+        raise ValueError(f"'utf-8' codec can't decode {what} in position {where}: {exc.reason}") from None
+
+
+def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The rest of `handle` in blocks of whole lines; only the last may lack its "\\n"."""
+    while block := handle.read(BLOCK_BYTES):
+        yield block if block.endswith(b"\n") else block + handle.readline()
+
+
+def split_rows(handle: BinaryIO, delimiter: str, line: int = 1) -> Iterator[Rows]:
+    """The rows of UTF-8 delimited text, from `handle`'s position on, in chunks.
+
+    `line` is the number of the first line. Text is plain when it holds
+    no '"', "\\r" or NUL and no line longer than csv's field limit, and
+    the delimiter is ASCII, not '"' or a line end. Each "\\n"-ended line
+    of plain text is then one row, as csv reads it in `newline=''` mode:
+    `line.split(delimiter)`, or [] if the line is empty. The text is read
+    in blocks of whole lines, and each plain block is split so,
+    CHUNK_ROWS lines at a time: numpy counts the cells of each line from
+    the bytes, and each chunk is decoded once and split into one flat
+    list of cells. From the first block that is not plain, csv reads the
+    rest of the text (`_csv_chunks`). A decode error names the offset of
+    the bad byte in the handle.
+    """
+    offset = handle.tell()
+    if len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n':
+        for block in _line_blocks(handle):
+            chars = np.frombuffer(block, np.uint8)
+            ends = np.flatnonzero(chars == ord("\n"))
+            if not block.endswith(b"\n"):
+                ends = np.append(ends, len(block))
+            lengths = np.diff(ends, prepend=-1) - 1
+            if b'"' in block or b"\r" in block or b"\0" in block or lengths.max() > csv.field_size_limit():
+                break
+            # the cells of each line in a flat split, where an empty line holds one: ''
+            counts = np.diff(np.searchsorted(np.flatnonzero(chars == ord(delimiter)), ends), prepend=0) + 1
+            for a in range(0, len(ends), CHUNK_ROWS):
+                b = min(a + CHUNK_ROWS, len(ends))
+                lo = int(ends[a - 1]) + 1 if a else 0
+                text = utf8_text(block[lo : ends[b - 1] + 1], offset + lo)
+                n = counts[a:b]
+                yield Rows(
+                    np.arange(line + a, line + b),
+                    np.where(lengths[a:b] > 0, n, 0),
+                    np.cumsum(n) - n,
+                    text.replace("\n", delimiter).split(delimiter),
+                    {},
+                )
+            offset, line = offset + len(block), line + len(ends)
+        else:
+            return
+        handle.seek(offset)  # back to the start of the block that is not plain
+    yield from _csv_chunks(handle, delimiter, line)
+
+
+def _csv_chunks(handle: BinaryIO, delimiter: str, line: int) -> Iterator[Rows]:
+    """The rows of the rest of `handle`, as csv reads them, in chunks; `line` numbers the first line."""
+    rows = csv.reader(_text_lines(handle), delimiter=delimiter)
+    while chunk := _csv_rows(rows, line - 1):
+        cells, line_nos, failed = chunk
+        widths = np.fromiter(map(len, cells), np.int64, len(cells))
+        flat = list(chain.from_iterable(cells))
+        yield Rows(np.array(line_nos), widths, np.cumsum(widths) - widths, flat, failed)
+        if len(cells) < CHUNK_ROWS:
+            return
+
+
+def _text_lines(handle: BinaryIO) -> Iterator[str]:
+    """The rest of `handle` as lines of text, as in `newline=''` mode.
+
+    A line ends at "\\r\\n", "\\r" or "\\n". A block of whole lines ends
+    after a "\\n", so no "\\r\\n" is split between blocks.
+    """
+    offset = handle.tell()
+    for block in _line_blocks(handle):
+        yield from io.StringIO(utf8_text(block, offset), newline="")
+        offset += len(block)
 
 
 def _line_ends(cell: str) -> int:
     """The line ends ("\\r\\n", "\\r" or "\\n") inside a cell."""
     return cell.count("\n") + cell.count("\r") - cell.count("\r\n")
+
+
+def _csv_rows(
+    rows: Iterator[list[str]], before: int
+) -> tuple[list[list[str]], list[int], dict[int, str]] | None:
+    """The next CHUNK_ROWS rows of a csv reader, the line each starts on, and the rows it failed on.
+
+    `before` is the number of the line before the reader's first, and
+    None stands for no more rows. A row whose quoted cells hold k line
+    ends spans k + 1 lines. csv's field limit is lifted while parsing,
+    so an oversized quoted cell is read whole, line breaks and all; its
+    row then fails with csv's reason. Rows that span lines, or that hold
+    such a cell, make the chunk number its rows one at a time. A row
+    that fails, or that csv cannot parse, stands in the chunk as [], and
+    the third value maps its index to the reason.
+    """
+    chunk: list[list[str]] = []
+    line_nos: list[int] = []
+    failed: dict[int, str] = {}
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        while True:
+            at, line = len(chunk), before + rows.line_num + 1
+            try:
+                chunk.extend(islice(rows, CHUNK_ROWS - len(chunk)))
+                error = None
+            except csv.Error as exc:
+                error = str(exc)
+            oversized = max(map(len, chain.from_iterable(chunk[at:])), default=0) > limit
+            if error is None and not oversized and before + rows.line_num - line + 1 == len(chunk) - at:
+                line_nos.extend(range(line, before + rows.line_num + 1))
+            else:
+                for i in range(at, len(chunk)):
+                    cells = chunk[i]
+                    line_nos.append(line)
+                    if any(len(cell) > limit for cell in cells):
+                        failed[i] = f"field larger than field limit ({limit})"
+                        chunk[i] = []
+                    line += 1 + sum(map(_line_ends, cells))
+            if error is None:
+                return (chunk, line_nos, failed) if chunk else None
+            failed[len(chunk)] = error
+            chunk.append([])
+            line_nos.append(line)
+    finally:
+        csv.field_size_limit(limit)
+
+
+# --- the shared table reader -------------------------------------------------
 
 
 def _is_comment(cells: list[str]) -> bool:
@@ -505,16 +683,15 @@ def _is_blank(cells: list[str]) -> bool:
     return not cells or all(not c.strip() for c in cells)
 
 
-def _find_header(rows: Iterator[list[str]]) -> list[str]:
-    """Cells of the first non-blank, non-comment row of a csv reader; raises if none."""
-    line = 0  # the last line of the rows read so far
-    try:
-        for cells in rows:
+def _find_header(chunks: Iterator[Rows]) -> tuple[list[str], Rows, int]:
+    """The cells of the first non-blank, non-comment row, its chunk, and the index after it."""
+    for rows in chunks:
+        for i in range(len(rows)):
+            if i in rows.failed:
+                raise SchemaError(f"line {rows.line_nos[i]}: {rows.failed[i]}")
+            cells = rows.row(i)
             if not (_is_blank(cells) or _is_comment(cells)):
-                return cells
-            line = rows.line_num
-    except csv.Error as exc:
-        raise SchemaError(f"line {line + 1}: {exc}") from None
+                return cells, rows, i + 1
     raise SchemaError("empty input: no header line")
 
 
@@ -537,51 +714,46 @@ def _resolve_header(
     return positions
 
 
-# rows converted at a time; bounds the memory a large input needs
-CHUNK_ROWS = 1 << 15
+def _kept_rows(
+    rows: Rows, first: int, header: list[str], report: RejectionReport
+) -> tuple[list[int], list[list[str]]]:
+    """The line numbers and columns of the data rows from index `first` on that a table keeps.
 
-
-def _csv_rows(
-    rows: Iterator[list[str]], report: RejectionReport, long_lines: bool
-) -> tuple[list[list[str]], list[int]]:
-    """The next CHUNK_ROWS rows of a csv reader, and the line each starts on.
-
-    A row whose quoted cells hold k line ends spans k + 1 lines. csv's
-    field limit is lifted while parsing, so an oversized quoted cell is
-    read whole, line breaks and all; its row is then rejected with csv's
-    reason. Only a row that spans lines, or any row when the text has
-    lines longer than the limit (`long_lines`), can hold such a cell, so
-    only those rows are searched. A row csv cannot parse, or rejects,
-    goes to `report` and stands in the chunk as a blank row.
+    `header` is the header's cells, stripped and lowercased. Blank and
+    comment rows are skipped; duplicate-header, short and unreadable
+    rows go to `report`. A row longer than the header keeps its first
+    cells.
     """
-    chunk: list[list[str]] = []
-    line_nos: list[int] = []
-    limit = csv.field_size_limit(sys.maxsize)
-    try:
-        while True:
-            at, line = len(chunk), rows.line_num + 1
-            try:
-                chunk.extend(islice(rows, CHUNK_ROWS - len(chunk)))
-                failed = None
-            except csv.Error as exc:
-                failed = str(exc)
-            if failed is None and not long_lines and rows.line_num - line + 1 == len(chunk) - at:
-                line_nos.extend(range(line, rows.line_num + 1))
-            else:
-                for i in range(at, len(chunk)):
-                    cells = chunk[i]
-                    line_nos.append(line)
-                    if any(len(cell) > limit for cell in cells):
-                        report.reject(line, f"field larger than field limit ({limit})")
-                        chunk[i] = []
-                    line += 1 + sum(map(_line_ends, cells))
-            if failed is None:
-                return chunk, line_nos
-            report.reject(line, failed)
-            chunk.append([])
-            line_nos.append(line)
-    finally:
-        csv.field_size_limit(limit)
+    width = len(header)
+    index = np.arange(first, len(rows))
+    # Rows of another width and rows whose first cell is blank, a comment or
+    # the header's first cell need a look. Those first cells are found among
+    # the distinct first cells; other rows are kept as they are.
+    look = rows.widths[index] != width
+    firsts = list(map(rows.cells.__getitem__, rows.starts[index[~look]].tolist()))
+    odd_firsts = {
+        cell
+        for cell in set(firsts)
+        if not (head := cell.strip()) or head[0] == "#" or head.lower() == header[0]
+    }
+    if odd_firsts:
+        look[~look] = np.fromiter(map(odd_firsts.__contains__, firsts), bool, len(firsts))
+    keep = ~look
+    for k in np.flatnonzero(look).tolist():
+        i = first + k
+        cells = rows.row(i)
+        if i in rows.failed:
+            report.reject(int(rows.line_nos[i]), rows.failed[i])
+        elif _is_blank(cells) or _is_comment(cells):
+            pass
+        elif [c.strip().lower() for c in cells] == header:
+            report.reject(int(rows.line_nos[i]), "duplicate header row")
+        elif len(cells) < width:
+            report.reject(int(rows.line_nos[i]), f"expected {width} fields, got {len(cells)}")
+        else:
+            keep[k] = True
+    kept = index[keep]
+    return rows.line_nos[kept].tolist(), rows.columns(kept, width)
 
 
 def _read_table(
@@ -593,61 +765,24 @@ def _read_table(
 ) -> Iterator[tuple[list[int], dict[str, Sequence[str]]]]:
     """The well-formed data rows of one delimited table, in chunks of columns.
 
-    The first non-blank, non-comment line is the header. Each chunk
-    holds up to CHUNK_ROWS kept rows: their line numbers and the cells
-    of every resolved column (by canonical name). There is at least one
-    chunk, which may hold no rows. Blank and comment lines are skipped;
-    duplicate-header, short and unparseable rows go to `report`. A
-    decode error gives the offset of the bad byte in the file.
+    The first non-blank, non-comment row is the header. Each chunk
+    holds the kept rows of one chunk of `split_rows`: their line numbers
+    and the cells of every resolved column (by canonical name). There is
+    at least one chunk, which may hold no rows. Blank and comment rows
+    are skipped; duplicate-header, short and unparseable rows go to
+    `report`. A leading byte-order mark is ignored.
     """
     raw = source.read()
-    long_lines = _longest_line(raw) > csv.field_size_limit()
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    rows = csv.reader(text, delimiter=delimiter)
-    try:
-        header = _find_header(rows)
-        positions = _resolve_header(header, aliases, required)
-        header_lowered = [c.strip().lower() for c in header]
-        width, first = len(header), header_lowered[0]
-
-        while True:
-            chunk, line_nos = _csv_rows(rows, report, long_lines)
-            # Short rows and rows whose first cell is blank, a comment or the
-            # header's first cell need a look. They are found from the row
-            # lengths and the distinct first cells; others are kept as is.
-            n = len(chunk)
-            odd = np.fromiter(map(len, chunk), np.int64, n) < width
-            firsts = list(map(next, map(iter, chunk), repeat("")))  # '' for an empty row
-            odd_firsts = {
-                cell
-                for cell in set(firsts)
-                if not (head := cell.strip()) or head[0] == "#" or head.lower() == first
-            }
-            if odd_firsts:
-                odd |= np.fromiter(map(odd_firsts.__contains__, firsts), bool, n)
-            keep = np.ones(n, dtype=bool)
-            for i in np.flatnonzero(odd).tolist():
-                cells = chunk[i]
-                if _is_blank(cells) or _is_comment(cells):
-                    pass
-                elif [c.strip().lower() for c in cells] == header_lowered:
-                    report.reject(line_nos[i], "duplicate header row")
-                elif len(cells) < width:
-                    report.reject(line_nos[i], f"expected {width} fields, got {len(cells)}")
-                else:
-                    continue
-                keep[i] = False
-            if not keep.all():
-                kept = keep.tolist()
-                chunk, line_nos = list(compress(chunk, kept)), list(compress(line_nos, kept))
-            transposed = list(zip(*chunk)) or [()] * width
-            yield line_nos, {name: transposed[i] for name, i in positions.items()}
-            if n < CHUNK_ROWS:
-                return
-    except UnicodeDecodeError:
-        # the wrapper counts a byte's position from the start of its chunk
-        raw.decode("utf-8")
-        raise
+    handle = io.BytesIO(raw)
+    handle.seek(len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+    chunks = split_rows(handle, delimiter)
+    header, rows, first = _find_header(chunks)
+    positions = _resolve_header(header, aliases, required)
+    header_lowered = [c.strip().lower() for c in header]
+    while rows is not None:
+        line_nos, columns = _kept_rows(rows, first, header_lowered, report)
+        yield line_nos, {name: columns[i] for name, i in positions.items()}
+        rows, first = next(chunks, None), 0
 
 
 # --- the column checks -------------------------------------------------------

@@ -7,17 +7,17 @@ geohash cell's bounding box, and two users' common valid days.
 
 from __future__ import annotations
 
+import csv
 from datetime import date, timedelta
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from tiediv.artifacts import _parsed, _rows
 from tiediv.encounter import Encounter, EncounterSet
 from tiediv.geo import GEOHASH_BASE32, geohash_encode, haversine_m
-from tiediv.ingest import FixTable, RawFix, TextColumn, gc_paused, to_epoch_us
+from tiediv.ingest import FixTable, RawFix, TextColumn, to_epoch_us
 from tiediv.preprocess import CleanTable, ValidDaySet, day_of, epoch_day
 
 START = date(2016, 4, 1)
@@ -158,9 +158,20 @@ def brute_force_encounters(
 
 
 def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Parse an artifact back into (meta, columns, rows)."""
-    with _rows(path) as (meta, columns, rows), gc_paused():
-        return meta, columns, _parsed(path, rows, 1)
+    """Parse an artifact back into (meta, columns, rows) with csv.
+
+    The '#' key=value lines before the header are the meta.
+    """
+    meta: dict[str, str] = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        for line in handle:
+            if not line.startswith("#"):
+                break
+            key, equals, value = line.lstrip("#").strip().partition("=")
+            if equals:
+                meta[key.strip()] = value.strip()
+        columns, *rows = csv.reader(chain([line], handle))
+    return meta, columns, rows
 
 
 def geohash_decode_bounds(code: str) -> tuple[float, float, float, float]:

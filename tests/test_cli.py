@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiediv import artifacts
+from tiediv import artifacts, ingest
 from tiediv.cli import main
 from tiediv.ingest import to_epoch_us
 
@@ -270,6 +270,16 @@ class TestInMemoryHandoff:
         assert calls == [outdir / "fixes.csv"] * 2
 
 
+def test_main_calls_in_one_process_share_no_settings(outdir, tmp_path):
+    # the second call sets no --q: it must not keep the first call's
+    assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), "--q", "2") == 0
+    with_q2 = data_rows(outdir, ["features.csv"])
+    assert run("features", "-o", str(outdir)) == 0
+    reference = tmp_path / "reference"
+    assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(reference)) == 0
+    assert data_rows(outdir, ["features.csv"]) == data_rows(reference, ["features.csv"]) != with_q2
+
+
 class TestStageErrors:
     @pytest.mark.parametrize(
         "flag,value,message",
@@ -367,16 +377,72 @@ class TestStageErrors:
         assert read_table(outdir / "clean_fixes.csv")[2] == []
         assert read_table(outdir / "pairs.csv")[2] == []
 
-    def test_staged_row_of_the_wrong_width(self, outdir, capsys):
+    def widened_row(self, outdir) -> Path:
+        """Run `all`, then give data row 3 of clean_fixes.csv one cell too many; the artifact's path."""
         assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
         path = outdir / "clean_fixes.csv"
         lines = path.read_text(encoding="utf-8").splitlines(True)
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         lines[header + 3] = lines[header + 3].rstrip("\n") + ",extra\n"
         path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    def test_staged_row_of_the_wrong_width(self, outdir, capsys):
+        path = self.widened_row(outdir)
         capsys.readouterr()
         assert run("encounters", "-o", str(outdir)) == 1
         assert capsys.readouterr().err == f"error: {path}: data row 3: 6 cells, 5 columns\n"
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    def test_staged_row_of_the_wrong_width_in_a_later_chunk(self, outdir, capsys, monkeypatch, chunk_rows):
+        path = self.widened_row(outdir)
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        capsys.readouterr()
+        assert run("encounters", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {path}: data row 3: 6 cells, 5 columns\n"
+
+    def test_staged_header_csv_cannot_read(self, outdir, capsys):
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / "clean_fixes.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[header] = "x" * 200_000 + lines[header]
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("encounters", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {path}: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("block_bytes", [4096, ingest.BLOCK_BYTES])
+    @pytest.mark.parametrize("quote", [False, True], ids=["plain", "csv"])
+    def test_undecodable_byte_in_a_staged_artifact(self, outdir, capsys, monkeypatch, block_bytes, quote):
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / "fixes.csv"
+        data = path.read_bytes()
+        if quote:  # a quoted cell in the first data row: csv reads the rest of the file
+            at = data.index(b"\nlone") + 1
+            end = data.index(b",", at)
+            data = data[:at] + b'"' + data[at:end] + b'"' + data[end:]
+        offset = data.index(b"\n", len(data) // 2) + 2  # in a user id, far past one block
+        path.write_bytes(data[:offset] + b"\xe9" + data[offset + 1 :])
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+        capsys.readouterr()
+        assert run("preprocess", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position {offset}: "
+            "invalid continuation byte\n"
+        )
+
+    def test_undecodable_byte_in_a_meta_line(self, outdir, capsys):
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / "fixes.csv"
+        data = path.read_bytes()
+        assert data.startswith(b"# ")
+        path.write_bytes(data[:2] + b"\xe9" + data[3:])
+        capsys.readouterr()
+        assert run("preprocess", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 2: invalid continuation byte\n"
+        )
 
     READ_BY = {
         "fixes.csv": "preprocess",
