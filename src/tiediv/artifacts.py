@@ -31,8 +31,9 @@ ends against it.
 Readers stream the file in blocks of whole lines. They skip the '#'
 meta lines before the header and read the rest with ingest's
 `split_rows`: plain text (no '"', "\\r" or NUL) is split without csv,
-and from the first block that holds a cell the writer quoted, csv reads
-the rest, so a row ends only where csv would end it. They parse every
+and from the first block that is not plain (a cell the writer quoted,
+or a file whose line ends were changed to "\\r\\n"), csv reads the rest,
+so a row ends only where csv would end it. They parse every
 row and raise ValueError naming the artifact, the data row and the
 reason on a malformed cell, a row of the wrong width or a row csv
 cannot parse, and the artifact and the byte's offset in the file on a

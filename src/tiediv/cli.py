@@ -97,7 +97,7 @@ def _parse_input(path: str, parse: Callable, opts: IngestOptions):
     with open(path, "rb") as handle:
         try:
             return parse(handle, opts)
-        except ValueError as exc:  # a SchemaError or UnicodeDecodeError among them
+        except ValueError as exc:  # a SchemaError or a decode error among them
             raise CliError(f"{path}: {exc}") from None
 
 

@@ -64,8 +64,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from functools import reduce
 from itertools import chain, compress, islice
 from math import isfinite
+from operator import iadd
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -599,26 +601,47 @@ def split_rows(handle: BinaryIO, delimiter: str, line: int = 1) -> Iterator[Rows
 
 def _csv_chunks(handle: BinaryIO, delimiter: str, line: int) -> Iterator[Rows]:
     """The rows of the rest of `handle`, as csv reads them, in chunks; `line` numbers the first line."""
-    rows = csv.reader(_text_lines(handle), delimiter=delimiter)
-    while chunk := _csv_rows(rows, line - 1):
+    lines = _TextLines(handle)
+    rows = csv.reader(lines, delimiter=delimiter)
+    while chunk := _csv_rows(rows, line - 1, lines):
         cells, line_nos, failed = chunk
+        flat = reduce(iadd, cells, [])
         widths = np.fromiter(map(len, cells), np.int64, len(cells))
-        flat = list(chain.from_iterable(cells))
-        yield Rows(np.array(line_nos), widths, np.cumsum(widths) - widths, flat, failed)
+        line_nos = np.fromiter(line_nos, np.int64, len(line_nos))
+        yield Rows(line_nos, widths, np.cumsum(widths) - widths, flat, failed)
         if len(cells) < CHUNK_ROWS:
             return
 
 
-def _text_lines(handle: BinaryIO) -> Iterator[str]:
-    """The rest of `handle` as lines of text, as in `newline=''` mode.
+class _TextLines:
+    """The rest of a handle as lines of text for csv, as in `newline=''` mode.
 
     A line ends at "\\r\\n", "\\r" or "\\n". A block of whole lines ends
-    after a "\\n", so no "\\r\\n" is split between blocks.
+    after a "\\n", so no "\\r\\n" is split between blocks. A block is
+    split by `str.splitlines` unless it holds a character splitlines also
+    breaks at. A row on one line can hold a cell over csv's field limit
+    only if the line is longer than the limit, and so covers a whole
+    window of half the limit's bytes, counted from the block's start,
+    with no "\\n". `long` turns true before the lines of the first block
+    with such a window are read.
     """
-    offset = handle.tell()
-    for block in _line_blocks(handle):
-        yield from io.StringIO(utf8_text(block, offset), newline="")
-        offset += len(block)
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self.handle, self.window, self.long = handle, max(csv.field_size_limit() // 2, 1), False
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self._blocks())
+
+    def _blocks(self) -> Iterator[Iterable[str]]:
+        offset, w = self.handle.tell(), self.window
+        for block in _line_blocks(self.handle):
+            self.long = self.long or any(block.find(b"\n", i, i + w) < 0 for i in range(0, len(block), w))
+            text = utf8_text(block, offset)
+            if any(end in text for end in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+                yield io.StringIO(text, newline="")
+            else:
+                yield text.splitlines(True)
+            offset += len(block)
 
 
 def _line_ends(cell: str) -> int:
@@ -627,7 +650,7 @@ def _line_ends(cell: str) -> int:
 
 
 def _csv_rows(
-    rows: Iterator[list[str]], before: int
+    rows: Iterator[list[str]], before: int, lines: _TextLines
 ) -> tuple[list[list[str]], list[int], dict[int, str]] | None:
     """The next CHUNK_ROWS rows of a csv reader, the line each starts on, and the rows it failed on.
 
@@ -635,10 +658,11 @@ def _csv_rows(
     None stands for no more rows. A row whose quoted cells hold k line
     ends spans k + 1 lines. csv's field limit is lifted while parsing,
     so an oversized quoted cell is read whole, line breaks and all; its
-    row then fails with csv's reason. Rows that span lines, or that hold
-    such a cell, make the chunk number its rows one at a time. A row
-    that fails, or that csv cannot parse, stands in the chunk as [], and
-    the third value maps its index to the reason.
+    row then fails with csv's reason. Only a row that spans lines, or
+    any row once `lines` has read a line longer than the limit, can hold
+    such a cell, so only then are the chunk's rows numbered and searched
+    one at a time. A row that fails, or that csv cannot parse, stands in
+    the chunk as [], and the third value maps its index to the reason.
     """
     chunk: list[list[str]] = []
     line_nos: list[int] = []
@@ -652,8 +676,7 @@ def _csv_rows(
                 error = None
             except csv.Error as exc:
                 error = str(exc)
-            oversized = max(map(len, chain.from_iterable(chunk[at:])), default=0) > limit
-            if error is None and not oversized and before + rows.line_num - line + 1 == len(chunk) - at:
+            if error is None and not lines.long and before + rows.line_num - line + 1 == len(chunk) - at:
                 line_nos.extend(range(line, before + rows.line_num + 1))
             else:
                 for i in range(at, len(chunk)):

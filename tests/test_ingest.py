@@ -310,6 +310,15 @@ class TestOversizedField:
         assert report.entries == [(3, self.REASON), (5, "unparseable timestamp: 'later'")]
         assert [f.user_id for f in fixes] == ["u1", "u2"]
 
+    @pytest.mark.parametrize("block_bytes", [64, ingest.BLOCK_BYTES])
+    def test_gps_row_rejected_after_the_switch_to_csv(self, monkeypatch, block_bytes):
+        # the quoted first cell sends the text to csv; the long line comes blocks later
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+        rows = ['"u0",2016-04-03T10:02:11Z,23.1,72.6,,30,,gps', *self.GPS_ROWS]
+        fixes, report = parse_gps_log(gps_source(*rows))
+        assert report.entries == [(4, self.REASON), (6, "unparseable timestamp: 'later'")]
+        assert [f.user_id for f in fixes] == ["u0", "u1", "u2"]
+
     def test_survey_row_rejected_and_reading_goes_on(self):
         records, report = parse_survey(survey_source("A,B,5,4", f"A,{self.BIG},3,2", "B,A,4,3"))
         assert report.entries == [(3, self.REASON)]

@@ -119,6 +119,37 @@ def test_plain_text_splits_as_csv(table, chunk_rows, block_bytes):
     assert columns == [[row[j] for row in wide_rows] for j in range(width)]
 
 
+# cells of any text: quotes, line ends and the characters str.splitlines breaks at, but csv does not
+ANY_CHARS = st.sampled_from(list('ab, "#') + ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00e9"])
+
+
+@st.composite
+def any_texts(draw):
+    cell = st.text(ANY_CHARS, max_size=5)
+    quoted_cell = cell.map(lambda text: '"' + text.replace('"', '""') + '"')
+    row = st.lists(st.one_of(cell.map(lambda text: text.replace('"', "").replace("\n", "").replace("\r", "")),
+                             quoted_cell), max_size=4)
+    lines = draw(st.lists(st.tuples(row, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+    return "".join(",".join(cells) + end for cells, end in lines) + draw(st.sampled_from(["", "x", '"x']))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=any_texts(),
+    chunk_rows=st.sampled_from([1, 2, ingest.CHUNK_ROWS]),
+    block_bytes=st.sampled_from([1, 7, 64, ingest.BLOCK_BYTES]),
+)
+def test_any_text_splits_as_csv(text, chunk_rows, block_bytes):
+    """Plain or not, each row is csv's, numbered by the line it starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    expected, line = [], 1
+    for row in reader:
+        expected.append((line, row))
+        line = reader.line_num + 1
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows), mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+        assert split(text.encode()) == expected
+
+
 def test_empty_text_has_no_rows():
     assert split(b"") == []
 
