@@ -17,14 +17,13 @@ from .geo import geohash_encode, haversine_m
 from .ingest import FixTable, RawFix, SurveyRecord, parse_gps_log, parse_survey
 from .preprocess import (
     CleanTable,
-    PreprocessConfig,
     ValidDaySet,
     filter_pipeline,
     regroup_closeness,
     snap_to_slot,
 )
 from .stats import RegressionResult, evaluate_feature, f_from_r, f_sf, pearson_r
-from .synth import SynthConfig, synth_generate
+from .synth import synth_generate
 
 __version__ = "0.1.0"
 
@@ -35,11 +34,9 @@ __all__ = [
     "FeatureRow",
     "FixTable",
     "Observation",
-    "PreprocessConfig",
     "RawFix",
     "RegressionResult",
     "SurveyRecord",
-    "SynthConfig",
     "ValidDaySet",
     "build_observations",
     "compute_pair_features",

@@ -42,7 +42,7 @@ from . import artifacts, experiments, features, synth
 from .artifacts import Receipt
 from .config import RunConfig, build_config, flags, load_config_file
 from .encounter import canonical_pair, detect_encounters
-from .ingest import IngestOptions, parse_gps_log, parse_survey
+from .ingest import parse_gps_log, parse_survey
 from .preprocess import filter_pipeline
 
 
@@ -92,11 +92,11 @@ def _verify_written(receipts: list[Receipt]) -> None:
         print(f"wrote {receipt.path}")
 
 
-def _parse_input(path: str, parse: Callable, opts: IngestOptions):
-    """`parse(handle, opts)` of the input file at `path`; a fatal error in it names the file."""
+def _parse_input(path: str, parse: Callable, cfg: RunConfig):
+    """`parse(handle, cfg)` of the input file at `path`; a fatal error in it names the file."""
     with open(path, "rb") as handle:
         try:
-            return parse(handle, opts)
+            return parse(handle, cfg)
         except ValueError as exc:  # a SchemaError or a decode error among them
             raise CliError(f"{path}: {exc}") from None
 
@@ -107,9 +107,8 @@ def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Receipt
     for path in (cfg.gps, cfg.survey):
         if not Path(path).exists():
             raise CliError(f"input file not found: {path}")
-    opts = cfg.ingest_options()
-    fixes, fix_report = _parse_input(cfg.gps, parse_gps_log, opts)
-    survey, survey_report = _parse_input(cfg.survey, parse_survey, opts)
+    fixes, fix_report = _parse_input(cfg.gps, parse_gps_log, cfg)
+    survey, survey_report = _parse_input(cfg.survey, parse_survey, cfg)
 
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, cfg.gps, cfg.survey)
@@ -135,7 +134,7 @@ def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Rec
     survey_path = _require(cfg, "survey.csv", "ingest")
     fixes = _load(written, fixes_path, artifacts.read_fixes)
     survey = _load(written, survey_path, artifacts.read_survey)
-    result = filter_pipeline(fixes, survey, cfg.preprocess_config())
+    result = filter_pipeline(fixes, survey, cfg)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     meta = _meta(cfg, fixes_path, survey_path)
@@ -249,7 +248,7 @@ stage_evolve = _analysis_stage(
 
 
 def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
-    result = synth.synth_generate(cfg.synth_config())
+    result = synth.synth_generate(cfg)
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = cfg.echo()
     survey_rows = synth.survey_to_rows(result.survey)

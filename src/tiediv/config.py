@@ -5,11 +5,14 @@ config file, and command-line flags, in increasing precedence. All
 values arrive as strings and are converted here, so both layers share
 one parser and one set of error messages.
 
-`RunConfig` is the only list of settings. Each field's parser follows
-from its type (`parse` in the field metadata overrides it), and its
-flag is `--` plus the dashed field name unless `flags` in the metadata
-lists other spellings. A config-file key may be the field name or any
-long flag without its dashes.
+`RunConfig` is the only list of settings. The library entry points
+(`parse_gps_log`, `parse_survey`, `filter_pipeline`, `synth_generate`)
+take the run's `RunConfig`, `None` meaning `RunConfig()`, and a default
+that a library signature states too comes from that module's constant.
+Each field's parser follows from its type (`parse` in the field
+metadata overrides it), and its flag is `--` plus the dashed field name
+unless `flags` in the metadata lists other spellings. A config-file key
+may be the field name or any long flag without its dashes.
 
 `q` sets the order of `features.csv`'s `temporal_diversity` only:
 compare, subgroups, evolve and sweep-t use Shannon diversity, and
@@ -23,12 +26,9 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .encounter import check_threshold
+from .encounter import DEFAULT_MIN_COMMON_DAYS, DEFAULT_THRESHOLD_M, check_threshold
 from .experiments import DEFAULT_MAX_HORIZON, DEFAULT_Q_GRID, DEFAULT_WIDTH_GRID
-from .features import check_order, check_width_t
-from .ingest import IngestOptions
-from .preprocess import PreprocessConfig
-from .synth import SynthConfig
+from .features import DEFAULT_WIDTH_T, check_order, check_width_t
 
 
 def parse_zone_offset(text: str) -> int:
@@ -113,14 +113,14 @@ class RunConfig:
     delimiter: str = field(default=",", metadata={"parse": _parse_delimiter})
     naive_utc_offset_minutes: int = _zone_offset(0, "--naive-utc-offset")
     window_start: date = date(2016, 4, 1)
-    window_end: date = date(2016, 5, 1)
+    window_end: date = date(2016, 5, 1)  # closed: its local midnight is in the window
     zone_offset_minutes: int = _zone_offset(330, "--zone-offset")
     accuracy_cutoff_m: float = field(default=60.0, metadata={"flags": ("--accuracy-cutoff",)})
     coverage_fraction: float = 0.2
     min_days: int = 5
-    min_common_days: int = 7
-    threshold_m: float = field(default=50.0, metadata={"parse": _parse_threshold})
-    width_t: int = 60
+    min_common_days: int = DEFAULT_MIN_COMMON_DAYS
+    threshold_m: float = field(default=DEFAULT_THRESHOLD_M, metadata={"parse": _parse_threshold})
+    width_t: int = DEFAULT_WIDTH_T
     q: float | None = None
     width_grid: tuple[int, ...] = DEFAULT_WIDTH_GRID
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID
@@ -129,31 +129,11 @@ class RunConfig:
     synth_pairs: int = 100
     synth_days: int = 14
     synth_encounters_per_day: int = 3
-    synth_schedule_slots: tuple[int, ...] = (102, 150, 222)
+    synth_schedule_slots: tuple[int, ...] = (102, 150, 222)  # 08:30, 12:30, 18:30
     synth_jitter: int = 1
     synth_meet_prob: float = 0.9
     synth_places: int = 3
-    synth_coverage_slots: int = 60
-
-    def ingest_options(self) -> IngestOptions:
-        return IngestOptions(**{f.name: getattr(self, f.name) for f in fields(IngestOptions)})
-
-    def preprocess_config(self) -> PreprocessConfig:
-        return PreprocessConfig(**{f.name: getattr(self, f.name) for f in fields(PreprocessConfig)})
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            n_pairs_per_archetype=self.synth_pairs,
-            n_days=self.synth_days,
-            encounters_per_day=self.synth_encounters_per_day,
-            schedule_slots=self.synth_schedule_slots,
-            jitter_slots=self.synth_jitter,
-            meet_prob=self.synth_meet_prob,
-            n_places=self.synth_places,
-            coverage_slots=self.synth_coverage_slots,
-            start_day=self.window_start,
-            seed=self.seed,
-        )
+    synth_coverage_slots: int = 60  # occupied slots per user-day
 
     def echo(self) -> dict[str, str]:
         """Deterministic flat serialization for artifact provenance headers."""

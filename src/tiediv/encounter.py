@@ -49,6 +49,7 @@ from .preprocess import SLOTS_PER_DAY, CleanTable, ValidDaySet, epoch_day, first
 
 GEOHASH_LENGTH = 8
 DEFAULT_THRESHOLD_M = 50.0
+DEFAULT_MIN_COMMON_DAYS = 7
 
 # No grid cell is narrower than this many radians (about 2.4 m), so a
 # bucket key, (time rank * rows + row) * columns + column, stays below
@@ -120,7 +121,7 @@ def detect_encounters(
     fixes: CleanTable,
     valid_days: Mapping[str, ValidDaySet],
     threshold_m: float = DEFAULT_THRESHOLD_M,
-    min_common_days: int = 7,
+    min_common_days: int = DEFAULT_MIN_COMMON_DAYS,
     pairs: Iterable[tuple[str, str]] | None = None,
 ) -> dict[tuple[str, str], EncounterSet]:
     """Detect encounters for every eligible pair, by one bucket join (see the module doc).

@@ -9,10 +9,12 @@ row, in line order. Both readers share one table reader, which handles
 the header, blank, comment, duplicate-header and short rows, and differ
 only in their column aliases and converters.
 
-The readers take a binary handle to UTF-8 text; a leading byte-order
-mark is ignored. Rows are what csv reads in `newline=''` mode: a line
-ends at "\\r\\n", "\\r" or "\\n", whichever the export uses, and a row's
-number is the line it starts on, line ends inside a quoted cell counted.
+The readers take a binary handle to UTF-8 text, in which a leading
+byte-order mark is ignored, and the run's `RunConfig`, whose
+`delimiter` and `naive_utc_offset_minutes` they read. Rows are what
+csv reads in `newline=''` mode: a line ends at "\\r\\n", "\\r" or "\\n",
+whichever the export uses, and a row's number is the line it starts
+on, line ends inside a quoted cell counted.
 Text is plain when it holds no '"', "\\r" or NUL and no line longer than
 csv's field limit, and the delimiter is ASCII. Each "\\n"-ended line of
 plain text is one row, `line.split(delimiter)`, or [] if it is empty,
@@ -68,9 +70,12 @@ from functools import reduce
 from itertools import chain, compress, islice
 from math import isfinite
 from operator import iadd
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 # accepted header spellings, lowercased
 _GPS_ALIASES = {
@@ -252,16 +257,6 @@ class RejectionReport:
         lines = [f"{line_no}\t{reason}" for line_no, reason in self.entries]
         lines.append(f"# accepted={self.n_accepted} rejected={self.n_rejected}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class IngestOptions:
-    """Knobs for absorbing format variation in the on-disk files."""
-
-    delimiter: str = ","
-    # offset (minutes east of UTC) attached to naive ISO timestamps;
-    # 0 means naive timestamps are already UTC
-    naive_utc_offset_minutes: int = 0
 
 
 def parse_timestamp(raw: str, naive_utc_offset_minutes: int = 0) -> datetime:
@@ -940,9 +935,17 @@ def convert_survey(
     ]
 
 
+def run_config(config: RunConfig | None) -> RunConfig:
+    """`config`, or `RunConfig()`: `tiediv.config` loads on first use, not on `import tiediv`."""
+    if config is None:
+        from .config import RunConfig
+
+        config = RunConfig()
+    return config
+
+
 def parse_gps_log(
-    source: BinaryIO,
-    options: IngestOptions | None = None,
+    source: BinaryIO, config: RunConfig | None = None
 ) -> tuple[FixTable, RejectionReport]:
     """Parse a delimited GPS log into a FixTable plus a rejection report.
 
@@ -950,13 +953,13 @@ def parse_gps_log(
     lat, lon and accuracy columns (any alias, any case). Repeated header
     lines further down the file count as rejected rows, not as errors.
     """
-    opts = options or IngestOptions()
+    cfg = run_config(config)
     report = RejectionReport()
     with gc_paused():
         chunks = [
-            convert_gps(line_nos, columns, report, opts.naive_utc_offset_minutes)
+            convert_gps(line_nos, columns, report, cfg.naive_utc_offset_minutes)
             for line_nos, columns in _read_table(
-                source, opts.delimiter, _GPS_ALIASES, _GPS_REQUIRED, report
+                source, cfg.delimiter, _GPS_ALIASES, _GPS_REQUIRED, report
             )
         ]
     report.entries.sort()
@@ -966,18 +969,17 @@ def parse_gps_log(
 
 
 def parse_survey(
-    source: BinaryIO,
-    options: IngestOptions | None = None,
+    source: BinaryIO, config: RunConfig | None = None
 ) -> tuple[list[SurveyRecord], RejectionReport]:
     """Parse the closeness survey into SurveyRecord rows.
 
     Self-ratings and out-of-range scores are rejected row by row.
     """
-    opts = options or IngestOptions()
+    cfg = run_config(config)
     report = RejectionReport()
     records = []
     for line_nos, columns in _read_table(
-        source, opts.delimiter, _SURVEY_ALIASES, _SURVEY_REQUIRED, report
+        source, cfg.delimiter, _SURVEY_ALIASES, _SURVEY_REQUIRED, report
     ):
         records += convert_survey(line_nos, columns, report)
     report.entries.sort()

@@ -4,7 +4,9 @@ Steps, in order: local-time date window, accuracy cutoff, snapping to
 the 5-minute grid, per-slot dedup, day-coverage filter, minimum-days
 filter, and restriction to surveyed users. Day attribution happens in
 local time (schedules are local-time phenomena), with a configurable
-fixed UTC offset.
+fixed UTC offset. `filter_pipeline` reads the window, the zone offset and
+the thresholds from the run's `RunConfig`; its defaults are the study's
+April window at +05:30.
 
 Every step works on whole columns of a `FixTable`: the window and
 accuracy filters are masks on epoch microseconds and accuracy, snapping
@@ -22,11 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from math import ceil
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .ingest import US_PER_S, ColumnTable, FixTable, SurveyRecord, TextColumn, position_checks
+from .ingest import US_PER_S, ColumnTable, FixTable, SurveyRecord, TextColumn, position_checks, run_config
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 SLOT_SECONDS = 300
 SLOTS_PER_DAY = 288  # 24h of 5-minute slots
@@ -71,18 +76,6 @@ class ValidDaySet:
 
     user_id: str
     days: tuple[date, ...]  # chronological
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Cleaning thresholds. Defaults mirror the study's April window."""
-
-    window_start: date = date(2016, 4, 1)
-    window_end: date = date(2016, 5, 1)  # closed interval: local midnight included
-    zone_offset_minutes: int = 330  # +05:30
-    accuracy_cutoff_m: float = 60.0
-    coverage_fraction: float = 0.2
-    min_days: int = 5
 
 
 @dataclass
@@ -155,7 +148,7 @@ def _starts(*keys: np.ndarray) -> np.ndarray:
 def filter_pipeline(
     fixes: FixTable,
     survey: Iterable[SurveyRecord],
-    config: PreprocessConfig | None = None,
+    config: RunConfig | None = None,
 ) -> PreprocessResult:
     """Run the full cleaning pipeline.
 
@@ -163,7 +156,7 @@ def filter_pipeline(
     the retained-user set. An empty survivor set is reported through the
     result's warnings list, never raised.
     """
-    cfg = config or PreprocessConfig()
+    cfg = run_config(config)
     offset_us = cfg.zone_offset_minutes * 60 * US_PER_S
 
     def local_midnight_us(day: date) -> int:

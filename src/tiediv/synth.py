@@ -7,17 +7,19 @@ opposite temporal structure:
   jitter), the way lecture or mealtime routines work;
 - "social" pairs meet at uniformly random slots of the day.
 
-Each planned meeting actually happens with probability ``meet_prob``
-(the same for both archetypes), so per-day encounter counts carry some
-archetype-independent noise instead of being a degenerate constant.
-Pairs live on a coarse lattice far apart from each other, so encounters
-only ever happen within a pair. The implied survey labels the
-archetypes closeness 1 (scheduled) versus 5 (social), which the
-regrouping maps to 1 versus 4.
+Each planned meeting actually happens with probability
+``synth_meet_prob`` (the same for both archetypes), so per-day encounter
+counts carry some archetype-independent noise instead of being a
+degenerate constant. Pairs live on a coarse lattice far apart from each
+other, so encounters only ever happen within a pair. The implied survey
+labels the archetypes closeness 1 (scheduled) versus 5 (social), which
+the regrouping maps to 1 versus 4.
 
-The fixes come back as a `CleanTable`. The random draws are made per
-pair and per day, in that order, and only decide each day's meeting
-slots and places; the columns are then built in bulk from those slots.
+`synth_generate` reads the `synth_*` fields, `window_start` (the first
+day) and `seed` of the run's `RunConfig`. The fixes come back as a
+`CleanTable`. The random draws are made per pair and per day, in that
+order, and only decide each day's meeting slots and places; the columns
+are then built in bulk from those slots.
 `gps_log` turns the table into the raw GPS log that `tiediv synth`
 writes, with each fix at the UTC instant its local slot starts.
 """
@@ -25,12 +27,15 @@ writes, with each fix at the UTC instant its local slot starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ingest import US_PER_S, FixTable, SurveyRecord, TextColumn
+from .ingest import US_PER_S, FixTable, SurveyRecord, TextColumn, run_config
 from .preprocess import SECONDS_PER_DAY, SLOT_SECONDS, SLOTS_PER_DAY, CleanTable, epoch_day
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 # pair areas sit on a 0.1 degree lattice (~11 km apart); within a pair,
 # meeting places are ~200 m apart and solo spots ~450 m off to the side,
@@ -49,59 +54,45 @@ SOCIAL = "social"
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    n_pairs_per_archetype: int = 100
-    n_days: int = 14
-    encounters_per_day: int = 3
-    schedule_slots: tuple[int, ...] = (102, 150, 222)  # 08:30, 12:30, 18:30
-    jitter_slots: int = 1
-    meet_prob: float = 0.9
-    n_places: int = 3
-    coverage_slots: int = 60  # occupied slots per user-day
-    start_day: date = date(2016, 4, 1)
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SynthResult:
     fixes: CleanTable  # per pair and day: the meetings, then the solo slots; user a before b
     survey: list[SurveyRecord]
     archetypes: dict[tuple[str, str], str]  # canonical pair -> archetype
 
 
-def _validate(cfg: SynthConfig) -> None:
-    if cfg.n_pairs_per_archetype < 1:
+def _validate(cfg: RunConfig) -> None:
+    if cfg.synth_pairs < 1:
         raise ValueError("need at least one pair per archetype")
-    if cfg.n_days < 1:
+    if cfg.synth_days < 1:
         raise ValueError("need at least one day")
-    if not 1 <= cfg.encounters_per_day <= SLOTS_PER_DAY:
+    if not 1 <= cfg.synth_encounters_per_day <= SLOTS_PER_DAY:
         raise ValueError(
-            f"encounters_per_day must be in 1..{SLOTS_PER_DAY}, "
-            f"got {cfg.encounters_per_day}"
+            f"synth_encounters_per_day must be in 1..{SLOTS_PER_DAY}, "
+            f"got {cfg.synth_encounters_per_day}"
         )
-    if cfg.encounters_per_day > len(cfg.schedule_slots):
+    if cfg.synth_encounters_per_day > len(cfg.synth_schedule_slots):
         raise ValueError(
-            f"{cfg.encounters_per_day} encounters/day need at least that many "
-            f"schedule slots, got {len(cfg.schedule_slots)}"
+            f"{cfg.synth_encounters_per_day} encounters/day need at least that many "
+            f"schedule slots, got {len(cfg.synth_schedule_slots)}"
         )
-    if cfg.jitter_slots < 0:
+    if cfg.synth_jitter < 0:
         raise ValueError("jitter must be non-negative")
-    for slot in cfg.schedule_slots:
-        if slot - cfg.jitter_slots < 0 or slot + cfg.jitter_slots >= SLOTS_PER_DAY:
+    for slot in cfg.synth_schedule_slots:
+        if slot - cfg.synth_jitter < 0 or slot + cfg.synth_jitter >= SLOTS_PER_DAY:
             raise ValueError(f"schedule slot {slot} +- jitter leaves the day")
-    ordered = sorted(cfg.schedule_slots)
+    ordered = sorted(cfg.synth_schedule_slots)
     for a, b in zip(ordered, ordered[1:]):
-        if b - a <= 2 * cfg.jitter_slots:
+        if b - a <= 2 * cfg.synth_jitter:
             raise ValueError(
                 "schedule slots closer than 2*jitter could collide into one slot"
             )
-    if not 0.0 <= cfg.meet_prob <= 1.0:
+    if not 0.0 <= cfg.synth_meet_prob <= 1.0:
         raise ValueError("meet_prob must be in [0, 1]")
-    if cfg.n_places < 1:
+    if cfg.synth_places < 1:
         raise ValueError("need at least one meeting place")
-    if not cfg.encounters_per_day <= cfg.coverage_slots <= SLOTS_PER_DAY:
+    if not cfg.synth_encounters_per_day <= cfg.synth_coverage_slots <= SLOTS_PER_DAY:
         raise ValueError(
-            f"coverage_slots must be in {cfg.encounters_per_day}..{SLOTS_PER_DAY}"
+            f"synth_coverage_slots must be in {cfg.synth_encounters_per_day}..{SLOTS_PER_DAY}"
         )
 
 
@@ -126,9 +117,9 @@ def _solo_slots(meeting_slots: set[int], coverage_slots: int) -> list[int]:
     return sorted(occupied - meeting_slots)
 
 
-def synth_generate(cfg: SynthConfig | None = None) -> SynthResult:
+def synth_generate(config: RunConfig | None = None) -> SynthResult:
     """Generate clean fixes and an implied survey, deterministically per seed."""
-    cfg = cfg or SynthConfig()
+    cfg = run_config(config)
     _validate(cfg)
     rng = np.random.default_rng(cfg.seed)
 
@@ -140,36 +131,36 @@ def synth_generate(cfg: SynthConfig | None = None) -> SynthResult:
     survey: list[SurveyRecord] = []
     archetypes: dict[tuple[str, str], str] = {}
 
-    n = cfg.n_pairs_per_archetype
+    n = cfg.synth_pairs
     for pair_index in range(2 * n):
         archetype = SCHEDULED if pair_index < n else SOCIAL
         tag = "sch" if archetype == SCHEDULED else "soc"
         user_a = f"{tag}{pair_index % n:03d}a"
         user_b = f"{tag}{pair_index % n:03d}b"
-        pair_places, solo_a, solo_b = _pair_geometry(pair_index, cfg.n_places)
+        pair_places, solo_a, solo_b = _pair_geometry(pair_index, cfg.synth_places)
         users += [user_a, user_b]
         spots.append(pair_places + [solo_a, solo_b])
         archetypes[(user_a, user_b)] = archetype
 
-        for _ in range(cfg.n_days):
+        for _ in range(cfg.synth_days):
             meetings: dict[int, int] = {}  # slot -> place index
             if archetype == SCHEDULED:
-                for idx in range(cfg.encounters_per_day):
-                    if rng.random() >= cfg.meet_prob:
+                for idx in range(cfg.synth_encounters_per_day):
+                    if rng.random() >= cfg.synth_meet_prob:
                         continue
-                    slot = cfg.schedule_slots[idx] + int(
-                        rng.integers(-cfg.jitter_slots, cfg.jitter_slots + 1)
+                    slot = cfg.synth_schedule_slots[idx] + int(
+                        rng.integers(-cfg.synth_jitter, cfg.synth_jitter + 1)
                     )
-                    meetings[slot] = idx % cfg.n_places
+                    meetings[slot] = idx % cfg.synth_places
             else:
-                n_meet = int(rng.binomial(cfg.encounters_per_day, cfg.meet_prob))
+                n_meet = int(rng.binomial(cfg.synth_encounters_per_day, cfg.synth_meet_prob))
                 if n_meet:
                     drawn = rng.choice(SLOTS_PER_DAY, size=n_meet, replace=False)
                     for slot in sorted(int(s) for s in drawn):
-                        meetings[slot] = int(rng.integers(0, cfg.n_places))
+                        meetings[slot] = int(rng.integers(0, cfg.synth_places))
 
             meeting_slots = sorted(meetings)
-            solo = _solo_slots(set(meetings), cfg.coverage_slots)
+            solo = _solo_slots(set(meetings), cfg.synth_coverage_slots)
             slots += meeting_slots + solo
             places += [meetings[slot] for slot in meeting_slots] + [-1] * len(solo)
             n_slots.append(len(meeting_slots) + len(solo))
@@ -180,16 +171,16 @@ def synth_generate(cfg: SynthConfig | None = None) -> SynthResult:
         survey.append(SurveyRecord(user_b, user_a, closeness, proximity))
 
     # two rows per slot: user a's, then user b's; a solo slot puts each at their own spot
-    pair, day = np.divmod(np.repeat(np.arange(len(n_slots)), n_slots), cfg.n_days)
+    pair, day = np.divmod(np.repeat(np.arange(len(n_slots)), n_slots), cfg.synth_days)
     pair, day = np.repeat(pair, 2), np.repeat(day, 2)
     side = np.tile([0, 1], len(slots))
     place = np.repeat(np.array(places, dtype=np.int64), 2)
-    place = np.where(place >= 0, place, cfg.n_places + side)
+    place = np.where(place >= 0, place, cfg.synth_places + side)
     spot = np.array(spots, dtype=np.float64)  # (pair, place, lat/lon)
     user = TextColumn.of(users)
     fixes = CleanTable(
         user=TextColumn(user.codes[2 * pair + side], user.values),
-        day=day + epoch_day(cfg.start_day),
+        day=day + epoch_day(cfg.window_start),
         slot=np.repeat(np.array(slots, dtype=np.int64), 2),
         lat=spot[pair, place, 0],
         lon=spot[pair, place, 1],

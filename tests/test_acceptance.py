@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tiediv.cli import main as cli_main
+from tiediv.config import RunConfig
 from tiediv.encounter import canonical_pair, detect_encounters
 from tiediv.experiments import compare_features, sweep_q, sweep_width
 from tiediv.features import (
@@ -27,7 +28,7 @@ from tiediv.geo import geohash_encode
 from tiediv.ingest import parse_gps_log, parse_survey
 from tiediv.preprocess import ValidDaySet, filter_pipeline
 from tiediv.stats import f_from_r, f_sf
-from tiediv.synth import SCHEDULED, SynthConfig, synth_generate
+from tiediv.synth import SCHEDULED, synth_generate
 
 from test_stats import f_sf_quadrature
 
@@ -127,10 +128,10 @@ def test_c6_geohash():
 
 def test_c7_synthetic_hypothesis_check():
     start = time.perf_counter()
-    cfg = SynthConfig(n_pairs_per_archetype=100, n_days=14, encounters_per_day=3, seed=7)
+    cfg = RunConfig(synth_pairs=100, synth_days=14, synth_encounters_per_day=3, seed=7)
     result = synth_generate(cfg)
 
-    days = tuple(cfg.start_day + timedelta(days=i) for i in range(cfg.n_days))
+    days = tuple(cfg.window_start + timedelta(days=i) for i in range(cfg.synth_days))
     valid = {u: ValidDaySet(u, days) for u in result.fixes.user.values}
     pairs = sorted({canonical_pair(r.rater_id, r.ratee_id) for r in result.survey})
     sets = detect_encounters(result.fixes, valid, threshold_m=50.0, min_common_days=7, pairs=pairs)

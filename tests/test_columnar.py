@@ -26,6 +26,7 @@ from tiediv.artifacts import (
     write_clean_fixes,
     write_fixes,
 )
+from tiediv.config import RunConfig
 from tiediv.encounter import Encounter, EncounterSet, detect_encounters
 from tiediv.geo import geohash_encode, geohash_encode_many, haversine_m, within_m
 from tiediv.ingest import (
@@ -42,7 +43,6 @@ from tiediv.ingest import (
 )
 from tiediv.preprocess import (
     CleanTable,
-    PreprocessConfig,
     ValidDaySet,
     coverage_threshold,
     day_of,
@@ -521,7 +521,7 @@ def test_pipeline_and_scan_match_row_by_row_reference(seed):
                 )
             )
     survey = [SurveyRecord(a, b, 3, 3) for a, b in zip(users, users[1:])]
-    cfg = PreprocessConfig(
+    cfg = RunConfig(
         window_end=date(2016, 4, rng.randint(3, 9)), coverage_fraction=rng.choice((0.0, 0.05, 0.1)),
         min_days=rng.randint(1, 3), zone_offset_minutes=330,
     )

@@ -1,12 +1,19 @@
 """Settings derived from the RunConfig fields: flags, parsers, defaults."""
 
+import inspect
+import io
 from dataclasses import MISSING, fields
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 from tiediv.cli import build_parser, main
 from tiediv.config import RunConfig, build_config, load_config_file
+from tiediv.encounter import detect_encounters
+from tiediv.features import temporal_diversity
+from tiediv.ingest import SurveyRecord, parse_gps_log
+from tiediv.preprocess import filter_pipeline
 
 # the command-line spellings every stage has accepted since the first release
 FLAGS = {
@@ -93,10 +100,31 @@ def test_config_file_rejects_short_flag(tmp_path):
 
 
 def test_stage_options_come_from_run_config():
-    cfg = build_config(flag_values={"delimiter": ";", "zone_offset_minutes": "60", "min_days": "3"})
-    assert cfg.ingest_options().delimiter == ";"
-    pre = cfg.preprocess_config()
-    assert (pre.zone_offset_minutes, pre.min_days) == (60, 3)
+    cfg = build_config(
+        flag_values={"delimiter": ";", "zone_offset_minutes": "60", "min_days": "3", "coverage_fraction": "0"}
+    )
+    # fixes at 22:30 UTC, three days each for u1 and u2 and two for u3
+    rows = [
+        f"{user};2016-04-0{day}T22:30:00Z;23.1;72.6;5"
+        for user, n_days in (("u1", 3), ("u2", 3), ("u3", 2))
+        for day in range(2, 2 + n_days)
+    ]
+    log = "user_id;timestamp;lat;lon;accuracy\n" + "\n".join(rows) + "\n"
+    fixes, report = parse_gps_log(io.BytesIO(log.encode()), cfg)
+    assert (len(fixes), report.n_rejected) == (8, 0)
+    result = filter_pipeline(fixes, [SurveyRecord("u1", "u2", 3, 3), SurveyRecord("u3", "u1", 3, 3)], cfg)
+    # at +01:00, 22:30 UTC falls on the same local day; u3's two days are too few
+    days = tuple(date(2016, 4, day) for day in (2, 3, 4))
+    assert {user: valid.days for user, valid in result.valid_days.items()} == {"u1": days, "u2": days}
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    detect = inspect.signature(detect_encounters).parameters
+    diversity = inspect.signature(temporal_diversity).parameters
+    cfg = RunConfig()
+    assert cfg.threshold_m == detect["threshold_m"].default
+    assert cfg.min_common_days == detect["min_common_days"].default
+    assert cfg.width_t == diversity["width_t"].default
 
 
 ZONE_OFFSET_FIELDS = ("naive_utc_offset_minutes", "zone_offset_minutes")

@@ -9,9 +9,9 @@ import pytest
 
 from tiediv import ingest
 from tiediv.cli import main
+from tiediv.config import RunConfig
 from tiediv.ingest import (
     CHUNK_ROWS,
-    IngestOptions,
     SchemaError,
     parse_gps_log,
     parse_survey,
@@ -135,7 +135,7 @@ class TestParseGpsLog:
         source = io.BytesIO(
             b"user_id;timestamp;lat;lon;accuracy\nu1;2016-04-03T10:02:11Z;23.1;72.6;30\n"
         )
-        fixes, _ = parse_gps_log(source, IngestOptions(delimiter=";"))
+        fixes, _ = parse_gps_log(source, RunConfig(delimiter=";"))
         assert len(fixes) == 1
 
     def test_accounting_identity_and_determinism(self):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiediv.artifacts import write_clean_fixes
+from tiediv.config import RunConfig
 from tiediv.ingest import RawFix, SurveyRecord
 from tiediv.preprocess import (
-    PreprocessConfig,
     ValidDaySet,
     coverage_threshold,
     filter_pipeline,
@@ -69,7 +69,7 @@ def candidate(user="u1", slot=100, lat=23.19, lon=72.63, accuracy=10.0, offset_s
 
 def survivors(fixes):
     """The clean fixes of a pipeline run that keeps every user-day: dedup only."""
-    config = PreprocessConfig(coverage_fraction=0.0, min_days=1)
+    config = RunConfig(coverage_fraction=0.0, min_days=1)
     return clean_rows(filter_pipeline(fix_table(fixes), [SurveyRecord("u1", "u2", 3, 3)], config).clean_fixes)
 
 
@@ -117,7 +117,7 @@ class TestDedupe:
     @pytest.mark.parametrize("lat", [-0.0, 0.0])
     def test_full_tie_keeps_the_earlier_row(self, tmp_path, lat):
         # 0.0 == -0.0, so the rows tie on every key; the sign shows which survived
-        config = PreprocessConfig(coverage_fraction=0.0, min_days=1)
+        config = RunConfig(coverage_fraction=0.0, min_days=1)
         fixes = fix_table([candidate(lat=lat), candidate(lat=-lat)])
         clean = filter_pipeline(fixes, [SurveyRecord("u1", "u2", 3, 3)], config).clean_fixes
         write_clean_fixes(tmp_path / "clean_fixes.csv", clean, {})
@@ -127,7 +127,7 @@ class TestDedupe:
     def test_widest_window_with_many_users(self):
         # the first and the last local day any window can hold, for 3,000
         # users; per (user, day, slot) the pipeline must keep the best fix
-        config = PreprocessConfig(
+        config = RunConfig(
             window_start=date.min, window_end=date.max, coverage_fraction=0.0, min_days=1
         )
         users = [f"u{i:04d}" for i in range(3000)]
@@ -265,7 +265,7 @@ class TestFilterPipeline:
         assert result.counts["in_window"] == result.counts["input_fixes"] - 1
 
     def test_window_is_closed_at_both_ends(self):
-        cfg = PreprocessConfig(window_start=date(2016, 4, 2), window_end=date(2016, 4, 5))
+        cfg = RunConfig(window_start=date(2016, 4, 2), window_end=date(2016, 4, 5))
         edges = [datetime(2016, 4, 2, tzinfo=IST), datetime(2016, 4, 5, tzinfo=IST)]
         one_us = timedelta(microseconds=1)
         inside = [raw("u1", t.astimezone(UTC)) for t in edges]

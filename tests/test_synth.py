@@ -6,6 +6,7 @@ import pytest
 
 from tiediv.artifacts import read_clean_fixes, write_fixes
 from tiediv.cli import main
+from tiediv.config import RunConfig
 from tiediv.encounter import canonical_pair, detect_encounters
 from tiediv.features import temporal_diversity
 from tiediv.ingest import parse_gps_log
@@ -13,7 +14,6 @@ from tiediv.preprocess import ValidDaySet, snap_to_slot
 from tiediv.synth import (
     SCHEDULED,
     SOCIAL,
-    SynthConfig,
     gps_log,
     survey_to_rows,
     synth_generate,
@@ -21,11 +21,11 @@ from tiediv.synth import (
 
 from helpers import clean_rows
 
-SMALL = SynthConfig(n_pairs_per_archetype=5, n_days=10, seed=42)
+SMALL = RunConfig(synth_pairs=5, synth_days=10, seed=42)
 
 
 def run_detection(result, cfg, pairs=None, threshold=50.0):
-    days = tuple(cfg.start_day + timedelta(days=i) for i in range(cfg.n_days))
+    days = tuple(cfg.window_start + timedelta(days=i) for i in range(cfg.synth_days))
     valid = {u: ValidDaySet(u, days) for u in result.fixes.user.values}
     if pairs is None:
         pairs = sorted({canonical_pair(r.rater_id, r.ratee_id) for r in result.survey})
@@ -44,7 +44,7 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         a = synth_generate(SMALL)
-        b = synth_generate(SynthConfig(n_pairs_per_archetype=5, n_days=10, seed=43))
+        b = synth_generate(RunConfig(synth_pairs=5, synth_days=10, seed=43))
         assert clean_rows(a.fixes) != clean_rows(b.fixes)
 
 
@@ -54,9 +54,9 @@ class TestStructure:
         per_user_day = {}
         for fix in clean_rows(result.fixes):
             per_user_day.setdefault((fix.user_id, fix.day), set()).add(fix.slot)
-        assert all(len(slots) == SMALL.coverage_slots for slots in per_user_day.values())
-        n_users = 4 * SMALL.n_pairs_per_archetype
-        assert len(per_user_day) == n_users * SMALL.n_days
+        assert all(len(slots) == SMALL.synth_coverage_slots for slots in per_user_day.values())
+        n_users = 4 * SMALL.synth_pairs
+        assert len(per_user_day) == n_users * SMALL.synth_days
 
     def test_survey_labels_archetypes(self):
         result = synth_generate(SMALL)
@@ -69,7 +69,7 @@ class TestStructure:
             assert all(r.closeness_raw == expected for r in records)
 
     def test_no_cross_pair_encounters(self):
-        cfg = SynthConfig(n_pairs_per_archetype=2, n_days=8, seed=3)
+        cfg = RunConfig(synth_pairs=2, synth_days=8, seed=3)
         result = synth_generate(cfg)
         # scan all pairs of users, not just surveyed ones
         users = result.fixes.user.values
@@ -81,22 +81,22 @@ class TestStructure:
                 assert es.n_encounters == 0
 
     def test_equal_rates_when_every_meeting_happens(self):
-        cfg = SynthConfig(n_pairs_per_archetype=3, n_days=8, meet_prob=1.0, seed=5)
+        cfg = RunConfig(synth_pairs=3, synth_days=8, synth_meet_prob=1.0, seed=5)
         result = synth_generate(cfg)
         sets = run_detection(result, cfg)
         for es in sets.values():
-            assert es.n_encounters == cfg.encounters_per_day * cfg.n_days
+            assert es.n_encounters == cfg.synth_encounters_per_day * cfg.synth_days
 
 
 class TestArchetypeContrast:
     def test_zero_jitter_single_slot_gives_diversity_one(self):
-        cfg = SynthConfig(
-            n_pairs_per_archetype=4,
-            n_days=10,
-            encounters_per_day=1,
-            schedule_slots=(144,),
-            jitter_slots=0,
-            meet_prob=1.0,
+        cfg = RunConfig(
+            synth_pairs=4,
+            synth_days=10,
+            synth_encounters_per_day=1,
+            synth_schedule_slots=(144,),
+            synth_jitter=0,
+            synth_meet_prob=1.0,
             seed=11,
         )
         result = synth_generate(cfg)
@@ -106,7 +106,7 @@ class TestArchetypeContrast:
                 assert temporal_diversity(es, 60) == pytest.approx(1.0, rel=1e-12)
 
     def test_social_diversity_exceeds_scheduled(self):
-        cfg = SynthConfig(n_pairs_per_archetype=10, n_days=14, seed=21)
+        cfg = RunConfig(synth_pairs=10, synth_days=14, seed=21)
         result = synth_generate(cfg)
         sets = run_detection(result, cfg)
         sched = [temporal_diversity(es) for p, es in sets.items()
@@ -119,32 +119,32 @@ class TestArchetypeContrast:
 class TestConfigValidation:
     def test_more_encounters_than_schedule_slots(self):
         with pytest.raises(ValueError):
-            synth_generate(SynthConfig(encounters_per_day=4))
+            synth_generate(RunConfig(synth_encounters_per_day=4))
 
     def test_encounters_exceeding_day_capacity(self):
         with pytest.raises(ValueError):
-            synth_generate(SynthConfig(encounters_per_day=300, schedule_slots=tuple(range(300))))
+            synth_generate(RunConfig(synth_encounters_per_day=300, synth_schedule_slots=tuple(range(300))))
 
     def test_schedule_slot_jitter_leaving_day(self):
         with pytest.raises(ValueError):
-            synth_generate(SynthConfig(schedule_slots=(0, 150, 222), jitter_slots=1))
+            synth_generate(RunConfig(synth_schedule_slots=(0, 150, 222), synth_jitter=1))
 
     def test_colliding_schedule_slots(self):
         with pytest.raises(ValueError):
-            synth_generate(SynthConfig(schedule_slots=(100, 101, 200), jitter_slots=1))
+            synth_generate(RunConfig(synth_schedule_slots=(100, 101, 200), synth_jitter=1))
 
     def test_coverage_below_encounters(self):
         with pytest.raises(ValueError):
-            synth_generate(SynthConfig(coverage_slots=2))
+            synth_generate(RunConfig(synth_coverage_slots=2))
 
     def test_bad_meet_prob(self):
         with pytest.raises(ValueError):
-            synth_generate(SynthConfig(meet_prob=1.5))
+            synth_generate(RunConfig(synth_meet_prob=1.5))
 
 
 class TestRawSerialization:
     def test_round_trip_through_parser_and_snapping(self, tmp_path):
-        cfg = SynthConfig(n_pairs_per_archetype=1, n_days=8, seed=9)
+        cfg = RunConfig(synth_pairs=1, synth_days=8, seed=9)
         result = synth_generate(cfg)
         write_fixes(tmp_path / "gps.csv", gps_log(result.fixes, zone_offset_minutes=330), {})
         with open(tmp_path / "gps.csv", "rb") as handle:
@@ -157,13 +157,13 @@ class TestRawSerialization:
         assert snapped == clean_rows(result.fixes)
 
     def test_survey_rows_round_trip(self):
-        result = synth_generate(SynthConfig(n_pairs_per_archetype=1, n_days=8, seed=9))
+        result = synth_generate(RunConfig(synth_pairs=1, synth_days=8, seed=9))
         rows = survey_to_rows(result.survey)
         assert rows[0] == ["rater_id", "ratee_id", "closeness", "proximity"]
         assert len(rows) == 1 + len(result.survey)
 
     def test_start_day_within_default_window(self):
-        assert SynthConfig().start_day == date(2016, 4, 1)
+        assert RunConfig().window_start == date(2016, 4, 1)
 
 
 @pytest.mark.parametrize("offset", [-240, 0, 330, 540])
@@ -177,5 +177,5 @@ def test_synth_ingest_preprocess_recovers_the_fixes(tmp_path, offset):
     inputs = ["--gps", str(gen / "synth_gps.csv"), "--survey", str(gen / "synth_survey.csv")]
     for stage in ("ingest", "preprocess"):
         assert main([stage, *inputs, "-o", str(out), *zone]) == 0
-    fixes = synth_generate(SynthConfig(n_pairs_per_archetype=2, n_days=6, seed=5)).fixes
+    fixes = synth_generate(RunConfig(synth_pairs=2, synth_days=6, seed=5)).fixes
     assert clean_rows(read_clean_fixes(out / "clean_fixes.csv")) == sorted(clean_rows(fixes))
