@@ -18,7 +18,7 @@ from tiediv.artifacts import write_fixes, write_table
 from tiediv.config import RunConfig
 from tiediv.ingest import TextColumn
 from tiediv.preprocess import SLOTS_PER_DAY, CleanTable, epoch_day
-from tiediv.synth import gps_log, survey_to_rows, synth_generate
+from tiediv.synth import SURVEY_HEADER, gps_log, synth_generate
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -44,8 +44,7 @@ def main(out_dir: Path = OUT_DIR) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_fixes(out_dir / "mini_gps.csv", gps_log(fixes, CFG.zone_offset_minutes), {})
-    survey_rows = survey_to_rows(result.survey)
-    write_table(out_dir / "mini_survey.csv", {}, survey_rows[0], survey_rows[1:])
+    write_table(out_dir / "mini_survey.csv", {}, SURVEY_HEADER, result.survey)
     users = fixes.user.values
     print(f"wrote fixture: {len(fixes)} fixes, {len(users)} users: {', '.join(users)}")
 

@@ -149,7 +149,7 @@ def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Rec
     _keep(written, _out(cfg, "valid_days.csv"), result.valid_days)
     print(
         f"preprocess: {len(result.clean_fixes)} clean fixes, "
-        f"{len(result.retained_users)} retained users"
+        f"{len(result.valid_days)} retained users"
     )
     return receipts
 
@@ -251,12 +251,11 @@ def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]
     result = synth.synth_generate(cfg)
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = cfg.echo()
-    survey_rows = synth.survey_to_rows(result.survey)
     receipts = [
         artifacts.write_fixes(
             _out(cfg, "synth_gps.csv"), synth.gps_log(result.fixes, cfg.zone_offset_minutes), meta
         ),
-        artifacts.write_table(_out(cfg, "synth_survey.csv"), meta, survey_rows[0], survey_rows[1:]),
+        artifacts.write_table(_out(cfg, "synth_survey.csv"), meta, synth.SURVEY_HEADER, result.survey),
     ]
     print(
         f"synth: {len(result.fixes)} fixes, {len(result.survey)} survey records "

@@ -12,7 +12,9 @@ that a library signature states too comes from that module's constant.
 Each field's parser follows from its type (`parse` in the field
 metadata overrides it), and its flag is `--` plus the dashed field name
 unless `flags` in the metadata lists other spellings. A config-file key
-may be the field name or any long flag without its dashes.
+may be the field name or any long flag without its dashes. A parser
+rejects what a stage would, so a bad setting stops the run before any
+stage writes.
 
 `q` sets the order of `features.csv`'s `temporal_diversity` only:
 compare, subgroups, evolve and sweep-t use Shannon diversity, and
@@ -69,6 +71,17 @@ def _parse_threshold(text: str) -> float:
     return check_threshold(float(text))
 
 
+def _parse_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # nan fails too
+        raise ValueError(f"must be a fraction in [0, 1], got {value}")
+    return value
+
+
+def _parse_width_t(text: str) -> int:
+    return check_width_t(int(text))
+
+
 def _parse_date(text: str) -> date:
     return date.fromisoformat(text.strip())
 
@@ -81,11 +94,19 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+def _parse_width_grid(text: str) -> tuple[int, ...]:
+    return tuple(map(check_width_t, _parse_int_grid(text)))
+
+
+def _parse_q_grid(text: str) -> tuple[float, ...]:
+    return tuple(map(check_order, _parse_float_grid(text)))
+
+
 def _parse_q(text: str) -> float | None:
     text = text.strip().lower()
     if text in ("", "shannon", "none"):
         return None
-    return float(text)
+    return check_order(float(text))
 
 
 # field annotation (a string, see the __future__ import) -> parser
@@ -116,14 +137,14 @@ class RunConfig:
     window_end: date = date(2016, 5, 1)  # closed: its local midnight is in the window
     zone_offset_minutes: int = _zone_offset(330, "--zone-offset")
     accuracy_cutoff_m: float = field(default=60.0, metadata={"flags": ("--accuracy-cutoff",)})
-    coverage_fraction: float = 0.2
+    coverage_fraction: float = field(default=0.2, metadata={"parse": _parse_fraction})
     min_days: int = 5
     min_common_days: int = DEFAULT_MIN_COMMON_DAYS
     threshold_m: float = field(default=DEFAULT_THRESHOLD_M, metadata={"parse": _parse_threshold})
-    width_t: int = DEFAULT_WIDTH_T
+    width_t: int = field(default=DEFAULT_WIDTH_T, metadata={"parse": _parse_width_t})
     q: float | None = None
-    width_grid: tuple[int, ...] = DEFAULT_WIDTH_GRID
-    q_grid: tuple[float, ...] = DEFAULT_Q_GRID
+    width_grid: tuple[int, ...] = field(default=DEFAULT_WIDTH_GRID, metadata={"parse": _parse_width_grid})
+    q_grid: tuple[float, ...] = field(default=DEFAULT_Q_GRID, metadata={"parse": _parse_q_grid})
     max_horizon: int = DEFAULT_MAX_HORIZON
     seed: int = 0
     synth_pairs: int = 100
@@ -198,9 +219,4 @@ def build_config(
             kwargs[key] = f.metadata.get("parse", _TYPE_PARSERS[f.type])(raw)
         except ValueError as exc:
             raise ValueError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    cfg = RunConfig(**kwargs)
-    # fail before any stage runs, with the messages the features stage gives
-    check_width_t(cfg.width_t)
-    if cfg.q is not None:
-        check_order(cfg.q)
-    return cfg
+    return RunConfig(**kwargs)

@@ -55,16 +55,18 @@ class FeatureRow(NamedTuple):
     n_common_days: int
 
 
-def check_width_t(width_t: int) -> None:
-    """Raise unless width_t minutes tile the day."""
+def check_width_t(width_t: int) -> int:
+    """width_t, if width_t minutes tile the day; else ValueError."""
     if width_t <= 0 or MINUTES_PER_DAY % width_t != 0:
         raise ValueError(f"width_t must divide 1440, got {width_t}")
+    return width_t
 
 
-def check_order(q: float) -> None:
-    """Raise unless q is a valid diversity order."""
+def check_order(q: float) -> float:
+    """q, if it is a valid diversity order; else ValueError."""
     if q < 0:
         raise ValueError(f"diversity order must be >= 0, got {q}")
+    return q
 
 
 def interval_counts(encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T) -> tuple[int, ...]:

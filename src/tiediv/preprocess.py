@@ -81,8 +81,7 @@ class ValidDaySet:
 @dataclass
 class PreprocessResult:
     clean_fixes: CleanTable
-    valid_days: dict[str, ValidDaySet]
-    retained_users: frozenset[str]
+    valid_days: dict[str, ValidDaySet]  # by retained user
     counts: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -152,9 +151,9 @@ def filter_pipeline(
 ) -> PreprocessResult:
     """Run the full cleaning pipeline.
 
-    Returns the surviving fixes, each retained user's valid-day set, and
-    the retained-user set. An empty survivor set is reported through the
-    result's warnings list, never raised.
+    Returns the surviving fixes and each retained user's valid-day set.
+    An empty survivor set is reported through the result's warnings list,
+    never raised.
     """
     cfg = run_config(config)
     offset_us = cfg.zone_offset_minutes * 60 * US_PER_S
@@ -236,7 +235,6 @@ def filter_pipeline(
     return PreprocessResult(
         clean_fixes=clean,
         valid_days=valid_days,
-        retained_users=frozenset(valid_days),
         counts=counts,
         warnings=warnings,
     )

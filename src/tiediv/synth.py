@@ -51,6 +51,8 @@ _ACCURACY_M = 8.0
 
 SCHEDULED = "scheduled"
 SOCIAL = "social"
+# the header of a survey input file, under which the survey's records are its rows
+SURVEY_HEADER = ("rater_id", "ratee_id", "closeness", "proximity")
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,3 @@ def gps_log(fixes: CleanTable, zone_offset_minutes: int) -> FixTable:
         provider=TextColumn(np.zeros(n, dtype=np.int32), ("synthetic",)),
     )
 
-
-def survey_to_rows(survey: list[SurveyRecord]) -> list[list[str]]:
-    """Serialize survey records in the survey input format (header included)."""
-    rows = [["rater_id", "ratee_id", "closeness", "proximity"]]
-    for rec in survey:
-        rows.append(
-            [rec.rater_id, rec.ratee_id, str(rec.closeness_raw), str(rec.proximity_raw)]
-        )
-    return rows

@@ -290,6 +290,13 @@ class TestStageErrors:
                 ("--threshold-m", value, f"distance threshold must be positive and finite, got {value}")
                 for value in ("nan", "inf", "0.0", "-5.0")
             ),
+            ("--width-grid", "7", "bad value for 'width_grid': '7' (width_t must divide 1440, got 7)"),
+            ("--width-grid", "60,0", "bad value for 'width_grid': '60,0' (width_t must divide 1440, got 0)"),
+            ("--q-grid", "-1", "bad value for 'q_grid': '-1' (diversity order must be >= 0, got -1.0)"),
+            *(
+                ("--coverage-fraction", value, f"bad value for 'coverage_fraction': '{value}' (must be a fraction")
+                for value in ("nan", "inf")
+            ),
         ],
     )
     def test_bad_analysis_setting_fails_before_any_stage(self, outdir, capsys, flag, value, message):

@@ -239,14 +239,14 @@ class TestFilterPipeline:
     def test_user_with_four_days_dropped(self):
         fixes = build_user_days("u1", 4, 60) + build_user_days("u2", 6, 60)
         result = filter_pipeline(fix_table(fixes), SURVEY)
-        assert "u1" not in result.retained_users
+        assert "u1" not in result.valid_days
         # u2 keeps its days regardless
         assert len(result.valid_days["u2"].days) == 6
 
     def test_user_missing_from_survey_dropped(self):
         fixes = build_user_days("u1", 6, 60) + build_user_days("u3", 6, 60)
         result = filter_pipeline(fix_table(fixes), SURVEY)
-        assert result.retained_users == frozenset({"u1"})
+        assert result.valid_days.keys() == {"u1"}
 
     def test_accuracy_cutoff(self):
         good = build_user_days("u1", 6, 60)
@@ -301,7 +301,7 @@ class TestFilterPipeline:
         second = filter_pipeline(fix_table(re_expressed), SURVEY)
         assert clean_rows(second.clean_fixes) == clean_rows(first.clean_fixes)
         assert second.valid_days == first.valid_days
-        assert second.retained_users == first.retained_users
+        assert second.valid_days.keys() == first.valid_days.keys()
 
     def test_cross_midnight_snap_attributes_next_day(self):
         late = raw("u1", local(3, 23, 58, 40))

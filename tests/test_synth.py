@@ -4,22 +4,22 @@ from datetime import date, timedelta
 
 import pytest
 
-from tiediv.artifacts import read_clean_fixes, write_fixes
+from tiediv.artifacts import read_clean_fixes, write_fixes, write_table
 from tiediv.cli import main
 from tiediv.config import RunConfig
 from tiediv.encounter import canonical_pair, detect_encounters
 from tiediv.features import temporal_diversity
-from tiediv.ingest import parse_gps_log
+from tiediv.ingest import parse_gps_log, parse_survey
 from tiediv.preprocess import ValidDaySet, snap_to_slot
 from tiediv.synth import (
     SCHEDULED,
     SOCIAL,
+    SURVEY_HEADER,
     gps_log,
-    survey_to_rows,
     synth_generate,
 )
 
-from helpers import clean_rows
+from helpers import clean_rows, read_table
 
 SMALL = RunConfig(synth_pairs=5, synth_days=10, seed=42)
 
@@ -156,11 +156,14 @@ class TestRawSerialization:
         ]
         assert snapped == clean_rows(result.fixes)
 
-    def test_survey_rows_round_trip(self):
+    def test_survey_rows_round_trip(self, tmp_path):
         result = synth_generate(RunConfig(synth_pairs=1, synth_days=8, seed=9))
-        rows = survey_to_rows(result.survey)
-        assert rows[0] == ["rater_id", "ratee_id", "closeness", "proximity"]
-        assert len(rows) == 1 + len(result.survey)
+        write_table(tmp_path / "survey.csv", {}, SURVEY_HEADER, result.survey)
+        _, columns, rows = read_table(tmp_path / "survey.csv")
+        assert columns == ["rater_id", "ratee_id", "closeness", "proximity"]
+        assert len(rows) == len(result.survey)
+        with open(tmp_path / "survey.csv", "rb") as handle:
+            assert parse_survey(handle)[0] == result.survey
 
     def test_start_day_within_default_window(self):
         assert RunConfig().window_start == date(2016, 4, 1)
