@@ -61,8 +61,14 @@ def _require(cfg: RunConfig, name: str, produced_by: str) -> Path:
     return path
 
 
+# not echoed: the sha256_* lines identify the inputs, and an outdir's bytes
+# do not depend on where the run reads and writes
+_PATH_KEYS = ("gps", "survey", "outdir")
+
+
 def _meta(cfg: RunConfig, *input_paths: Path | str) -> dict[str, str]:
-    meta = cfg.echo()
+    """An artifact's meta lines: the settings but the paths, then each input's hash."""
+    meta = {key: value for key, value in cfg.echo().items() if key not in _PATH_KEYS}
     for path in input_paths:
         meta[f"sha256_{Path(path).name}"] = artifacts.file_sha256(path)
     return meta
@@ -250,7 +256,7 @@ stage_evolve = _analysis_stage(
 def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
     result = synth.synth_generate(cfg)
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
-    meta = cfg.echo()
+    meta = _meta(cfg)
     receipts = [
         artifacts.write_fixes(
             _out(cfg, "synth_gps.csv"), synth.gps_log(result.fixes, cfg.zone_offset_minutes), meta

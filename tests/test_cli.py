@@ -95,13 +95,20 @@ class TestFullChain:
         for stage in ("ingest", "preprocess", "encounters", "features", "compare",
                       "sweep-t", "sweep-q", "subgroups", "evolve"):
             assert run(stage, "--gps", GPS, "--survey", SURVEY, "-o", str(staged)) == 0
-        a = {k: v for k, v in hash_dir(outdir).items() if k != "ingest_rejects.txt"}
-        b = {k: v for k, v in hash_dir(staged).items() if k != "ingest_rejects.txt"}
-        # config echo contains the outdir path, so compare content rows only
-        for name in ALL_ARTIFACTS:
-            _, cols_a, rows_a = read_table(outdir / name)
-            _, cols_b, rows_b = read_table(staged / name)
-            assert (cols_a, rows_a) == (cols_b, rows_b), name
+        assert hash_dir(staged) == hash_dir(outdir)
+
+    def test_outdir_bytes_do_not_depend_on_paths(self, tmp_path, monkeypatch):
+        # relative paths from the inputs' directory, absolute ones from another
+        here, elsewhere = tmp_path / "here", tmp_path / "elsewhere"
+        here.mkdir()
+        elsewhere.mkdir()
+        for name in ("mini_gps.csv", "mini_survey.csv"):
+            (here / name).write_bytes((DATA / name).read_bytes())
+        monkeypatch.chdir(here)
+        assert run("all", "--gps", "mini_gps.csv", "--survey", "mini_survey.csv", "-o", "out") == 0
+        monkeypatch.chdir(elsewhere)
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(tmp_path / "results")) == 0
+        assert hash_dir(tmp_path / "results") == hash_dir(here / "out")
 
 
 def messy_inputs(directory: Path, shuffle: random.Random | None = None) -> list[str]:
@@ -136,12 +143,8 @@ class TestMessyChain:
             assert run(stage, *inputs, "-o", str(tmp_path / "staged")) == 0
         names = ALL_ARTIFACTS + ["ingest_rejects.txt"]
         a, b = hash_dir(tmp_path / "all"), hash_dir(tmp_path / "staged")
-        assert sorted(a) == sorted(b) == sorted(names)
-        # only the config echo (the outdir) differs between the two runs
-        assert data_rows(tmp_path / "all", ALL_ARTIFACTS) == data_rows(
-            tmp_path / "staged", ALL_ARTIFACTS
-        )
-        assert a["ingest_rejects.txt"] == b["ingest_rejects.txt"]
+        assert sorted(a) == sorted(names)
+        assert a == b
         rejects = (tmp_path / "all" / "ingest_rejects.txt").read_text()
         assert "duplicate header row" in rejects and "negative satellite count" in rejects
 
@@ -576,14 +579,10 @@ class TestSynthCommand:
         assert run("synth", "-o", str(outdir), *args) == 0
         assert run("synth", "-o", str(other), *args) == 0
         a = hash_dir(outdir)
-        b = hash_dir(other)
-        # meta echoes the outdir; compare the parsed content instead
-        for name in ("synth_gps.csv", "synth_survey.csv"):
-            _, cols_a, rows_a = read_table(outdir / name)
-            _, cols_b, rows_b = read_table(other / name)
-            assert (cols_a, rows_a) == (cols_b, rows_b)
+        assert sorted(a) == ["synth_gps.csv", "synth_survey.csv"]
+        assert hash_dir(other) == a
         assert run("synth", "-o", str(outdir), *args) == 0
-        assert hash_dir(outdir) == a  # same outdir: byte-identical
+        assert hash_dir(outdir) == a
 
     def test_synth_output_feeds_full_chain(self, outdir, tmp_path):
         assert run("synth", "-o", str(outdir), "--synth-pairs", "5", "--synth-days", "10",

@@ -1,9 +1,11 @@
 """Golden hashes: every artifact of fixed runs, byte for byte.
 
-Refactors must leave these hashes unchanged. The runs use relative paths
-from a temporary working directory, because every artifact echoes the
-run configuration, input paths included. To re-record after a deliberate
-output change, run this file with TIEDIV_PRINT_GOLDEN=1 and `-s`.
+Refactors must leave these hashes unchanged. Every artifact echoes the
+run configuration but the input and output paths, and names each input
+by file name and sha256, so the hashes do not depend on the paths or on
+the working directory; the runs use a temporary one. To re-record after
+a deliberate output change, run this file with TIEDIV_PRINT_GOLDEN=1 and
+`-s`.
 """
 
 import hashlib
@@ -56,43 +58,43 @@ GOLDEN = {
     "mini": {
         "mini_gps.csv": "bfc85bd4a52415a1f86844a95a38ab9d1cc55d4a9e96a432600277f7a67fe0f5",
         "mini_survey.csv": "3fd3d4e0e79902107a3ca210c427ab43810e6e45371fdd22089422af5f1e245a",
-        "out/clean_fixes.csv": "b0819ebba32b3e43ae0b32873de665a5488f0a70ba58fd70ea23877850d7fd30",
-        "out/compare.csv": "b3064895bf67f325388a1e2d2e1eb0f203e7ab4bab904c15729b7e3106a18d3e",
-        "out/encounters.csv": "285f545802aa8a46ceb0e99f74785f203ad2620ed4e0f6285e1760ac7b110f34",
-        "out/evolution.csv": "6588355339dd69eefe321aec45fb70bcf989eed7b9ae4a2a9b4dd48e0cb698f8",
-        "out/features.csv": "f0cf4aebbbd1ae9e1de539d271d22a7ebc305ff1b52f00c48ba37536a6d889d8",
-        "out/fixes.csv": "b7a53df930677ef88a4ac6e2dec25289af574b88ec1d2e213e4095ecfb62c8d8",
+        "out/clean_fixes.csv": "00739f21a6add0197a8b7681820efd5912329debe4c0c09ff84e3f2765db6b5b",
+        "out/compare.csv": "181708a78d92347c5a6335e7690a13236c7ac786c2882083eb4d639dea042c70",
+        "out/encounters.csv": "6590ea6fb4135edc7cbcbfea49d8eeae1ddc58811c747020e4eef6792bb931bc",
+        "out/evolution.csv": "60cd55dd63d737eeda59b268fafef002b8698bcf43b964e6e1e7d05052004b9b",
+        "out/features.csv": "1a841774bc7b4f922950bf357509d047ad969c0459737a241d1274970c7d0a9f",
+        "out/fixes.csv": "9b6ed54c75211449f7795381c2f655311e1d268d7ecc150bc134e64f4fa017fb",
         "out/ingest_rejects.txt": "2c5f054a47c43e0f7d7170034e4c4b545d898d8ff6752a3c6eae68d727b21e0c",
-        "out/pairs.csv": "a3a72b49823b2abe4f3e1a39fa75b0e2a6c86c53f9efd6a93c8a6e22f74e85d2",
-        "out/subgroups.csv": "2b1972ed7dbfbbb06a0b44cf811f13e599383b7dc9b2dfad0d63fcccb136e99c",
-        "out/survey.csv": "2c95f6ad4ceab30b79a6d1cbd8a0842f8dc244755312368b21ff3761300b3d4b",
-        "out/sweep_q.csv": "6a8ff40ce922bf36c95bdfc9c4b43f9619fc64d93858685cafa0a500a0ec2a42",
-        "out/sweep_t.csv": "a262575e3972a1f1f29035504e4881b9a28a0410a7b7e9d3c8a1fa9d0353b0eb",
-        "out/valid_days.csv": "479b298dd868c46e69e72bbf64623fe8e20e0fc8b2d104acfb863bfc15022d0d",
+        "out/pairs.csv": "4ea8a00fc4a64099081211ff6821f2f892754b14ec0a891e03709826e01b0487",
+        "out/subgroups.csv": "c20d91e8eb79e42c5be2a50a4dd73cee182afe3273d27f55395d7a2c7376d55f",
+        "out/survey.csv": "5b2ac56253f3e130044785cd722c8c431f1d59efc6835af764fa4ba81e907c71",
+        "out/sweep_q.csv": "acff95dcf23e57224360afaf614c3e98b9ecea9a53ce282023c48ba55a103175",
+        "out/sweep_t.csv": "e7d7a9afca28a50d47e8825170403466f3a361d10c5a25da2fa33c5fada4609c",
+        "out/valid_days.csv": "4c0f70d281b2e9da6e86cefa09028fc1f785154c0d504cd4b68d1209fee01808",
     },
     "synth": {
-        "gen/synth_gps.csv": "82fe78f087ce7a0ac93231436089fd50b915af8c395ad6bebe7d90260b3b6caf",
-        "gen/synth_survey.csv": "9ac9a2b311b0a4e8a7dc0295b9e77d811b013baf1e578a6cbc3e8f86414d79d4",
-        "out/clean_fixes.csv": "c471636f874a9af61ae743900d79aadcceda34403f1bb0d4bd6c9dfad8af9d8e",
-        "out/compare.csv": "256c1c63bb5cdfe6e9b886d15f9b2692d1103a4da287c84acf13aac040686070",
-        "out/encounters.csv": "f96d28e7f130d1b71ed0a79155e1ff17bca11e6a342c155ac79bed79e6f292b9",
-        "out/evolution.csv": "9159ae4bfc4b578f57f18ecc02294dd6975ee3df8cbd68d4782ef82b35f3af47",
-        "out/features.csv": "775fb0a7de0422a9635ff7bd61b5b596c667cb3fcbb5a16db32692bfa22b53b6",
-        "out/fixes.csv": "cc29c9dd93464d824b274cce714c3bdc742f2f860de35829422adfb0be90d17b",
+        "gen/synth_gps.csv": "f7b27e8239e723a92ac69da2e55ae2b02f4eb22e2a35b061d69cb23d764414ab",
+        "gen/synth_survey.csv": "0193b5999b84a96b4b7fdb948288e74d866511ff36c6d2fe9c79e73bdb2dc223",
+        "out/clean_fixes.csv": "eef1f9f9bc199b1c1c1d7e7e3936da61e6f7973a9b4ce3270defd2c85487db72",
+        "out/compare.csv": "0820381f49a9742dc946bae9b2a115150150179f2c3b784906553222d2528e4a",
+        "out/encounters.csv": "cfefcd19b5c8fd38c0b090d48d29fd6290708748b1eedb9aa297ee7ae934ded6",
+        "out/evolution.csv": "9c063afeae7fd932118541a1ebcb54ed56ca5b84e5384992ad774b303be7b00e",
+        "out/features.csv": "3145177117b0b5d23863a199de4256f930b1f5cc45af8988d5cb379f907aed39",
+        "out/fixes.csv": "29b41b75673322f3e1c538fe0e5335851cf6e3352de5f7ca051503c11768f1d6",
         "out/ingest_rejects.txt": "b4ab5ccef4c1222df3c19b08b65411b4f1038a566dd0d073daac0e0783432874",
-        "out/pairs.csv": "105d700c3be593156b819e78f8f768be4c2368ab4619b1b91f9a8ab9c4bb065f",
-        "out/subgroups.csv": "01beec19d226fab0a8d998749b5c55323357337d541298726cb2c7082fa41023",
-        "out/survey.csv": "af65557f26f0f1d06f7d7b0a64393b47cf5ee447ae6e836ada6d7019e5a439b6",
-        "out/sweep_q.csv": "c75967d30666c4ded028ed8ac753e0dc6fa11a6099645173810110d3e21093f3",
-        "out/sweep_t.csv": "b6ec52743d30d4d9b198317a750e4a33aa196c69365c3e77a85683cc66ce554b",
-        "out/valid_days.csv": "f1bdb0f83cabc09cbcb523eef438a5bcb6dc8683f92c9ee8bc36893c54d67100",
+        "out/pairs.csv": "7dd5da34eccc73c8bb546fe4346bff95fa1e659077eca85f9633a9bc87fb7711",
+        "out/subgroups.csv": "b67e6758c2993623bfc379cfb7008f05fdc8272f022b2c15909af6098e4e54dc",
+        "out/survey.csv": "4a45fe714d03f8bbeeab4b66fd5405e29e3787858df5e3b3d21d3e0ea5f2c3ec",
+        "out/sweep_q.csv": "f3b2d7c76d3a8a136b7fbf52e13fd2e3edba3511d53aa953217c263ab6b89a85",
+        "out/sweep_t.csv": "ff760141c1b5ab23d49a26bf2ead88e5556863e53ced6177fbffd7d281bbc7d5",
+        "out/valid_days.csv": "4df8fdc1e1a909f8a8058c8d8497d9e77167bdbb89b9106f01b7692dd170ea81",
     },
     "messy": {
         "messy_gps.csv": "e1fb0884111485ac65a35f5752f1017f3eb47a0870ae71b00b35ef5965b412cc",
         "messy_survey.csv": "01e963e3eda4389b8dc0782cf2e87c85cb2cf7745b2ba4b2937fea04f734adbc",
-        "out/fixes.csv": "b15a4e50252ef1f8f4c7b1e0c2d39d265e6bd44ac812d55c91b290752c052b83",
+        "out/fixes.csv": "39f7548dbcebace95f342b4b77666bed818b5e29114650a1577c51c3e35d0521",
         "out/ingest_rejects.txt": "6506bda746e3d0cdad3b653f299a76933080db32eb0f5dbf0686bd62fab1aae3",
-        "out/survey.csv": "ce5847ece6442c6e3cffae2d0997fec9146bbf936bb05fe0db0305feb1b18e1b",
+        "out/survey.csv": "2b50750426cf3cc62edbe94e4eca24eda103f28acad2a1d89bbd7b3acad6e698",
     },
 }
 
