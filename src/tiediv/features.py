@@ -64,7 +64,7 @@ def check_width_t(width_t: int) -> int:
 
 def check_order(q: float) -> float:
     """q, if it is a valid diversity order; else ValueError."""
-    if q < 0:
+    if not q >= 0:  # nan fails too
         raise ValueError(f"diversity order must be >= 0, got {q}")
     return q
 

@@ -296,6 +296,8 @@ class TestStageErrors:
             ("--width-grid", "7", "bad value for 'width_grid': '7' (width_t must divide 1440, got 7)"),
             ("--width-grid", "60,0", "bad value for 'width_grid': '60,0' (width_t must divide 1440, got 0)"),
             ("--q-grid", "-1", "bad value for 'q_grid': '-1' (diversity order must be >= 0, got -1.0)"),
+            ("--q", "nan", "bad value for 'q': 'nan' (diversity order must be >= 0, got nan)"),
+            ("--q-grid", "1,nan", "bad value for 'q_grid': '1,nan' (diversity order must be >= 0, got nan)"),
             *(
                 ("--coverage-fraction", value, f"bad value for 'coverage_fraction': '{value}' (must be a fraction")
                 for value in ("nan", "inf")
