@@ -132,7 +132,7 @@ class RunConfig:
     survey: str | None = None
     outdir: str = field(default="out", metadata={"flags": ("-o", "--outdir")})
     delimiter: str = field(default=",", metadata={"parse": _parse_delimiter})
-    naive_utc_offset_minutes: int = _zone_offset(0, "--naive-utc-offset")
+    naive_utc_offset_minutes: int = _zone_offset(0, "--naive-utc-offset")  # of naive timestamps; 0 is UTC
     window_start: date = date(2016, 4, 1)
     window_end: date = date(2016, 5, 1)  # closed: its local midnight is in the window
     zone_offset_minutes: int = _zone_offset(330, "--zone-offset")

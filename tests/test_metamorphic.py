@@ -41,21 +41,17 @@ def write_rows(path: Path, rows: list[list[str]]) -> None:
         csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
-def mini_users() -> list[str]:
-    return sorted({row[0] for row in read_rows(Path(GPS))[1:]})
-
-
-# ids of 'u' and one to three of 'a', ',' and '"': at most three of any
-# five hold no ',' or '"'
-new_ids = st.lists(
-    st.text(alphabet='a,"', min_size=1, max_size=3), min_size=len(mini_users()), max_size=len(mini_users()), unique=True
+USERS = sorted({row[0] for row in read_rows(Path(GPS))[1:]})
+# 'u' and one to three of 'a', ',' and '"': at most three of the five hold neither ',' nor '"'
+NEW_IDS = st.lists(
+    st.text(alphabet='a,"', min_size=1, max_size=3), min_size=len(USERS), max_size=len(USERS), unique=True
 ).map(lambda cores: sorted("u" + core for core in cores))
 
 
-@given(new_ids)
+@given(NEW_IDS)
 @settings(max_examples=10, deadline=None)
 def test_order_preserving_rename_of_user_ids(ids):
-    renamed = dict(zip(mini_users(), ids))
+    renamed = dict(zip(USERS, ids))
     back = {new: old for old, new in renamed.items()}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
