@@ -15,13 +15,7 @@ from .features import (
 )
 from .geo import geohash_encode, haversine_m
 from .ingest import FixTable, RawFix, SurveyRecord, parse_gps_log, parse_survey
-from .preprocess import (
-    CleanTable,
-    ValidDaySet,
-    filter_pipeline,
-    regroup_closeness,
-    snap_to_slot,
-)
+from .preprocess import CleanTable, filter_pipeline, regroup_closeness, snap_to_slot
 from .stats import RegressionResult, evaluate_feature, f_from_r, f_sf, pearson_r
 from .synth import synth_generate
 
@@ -37,7 +31,6 @@ __all__ = [
     "RawFix",
     "RegressionResult",
     "SurveyRecord",
-    "ValidDaySet",
     "build_observations",
     "compute_pair_features",
     "detect_encounters",

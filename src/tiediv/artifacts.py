@@ -60,6 +60,7 @@ import numpy as np
 
 from .encounter import Encounter, EncounterSet
 from .ingest import (
+    _GPS_ALIASES,
     CHUNK_ROWS,
     US_PER_S,
     FixTable,
@@ -74,7 +75,7 @@ from .ingest import (
     timestamps_us,
     utf8_text,
 )
-from .preprocess import CleanTable, ValidDaySet, epoch_day, first_out_of_range
+from .preprocess import CleanTable, epoch_day, first_out_of_range
 
 # joins the items of a tuple cell: `pairs.csv` common_days, `subgroups.csv` outliers
 _ITEM_SEP = "|"
@@ -380,7 +381,7 @@ def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> lis
 # typed artifact round-trips
 # ---------------------------------------------------------------------------
 
-FIX_COLUMNS = ("user_id", "timestamp", "lat", "lon", "elevation", "accuracy", "satellites", "provider")
+FIX_COLUMNS = tuple(_GPS_ALIASES)  # the canonical GPS log columns, in ingest's order
 
 
 def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> Receipt:
@@ -488,27 +489,20 @@ VALID_DAY_COLUMNS = ("user_id", "day")
 
 
 def write_valid_days(
-    path: str | Path, valid_days: Mapping[str, ValidDaySet], meta: Mapping[str, str]
+    path: str | Path, valid_days: Mapping[str, tuple[date, ...]], meta: Mapping[str, str]
 ) -> Receipt:
-    rows = [
-        (user, day)
-        for user in sorted(valid_days)
-        for day in valid_days[user].days
-    ]
+    rows = [(user, day) for user in sorted(valid_days) for day in valid_days[user]]
     return write_table(path, meta, VALID_DAY_COLUMNS, rows)
 
 
-def read_valid_days(path: str | Path) -> dict[str, ValidDaySet]:
+def read_valid_days(path: str | Path) -> dict[str, tuple[date, ...]]:
     days_by_user: dict[str, list[date]] = {}
     for first, cells in _column_chunks(path, VALID_DAY_COLUMNS):
         with _cells_named(path, first, cells, {"day": date.fromisoformat}):
             days = list(map(date.fromisoformat, cells["day"]))
         for user, day in zip(cells["user_id"], days):
             days_by_user.setdefault(user, []).append(day)
-    return {
-        user: ValidDaySet(user_id=user, days=tuple(sorted(days)))
-        for user, days in days_by_user.items()
-    }
+    return {user: tuple(sorted(days)) for user, days in days_by_user.items()}
 
 
 PAIR_COLUMNS = ("user_lo", "user_hi", "n_common_days", "common_days")
@@ -519,10 +513,7 @@ def write_pairs(
     encounter_sets: Mapping[tuple[str, str], EncounterSet],
     meta: Mapping[str, str],
 ) -> Receipt:
-    rows = [
-        (es.user_lo, es.user_hi, es.n_common_days, es.common_days)
-        for _, es in sorted(encounter_sets.items())
-    ]
+    rows = [(*pair, es.n_common_days, es.common_days) for pair, es in sorted(encounter_sets.items())]
     return write_table(path, meta, PAIR_COLUMNS, rows)
 
 
@@ -565,12 +556,4 @@ def read_encounter_sets(
                     f"{encounters_path}: data row {row_no}: encounter for unknown pair {(lo, hi)}"
                 )
             by_pair[lo, hi].append(Encounter(user_lo=lo, user_hi=hi, day=day, slot=slot, cell=cell))
-    return {
-        pair: EncounterSet(
-            user_lo=pair[0],
-            user_hi=pair[1],
-            common_days=common[pair],
-            encounters=tuple(by_pair[pair]),
-        )
-        for pair in sorted(common)
-    }
+    return {pair: EncounterSet(common[pair], tuple(by_pair[pair])) for pair in sorted(common)}

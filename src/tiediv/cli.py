@@ -1,15 +1,16 @@
 """Command-line entry point chaining the pipeline stages.
 
-Each subcommand reads the previous stage's artifacts from the output
+Each command reads the previous stage's artifacts from the output
 directory and writes its own, so the pipeline is resumable and every
-intermediate is inspectable text. `all` runs the whole chain.
+intermediate is inspectable text. `all` runs the whole chain. One parser
+takes the command and every setting, in any order.
 
 Within one `main` call, what a stage writes is also kept in memory, in a
 dict by artifact path that `main` passes to the stage: the fix and
 clean-fix column tables, the survey, the valid days and the encounter
 sets. A later stage of the same call takes them from there instead of
 parsing the file back, so `all` writes each artifact once and never
-re-reads it; a single-stage subcommand reads the artifacts of earlier
+re-reads it; a single-stage command reads the artifacts of earlier
 calls from disk.
 
 The exit status rests on a write check. Each stage returns the receipts
@@ -32,7 +33,6 @@ artifact's columns, in order.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -75,20 +75,13 @@ def _meta(cfg: RunConfig, *input_paths: Path | str) -> dict[str, str]:
 
 
 # What the stages of one `main` call wrote, by artifact path. Each stage
-# takes it as `written`; a stage called without it reads every input file.
+# takes it as `written` and adds what it writes.
 Written = dict[Path, object]
 
 
-def _keep(written: Written | None, path: Path, value: object) -> None:
-    if written is not None:
-        written[path] = value
-
-
-def _load(written: Written | None, path: Path, read: Callable[[Path], object]):
+def _load(written: Written, path: Path, read: Callable[[Path], object]):
     """What an earlier stage of the same `main` call wrote to `path`, else `read(path)`."""
-    if written is not None and path in written:
-        return written[path]
-    return read(path)
+    return written[path] if path in written else read(path)
 
 
 def _verify_written(receipts: list[Receipt]) -> None:
@@ -107,7 +100,7 @@ def _parse_input(path: str, parse: Callable, cfg: RunConfig):
             raise CliError(f"{path}: {exc}") from None
 
 
-def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+def stage_ingest(cfg: RunConfig, written: Written) -> list[Receipt]:
     if not cfg.gps or not cfg.survey:
         raise CliError("ingest needs --gps and --survey input paths")
     for path in (cfg.gps, cfg.survey):
@@ -122,8 +115,8 @@ def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Receipt
         artifacts.write_fixes(_out(cfg, "fixes.csv"), fixes, meta),
         artifacts.write_survey(_out(cfg, "survey.csv"), survey, meta),
     ]
-    _keep(written, _out(cfg, "fixes.csv"), fixes)
-    _keep(written, _out(cfg, "survey.csv"), survey)
+    written[_out(cfg, "fixes.csv")] = fixes
+    written[_out(cfg, "survey.csv")] = survey
     _out(cfg, "ingest_rejects.txt").write_text(
         "== gps ==\n" + fix_report.as_text() + "== survey ==\n" + survey_report.as_text(),
         encoding="utf-8",
@@ -135,7 +128,7 @@ def stage_ingest(cfg: RunConfig, written: Written | None = None) -> list[Receipt
     return receipts
 
 
-def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+def stage_preprocess(cfg: RunConfig, written: Written) -> list[Receipt]:
     fixes_path = _require(cfg, "fixes.csv", "ingest")
     survey_path = _require(cfg, "survey.csv", "ingest")
     fixes = _load(written, fixes_path, artifacts.read_fixes)
@@ -151,8 +144,8 @@ def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Rec
         artifacts.write_clean_fixes(_out(cfg, "clean_fixes.csv"), result.clean_fixes, meta),
         artifacts.write_valid_days(_out(cfg, "valid_days.csv"), result.valid_days, meta),
     ]
-    _keep(written, _out(cfg, "clean_fixes.csv"), result.clean_fixes)
-    _keep(written, _out(cfg, "valid_days.csv"), result.valid_days)
+    written[_out(cfg, "clean_fixes.csv")] = result.clean_fixes
+    written[_out(cfg, "valid_days.csv")] = result.valid_days
     print(
         f"preprocess: {len(result.clean_fixes)} clean fixes, "
         f"{len(result.valid_days)} retained users"
@@ -160,7 +153,7 @@ def stage_preprocess(cfg: RunConfig, written: Written | None = None) -> list[Rec
     return receipts
 
 
-def stage_encounters(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+def stage_encounters(cfg: RunConfig, written: Written) -> list[Receipt]:
     clean_path = _require(cfg, "clean_fixes.csv", "preprocess")
     days_path = _require(cfg, "valid_days.csv", "preprocess")
     survey_path = _require(cfg, "survey.csv", "ingest")
@@ -182,13 +175,13 @@ def stage_encounters(cfg: RunConfig, written: Written | None = None) -> list[Rec
         artifacts.write_pairs(_out(cfg, "pairs.csv"), encounter_sets, meta),
         artifacts.write_encounters(_out(cfg, "encounters.csv"), encounter_sets, meta),
     ]
-    _keep(written, _out(cfg, "encounters.csv"), encounter_sets)
+    written[_out(cfg, "encounters.csv")] = encounter_sets
     n_enc = sum(es.n_encounters for es in encounter_sets.values())
     print(f"encounters: {n_enc} encounters across {len(encounter_sets)} eligible pairs")
     return receipts
 
 
-def _load_observations(cfg: RunConfig, written: Written | None):
+def _load_observations(cfg: RunConfig, written: Written):
     enc_path = _require(cfg, "encounters.csv", "encounters")
     pairs_path = _require(cfg, "pairs.csv", "encounters")
     survey_path = _require(cfg, "survey.csv", "ingest")
@@ -210,7 +203,7 @@ def _analysis_stage(
 ) -> Callable[..., list[Receipt]]:
     """A stage that writes `rows_of(observations, cfg)` to `artifact`, `row_type`'s fields as columns."""
 
-    def stage(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+    def stage(cfg: RunConfig, written: Written) -> list[Receipt]:
         observations, inputs = _load_observations(cfg, written)
         rows = rows_of(observations, cfg)
         meta = {**_meta(cfg, *inputs), **extra_meta}
@@ -253,7 +246,7 @@ stage_evolve = _analysis_stage(
 )
 
 
-def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+def stage_synth(cfg: RunConfig, written: Written) -> list[Receipt]:
     result = synth.synth_generate(cfg)
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg)
@@ -270,7 +263,7 @@ def stage_synth(cfg: RunConfig, written: Written | None = None) -> list[Receipt]
     return receipts
 
 
-def stage_all(cfg: RunConfig, written: Written | None = None) -> list[Receipt]:
+def stage_all(cfg: RunConfig, written: Written) -> list[Receipt]:
     receipts = []
     for name, stage in _STAGE_FUNCS.items():
         if name not in _NOT_PIPELINE:
@@ -300,22 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tiediv",
         description="Infer social-tie strength from GPS traces via encounter diversity.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _STAGE_FUNCS:
-        stage = sub.add_parser(command, help=f"run the {command} stage")
-        stage.add_argument("--config", help="flat key=value config file")
-        # every stage accepts every setting
-        for f in fields(RunConfig):
-            stage.add_argument(*flags(f), dest=f"cfg_{f.name}", metavar="VALUE")
+    parser.add_argument("command", choices=_STAGE_FUNCS, help="the stage to run; `all` runs the pipeline")
+    parser.add_argument("--config", help="flat key=value config file")
+    # every stage accepts every setting
+    for f in fields(RunConfig):
+        parser.add_argument(*flags(f), dest=f"cfg_{f.name}", metavar="VALUE")
     return parser
 
 
-# built once per process: parsing leaves the parser as it was
-_parser = functools.cache(build_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         file_values = load_config_file(args.config) if args.config else {}
         flag_values = {

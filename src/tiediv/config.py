@@ -28,7 +28,7 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .encounter import DEFAULT_MIN_COMMON_DAYS, DEFAULT_THRESHOLD_M, check_threshold
+from .encounter import DEFAULT_MIN_COMMON_DAYS, DEFAULT_THRESHOLD_M, check_min_common_days, check_threshold
 from .experiments import DEFAULT_MAX_HORIZON, DEFAULT_Q_GRID, DEFAULT_WIDTH_GRID
 from .features import DEFAULT_WIDTH_T, check_order, check_width_t
 
@@ -69,6 +69,17 @@ def _parse_delimiter(text: str) -> str:
 
 def _parse_threshold(text: str) -> float:
     return check_threshold(float(text))
+
+
+def _parse_accuracy_cutoff(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # nan fails too
+        raise ValueError(f"accuracy cutoff must be positive, got {value}")
+    return value
+
+
+def _parse_min_common_days(text: str) -> int:
+    return check_min_common_days(int(text))
 
 
 def _parse_fraction(text: str) -> float:
@@ -136,10 +147,12 @@ class RunConfig:
     window_start: date = date(2016, 4, 1)
     window_end: date = date(2016, 5, 1)  # closed: its local midnight is in the window
     zone_offset_minutes: int = _zone_offset(330, "--zone-offset")
-    accuracy_cutoff_m: float = field(default=60.0, metadata={"flags": ("--accuracy-cutoff",)})
+    accuracy_cutoff_m: float = field(
+        default=60.0, metadata={"flags": ("--accuracy-cutoff",), "parse": _parse_accuracy_cutoff}
+    )
     coverage_fraction: float = field(default=0.2, metadata={"parse": _parse_fraction})
     min_days: int = 5
-    min_common_days: int = DEFAULT_MIN_COMMON_DAYS
+    min_common_days: int = field(default=DEFAULT_MIN_COMMON_DAYS, metadata={"parse": _parse_min_common_days})
     threshold_m: float = field(default=DEFAULT_THRESHOLD_M, metadata={"parse": _parse_threshold})
     width_t: int = field(default=DEFAULT_WIDTH_T, metadata={"parse": _parse_width_t})
     q: float | None = None

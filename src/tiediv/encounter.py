@@ -45,7 +45,7 @@ import numpy as np
 
 from .geo import _RECHECK_REL, EARTH_RADIUS_M, geohash_encode_many, within_m
 from .ingest import CHUNK_ROWS
-from .preprocess import SLOTS_PER_DAY, CleanTable, ValidDaySet, epoch_day, first_out_of_range
+from .preprocess import SLOTS_PER_DAY, CleanTable, epoch_day, first_out_of_range
 
 GEOHASH_LENGTH = 8
 DEFAULT_THRESHOLD_M = 50.0
@@ -75,10 +75,8 @@ class Encounter(NamedTuple):
 
 @dataclass(frozen=True)
 class EncounterSet:
-    """All encounters of one pair, with the pair's common-day context."""
+    """All encounters of one pair, with the pair's common-day context; its key names the pair."""
 
-    user_lo: str
-    user_hi: str
     common_days: tuple[date, ...]  # chronological
     encounters: tuple[Encounter, ...]
 
@@ -96,12 +94,7 @@ class EncounterSet:
             return None
         horizon = self.common_days[:d]
         kept = set(horizon)
-        return EncounterSet(
-            user_lo=self.user_lo,
-            user_hi=self.user_hi,
-            common_days=horizon,
-            encounters=tuple(e for e in self.encounters if e.day in kept),
-        )
+        return EncounterSet(horizon, tuple(e for e in self.encounters if e.day in kept))
 
 
 def canonical_pair(a: str, b: str) -> tuple[str, str]:
@@ -117,9 +110,16 @@ def check_threshold(threshold_m: float) -> float:
     return threshold_m
 
 
+def check_min_common_days(min_common_days: int) -> int:
+    """The minimum of common days, if it is at least 1; else ValueError."""
+    if min_common_days < 1:
+        raise ValueError(f"min_common_days must be at least 1, got {min_common_days}")
+    return min_common_days
+
+
 def detect_encounters(
     fixes: CleanTable,
-    valid_days: Mapping[str, ValidDaySet],
+    valid_days: Mapping[str, tuple[date, ...]],
     threshold_m: float = DEFAULT_THRESHOLD_M,
     min_common_days: int = DEFAULT_MIN_COMMON_DAYS,
     pairs: Iterable[tuple[str, str]] | None = None,
@@ -137,17 +137,18 @@ def detect_encounters(
     The join's cells are at least T/R rad tall and
     2 asin(sin(T/2R) / cos phi_max) rad wide, so no two fixes within
     threshold_m of each other are ever more than one cell apart. Raises
-    ValueError for a threshold that is not positive and finite, and for
-    a fix in play whose slot is outside 0..287 or whose position is off
-    the globe.
+    ValueError for a threshold that is not positive and finite, for a
+    min_common_days below 1, and for a fix in play whose slot is outside
+    0..287 or whose position is off the globe.
     """
     check_threshold(threshold_m)
+    check_min_common_days(min_common_days)
     users = sorted(valid_days)
-    days = sorted({d for day_set in valid_days.values() for d in day_set.days})
+    days = sorted({d for user_days in valid_days.values() for d in user_days})
     at = {d: j for j, d in enumerate(days)}
     on_day = np.zeros((len(users), len(days)), dtype=bool)  # users x days
     for i, user in enumerate(users):
-        on_day[i, [at[d] for d in valid_days[user].days]] = True
+        on_day[i, [at[d] for d in valid_days[user]]] = True
 
     lo, hi = _eligible(users, on_day, min_common_days, pairs)
     pair, time, cells = _join(fixes, users, days, on_day, lo, hi, threshold_m)
@@ -158,12 +159,8 @@ def detect_encounters(
         for k, t, cell in zip(pair.tolist(), time.tolist(), cells)
     ]
     return {
-        (user_lo, user_hi): EncounterSet(
-            user_lo, user_hi, shared, tuple(encounters[bounds[k] : bounds[k + 1]])
-        )
-        for k, ((user_lo, user_hi), shared) in enumerate(
-            zip(names, _common_days(on_day, lo, hi, days))
-        )
+        pair: EncounterSet(shared, tuple(encounters[bounds[k] : bounds[k + 1]]))
+        for k, (pair, shared) in enumerate(zip(names, _common_days(on_day, lo, hi, days)))
     }
 
 

@@ -22,9 +22,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .encounter import EncounterSet, canonical_pair
 from .ingest import SurveyRecord
-from .preprocess import regroup_closeness
+from .preprocess import SLOT_SECONDS, SLOTS_PER_DAY, regroup_closeness
 
-MINUTES_PER_DAY = 1440
+SLOT_MINUTES = SLOT_SECONDS // 60
+MINUTES_PER_DAY = SLOTS_PER_DAY * SLOT_MINUTES
 DEFAULT_WIDTH_T = 60
 # below this distance from 1, the Renyi order is treated as the Shannon limit
 _SHANNON_LIMIT_EPS = 1e-9
@@ -58,7 +59,7 @@ class FeatureRow(NamedTuple):
 def check_width_t(width_t: int) -> int:
     """width_t, if width_t minutes tile the day; else ValueError."""
     if width_t <= 0 or MINUTES_PER_DAY % width_t != 0:
-        raise ValueError(f"width_t must divide 1440, got {width_t}")
+        raise ValueError(f"width_t must divide {MINUTES_PER_DAY}, got {width_t}")
     return width_t
 
 
@@ -70,15 +71,15 @@ def check_order(q: float) -> float:
 
 
 def interval_counts(encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T) -> tuple[int, ...]:
-    """A pair's encounters per width-t interval of the day, 1440/width_t counts.
+    """A pair's encounters per width-t interval of the day, MINUTES_PER_DAY/width_t counts.
 
     An encounter in slot s lands in the interval containing its start
-    minute 5*s.
+    minute s * SLOT_MINUTES.
     """
     check_width_t(width_t)
     counts = [0] * (MINUTES_PER_DAY // width_t)
     for enc in encounters.encounters:
-        counts[(enc.slot * 5) // width_t] += 1
+        counts[(enc.slot * SLOT_MINUTES) // width_t] += 1
     return tuple(counts)
 
 

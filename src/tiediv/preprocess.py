@@ -70,18 +70,11 @@ def first_out_of_range(
     return min(failures, key=lambda failure: failure[0], default=None)
 
 
-@dataclass(frozen=True)
-class ValidDaySet:
-    """The local days on which a user's coverage was good enough to keep."""
-
-    user_id: str
-    days: tuple[date, ...]  # chronological
-
-
 @dataclass
 class PreprocessResult:
     clean_fixes: CleanTable
-    valid_days: dict[str, ValidDaySet]  # by retained user
+    # by retained user: the chronological local days whose coverage was good enough to keep
+    valid_days: dict[str, tuple[date, ...]]
     counts: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -151,7 +144,7 @@ def filter_pipeline(
 ) -> PreprocessResult:
     """Run the full cleaning pipeline.
 
-    Returns the surviving fixes and each retained user's valid-day set.
+    Returns the surviving fixes and each retained user's valid days.
     An empty survivor set is reported through the result's warnings list,
     never raised.
     """
@@ -209,10 +202,7 @@ def filter_pipeline(
         if names[code] in surveyed
     ]
     valid_days = {
-        names[code]: ValidDaySet(
-            user_id=names[code],
-            days=tuple(day_of(d) for d in good_day[good_user == code].tolist()),
-        )
+        names[code]: tuple(day_of(d) for d in good_day[good_user == code].tolist())
         for code in retained_codes
     }
     kept_user_day = good & np.isin(user[user_day_start], retained_codes)

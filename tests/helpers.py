@@ -18,7 +18,7 @@ import numpy as np
 from tiediv.encounter import Encounter, EncounterSet
 from tiediv.geo import GEOHASH_BASE32, geohash_encode, haversine_m
 from tiediv.ingest import FixTable, RawFix, TextColumn, to_epoch_us
-from tiediv.preprocess import CleanTable, ValidDaySet, day_of, epoch_day
+from tiediv.preprocess import CleanTable, day_of, epoch_day
 
 START = date(2016, 4, 1)
 
@@ -91,8 +91,6 @@ def make_encounter_set(
             Encounter(user_lo=lo, user_hi=hi, day=day(day_offset), slot=slot, cell=cell)
         )
     return EncounterSet(
-        user_lo=lo,
-        user_hi=hi,
         common_days=tuple(day(i) for i in range(n_common_days)),
         encounters=tuple(encounters),
     )
@@ -121,7 +119,7 @@ def encounter_set_from_counts(
 
 def brute_force_encounters(
     rows: Sequence[CleanRow],
-    valid_days: Mapping[str, ValidDaySet],
+    valid_days: Mapping[str, tuple[date, ...]],
     threshold_m: float,
     min_common_days: int,
     pairs: Iterable[tuple[str, str]] | None = None,
@@ -144,7 +142,7 @@ def brute_force_encounters(
     shared = {}
     for lo, hi in wanted:
         if lo in valid_days and hi in valid_days:
-            days = tuple(sorted(set(valid_days[lo].days) & set(valid_days[hi].days)))
+            days = common_days(valid_days[lo], valid_days[hi])
             if len(days) >= min_common_days:
                 shared[(lo, hi)] = days
     found: dict[tuple[str, str], list[Encounter]] = {pair: [] for pair in shared}
@@ -154,7 +152,7 @@ def brute_force_encounters(
             if pair in shared and day_ in shared[pair] and haversine_m(p.lat, p.lon, q.lat, q.lon) <= threshold_m:
                 cell = geohash_encode((p.lat + q.lat) / 2.0, (p.lon + q.lon) / 2.0, 8)
                 found[pair].append(Encounter(*pair, day_, slot, cell))
-    return {pair: EncounterSet(*pair, days, tuple(found[pair])) for pair, days in shared.items()}
+    return {pair: EncounterSet(days, tuple(found[pair])) for pair, days in shared.items()}
 
 
 def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
@@ -204,7 +202,6 @@ def geohash_decode_bounds(code: str) -> tuple[float, float, float, float]:
     return lat_lo, lat_hi, lon_lo, lon_hi
 
 
-def common_days(a: ValidDaySet, b: ValidDaySet) -> tuple[date, ...]:
-    """Chronological intersection of two users' valid-day sets."""
-    shared = set(a.days) & set(b.days)
-    return tuple(sorted(shared))
+def common_days(a: tuple[date, ...], b: tuple[date, ...]) -> tuple[date, ...]:
+    """Chronological intersection of two users' valid days."""
+    return tuple(sorted(set(a) & set(b)))

@@ -26,7 +26,7 @@ from tiediv.features import (
 )
 from tiediv.geo import geohash_encode
 from tiediv.ingest import parse_gps_log, parse_survey
-from tiediv.preprocess import ValidDaySet, filter_pipeline
+from tiediv.preprocess import filter_pipeline
 from tiediv.stats import f_from_r, f_sf
 from tiediv.synth import SCHEDULED, synth_generate
 
@@ -132,7 +132,7 @@ def test_c7_synthetic_hypothesis_check():
     result = synth_generate(cfg)
 
     days = tuple(cfg.window_start + timedelta(days=i) for i in range(cfg.synth_days))
-    valid = {u: ValidDaySet(u, days) for u in result.fixes.user.values}
+    valid = dict.fromkeys(result.fixes.user.values, days)
     pairs = sorted({canonical_pair(r.rater_id, r.ratee_id) for r in result.survey})
     sets = detect_encounters(result.fixes, valid, threshold_m=50.0, min_common_days=7, pairs=pairs)
 

@@ -302,6 +302,15 @@ class TestStageErrors:
                 ("--coverage-fraction", value, f"bad value for 'coverage_fraction': '{value}' (must be a fraction")
                 for value in ("nan", "inf")
             ),
+            *(
+                ("--accuracy-cutoff", value, f"'accuracy_cutoff_m': '{value}' (accuracy cutoff must be positive, got")
+                for value in ("nan", "0", "-5")
+            ),
+            ("--min-common-days", "0", "'min_common_days': '0' (min_common_days must be at least 1, got 0)"),
+            *(
+                ("--zone-offset", value, f"'zone_offset_minutes': '{value}' (unparseable zone offset: '{value}')")
+                for value in ("5:30:00", "+a:b")
+            ),
         ],
     )
     def test_bad_analysis_setting_fails_before_any_stage(self, outdir, capsys, flag, value, message):
@@ -361,6 +370,7 @@ class TestStageErrors:
             ("clean_fixes.csv", "lon", "500", "lon out of range"),
             ("clean_fixes.csv", "lon", "180.0", "lon out of range"),
             ("encounters.csv", "slot", "x", "slot: invalid literal for int() with base 10: 'x'"),
+            ("encounters.csv", "user_lo", "zzz", "encounter for unknown pair ('zzz', 'sch000b')"),
             *(
                 pytest.param(name, "user_id", "x" * 200_000, "field larger than field limit (131072)",
                              id=f"{name}-user_id-over the csv field limit")
@@ -382,12 +392,24 @@ class TestStageErrors:
         err = capsys.readouterr().err
         assert err == f"error: {path}: data row 2: {reason}\n"
 
-    def test_staged_artifacts_without_data_rows(self, outdir):
+    def test_staged_artifacts_without_data_rows(self, outdir, capsys):
         # no fix is accurate to 1 m: clean_fixes.csv and valid_days.csv hold only a header
         for stage in ("ingest", "preprocess", "encounters"):
             assert run(stage, "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), "--accuracy-cutoff", "1") == 0
         assert read_table(outdir / "clean_fixes.csv")[2] == []
         assert read_table(outdir / "pairs.csv")[2] == []
+        capsys.readouterr()
+        assert run("features", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == "error: no observations: no surveyed pair passed the pipeline\n"
+
+    def test_staged_artifact_of_meta_lines_only(self, outdir, capsys):
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / "valid_days.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text("".join(line for line in lines if line.startswith("#")), encoding="utf-8")
+        capsys.readouterr()
+        assert run("encounters", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {path}: no header line\n"
 
     def widened_row(self, outdir) -> Path:
         """Run `all`, then give data row 3 of clean_fixes.csv one cell too many; the artifact's path."""

@@ -43,7 +43,6 @@ from tiediv.ingest import (
 )
 from tiediv.preprocess import (
     CleanTable,
-    ValidDaySet,
     coverage_threshold,
     day_of,
     filter_pipeline,
@@ -467,7 +466,7 @@ def reference_pipeline(fixes, survey, cfg):
         for (user, day, slot), f in snapped
         if user in retained and day in good[user]
     ]
-    return clean, {u: ValidDaySet(u, tuple(good[u])) for u in sorted(retained)}
+    return clean, {u: tuple(good[u]) for u in sorted(retained)}
 
 
 def reference_detect(fixes, valid_days, threshold_m, min_common_days):
@@ -490,7 +489,7 @@ def reference_detect(fixes, valid_days, threshold_m, min_common_days):
                     if haversine_m(p.lat, p.lon, q.lat, q.lon) <= threshold_m:
                         cell = geohash_encode((p.lat + q.lat) / 2.0, (p.lon + q.lon) / 2.0, 8)
                         encounters.append(Encounter(lo, hi, day, slot, cell))
-            result[(lo, hi)] = EncounterSet(lo, hi, shared, tuple(encounters))
+            result[(lo, hi)] = EncounterSet(shared, tuple(encounters))
     return result
 
 

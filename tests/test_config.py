@@ -49,8 +49,8 @@ FLAGS = {
 
 
 def stage_flags(command: str) -> set[str]:
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    parser = subparsers.choices[command]
+    parser = build_parser()
+    assert parser.parse_args([command]).command == command
     spellings = {s for action in parser._actions for s in action.option_strings}
     return spellings - {"-h", "--help", "--config"}
 
@@ -59,6 +59,11 @@ def stage_flags(command: str) -> set[str]:
 def test_derived_flags_match_released_spellings(command):
     assert len(FLAGS) == 28
     assert stage_flags(command) == FLAGS
+
+
+def test_a_setting_may_come_before_the_command():
+    args = build_parser().parse_args(["--seed", "3", "synth", "-o", "out"])
+    assert (args.command, args.cfg_seed, args.cfg_outdir) == ("synth", "3", "out")
 
 
 @pytest.mark.parametrize(
@@ -92,6 +97,15 @@ def test_config_file_accepts_field_names_and_flags(tmp_path, key, field_name):
     assert load_config_file(path) == {field_name: "5"}
 
 
+def test_config_file_skips_comment_lines_and_rejects_a_line_without_equals(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("# the study's zone\n\nzone-offset = 330\n", encoding="utf-8")
+    assert load_config_file(path) == {"zone_offset_minutes": "330"}
+    path.write_text("seed 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"run\.conf:1: expected key=value, got 'seed 5'"):
+        load_config_file(path)
+
+
 def test_config_file_rejects_short_flag(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("o=out\n", encoding="utf-8")
@@ -115,7 +129,7 @@ def test_stage_options_come_from_run_config():
     result = filter_pipeline(fixes, [SurveyRecord("u1", "u2", 3, 3), SurveyRecord("u3", "u1", 3, 3)], cfg)
     # at +01:00, 22:30 UTC falls on the same local day; u3's two days are too few
     days = tuple(date(2016, 4, day) for day in (2, 3, 4))
-    assert {user: valid.days for user, valid in result.valid_days.items()} == {"u1": days, "u2": days}
+    assert result.valid_days == {"u1": days, "u2": days}
 
 
 def test_run_config_defaults_are_the_library_defaults():

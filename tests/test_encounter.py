@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tiediv import encounter
 from tiediv.encounter import canonical_pair, detect_encounters
 from tiediv.geo import EARTH_RADIUS_M, geohash_encode, haversine_m, within_m
-from tiediv.preprocess import ValidDaySet
 
 from helpers import CleanRow, brute_force_encounters, clean_table
 
@@ -28,8 +27,8 @@ def day(i: int) -> date:
     return START + timedelta(days=i)
 
 
-def vds(user: str, n_days: int = 8) -> ValidDaySet:
-    return ValidDaySet(user_id=user, days=tuple(day(i) for i in range(n_days)))
+def days(n_days: int = 8) -> tuple[date, ...]:
+    return tuple(day(i) for i in range(n_days))
 
 
 def fix(user: str, d: int, slot: int, dlat: float = 0.0, dlon: float = 0.0) -> CleanRow:
@@ -37,7 +36,7 @@ def fix(user: str, d: int, slot: int, dlat: float = 0.0, dlon: float = 0.0) -> C
 
 
 def detect(fixes, users=("a", "b"), threshold=50.0, min_common=7, **kwargs):
-    valid = {u: vds(u) for u in users}
+    valid = dict.fromkeys(users, days())
     return detect_encounters(clean_table(fixes), valid, threshold_m=threshold, min_common_days=min_common, **kwargs)
 
 
@@ -90,8 +89,8 @@ class TestDetectEncounters:
 
     def test_encounters_only_on_common_days(self):
         valid = {
-            "a": ValidDaySet("a", tuple(day(i) for i in range(8))),
-            "b": ValidDaySet("b", tuple(day(i) for i in range(1, 9))),
+            "a": tuple(day(i) for i in range(8)),
+            "b": tuple(day(i) for i in range(1, 9)),
         }
         # co-located on day 0, but day 0 is not common
         fixes = [fix("a", d, 100) for d in range(8)] + [fix("b", d, 100) for d in range(8)]
@@ -103,11 +102,18 @@ class TestDetectEncounters:
 
     def test_pair_below_min_common_days_excluded(self):
         valid = {
-            "a": ValidDaySet("a", tuple(day(i) for i in range(6))),
-            "b": ValidDaySet("b", tuple(day(i) for i in range(6))),
+            "a": tuple(day(i) for i in range(6)),
+            "b": tuple(day(i) for i in range(6)),
         }
         result = detect_encounters(clean_table([fix("a", 0, 100), fix("b", 0, 100)]), valid, min_common_days=7)
         assert result == {}
+
+    def test_min_common_days_below_one_rejected(self):
+        # with 0, two users who share no valid day would make an eligible pair
+        valid = {"a": (day(0),), "b": (day(1),)}
+        fixes = clean_table([fix("a", 0, 100), fix("b", 1, 100)])
+        with pytest.raises(ValueError, match="min_common_days must be at least 1, got 0"):
+            detect_encounters(fixes, valid, min_common_days=0, pairs=[("a", "b")])
 
     def test_eligible_pair_without_encounters_gets_empty_set(self):
         fixes = [fix("a", d, 10) for d in range(8)] + [fix("b", d, 200) for d in range(8)]
@@ -219,7 +225,7 @@ def scenes(draw):
     n_days = draw(st.integers(1, 3))
     users = USERS[: draw(st.integers(2, len(USERS)))]
     valid = {
-        u: ValidDaySet(u, tuple(day(i) for i in sorted(draw(st.sets(st.integers(0, n_days - 1))))))
+        u: tuple(day(i) for i in sorted(draw(st.sets(st.integers(0, n_days - 1)))))
         for u in users
     }
     rows = []
@@ -230,7 +236,7 @@ def scenes(draw):
         rows.append(CleanRow(user, day(draw(st.integers(0, n_days))), draw(st.integers(0, 2)), *position))
     anyone = st.sampled_from(USERS + ("x",))
     pairs = draw(st.none() | st.lists(st.tuples(anyone, anyone).filter(lambda p: p[0] != p[1]), max_size=6))
-    return rows, valid, threshold, draw(st.integers(0, 2)), pairs
+    return rows, valid, threshold, draw(st.integers(1, 2)), pairs
 
 
 @given(scenes())

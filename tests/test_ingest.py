@@ -168,6 +168,7 @@ MULTI_FAULT_GPS = [
     ("u1,2016-04-03T10:02:11Z,23.1,72.6,high,30,-2,gps", "non-numeric elevation/satellites"),
     ("u1,2016-04-03T10:02:11Z,23.1,72.6,,30,1.5,gps", "non-numeric elevation/satellites"),
     ("u1,2016-04-03T10:02:11Z,23.1,72.6,,30,-2,gps", "negative satellite count"),
+    ("u1,nan,23.1,72.6,,30,,gps", "non-finite epoch timestamp: 'nan'"),
 ]
 
 

@@ -10,7 +10,6 @@ from tiediv.artifacts import write_clean_fixes
 from tiediv.config import RunConfig
 from tiediv.ingest import RawFix, SurveyRecord
 from tiediv.preprocess import (
-    ValidDaySet,
     coverage_threshold,
     filter_pipeline,
     regroup_closeness,
@@ -167,29 +166,27 @@ class TestRegroupCloseness:
 
 
 class TestCommonDays:
-    def vds(self, user, day_offsets):
-        return ValidDaySet(
-            user_id=user, days=tuple(date(2016, 4, 1) + timedelta(days=i) for i in day_offsets)
-        )
+    def days(self, day_offsets):
+        return tuple(date(2016, 4, 1) + timedelta(days=i) for i in day_offsets)
 
     def test_overlapping_window(self):
-        a = self.vds("a", range(0, 10))
-        b = self.vds("b", range(4, 12))
+        a = self.days(range(0, 10))
+        b = self.days(range(4, 12))
         shared = common_days(a, b)
         assert len(shared) == 6
         assert shared == tuple(date(2016, 4, 1) + timedelta(days=i) for i in range(4, 10))
 
     def test_identical_sets(self):
-        a = self.vds("a", range(9))
-        b = self.vds("b", range(9))
+        a = self.days(range(9))
+        b = self.days(range(9))
         assert len(common_days(a, b)) == 9
 
     def test_disjoint_sets(self):
-        assert common_days(self.vds("a", range(5)), self.vds("b", range(10, 15))) == ()
+        assert common_days(self.days(range(5)), self.days(range(10, 15))) == ()
 
     def test_symmetric(self):
-        a = self.vds("a", [0, 2, 4, 8])
-        b = self.vds("b", [2, 3, 4, 9])
+        a = self.days([0, 2, 4, 8])
+        b = self.days([2, 3, 4, 9])
         assert common_days(a, b) == common_days(b, a)
 
 
@@ -228,20 +225,20 @@ class TestFilterPipeline:
         ]
         assert len(fixes) - len(removed_one) == 1
         result = filter_pipeline(fix_table(removed_one), SURVEY)
-        assert result.valid_days["u1"].days == tuple(
+        assert result.valid_days["u1"] == tuple(
             date(2016, 4, 2) + timedelta(days=i) for i in range(5)
         )
 
     def test_day_with_58_slots_kept(self):
         result = filter_pipeline(fix_table(build_user_days("u1", 6, 58) + build_user_days("u2", 6, 58)), SURVEY)
-        assert len(result.valid_days["u1"].days) == 6
+        assert len(result.valid_days["u1"]) == 6
 
     def test_user_with_four_days_dropped(self):
         fixes = build_user_days("u1", 4, 60) + build_user_days("u2", 6, 60)
         result = filter_pipeline(fix_table(fixes), SURVEY)
         assert "u1" not in result.valid_days
         # u2 keeps its days regardless
-        assert len(result.valid_days["u2"].days) == 6
+        assert len(result.valid_days["u2"]) == 6
 
     def test_user_missing_from_survey_dropped(self):
         fixes = build_user_days("u1", 6, 60) + build_user_days("u3", 6, 60)
@@ -278,7 +275,7 @@ class TestFilterPipeline:
         sparse_day = datetime(2016, 4, 20, 10, 0, tzinfo=IST)
         fixes.append(raw("u1", sparse_day.astimezone(UTC)))
         result = filter_pipeline(fix_table(fixes), SURVEY)
-        assert date(2016, 4, 20) not in result.valid_days["u1"].days
+        assert date(2016, 4, 20) not in result.valid_days["u1"]
         assert all(f.day != date(2016, 4, 20) for f in clean_rows(result.clean_fixes))
 
     def test_idempotent_on_own_output(self):
@@ -308,4 +305,4 @@ class TestFilterPipeline:
         fixes = [late] + build_user_days("u1", 6, 60) + build_user_days("u2", 6, 60)
         result = filter_pipeline(fix_table(fixes), SURVEY)
         # the rolled fix lands on Apr 4 slot 0, which is occupied anyway
-        assert date(2016, 4, 4) in result.valid_days["u1"].days
+        assert date(2016, 4, 4) in result.valid_days["u1"]

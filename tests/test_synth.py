@@ -10,7 +10,7 @@ from tiediv.config import RunConfig
 from tiediv.encounter import canonical_pair, detect_encounters
 from tiediv.features import temporal_diversity
 from tiediv.ingest import parse_gps_log, parse_survey
-from tiediv.preprocess import ValidDaySet, snap_to_slot
+from tiediv.preprocess import snap_to_slot
 from tiediv.synth import (
     SCHEDULED,
     SOCIAL,
@@ -26,7 +26,7 @@ SMALL = RunConfig(synth_pairs=5, synth_days=10, seed=42)
 
 def run_detection(result, cfg, pairs=None, threshold=50.0):
     days = tuple(cfg.window_start + timedelta(days=i) for i in range(cfg.synth_days))
-    valid = {u: ValidDaySet(u, days) for u in result.fixes.user.values}
+    valid = dict.fromkeys(result.fixes.user.values, days)
     if pairs is None:
         pairs = sorted({canonical_pair(r.rater_id, r.ratee_id) for r in result.survey})
     return detect_encounters(
