@@ -31,20 +31,25 @@ al., *Inferring social ties from geographic coincidences* (PNAS 2010):
   one run, not of the table.
 
 Eligibility (enough common valid days) comes from a users x days mask.
+
+The result, one `EncounterSet` per eligible pair (users**2 / 2 in
+all-pairs mode), is built by C-level calls: `.tolist()` of numpy
+columns, `tuple.__new__` mapped over their zip, one slice per pair.
+Cyclic GC is paused meanwhile (`ingest.gc_paused`): the result is
+tuples of strings, dates and ints, with no cycle to collect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
-from itertools import compress
+from itertools import compress, repeat
 from math import asin, cos, degrees, isfinite, pi, radians, sin
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .geo import _RECHECK_REL, EARTH_RADIUS_M, geohash_encode_many, within_m
-from .ingest import CHUNK_ROWS
+from .ingest import CHUNK_ROWS, gc_paused
 from .preprocess import SLOTS_PER_DAY, CleanTable, epoch_day, first_out_of_range
 
 GEOHASH_LENGTH = 8
@@ -73,8 +78,7 @@ class Encounter(NamedTuple):
     cell: str
 
 
-@dataclass(frozen=True)
-class EncounterSet:
+class EncounterSet(NamedTuple):
     """All encounters of one pair, with the pair's common-day context; its key names the pair."""
 
     common_days: tuple[date, ...]  # chronological
@@ -153,15 +157,19 @@ def detect_encounters(
     lo, hi = _eligible(users, on_day, min_common_days, pairs)
     pair, time, cells = _join(fixes, users, days, on_day, lo, hi, threshold_m)
     bounds = np.searchsorted(pair, np.arange(len(lo) + 1)).tolist()
-    names = [(users[a], users[b]) for a, b in zip(lo.tolist(), hi.tolist())]
-    encounters = [
-        Encounter(*names[k], days[t // SLOTS_PER_DAY], t % SLOTS_PER_DAY, cell)
-        for k, t, cell in zip(pair.tolist(), time.tolist(), cells)
-    ]
-    return {
-        pair: EncounterSet(shared, tuple(encounters[bounds[k] : bounds[k + 1]]))
-        for k, (pair, shared) in enumerate(zip(names, _common_days(on_day, lo, hi, days)))
-    }
+    user_col, day_col = np.array(users, dtype=object), np.array(days, dtype=object)
+    with gc_paused():
+        columns = (
+            user_col[lo[pair]].tolist(),
+            user_col[hi[pair]].tolist(),
+            day_col[time // SLOTS_PER_DAY].tolist(),
+            (time % SLOTS_PER_DAY).tolist(),
+            cells,
+        )
+        encounters = tuple(map(tuple.__new__, repeat(Encounter), zip(*columns)))
+        runs = map(encounters.__getitem__, map(slice, bounds[:-1], bounds[1:]))
+        sets = map(tuple.__new__, repeat(EncounterSet), zip(_common_days(on_day, lo, hi, days), runs))
+        return dict(zip(zip(user_col[lo].tolist(), user_col[hi].tolist()), sets))
 
 
 def _eligible(
@@ -195,7 +203,7 @@ def _common_days(
     distinct = np.frombuffer(distinct.tobytes(), dtype=np.uint8).reshape(-1, width)
     bits = np.unpackbits(distinct, axis=1, count=len(days)).tolist()
     tuples = [tuple(compress(days, row)) for row in bits]
-    return [tuples[i] for i in which.reshape(-1).tolist()]
+    return list(map(tuples.__getitem__, which.reshape(-1).tolist()))
 
 
 class _Grid(NamedTuple):
@@ -249,7 +257,7 @@ def _join(
     day_values = np.array([epoch_day(d) for d in days], dtype=np.int64)
     by_day = np.argsort(fixes.day, kind="stable")  # table order within a day
 
-    found_pair, found_time, found_cells = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)], []
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for run in _day_runs(fixes.day[by_day]):
         rows, time, user = _in_play(fixes, by_day[run], user_of, day_values, on_day)
         if not len(rows):
@@ -269,14 +277,10 @@ def _join(
         a, b, pair = a[eligible], b[eligible], pair[eligible]
         hit = within_m(lat[a], lon[a], lat[b], lon[b], threshold_m)
         a, b = a[hit], b[hit]
-        found_pair.append(pair[hit])
-        found_time.append(time[a])
-        found_cells += geohash_encode_many(
-            (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0, GEOHASH_LENGTH
-        )
-    pair, time = np.concatenate(found_pair), np.concatenate(found_time)
+        found.append((pair[hit], time[a], (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0))
+    pair, time, lat, lon = map(np.concatenate, zip(*found))
     order = np.lexsort((time, pair))
-    return pair[order], time[order], [found_cells[i] for i in order.tolist()]
+    return pair[order], time[order], geohash_encode_many(lat[order], lon[order], GEOHASH_LENGTH)
 
 
 def _in_play(

@@ -5,11 +5,21 @@ error versus an ellipsoid is well below typical GPS accuracy, so the
 sphere is good enough for co-location thresholds.
 
 `haversine_m` and `geohash_encode` are the scalar definitions. The
-column versions give the same answers: `within_m` decides each pair in
+column versions give the same answers. `within_m` decides each pair in
 bulk and re-decides, with `haversine_m`, every distance so close to the
-threshold that numpy's and libm's last-ulp differences could matter, and
-`geohash_encode_many` runs the same bisection arithmetic on float64
-columns, so its cells are bit-identical by construction.
+threshold that numpy's and libm's last-ulp differences could matter.
+
+`geohash_encode_many` finds bisection's b bits on an axis from `low`
+over `span` as the index m of the cell that holds the value,
+[low + m * step, low + (m + 1) * step) with step = span / 2**b. For
+b <= 30 (length <= 12) every edge is a multiple of 2**-28 below 2**8
+in magnitude, exact in float64, as are bisection's midpoints.
+`floor((v - low) / step)` rounds twice, so just below an edge it may
+give the next cell; it is never too low, because both roundings are
+monotone and exact at an edge. One exact comparison with the cell's
+lower edge corrects it. The indices are interleaved, longitude first,
+by whole-array bit operations. The oracle test is
+`tests/test_columnar.py::TestGeohashMany`, at every length.
 """
 
 from __future__ import annotations
@@ -21,6 +31,10 @@ import numpy as np
 EARTH_RADIUS_M = 6_371_000.0
 
 GEOHASH_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
+_SPREAD = (  # (shift, mask) steps that move bit i of a number below 2**32 to bit 2i
+    (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333), (1, 0x5555555555555555),
+)
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -111,21 +125,20 @@ def geohash_encode_many(lat: np.ndarray, lon: np.ndarray, length: int = 8) -> li
     if bad.size:
         geohash_encode(float(lat[bad[0]]), float(lon[bad[0]]), length)  # raises its error
 
-    n = len(lat)
-    lat_lo, lat_hi = np.full(n, -90.0), np.full(n, 90.0)
-    lon_lo, lon_hi = np.full(n, -180.0), np.full(n, 180.0)
-    codes = np.zeros((n, length), dtype=np.int64)
-    for n_bit in range(5 * length):
-        if n_bit % 2 == 0:  # longitude bit first
-            mid = (lon_lo + lon_hi) / 2.0
-            bit = lon >= mid
-            lon_lo, lon_hi = np.where(bit, mid, lon_lo), np.where(bit, lon_hi, mid)
-        else:
-            mid = (lat_lo + lat_hi) / 2.0
-            bit = lat >= mid
-            lat_lo, lat_hi = np.where(bit, mid, lat_lo), np.where(bit, lat_hi, mid)
-        codes[:, n_bit // 5] = codes[:, n_bit // 5] * 2 + bit
+    n_bits = 5 * length
+    lon_bits, lat_bits = (n_bits + 1) // 2, n_bits // 2  # longitude takes the first bit
+    index = np.stack([_cell_index(lon, 180.0, lon_bits), _cell_index(lat, 90.0, lat_bits)])
+    for shift, mask in _SPREAD:
+        index = (index | index << shift) & mask
+    code = index[0] << (1 - n_bits % 2) | index[1] << (n_bits % 2)
+    digits = code[:, None] >> np.arange(n_bits - 5, -1, -5) & 31
     alphabet = np.frombuffer(GEOHASH_BASE32.encode("ascii"), dtype=np.uint8)
-    text = alphabet[codes].tobytes().decode("ascii")
-    return [text[i : i + length] for i in range(0, len(text), length)]
+    return alphabet[digits].view(f"S{length}").ravel().astype(f"U{length}").tolist()
 
+
+def _cell_index(v: np.ndarray, half: float, bits: int) -> np.ndarray:
+    """Bisection's `bits` bits of each v on the axis -half..half, as one cell index."""
+    step = 2.0 * half / 2**bits
+    m = np.floor((v + half) / step).astype(np.int64)  # one too high just below an edge
+    m -= m * step - half > v
+    return np.minimum(m, 2**bits - 1)  # v = half lies in the last cell

@@ -270,17 +270,34 @@ class TestWithinThreshold:
         assert 0 < sum(expected) < n
 
 
+@st.composite
+def axis_values(draw, half: float) -> float:
+    """A float in -half..half: anywhere, or on a cell edge of some geohash length, or one ulp off it."""
+    if draw(st.booleans()):
+        return draw(st.floats(-half, half))
+    bits = draw(st.integers(0, 30))
+    edge = -half + draw(st.integers(0, 2**bits)) * (2.0 * half / 2**bits)
+    step = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    return float(np.clip(np.nextafter(edge, edge + step), -half, half))
+
+
 class TestGeohashMany:
     def test_cell_edges_midpoints_and_poles(self):
         rng = random.Random(8)
         lats, lons = [], []
         for _ in range(300):
-            code = geohash_encode(rng.uniform(-90, 90), rng.uniform(-180, 179.999), rng.randint(1, 9))
+            code = geohash_encode(rng.uniform(-90, 90), rng.uniform(-180, 179.999), rng.randint(1, 12))
             lat_lo, lat_hi, lon_lo, lon_hi = geohash_decode_bounds(code)
-            for lat in (lat_lo, lat_hi, (lat_lo + lat_hi) / 2.0):
-                for lon in (lon_lo, (lon_lo + lon_hi) / 2.0):
-                    lats.append(lat)
-                    lons.append(lon)
+            # each edge, the float one ulp below it, and the middle
+            lat_cuts = [lat_lo, lat_hi, (lat_lo + lat_hi) / 2.0]
+            lon_cuts = [lon_lo, lon_hi, (lon_lo + lon_hi) / 2.0]
+            lat_cuts += [float(np.nextafter(v, -np.inf)) for v in (lat_lo, lat_hi)]
+            lon_cuts += [float(np.nextafter(v, -np.inf)) for v in (lon_lo, lon_hi)]
+            for lat in lat_cuts:
+                for lon in lon_cuts:
+                    if -90.0 <= lat <= 90.0 and -180.0 <= lon < 180.0:
+                        lats.append(lat)
+                        lons.append(lon)
             # the midpoint of two fixes sitting on opposite cell edges
             lats.append((lat_lo + lat_hi) / 2.0)
             lons.append((lon_lo + np.nextafter(lon_hi, -np.inf)) / 2.0)
@@ -290,10 +307,18 @@ class TestGeohashMany:
                 lats.append(float(lat))
                 lons.append(lon)
         lat_arr, lon_arr = np.array(lats), np.array(lons)
-        for length in (1, 8, 12):
+        for length in range(1, 13):
             assert geohash_encode_many(lat_arr, lon_arr, length) == [
                 geohash_encode(a, b, length) for a, b in zip(lats, lons)
             ]
+
+    @given(axis_values(90.0), axis_values(180.0), st.integers(1, 12))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scalar_geohash(self, lat, lon, length):
+        lon = lon if lon < 180.0 else -180.0
+        assert geohash_encode_many(np.array([lat]), np.array([lon]), length) == [
+            geohash_encode(lat, lon, length)
+        ]
 
     def test_out_of_range_raises_the_scalar_error(self):
         with pytest.raises(ValueError, match="longitude out of range"):

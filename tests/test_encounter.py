@@ -5,11 +5,11 @@ from math import asin, atan2, cos, degrees, log10, pi, radians, sin
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiediv import encounter
-from tiediv.encounter import canonical_pair, detect_encounters
+from tiediv.encounter import Encounter, EncounterSet, canonical_pair, detect_encounters
 from tiediv.geo import EARTH_RADIUS_M, geohash_encode, haversine_m, within_m
 
 from helpers import CleanRow, brute_force_encounters, clean_table
@@ -240,6 +240,11 @@ def scenes(draw):
 
 
 @given(scenes())
+# no valid days at all, all pairs or named ones
+@example(([fix("a", 0, 1), fix("b", 0, 1)], {}, 50.0, 1, None))
+@example(([fix("a", 0, 1), fix("b", 0, 1)], {}, 50.0, 1, [("a", "b")]))
+# an eligible pair, but no fix in play: one of a user with no valid day, two off the pair's days
+@example(([fix("x", 0, 1), fix("a", 1, 1), fix("b", 1, 1)], {"a": days(1), "b": days(1)}, 50.0, 1, None))
 @settings(max_examples=300, deadline=None)
 def test_bucket_join_matches_brute_force(scene):
     rows, valid, threshold, min_common, pairs = scene
@@ -247,6 +252,9 @@ def test_bucket_join_matches_brute_force(scene):
     # whole dicts in order: keys, common days, encounters and their order
     expected = brute_force_encounters(rows, valid, threshold, min_common, pairs)
     assert list(result.items()) == list(expected.items())
+    # equality ignores the class: a plain tuple equals a NamedTuple of the same values
+    assert all(type(es) is EncounterSet for es in result.values())
+    assert all(type(e) is Encounter for es in result.values() for e in es.encounters)
 
 
 @given(
