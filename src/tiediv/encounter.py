@@ -107,18 +107,16 @@ def canonical_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-def check_threshold(threshold_m: float) -> float:
-    """The distance threshold, if it is positive and finite; else ValueError."""
+def check_threshold(threshold_m: float) -> None:
+    """ValueError unless the distance threshold is positive and finite."""
     if not (isfinite(threshold_m) and threshold_m > 0):
         raise ValueError(f"distance threshold must be positive and finite, got {threshold_m}")
-    return threshold_m
 
 
-def check_min_common_days(min_common_days: int) -> int:
-    """The minimum of common days, if it is at least 1; else ValueError."""
+def check_min_common_days(min_common_days: int) -> None:
+    """ValueError unless the minimum of common days is at least 1."""
     if min_common_days < 1:
         raise ValueError(f"min_common_days must be at least 1, got {min_common_days}")
-    return min_common_days
 
 
 def detect_encounters(

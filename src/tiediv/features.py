@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import exp, expm1, log, log1p
+from math import exp, expm1, inf, log, log1p
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .encounter import EncounterSet, canonical_pair
@@ -56,18 +56,16 @@ class FeatureRow(NamedTuple):
     n_common_days: int
 
 
-def check_width_t(width_t: int) -> int:
-    """width_t, if width_t minutes tile the day; else ValueError."""
+def check_width_t(width_t: int) -> None:
+    """ValueError unless width_t minutes tile the day."""
     if width_t <= 0 or MINUTES_PER_DAY % width_t != 0:
         raise ValueError(f"width_t must divide {MINUTES_PER_DAY}, got {width_t}")
-    return width_t
 
 
-def check_order(q: float) -> float:
-    """q, if it is a valid diversity order; else ValueError."""
-    if not q >= 0:  # nan fails too
-        raise ValueError(f"diversity order must be >= 0, got {q}")
-    return q
+def check_order(q: float) -> None:
+    """ValueError unless q is a diversity order: finite and >= 0."""
+    if not 0 <= q < inf:  # nan fails too
+        raise ValueError(f"diversity order must be {'finite' if q == inf else '>= 0'}, got {q}")
 
 
 def interval_counts(encounters: EncounterSet, width_t: int = DEFAULT_WIDTH_T) -> tuple[int, ...]:

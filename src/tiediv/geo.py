@@ -130,10 +130,13 @@ def geohash_encode_many(lat: np.ndarray, lon: np.ndarray, length: int = 8) -> li
     index = np.stack([_cell_index(lon, 180.0, lon_bits), _cell_index(lat, 90.0, lat_bits)])
     for shift, mask in _SPREAD:
         index = (index | index << shift) & mask
+    # only each distinct cell is formatted, and its points share its one string
     code = index[0] << (1 - n_bits % 2) | index[1] << (n_bits % 2)
-    digits = code[:, None] >> np.arange(n_bits - 5, -1, -5) & 31
+    cells, point_cell = np.unique(code, return_inverse=True)
+    digits = cells[:, None] >> np.arange(n_bits - 5, -1, -5) & 31
     alphabet = np.frombuffer(GEOHASH_BASE32.encode("ascii"), dtype=np.uint8)
-    return alphabet[digits].view(f"S{length}").ravel().astype(f"U{length}").tolist()
+    texts = alphabet[digits].view(f"S{length}").ravel().astype(f"U{length}").astype(object)
+    return texts[point_cell].tolist()
 
 
 def _cell_index(v: np.ndarray, half: float, bits: int) -> np.ndarray:

@@ -198,7 +198,7 @@ def filter_pipeline(
     names = fixes.user.values
     retained_codes = [
         code
-        for code in np.flatnonzero(days_per_user >= max(cfg.min_days, 1)).tolist()
+        for code in np.flatnonzero(days_per_user >= cfg.min_days).tolist()
         if names[code] in surveyed
     ]
     valid_days = {

@@ -62,42 +62,6 @@ class SynthResult:
     archetypes: dict[tuple[str, str], str]  # canonical pair -> archetype
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.synth_pairs < 1:
-        raise ValueError("need at least one pair per archetype")
-    if cfg.synth_days < 1:
-        raise ValueError("need at least one day")
-    if not 1 <= cfg.synth_encounters_per_day <= SLOTS_PER_DAY:
-        raise ValueError(
-            f"synth_encounters_per_day must be in 1..{SLOTS_PER_DAY}, "
-            f"got {cfg.synth_encounters_per_day}"
-        )
-    if cfg.synth_encounters_per_day > len(cfg.synth_schedule_slots):
-        raise ValueError(
-            f"{cfg.synth_encounters_per_day} encounters/day need at least that many "
-            f"schedule slots, got {len(cfg.synth_schedule_slots)}"
-        )
-    if cfg.synth_jitter < 0:
-        raise ValueError("jitter must be non-negative")
-    for slot in cfg.synth_schedule_slots:
-        if slot - cfg.synth_jitter < 0 or slot + cfg.synth_jitter >= SLOTS_PER_DAY:
-            raise ValueError(f"schedule slot {slot} +- jitter leaves the day")
-    ordered = sorted(cfg.synth_schedule_slots)
-    for a, b in zip(ordered, ordered[1:]):
-        if b - a <= 2 * cfg.synth_jitter:
-            raise ValueError(
-                "schedule slots closer than 2*jitter could collide into one slot"
-            )
-    if not 0.0 <= cfg.synth_meet_prob <= 1.0:
-        raise ValueError("meet_prob must be in [0, 1]")
-    if cfg.synth_places < 1:
-        raise ValueError("need at least one meeting place")
-    if not cfg.synth_encounters_per_day <= cfg.synth_coverage_slots <= SLOTS_PER_DAY:
-        raise ValueError(
-            f"synth_coverage_slots must be in {cfg.synth_encounters_per_day}..{SLOTS_PER_DAY}"
-        )
-
-
 def _pair_geometry(pair_index: int, n_places: int):
     row, col = divmod(pair_index, _LATTICE_COLS)
     base_lat = _BASE_LAT + row * _LATTICE_STEP_DEG
@@ -122,7 +86,6 @@ def _solo_slots(meeting_slots: set[int], coverage_slots: int) -> list[int]:
 def synth_generate(config: RunConfig | None = None) -> SynthResult:
     """Generate clean fixes and an implied survey, deterministically per seed."""
     cfg = run_config(config)
-    _validate(cfg)
     rng = np.random.default_rng(cfg.seed)
 
     users: list[str] = []  # user a and user b of each pair

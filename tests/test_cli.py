@@ -309,12 +309,26 @@ class TestStageErrors:
             ("--min-common-days", "0", "'min_common_days': '0' (min_common_days must be at least 1, got 0)"),
             *(
                 ("--zone-offset", value, f"'zone_offset_minutes': '{value}' (unparseable zone offset: '{value}')")
-                for value in ("5:30:00", "+a:b")
+                for value in ("5:30:00", "+a:b", "+-5:30", "--5:30", "+5:+30", "5:-0")
             ),
+            ("--q", "inf", "bad value for 'q': 'inf' (diversity order must be finite, got inf)"),
+            ("--q-grid", "1,inf", "bad value for 'q_grid': '1,inf' (diversity order must be finite, got inf)"),
+            (
+                "--window-end",
+                "2016-03-31",
+                "bad value for 'window_end': '2016-03-31' (window_end 2016-03-31 is before window_start 2016-04-01)",
+            ),
+            *(
+                ("--min-days", value, f"bad value for 'min_days': '{value}' (min_days must be at least 1, got {value})")
+                for value in ("0", "-4")
+            ),
+            ("--max-horizon", "-2", "bad value for 'max_horizon': '-2' (max_horizon must be at least 0, got -2)"),
+            ("--synth-jitter", "-1", "bad value for 'synth_jitter': '-1' (jitter must be non-negative)"),
         ],
     )
     def test_bad_analysis_setting_fails_before_any_stage(self, outdir, capsys, flag, value, message):
-        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), flag, value) == 1
+        # flag=value: a value such as "--5:30" would read as a flag of its own
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir), f"{flag}={value}") == 1
         assert message in capsys.readouterr().err
         assert not outdir.exists() or not any(outdir.iterdir())
 

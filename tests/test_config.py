@@ -2,7 +2,7 @@
 
 import inspect
 import io
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, fields
 from datetime import date
 from pathlib import Path
 
@@ -73,6 +73,46 @@ def test_echo_of_default_parses_back_to_default(name):
     default = RunConfig()
     echoed = default.echo()[name]
     assert getattr(build_config(flag_values={name: echoed}), name) == getattr(default, name)
+
+
+# a value that breaks each checked field's rule, or a rule between fields reported on it
+BAD_VALUES = {
+    "delimiter": ";;",
+    "naive_utc_offset_minutes": 1440,
+    "window_end": date(2016, 3, 31),
+    "zone_offset_minutes": -1440,
+    "accuracy_cutoff_m": float("nan"),
+    "coverage_fraction": 1.5,
+    "min_days": 0,
+    "min_common_days": 0,
+    "threshold_m": float("inf"),
+    "width_t": 7,
+    "q": float("inf"),
+    "width_grid": (60, 7),
+    "q_grid": (1.0, -1.0),
+    "max_horizon": -1,
+    "synth_pairs": 0,
+    "synth_days": 0,
+    "synth_encounters_per_day": 0,
+    "synth_schedule_slots": (100, 101, 200),
+    "synth_jitter": -1,
+    "synth_meet_prob": 1.5,
+    "synth_places": 0,
+    "synth_coverage_slots": 2,
+}
+
+
+def test_every_checked_field_has_a_bad_value():
+    assert {f.name for f in fields(RunConfig) if "check" in f.metadata} <= set(BAD_VALUES)
+
+
+@pytest.mark.parametrize("name", BAD_VALUES)
+def test_a_run_config_that_breaks_a_rule_is_never_built(name):
+    with pytest.raises(ValueError, match=f"^bad value for '{name}': "):
+        RunConfig(**{name: BAD_VALUES[name]})
+    cfg = RunConfig()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, BAD_VALUES[name])
 
 
 def test_empty_q_is_shannon():
