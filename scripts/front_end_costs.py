@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Time the front end of the pipeline in-process on a generated GPS log.
+
+USERS users log a fix every 2 minutes (the paper's logging rate), with
+0, 30 or 60 s of jitter, over DAYS days of the default window, so each
+5-minute slot gets two or three fixes of a user and the dedupe's
+tie-break runs on most rows. Every other user is surveyed with the
+next one. Accuracy comes from a pool of four values, one of them over
+the cutoff; a third of the instants have a millisecond fraction, so
+`fixes.csv` holds both of its timestamp shapes. The log is written as
+`fixes.csv` is (`write_fixes`), then each front-end function runs
+REPEAT times and the script prints its median wall time:
+
+    parse_gps_log      the generated log
+    filter_pipeline    its fixes and the survey, with the default RunConfig
+    write_fixes        the parsed fixes
+    write_clean_fixes  the clean fixes
+    read_fixes         the written fixes.csv
+
+    PYTHONPATH=src python scripts/front_end_costs.py --users 32 --days 7
+
+Numbers are in-process medians on whatever machine runs the script; they
+orient, they do not replace an end-to-end benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from tiediv.artifacts import read_fixes, write_clean_fixes, write_fixes
+from tiediv.config import RunConfig
+from tiediv.ingest import US_PER_S, FixTable, SurveyRecord, TextColumn, parse_gps_log
+from tiediv.preprocess import SECONDS_PER_DAY, epoch_day, filter_pipeline
+
+SEED = 1
+FIX_EVERY_S = 120
+JITTER_S = (0, 30, 60)
+ACCURACY_M = (5.0, 10.0, 25.0, 80.0)  # 80 m is over the default 60 m cutoff
+
+
+def generate(users: int, days: int, cfg: RunConfig) -> tuple[FixTable, list[SurveyRecord]]:
+    """The log's fixes, each user near a home spot of their own, and the survey."""
+    rng = np.random.default_rng(SEED)
+    per_user = days * SECONDS_PER_DAY // FIX_EVERY_S
+    user = np.repeat(np.arange(users, dtype=np.int32), per_user)
+    midnight_s = epoch_day(cfg.window_start) * SECONDS_PER_DAY - cfg.zone_offset_minutes * 60
+    local_s = np.tile(np.arange(per_user) * FIX_EVERY_S, users) + rng.choice(JITTER_S, len(user))
+    millis = np.where(rng.random(len(user)) < 1 / 3, rng.integers(1, 1000, len(user)), 0)
+    home = rng.uniform((23.0, 72.5), (23.3, 72.8), (users, 2))
+    names = tuple(f"u{i:04d}" for i in range(users))
+    blank = TextColumn(np.zeros(len(user), dtype=np.int32), ("",))
+    fixes = FixTable(
+        user=TextColumn(user, names),
+        t_us=(midnight_s + local_s) * US_PER_S + millis * 1000,
+        lat=np.round(home[user, 0] + rng.normal(0.0, 1e-4, len(user)), 6),
+        lon=np.round(home[user, 1] + rng.normal(0.0, 1e-4, len(user)), 6),
+        accuracy=rng.choice(ACCURACY_M, len(user)),
+        elevation=blank,
+        satellites=blank,
+        provider=blank,
+    )
+    survey = [SurveyRecord(names[i], names[i + 1], 3, 3) for i in range(0, users - 1, 2)]
+    return fixes, survey
+
+
+def median_s(call, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--users", type=int, default=32, help="users who log fixes (at least 2)")
+    parser.add_argument("--days", type=int, default=7, help="days of logging (1 to 30)")
+    parser.add_argument("--repeat", type=int, default=7, help="calls of each function")
+    args = parser.parse_args()
+    if args.users < 2 or not 1 <= args.days <= 30 or args.repeat < 1:
+        parser.error("need --users >= 2, --days 1..30 and --repeat >= 1")
+
+    cfg = RunConfig()
+    generated, survey = generate(args.users, args.days, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        log, fixes_csv, clean_csv = (Path(tmp) / name for name in ("gps.csv", "fixes.csv", "clean.csv"))
+        write_fixes(log, generated, {})
+
+        def parse() -> FixTable:
+            with open(log, "rb") as handle:
+                return parse_gps_log(handle, cfg)[0]
+
+        fixes = parse()
+        result = filter_pipeline(fixes, survey, cfg)
+        write_fixes(fixes_csv, fixes, {})
+        counts = result.counts
+        print(
+            f"users={args.users} days={args.days} fixes={len(fixes)} accurate={counts['accurate']} "
+            f"deduped={counts['deduped']} clean={counts['clean_fixes']} repeat={args.repeat}"
+        )
+        calls = {
+            "parse_gps_log": parse,
+            "filter_pipeline": lambda: filter_pipeline(fixes, survey, cfg),
+            "write_fixes": lambda: write_fixes(fixes_csv, fixes, {}),
+            "write_clean_fixes": lambda: write_clean_fixes(clean_csv, result.clean_fixes, {}),
+            "read_fixes": lambda: read_fixes(fixes_csv),
+        }
+        for name, call in calls.items():
+            print(f"{name:<18} {median_s(call, args.repeat) * 1000:9.1f} ms")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,27 +6,27 @@ data rows. Writing the same records with the same config produces
 byte-identical files, so re-runs are cheap to verify and artifacts can
 be diffed.
 
-One column writer writes every artifact, CHUNK_ROWS rows at a time, a
-column at a time, joining each chunk's rows into one string. The fix
-artifacts are written from and read back into column tables (`FixTable`
-for `fixes.csv`, `CleanTable` for `clean_fixes.csv`). Floats are their
-shortest round-trip `repr`, times `isoformat()` UTC. Each distinct value
-of a chunk's numeric column (told apart by its bits, so -0.0 is not
-0.0) is formatted once. A text column is a `TextColumn`; `write_table`
-makes one of the `fmt` texts of each column of its rows. Only text
-columns can need csv quoting: each distinct text of a column is quoted,
-checked and searched for line ends once per artifact, by the csv module
-itself, which quotes a cell holding a delimiter, a quote or either
-line-break character.
+One column writer writes every artifact, CHUNK_ROWS rows at a time. A
+chunk comes as columns of cells that already end in their separator
+("," or, in the last column, "\n"), and one `"".join` of the columns,
+interleaved, is its text. The fix artifacts are written from and read
+back into column tables (`FixTable`, `CleanTable`). Floats are their
+shortest round-trip `repr`; each distinct float, day and slot of a
+chunk (told apart by its bits, so -0.0 is not 0.0) is formatted,
+checked and given its separator once. Times are `isoformat()` UTC,
+built per row in one byte matrix. A text column is a `TextColumn`
+(`write_table` makes them of its rows' `fmt` texts); the csv module
+itself quotes each distinct text that holds a delimiter, a quote or a
+line-break character, once per artifact.
 
-Every writer checks what it formats, once per distinct text: each quoted
-cell must parse back through csv to its text, and each float, time, day
-and slot text must read back, as the reader reads it, to its value's bits;
-otherwise it raises ValueError naming the artifact. It returns a
-`Receipt`: the path and the number of line ends ("\n") it wrote, one
-per meta line, header and data row plus each one inside a cell, counted
-once per distinct cell text. `check_written` counts the file's line
-ends against it.
+Every writer checks what it formats: a quoted cell must parse back
+through csv to its text, a float, day or slot text must read back as
+the reader reads it to its value's bits, and a time to its instant, by
+the reader's own `_iso_us` on the byte matrix; otherwise it raises
+ValueError naming the artifact. It returns a `Receipt`: the path and
+the line ends ("\n") it wrote, one per meta line, header and data row
+plus each inside a cell. `check_written` counts the file's line ends
+against it.
 
 Readers stream the file in blocks of whole lines. They skip the '#'
 meta lines before the header and read the rest with ingest's
@@ -75,6 +75,7 @@ from .ingest import (
     RejectionReport,
     SurveyRecord,
     TextColumn,
+    _iso_us,
     civil_from_days,
     convert_gps,
     convert_survey,
@@ -131,9 +132,12 @@ def _naming(path: str | Path) -> Iterator[None]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _join_rows(rows: Iterable[Sequence[str]]) -> str:
-    """Rows of csv cells as lines of text."""
-    return "\n".join(map(",".join, rows)) + "\n"
+def _join_rows(columns: Sequence[list[str]]) -> str:
+    """Columns of csv cells, each cell ending in its separator, as lines of text."""
+    cells = [""] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column
+    return "".join(cells)
 
 
 def write_table(
@@ -145,7 +149,7 @@ def write_table(
     """Write rows of values as their `fmt` texts, through the column writer."""
     with _naming(path):
         texts = [TextColumn.of(list(map(fmt, column))) for column in zip(*rows, strict=True)]
-        cells, line_ends = _text_cells(*texts)
+        cells, line_ends = _text_cells(texts, "," * (len(texts) - 1) + "\n" if texts else "")
         return _write_columns(
             path, meta, columns, len(rows), lambda chunk: [cell(chunk) for cell in cells], line_ends
         )
@@ -162,7 +166,8 @@ def _write_columns(
     """Write the meta lines, the header, and rows whose cells `format_chunk` gives.
 
     `format_chunk` gives the columns of a slice of rows, CHUNK_ROWS rows at
-    a time. The cells must already be checked csv cells; `cell_line_ends`
+    a time. The cells must already be checked csv cells, each ending in
+    its separator: "," or, in the last column, "\n". `cell_line_ends`
     counts the "\n"s inside the cells of a slice of rows.
     """
     head = "".join(f"# {key}={value}\n" for key, value in meta.items())
@@ -172,7 +177,7 @@ def _write_columns(
         handle.write(head)
         for start in range(0, n_rows, CHUNK_ROWS):
             rows = slice(start, min(start + CHUNK_ROWS, n_rows))
-            handle.write(_join_rows(zip(*format_chunk(rows), strict=True)))
+            handle.write(_join_rows(format_chunk(rows)))
             lines += rows.stop - rows.start + cell_line_ends(rows)
     return Receipt(Path(path), lines)
 
@@ -209,15 +214,16 @@ def _checked_cells(texts: Sequence[str]) -> np.ndarray:
 
 
 def _text_cells(
-    *columns: TextColumn,
+    columns: Sequence[TextColumn], ends: str
 ) -> tuple[list[Callable[[slice], list[str]]], Callable[[slice], int]]:
     """For each column, the csv cells of a slice of it; and the "\n"s inside a slice's cells.
 
-    Each distinct value is quoted, checked and searched for line ends once.
+    A column's cells end in its character of `ends`. Each distinct value
+    is quoted, checked, given its separator and searched for line ends once.
     """
     cells, line_ends = [], []
-    for column in columns:
-        quoted = _checked_cells(column.values)
+    for column, end in zip(columns, ends, strict=True):
+        quoted = _checked_cells(column.values) + end
         cells.append(lambda rows, quoted=quoted, codes=column.codes: quoted[codes[rows]].tolist())
         breaks = np.array([value.count("\n") for value in column.values], dtype=np.int64)
         if breaks.any():
@@ -233,8 +239,9 @@ def _distinct_texts(
     values: np.ndarray,
     texts: Callable[[np.ndarray], list[str]],
     parse: Callable[[list[str]], Sequence],
+    end: str,
 ) -> list[str]:
-    """`texts(values)`, formatting each distinct value only once.
+    """`texts(values)`, each followed by `end`, formatting each distinct value only once.
 
     Values are told apart by their bit pattern, not by `==`, so 0.0 and
     -0.0 keep their own texts. `parse` reads texts back as the reader
@@ -248,7 +255,7 @@ def _distinct_texts(
     if wrong.any():
         i = int(np.flatnonzero(wrong)[0])
         raise ValueError(f"{formatted[i]!r} does not read back as {distinct[i].item()!r}")
-    return np.array(formatted, dtype=object)[inverse].tolist()
+    return (np.array(formatted, dtype=object) + end)[inverse].tolist()
 
 
 def check_written(receipt: Receipt) -> None:
@@ -332,18 +339,17 @@ def _cells_named(
 
 # "00" to "99" as a (2, 100) byte matrix: column k holds the two digits of k
 _DIGIT_PAIRS = np.array([list(f"{k:02d}".encode()) for k in range(100)], dtype=np.uint8).T.copy()
-# `isoformat()` of a UTC instant with microseconds, and a line end
-_ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00.000000+00:00\n", np.uint8)
-_ISO_FRACTION = slice(19, 26)
+# `isoformat()` of a UTC instant with microseconds, then ",\n"; and the bytes
+# of the fraction, and of the 25 that are left without it
+_ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00.000000+00:00,\n", np.uint8)
+_ISO_FRACTION, _ISO_WHOLE = slice(19, 26), np.r_[0:19, 26:32]
 
 
-def iso_utc_texts(t_us: np.ndarray) -> list[str]:
-    """`datetime.isoformat()` of each UTC instant, as `fixes.csv` stores it.
+def _iso_utc_bytes(t_us: np.ndarray) -> np.ndarray:
+    """`isoformat()` of each UTC instant, then ",\n": a byte matrix, a column per instant.
 
-    The texts are built as one byte matrix, a column per instant, two
-    digits at a time: the civil date of the epoch day (`civil_from_days`),
-    then the time of day. An instant with no microseconds has no fraction
-    in `isoformat()`, so its fraction bytes are deleted.
+    It is built two digits at a time, the civil date (`civil_from_days`),
+    then the time of day. The fraction of a whole second is NUL bytes.
     """
     seconds, micros = np.divmod(t_us, US_PER_S)
     days, second = np.divmod(seconds, 86400)
@@ -358,16 +364,38 @@ def iso_utc_texts(t_us: np.ndarray) -> list[str]:
     chars[:] = _ISO_UTC[:, None]
     for at, value in zip((0, 2, 5, 8, 11, 14, 17, 20, 22, 24), fields):
         chars[at : at + 2] = np.take(_DIGIT_PAIRS, value, axis=1)
-    chars[_ISO_FRACTION, micros == 0] = 0  # NUL bytes, deleted below
-    return chars.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    chars[_ISO_FRACTION] *= micros != 0
+    return chars
+
+
+def _time_cells(t_us: np.ndarray) -> list[str]:
+    """`fixes.csv`'s timestamp cells, `isoformat()` and ",", each checked as the reader reads it.
+
+    `_iso_us` reads back the 25- and 32-byte shapes from the byte matrix,
+    `timestamps_us` any other text; a cell that is not its instant raises ValueError.
+    """
+    chars = _iso_utc_bytes(t_us)
+    whole = np.bitwise_or.reduce(chars[_ISO_FRACTION], axis=0) == 0
+    back, ok = np.zeros_like(t_us), np.zeros(len(t_us), dtype=bool)
+    for rows, at, frac in ((whole, _ISO_WHOLE, 0), (~whole, slice(0, 32), 6)):
+        rows = np.flatnonzero(rows)
+        back[rows], ok[rows] = _iso_us(chars[at].take(rows, axis=1).T, frac, "+", 0)
+    cells = chars.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    rest = np.flatnonzero(~ok)
+    back[rest], ok[rest], _ = timestamps_us([cells[i][:-1] for i in rest.tolist()])
+    wrong = ~ok | (back != t_us)
+    if wrong.any():
+        i = int(np.flatnonzero(wrong)[0])
+        raise ValueError(f"{cells[i][:-1]!r} does not read back as {t_us[i].item()!r}")
+    return cells
 
 
 def _float_texts(floats: np.ndarray) -> list[str]:
     return list(map(repr, floats.tolist()))
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    return _distinct_texts(values, _float_texts, lambda texts: list(map(float, texts)))
+def _float_cells(values: np.ndarray, end: str = ",") -> list[str]:
+    return _distinct_texts(values, _float_texts, lambda texts: list(map(float, texts)), end)
 
 
 def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> list:
@@ -395,13 +423,13 @@ FIX_COLUMNS = tuple(_GPS_ALIASES)  # the canonical GPS log columns, in ingest's 
 def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> Receipt:
     with _naming(path):
         (user, elevation, satellites, provider), line_ends = _text_cells(
-            fixes.user, fixes.elevation, fixes.satellites, fixes.provider
+            (fixes.user, fixes.elevation, fixes.satellites, fixes.provider), ",,,\n"
         )
 
         def columns(rows: slice) -> list[list[str]]:
             return [
                 user(rows),
-                _distinct_texts(fixes.t_us[rows], iso_utc_texts, lambda texts: timestamps_us(texts)[0]),
+                _time_cells(fixes.t_us[rows]),
                 _float_cells(fixes.lat[rows]),
                 _float_cells(fixes.lon[rows]),
                 elevation(rows),
@@ -438,15 +466,15 @@ CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
 
 def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> Receipt:
     with _naming(path):
-        (user,), line_ends = _text_cells(fixes.user)
+        (user,), line_ends = _text_cells((fixes.user,), ",")
 
         def columns(rows: slice) -> list[list[str]]:
             return [
                 user(rows),
-                _distinct_texts(fixes.day[rows], _day_texts, lambda days: list(map(_epoch_day, days))),
-                _distinct_texts(fixes.slot[rows], _int_texts, lambda texts: list(map(int, texts))),
+                _distinct_texts(fixes.day[rows], _day_texts, lambda days: list(map(_epoch_day, days)), ","),
+                _distinct_texts(fixes.slot[rows], _int_texts, lambda texts: list(map(int, texts)), ","),
                 _float_cells(fixes.lat[rows]),
-                _float_cells(fixes.lon[rows]),
+                _float_cells(fixes.lon[rows], "\n"),
             ]
 
         return _write_columns(path, meta, CLEAN_FIX_COLUMNS, len(fixes), columns, line_ends)

@@ -802,10 +802,6 @@ class Rows:
         """Cell j of each of `rows`, indices of rows with more than j cells."""
         return self.cells.take(self.starts[rows] + j)
 
-    def columns(self, rows: np.ndarray, width: int) -> list[list[str]]:
-        """Column j is the text of cell j of each of `rows`, indices of rows with at least `width` cells."""
-        return [self.column(rows, j).texts() for j in range(width)]
-
 
 def utf8_text(data: bytes, offset: int) -> str:
     """`data` as UTF-8 text; a decode error names the bad bytes' position as `offset` on."""

@@ -12,10 +12,10 @@ Every step works on whole columns of a `FixTable`: the window and
 accuracy filters are masks on epoch microseconds and accuracy, snapping
 is integer arithmetic on local whole seconds, and coverage is a count
 per user-day. Dedup packs each row's (user, day, slot) into one int64
-and keeps the first row of each key after one stable argsort; only the
-rows whose key repeats are sorted by the tie-break columns as well. The
-survivors come back as a `CleanTable` of columns. `snap_to_slot` is the
-scalar definition of the snapping that `snap_to_slots` applies to a
+and groups the rows by one stable argsort; among the rows whose key
+repeats, segmented minima of the tie-break columns pick each key's row.
+The survivors come back as a `CleanTable` of columns. `snap_to_slot` is
+the scalar definition of the snapping that `snap_to_slots` applies to a
 column.
 """
 
@@ -164,24 +164,28 @@ def filter_pipeline(
 
     # dedup: per (user, day, slot) the smallest accuracy survives; ties go
     # to the earliest raw timestamp, then the smallest (lat, lon), then
-    # the earlier row. Rows are sorted by their packed key, and only rows
-    # whose key repeats are sorted by the tie-break too.
+    # the earlier row. Rows are sorted by their packed key; among the rows
+    # whose key repeats, each tie-break column keeps the rows at their
+    # group's minimum (`fmin`: 0.0 ties -0.0, NaN stays only if all are).
     rows = np.flatnonzero(keep)
     user = fixes.user.codes[rows]
     day, slot = snap_to_slots(t_us[rows], cfg.zone_offset_minutes)
     key = _packed_key(user, day, slot)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    same = key[1:] == key[:-1]
-    repeats = np.zeros(len(key), dtype=bool)
-    repeats[1:] |= same
-    repeats[:-1] |= same
+    start = _starts(key)
+    first = order[start]
+    repeats = ~start
+    repeats[:-1] |= ~start[1:]
     if repeats.any():
         tied = order[repeats]
-        at = rows[tied]
-        tie_break = (fixes.lon[at], fixes.lat[at], t_us[at], fixes.accuracy[at], key[repeats])
-        order[repeats] = tied[np.lexsort(tie_break)]
-    first = order[_starts(key)]
+        group = np.cumsum(start[repeats]) - 1
+        for column in (fixes.accuracy, t_us, fixes.lat, fixes.lon):
+            values = column[rows[tied]]
+            least = np.fmin.reduceat(values, np.flatnonzero(_starts(group)))[group]
+            kept = (values == least) | (least != least)
+            tied, group = tied[kept], group[kept]
+        first[repeats[start]] = tied[_starts(group)]
     user, day, slot = user[first], day[first], slot[first]
     lat, lon = fixes.lat[rows[first]], fixes.lon[rows[first]]
     counts["deduped"] = len(user)

@@ -1,8 +1,10 @@
 """Shared builders for test fixtures, and oracles the pipeline does not use.
 
-`read_table`, `geohash_decode_bounds` and `common_days` are row-at-a-time
-definitions that only tests need: an artifact parsed back whole, a
-geohash cell's bounding box, and two users' common valid days.
+`read_table`, `geohash_decode_bounds`, `common_days`, `iso_utc_texts` and
+`lexsort_winners` are row-at-a-time or sort-based definitions that only
+tests need: an artifact parsed back whole, a geohash cell's bounding box,
+two users' common valid days, `fixes.csv`'s timestamp texts, and the
+winners of the dedupe's tie-break.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from tiediv.encounter import Encounter, EncounterSet
 from tiediv.geo import GEOHASH_BASE32, geohash_encode, haversine_m
-from tiediv.ingest import FixTable, RawFix, TextColumn, to_epoch_us
-from tiediv.preprocess import CleanTable, day_of, epoch_day
+from tiediv.ingest import FixTable, RawFix, TextColumn, from_epoch_us, to_epoch_us
+from tiediv.preprocess import CleanTable, day_of, epoch_day, snap_to_slots
 
 START = date(2016, 4, 1)
 
@@ -205,3 +207,23 @@ def geohash_decode_bounds(code: str) -> tuple[float, float, float, float]:
 def common_days(a: tuple[date, ...], b: tuple[date, ...]) -> tuple[date, ...]:
     """Chronological intersection of two users' valid days."""
     return tuple(sorted(set(a) & set(b)))
+
+
+def iso_utc_texts(t_us: np.ndarray) -> list[str]:
+    """`datetime.isoformat()` of each UTC instant, as `fixes.csv` stores it."""
+    return [from_epoch_us(t).isoformat() for t in t_us.tolist()]
+
+
+def lexsort_winners(fixes: FixTable, zone_offset_minutes: int) -> np.ndarray:
+    """The row the dedupe keeps of each (user, day, slot) key, in key order, found by one sort.
+
+    Rows are sorted by key, accuracy, time, lat, lon and position, in
+    numpy's order (0.0 ties -0.0, NaN last); each key's first row wins.
+    """
+    day, slot = snap_to_slots(fixes.t_us, zone_offset_minutes)
+    user = fixes.user.codes
+    order = np.lexsort((fixes.lon, fixes.lat, fixes.t_us, fixes.accuracy, slot, day, user))
+    key = np.stack((user[order], day[order], slot[order]))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    return order[first]

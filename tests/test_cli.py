@@ -5,7 +5,6 @@ import random
 import tempfile
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -524,8 +523,11 @@ class TestWriteCheck:
         return capsys.readouterr().err
 
     def patch_join_rows(self, monkeypatch, change):
-        """Make the writers join their rows by `change(join_rows)`."""
+        """Make the writers join each chunk's columns by `change(join_rows)`."""
         monkeypatch.setattr(artifacts, "_join_rows", change(artifacts._join_rows))
+
+    def drop_first_row(self, join_rows):
+        return lambda columns: join_rows([column[1:] for column in columns])
 
     def head_lines(self, path: Path) -> int:
         """The '#' meta lines and the header of an artifact."""
@@ -539,7 +541,7 @@ class TestWriteCheck:
         assert err == f"error: {outdir / 'fixes.csv'}: csv cell 'sch,000a' does not parse back to 'sch,000a'\n"
 
     def test_dropped_row(self, outdir, capsys, monkeypatch):
-        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(islice(rows, 1, None)))
+        self.patch_join_rows(monkeypatch, self.drop_first_row)
         err = self.run_ingest(outdir, capsys)
         path = outdir / "fixes.csv"
         written = self.head_lines(path) + 3120
@@ -554,10 +556,14 @@ class TestWriteCheck:
         gps = tmp_path / "gps.csv"
         text = (DATA / "mini_gps.csv").read_text(encoding="utf-8")
         gps.write_text(text.replace("T07:00:00+", "T07:00:00.25+", 1), encoding="utf-8")
-        iso_utc_texts = artifacts.iso_utc_texts
-        monkeypatch.setattr(
-            artifacts, "iso_utc_texts", lambda t_us: [t.replace(".250000", "") for t in iso_utc_texts(t_us)]
-        )
+        iso_utc_bytes = artifacts._iso_utc_bytes
+
+        def without_quarter_seconds(t_us):
+            chars = iso_utc_bytes(t_us)
+            chars[19:26, t_us % 10**6 == 250000] = 0  # NUL bytes, which the writer deletes
+            return chars
+
+        monkeypatch.setattr(artifacts, "_iso_utc_bytes", without_quarter_seconds)
         err = self.run_ingest(outdir, capsys, ("--gps", str(gps), "--survey", SURVEY))
         assert err == (
             f"error: {outdir / 'fixes.csv'}: '2016-04-01T07:00:00+00:00' does not read back as 1459494000250000\n"
@@ -565,12 +571,12 @@ class TestWriteCheck:
 
     def test_truncated_file(self, outdir, capsys, monkeypatch):
         # the last chunk, cut mid-row
-        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(rows)[:-5])
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda columns: join_rows(columns)[:-5])
         err = self.run_ingest(outdir, capsys)
         assert err == f"error: {outdir / 'fixes.csv'}: does not end with a line end\n"
 
     def test_header_only_artifact_when_rows_were_written(self, outdir, capsys, monkeypatch):
-        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: "")
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda columns: "")
         err = self.run_ingest(outdir, capsys)
         path = outdir / "fixes.csv"
         head = self.head_lines(path)
@@ -592,7 +598,7 @@ class TestWriteCheck:
         for stage in ("preprocess", "encounters", "features"):
             assert run(stage, *inputs, "-o", str(outdir)) == 0, stage
         assert hash_dir(outdir) == written
-        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(islice(rows, 1, None)))
+        self.patch_join_rows(monkeypatch, self.drop_first_row)
         err = self.run_ingest(tmp_path / "dropped", capsys, inputs)
         path = tmp_path / "dropped" / "fixes.csv"
         written = self.head_lines(path) + 3120 + in_cells
@@ -603,7 +609,7 @@ class TestWriteCheck:
         # each chunk loses its text up to its first "\n", which lies inside the
         # first row's quoted user id: the rows that csv reads stay 3120
         inputs = renamed_inputs(tmp_path / "in", {"sch000a": "sch\n000a"})
-        self.patch_join_rows(monkeypatch, lambda join_rows: lambda rows: join_rows(rows).partition("\n")[2])
+        self.patch_join_rows(monkeypatch, lambda join_rows: lambda columns: join_rows(columns).partition("\n")[2])
         err = self.run_ingest(tmp_path / "cut", capsys, inputs)
         path = tmp_path / "cut" / "fixes.csv"
         assert path.read_text(encoding="utf-8").splitlines()[self.head_lines(path)].startswith('000a",')

@@ -10,6 +10,7 @@ what straightforward row-by-row versions of them give.
 import csv
 import io
 import random
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from tiediv.artifacts import (
     CLEAN_FIX_COLUMNS,
     FIX_COLUMNS,
-    iso_utc_texts,
+    _time_cells,
     read_clean_fixes,
     read_fixes,
     write_clean_fixes,
@@ -50,7 +51,7 @@ from tiediv.preprocess import (
     snap_to_slots,
 )
 
-from helpers import CleanRow, clean_rows, clean_table, common_days, fix_table, geohash_decode_bounds
+from helpers import CleanRow, clean_rows, clean_table, common_days, fix_table, geohash_decode_bounds, iso_utc_texts, lexsort_winners
 
 UTC = timezone.utc
 OFFSETS = (-240, 0, 330, 540)
@@ -180,7 +181,7 @@ class TestBulkTimestamps:
     def test_isoformat_texts(self):
         instants = random_instants(random.Random(5), 300) + [datetime(1969, 12, 31, 23, 59, 59, 500000, tzinfo=UTC)]
         t_us = np.array([to_epoch_us(t) for t in instants], dtype=np.int64)
-        assert iso_utc_texts(t_us) == [t.isoformat() for t in instants]
+        assert _time_cells(t_us) == [f"{text}," for text in iso_utc_texts(t_us)]
 
 
     @given(
@@ -193,8 +194,8 @@ class TestBulkTimestamps:
     )
     @settings(max_examples=300, deadline=None)
     def test_isoformat_texts_over_the_whole_datetime_range(self, instants):
-        t_us = [to_epoch_us(t.replace(tzinfo=UTC)) for t in instants]
-        assert iso_utc_texts(np.array(t_us, dtype=np.int64)) == [from_epoch_us(t).isoformat() for t in t_us]
+        t_us = np.array([to_epoch_us(t.replace(tzinfo=UTC)) for t in instants], dtype=np.int64)
+        assert _time_cells(t_us) == [f"{text}," for text in iso_utc_texts(t_us)]
 
     def test_non_ascii_cells_in_a_batch_are_left_to_the_scalar_parser(self):
         # each ASCII rendering next to one of the same length in characters
@@ -379,7 +380,9 @@ class TestTables:
     def test_fix_writers_equal_a_csv_writer(self, tmp_path, repeats):
         # two chunks; with repeats every float column holds many 0.0 and -0.0,
         # without them every value of lat and lon is distinct and day and slot
-        # are narrower ints
+        # are narrower ints. Instants span `datetime`'s whole range, years
+        # 1 and 9999 too, and about half are whole seconds, so every chunk
+        # holds both timestamp shapes.
         n = CHUNK_ROWS + 1000
         rng = np.random.default_rng(4)
 
@@ -394,10 +397,12 @@ class TestTables:
             return TextColumn(rng.integers(0, len(texts), n).astype(np.int32), tuple(sorted(texts)))
 
         lat, lon = floats([0.0, -0.0, 23.5]), floats([-0.0, 0.0, 72.5, 1e-300])
+        t_us = rng.integers(to_epoch_us(datetime.min.replace(tzinfo=UTC)), to_epoch_us(datetime.max.replace(tzinfo=UTC)), n)
+        t_us = np.where(rng.random(n) < 0.5, t_us // 10**6 * 10**6, t_us)
         accuracy = np.abs(floats([0.0, -0.0, 12.5])) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
         fixes = FixTable(
             user=text_column(),
-            t_us=rng.integers(0, 4 * 10**15, n),
+            t_us=t_us,
             lat=lat,
             lon=lon,
             accuracy=accuracy,
@@ -417,6 +422,10 @@ class TestTables:
         write_clean_fixes(tmp_path / "clean.csv", clean, meta)
         if repeats:
             assert (np.signbit(lat) & (lat == 0.0)).sum() > n // 4
+        for chunk in (t_us[:CHUNK_ROWS], t_us[CHUNK_ROWS:]):
+            whole = chunk % 10**6 == 0
+            assert whole.any() and not whole.all()
+            assert (chunk < 0).any() and (chunk < to_epoch_us(datetime(1000, 1, 1, tzinfo=UTC))).any()
         def cells(column):
             return [column.values[code] for code in column.codes.tolist()]
 
@@ -522,6 +531,19 @@ IST = timezone(timedelta(minutes=330))
 SPOTS = [(23.19, 72.63), (23.1903, 72.6302), (23.19, 72.6305)]  # 0-60 m apart
 
 
+def shared_key_rows(fixes, cfg) -> tuple[int, int]:
+    """(rows that pass the window and accuracy filters, those of them whose (user, day, slot) another shares)."""
+    zone = timezone(timedelta(minutes=cfg.zone_offset_minutes))
+    start = datetime.combine(cfg.window_start, datetime.min.time(), tzinfo=zone)
+    end = datetime.combine(cfg.window_end, datetime.min.time(), tzinfo=zone)
+    keys = Counter(
+        (f.user_id, *snap_to_slot(f.timestamp, cfg.zone_offset_minutes))
+        for f in fixes
+        if start <= f.timestamp <= end and f.accuracy < cfg.accuracy_cutoff_m
+    )
+    return sum(keys.values()), sum(n for n in keys.values() if n > 1)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_pipeline_and_scan_match_row_by_row_reference(seed):
@@ -560,3 +582,72 @@ def test_pipeline_and_scan_match_row_by_row_reference(seed):
     rows = clean + [CleanRow(f.user_id, f.day, f.slot, f.lon % 90, f.lat) for f in rng.sample(clean, len(clean) // 20)]
     rng.shuffle(rows)
     assert detect_encounters(clean_table(rows), valid, threshold, min_common) == reference_detect(rows, valid, threshold, min_common)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_pipeline_matches_row_by_row_reference_at_the_two_minute_rate(seed):
+    # DSSN logs a fix every 2 minutes, so a 5-minute slot gets two or three
+    # of a user's fixes, and an export may hold a fix more than once: most
+    # rows tie on their key, many on accuracy too, and copies of one fix tie
+    # on time and may tie on position up to the sign of a zero
+    rng = random.Random(seed)
+    users = [f"u{i}" for i in range(rng.randint(2, 5))]
+    accuracies = rng.sample((5.0, 10.0, 12.5, 59.5), 2) + [rng.choice((10.0, 60.0, 75.0))]
+
+    def position():
+        lat, lon = rng.choice(SPOTS)
+        return rng.choice((lat, 0.0, -0.0)), rng.choice((lon, lon + 3e-6, 0.0, -0.0))
+
+    fixes = []
+    for user in users:
+        first = datetime(2016, 4, 1, tzinfo=IST) + timedelta(minutes=rng.randrange(0, 2 * 1440))
+        for i in range(rng.randint(30, 1500)):
+            instant = (first + timedelta(minutes=2 * i, seconds=rng.choice((0, 30, 60)))).astimezone(UTC)
+            accuracy = rng.choice(accuracies)
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                fixes.append(RawFix(user, instant, *position(), accuracy))
+    rng.shuffle(fixes)
+    survey = [SurveyRecord(a, b, 3, 3) for a, b in zip(users, users[1:])]
+    cfg = RunConfig(
+        window_end=date(2016, 4, rng.randint(3, 9)), coverage_fraction=rng.choice((0.0, 0.05, 0.1)),
+        min_days=rng.randint(1, 2), zone_offset_minutes=330,
+    )
+    accurate, shared = shared_key_rows(fixes, cfg)
+    assert shared > accurate / 2
+    result = filter_pipeline(fix_table(fixes), survey, cfg)
+    clean, valid = reference_pipeline(fixes, survey, cfg)
+    # repr tells -0.0 from 0.0, so the winner of a tie on a signed zero is checked too
+    assert list(map(repr, clean_rows(result.clean_fixes))) == list(map(repr, clean))
+    assert result.valid_days == valid
+
+
+def test_dedupe_of_nan_and_signed_zero_positions_matches_the_lexsort_oracle():
+    # about three rows per key, which often tie on accuracy and time and
+    # hold NaN, infinite, signed-zero and finite positions, NaN most often,
+    # so some keys hold only NaN lats or lons; every row passes the filters
+    rng = np.random.default_rng(7)
+    n = 4000
+    pool = np.array([np.nan, np.nan, np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5])
+    start = to_epoch_us(datetime(2016, 4, 2, tzinfo=IST))
+    fixes = FixTable(
+        user=TextColumn(rng.integers(0, 3, n).astype(np.int32), ("a", "b", "c")),
+        t_us=start + rng.integers(0, 400, n) * 300 * 10**6 + rng.integers(0, 2, n),
+        lat=pool[rng.integers(0, len(pool), n)],
+        lon=pool[rng.integers(0, len(pool), n)],
+        accuracy=rng.choice([5.0, 10.0], n),
+        elevation=TextColumn(np.zeros(n, dtype=np.int32), ("",)),
+        satellites=TextColumn(np.zeros(n, dtype=np.int32), ("",)),
+        provider=TextColumn(np.zeros(n, dtype=np.int32), ("",)),
+    )
+    survey = [SurveyRecord("a", "b", 3, 3), SurveyRecord("b", "c", 3, 3)]
+    cfg = RunConfig(coverage_fraction=0.0, min_days=1)
+    result = filter_pipeline(fixes, survey, cfg)
+    assert result.counts["accurate"] == n
+    winners = lexsort_winners(fixes, cfg.zone_offset_minutes)
+    assert len(winners) < n / 2
+    assert np.isnan(fixes.lat[winners]).any() and np.isnan(fixes.lon[winners]).any()
+    clean = result.clean_fixes
+    assert clean.user.codes.tolist() == fixes.user.codes[winners].tolist()
+    for got, want in ((clean.lat, fixes.lat[winners]), (clean.lon, fixes.lon[winners])):
+        assert got.tobytes() == want.tobytes()  # bit for bit: NaN and -0.0 too

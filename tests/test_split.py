@@ -113,8 +113,8 @@ def test_plain_text_splits_as_csv(table, chunk_rows, block_bytes):
     columns = [[] for _ in range(width)]
     for rows in chunks:
         wide = np.flatnonzero(rows.widths >= width)
-        for column, cells in zip(columns, rows.columns(wide, width)):
-            column += cells
+        for j, column in enumerate(columns):
+            column += rows.column(wide, j).texts()
     wide_rows = [row[:width] for _, row in expected if len(row) >= width]
     assert columns == [[row[j] for row in wide_rows] for j in range(width)]
 
