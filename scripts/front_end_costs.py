@@ -16,6 +16,12 @@ REPEAT times and the script prints its median wall time:
     write_fixes        the parsed fixes
     write_clean_fixes  the clean fixes
     read_fixes         the written fixes.csv
+    read_clean_fixes   the written clean_fixes.csv
+
+then the three readers again on a copy of each file whose lines end in
+"\r\n", which the csv module reads (`ingest.split_rows`):
+
+    parse_gps_log crlf, read_fixes crlf, read_clean_fixes crlf
 
     PYTHONPATH=src python scripts/front_end_costs.py --users 32 --days 7
 
@@ -33,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tiediv.artifacts import read_fixes, write_clean_fixes, write_fixes
+from tiediv.artifacts import read_clean_fixes, read_fixes, write_clean_fixes, write_fixes
 from tiediv.config import RunConfig
 from tiediv.ingest import US_PER_S, FixTable, SurveyRecord, TextColumn, parse_gps_log
 from tiediv.preprocess import SECONDS_PER_DAY, epoch_day, filter_pipeline
@@ -93,13 +99,18 @@ def main() -> None:
         log, fixes_csv, clean_csv = (Path(tmp) / name for name in ("gps.csv", "fixes.csv", "clean.csv"))
         write_fixes(log, generated, {})
 
-        def parse() -> FixTable:
-            with open(log, "rb") as handle:
+        def parse(path: Path = log) -> FixTable:
+            with open(path, "rb") as handle:
                 return parse_gps_log(handle, cfg)[0]
 
         fixes = parse()
         result = filter_pipeline(fixes, survey, cfg)
         write_fixes(fixes_csv, fixes, {})
+        write_clean_fixes(clean_csv, result.clean_fixes, {})
+        crlf = {}
+        for path in (log, fixes_csv, clean_csv):
+            crlf[path] = path.with_name(f"crlf_{path.name}")
+            crlf[path].write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         counts = result.counts
         print(
             f"users={args.users} days={args.days} fixes={len(fixes)} accurate={counts['accurate']} "
@@ -111,9 +122,13 @@ def main() -> None:
             "write_fixes": lambda: write_fixes(fixes_csv, fixes, {}),
             "write_clean_fixes": lambda: write_clean_fixes(clean_csv, result.clean_fixes, {}),
             "read_fixes": lambda: read_fixes(fixes_csv),
+            "read_clean_fixes": lambda: read_clean_fixes(clean_csv),
+            "parse_gps_log crlf": lambda: parse(crlf[log]),
+            "read_fixes crlf": lambda: read_fixes(crlf[fixes_csv]),
+            "read_clean_fixes crlf": lambda: read_clean_fixes(crlf[clean_csv]),
         }
         for name, call in calls.items():
-            print(f"{name:<18} {median_s(call, args.repeat) * 1000:9.1f} ms")
+            print(f"{name:<21} {median_s(call, args.repeat) * 1000:9.1f} ms")
 
 
 if __name__ == "__main__":

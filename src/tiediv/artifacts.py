@@ -34,21 +34,22 @@ meta lines before the header and read the rest with ingest's
 and from the first block that is not plain (a cell the writer quoted,
 or a file whose line ends were changed to "\\r\\n"), csv reads the rest,
 so a row ends only where csv would end it. Each column comes as ingest's
-`Cells`, the byte ranges of its cells. They parse every
-row and raise ValueError naming the artifact, the data row and the
-reason on a malformed cell, a row of the wrong width or a row csv
-cannot parse, and the artifact and the byte's offset in the file on a
-byte that is not UTF-8. `read_fixes` and `read_survey` hand their
-columns to the converters ingest uses (`convert_gps`, `convert_survey`),
-so a staged run reads a cell into the same value by the same checks as
-ingest did. `read_clean_fixes` reads the cells in the layout its writer
-writes from their bytes: a `repr` lat or lon of at most 15 digits by
-ingest's `exact_floats`, a slot by `exact_ints`, a `YYYY-MM-DD` day by
-`iso_days`; any other cell is decoded and parsed by numpy's float
-parse, `int` or `date.fromisoformat`. The other readers decode their
-columns and convert them whole. A reader looks for the bad cell only
-when a conversion fails; `read_clean_fixes` then range-checks each slot
-and position (`first_out_of_range`).
+`Cells`, the byte ranges of its cells. A row of the wrong width or one
+csv cannot parse raises ValueError naming the artifact and the data
+row, and a byte that is not UTF-8 one naming the artifact and the
+byte's offset in the file.
+
+Each reader hands every chunk of columns to its artifact's converter
+(`_converted`), which converts the cells by ingest's `column_values` or
+`_bulk` and checks the rows by one ordered list (`ingest._passing`); the
+reader raises ValueError naming the artifact, the first data row that
+fails a check, and the reason ('column: error' for a cell that does not
+parse). `fixes.csv` and `survey.csv` use ingest's own `convert_gps` and
+`convert_survey`. The other lists check that each cell parses, then
+`clean_fixes.csv` the ranges `detect_encounters` checks
+(`preprocess.clean_fix_checks`), `encounters.csv` the slot range and
+that its pair is in `pairs.csv`, and `pairs.csv` that `n_common_days`
+counts the `common_days`.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ import io
 from contextlib import contextmanager
 from datetime import date
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Container, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,19 +77,23 @@ from .ingest import (
     RejectionReport,
     SurveyRecord,
     TextColumn,
+    _bulk,
     _iso_us,
+    _passing,
     civil_from_days,
+    column_values,
     convert_gps,
     convert_survey,
     exact_floats,
     exact_ints,
     gc_paused,
+    int64_cell,
     iso_days,
     split_rows,
     timestamps_us,
     utf8_text,
 )
-from .preprocess import CleanTable, epoch_day, first_out_of_range
+from .preprocess import CleanTable, clean_fix_checks, day_of, epoch_day, slot_check
 
 # joins the items of a tuple cell: `pairs.csv` common_days, `subgroups.csv` outliers
 _ITEM_SEP = "|"
@@ -313,30 +319,6 @@ def _column_chunks(path: str | Path, names: Sequence[str]) -> Iterator[tuple[int
             first += len(data)
 
 
-@contextmanager
-def _cells_named(
-    path: str | Path,
-    first: int,
-    cells: Mapping[str, Iterable[str]],
-    parsers: Mapping[str, Callable[[str], object]],
-) -> Iterator[None]:
-    """On a ValueError in the block, find the first cell its column's parser rejects.
-
-    Raises ValueError naming the artifact, the row and the column. Only
-    the failure path looks at single cells.
-    """
-    try:
-        yield
-    except ValueError:
-        for i, row in enumerate(zip(*(cells[name] for name in parsers))):
-            for name, parse, cell in zip(parsers, parsers.values(), row):
-                try:
-                    parse(cell)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: data row {first + i}: {name}: {exc}") from None
-        raise
-
-
 # "00" to "99" as a (2, 100) byte matrix: column k holds the two digits of k
 _DIGIT_PAIRS = np.array([list(f"{k:02d}".encode()) for k in range(100)], dtype=np.uint8).T.copy()
 # `isoformat()` of a UTC instant with microseconds, then ",\n"; and the bytes
@@ -401,8 +383,8 @@ def _float_cells(values: np.ndarray, end: str = ",") -> list[str]:
 def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> list:
     """`convert(row_nos, cells, report)` of each chunk of the named columns.
 
-    Raises ValueError naming the artifact, the row and the reason if
-    `convert` rejects a row.
+    Raises ValueError naming the artifact, the first row `convert`
+    rejects and its reason.
     """
     chunks, report = [], RejectionReport()
     for first, cells in _column_chunks(path, names):
@@ -457,8 +439,7 @@ def write_survey(
 
 def read_survey(path: str | Path) -> list[SurveyRecord]:
     """The records of `survey.csv`, checked and converted as ingest converts a survey."""
-    chunks = _converted(path, SURVEY_COLUMNS, convert_survey)
-    return [record for chunk in chunks for record in chunk]
+    return list(chain.from_iterable(_converted(path, SURVEY_COLUMNS, convert_survey)))
 
 
 CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
@@ -492,51 +473,40 @@ def _epoch_day(text: str) -> int:
     return epoch_day(date.fromisoformat(text))
 
 
-def _fast_column(
-    cells: Cells,
-    fast: Callable[[Cells], tuple[np.ndarray, np.ndarray]],
-    convert: Callable[[list[str]], Sequence],
-) -> np.ndarray:
-    """`fast`'s values of the cells on its fast path, and `convert` of the texts of the others."""
-    values, ok = fast(cells)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        values[rest] = np.asarray(convert(cells.texts(rest)), dtype=values.dtype)
-    return values
+def _column(
+    cells: Mapping[str, Cells], name: str, fast: Callable, parse: Callable
+) -> tuple[np.ndarray, tuple[np.ndarray, dict[int, str]]]:
+    """`column_values` of the named column, and its check: the rows it rejects, as 'name: error'."""
+    values, ok, reasons = column_values(cells[name], fast, parse)
+    return values, (~ok, {i: f"{name}: {reason}" for i, reason in reasons.items()})
 
 
-_numpy_floats = partial(np.array, dtype=np.float64)
+def _dates(days: np.ndarray) -> list[date]:
+    """The date of each epoch day, one `date` per distinct day."""
+    distinct, inverse = np.unique(days, return_inverse=True)
+    return np.array(list(map(day_of, distinct.tolist())), dtype=object)[inverse.reshape(-1)].tolist()
 
 
-def _epoch_days(texts: list[str]) -> list[int]:
-    days = {text: _epoch_day(text) for text in set(texts)}
-    return [days[text] for text in texts]
+def _convert_clean_fixes(
+    row_nos: Sequence[int], cells: Mapping[str, Cells], report: RejectionReport
+) -> CleanTable:
+    """A chunk of `clean_fixes.csv`; a row that fails goes to `report`."""
+    day, day_parse = _column(cells, "day", iso_days, _epoch_day)
+    slot, slot_parse = _column(cells, "slot", exact_ints, int64_cell)
+    lat, lat_parse = _column(cells, "lat", exact_floats, float)
+    lon, lon_parse = _column(cells, "lon", exact_floats, float)
+    _passing(row_nos, [day_parse, slot_parse, lat_parse, lon_parse, *clean_fix_checks(slot, lat, lon)], report)
+    return CleanTable(user=cells["user_id"].text_column(), day=day, slot=slot, lat=lat, lon=lon)
 
 
 def read_clean_fixes(path: str | Path) -> CleanTable:
     """The fixes of `clean_fixes.csv`.
 
-    Raises ValueError naming the artifact and the data row for a cell
-    that does not parse, a slot outside 0..287, or a lat or lon that
-    ingest would reject as out of range.
+    Raises ValueError naming the artifact and the first data row with a
+    cell that does not parse, a slot outside 0..287, or a lat or lon
+    that ingest would reject as out of range.
     """
-    chunks = []
-    parsers = {"day": _epoch_day, "slot": int, "lat": float, "lon": float}
-    for first, cells in _column_chunks(path, CLEAN_FIX_COLUMNS):
-        with _cells_named(path, first, cells, parsers):
-            table = CleanTable(
-                user=cells["user_id"].text_column(),
-                day=_fast_column(cells["day"], iso_days, _epoch_days),
-                slot=_fast_column(cells["slot"], exact_ints, lambda texts: list(map(int, texts))),
-                lat=_fast_column(cells["lat"], exact_floats, _numpy_floats),
-                lon=_fast_column(cells["lon"], exact_floats, _numpy_floats),
-            )
-        out_of_range = first_out_of_range(table.slot, table.lat, table.lon)
-        if out_of_range:
-            i, reason = out_of_range
-            raise ValueError(f"{path}: data row {first + i}: {reason}")
-        chunks.append(table)
-    return CleanTable.concat(chunks)
+    return CleanTable.concat(_converted(path, CLEAN_FIX_COLUMNS, _convert_clean_fixes))
 
 
 VALID_DAY_COLUMNS = ("user_id", "day")
@@ -549,13 +519,19 @@ def write_valid_days(
     return write_table(path, meta, VALID_DAY_COLUMNS, rows)
 
 
+def _convert_valid_days(
+    row_nos: Sequence[int], cells: Mapping[str, Cells], report: RejectionReport
+) -> Iterator[tuple]:
+    """(user, day) of each row of a chunk of `valid_days.csv`; a row that fails goes to `report`."""
+    day, day_parse = _column(cells, "day", iso_days, _epoch_day)
+    _passing(row_nos, [day_parse], report)
+    return zip(cells["user_id"].texts(), _dates(day))
+
+
 def read_valid_days(path: str | Path) -> dict[str, tuple[date, ...]]:
     days_by_user: dict[str, list[date]] = {}
-    for first, cells in _column_chunks(path, VALID_DAY_COLUMNS):
-        with _cells_named(path, first, cells, {"day": date.fromisoformat}):
-            days = list(map(date.fromisoformat, cells["day"]))
-        for user, day in zip(cells["user_id"], days):
-            days_by_user.setdefault(user, []).append(day)
+    for user, day in chain.from_iterable(_converted(path, VALID_DAY_COLUMNS, _convert_valid_days)):
+        days_by_user.setdefault(user, []).append(day)
     return {user: tuple(sorted(days)) for user, days in days_by_user.items()}
 
 
@@ -587,27 +563,45 @@ def _common_days(text: str) -> tuple[date, ...]:
     return tuple(date.fromisoformat(part) for part in text.split(_ITEM_SEP) if part)
 
 
+def _convert_pairs(
+    row_nos: Sequence[int], cells: Mapping[str, Cells], report: RejectionReport
+) -> Iterator[tuple]:
+    """(pair, common days) of each row of a chunk of `pairs.csv`; a row that fails goes to `report`."""
+    count, count_parse = _column(cells, "n_common_days", exact_ints, int64_cell)
+    days, days_ok, reasons = _bulk(_common_days, cells["common_days"].texts(), ())
+    counted = np.fromiter(map(len, days), np.int64, len(days))
+    _passing(row_nos, [
+        count_parse,
+        (~days_ok, {i: f"common_days: {reason}" for i, reason in reasons.items()}),
+        (count != counted, "n_common_days does not match common_days"),
+    ], report)
+    return zip(zip(cells["user_lo"].texts(), cells["user_hi"].texts()), days)
+
+
+def _convert_encounters(
+    row_nos: Sequence[int],
+    cells: Mapping[str, Cells],
+    report: RejectionReport,
+    pairs: Container[tuple[str, str]],
+) -> list[Encounter]:
+    """The encounters of a chunk of `encounters.csv`; a row that fails goes to `report`."""
+    day, day_parse = _column(cells, "day", iso_days, _epoch_day)
+    slot, slot_parse = _column(cells, "slot", exact_ints, int64_cell)
+    lo, hi = cells["user_lo"].texts(), cells["user_hi"].texts()
+    unknown = [pair not in pairs for pair in zip(lo, hi)]
+    named = {i: f"encounter for unknown pair {(lo[i], hi[i])}" for i in np.flatnonzero(unknown).tolist()}
+    _passing(row_nos, [day_parse, slot_parse, slot_check(slot), (unknown, named)], report)
+    columns = (lo, hi, _dates(day), slot.tolist(), cells["cell"].texts())
+    return list(map(tuple.__new__, repeat(Encounter), zip(*columns)))
+
+
 def read_encounter_sets(
     encounters_path: str | Path, pairs_path: str | Path
 ) -> dict[tuple[str, str], EncounterSet]:
     """Rebuild per-pair encounter sets from the two interchange files."""
-    common: dict[tuple[str, str], tuple[date, ...]] = {}
-    for first, cells in _column_chunks(pairs_path, PAIR_COLUMNS):
-        with _cells_named(pairs_path, first, cells, {"common_days": _common_days}):
-            days = list(map(_common_days, cells["common_days"]))
-        common.update(zip(zip(cells["user_lo"], cells["user_hi"]), days))
-
+    common = dict(chain.from_iterable(_converted(pairs_path, PAIR_COLUMNS, _convert_pairs)))
     by_pair: dict[tuple[str, str], list[Encounter]] = {pair: [] for pair in common}
-    parsers = {"day": date.fromisoformat, "slot": int}
-    for first, cells in _column_chunks(encounters_path, ENCOUNTER_COLUMNS):
-        with _cells_named(encounters_path, first, cells, parsers):
-            days = list(map(date.fromisoformat, cells["day"]))
-            slots = list(map(int, cells["slot"]))
-        rows = zip(cells["user_lo"], cells["user_hi"], days, slots, cells["cell"])
-        for row_no, (lo, hi, day, slot, cell) in enumerate(rows, first):
-            if (lo, hi) not in by_pair:
-                raise ValueError(
-                    f"{encounters_path}: data row {row_no}: encounter for unknown pair {(lo, hi)}"
-                )
-            by_pair[lo, hi].append(Encounter(user_lo=lo, user_hi=hi, day=day, slot=slot, cell=cell))
+    encounters = _converted(encounters_path, ENCOUNTER_COLUMNS, partial(_convert_encounters, pairs=common))
+    for encounter in chain.from_iterable(encounters):
+        by_pair[encounter[:2]].append(encounter)
     return {pair: EncounterSet(common[pair], tuple(by_pair[pair])) for pair in sorted(common)}

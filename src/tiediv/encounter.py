@@ -49,8 +49,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .geo import _RECHECK_REL, EARTH_RADIUS_M, geohash_encode_many, within_m
-from .ingest import CHUNK_ROWS, gc_paused
-from .preprocess import SLOTS_PER_DAY, CleanTable, epoch_day, first_out_of_range
+from .ingest import CHUNK_ROWS, RejectionReport, _passing, gc_paused
+from .preprocess import SLOTS_PER_DAY, CleanTable, clean_fix_checks, epoch_day
 
 GEOHASH_LENGTH = 8
 DEFAULT_THRESHOLD_M = 50.0
@@ -140,8 +140,9 @@ def detect_encounters(
     2 asin(sin(T/2R) / cos phi_max) rad wide, so no two fixes within
     threshold_m of each other are ever more than one cell apart. Raises
     ValueError for a threshold that is not positive and finite, for a
-    min_common_days below 1, and for a fix in play whose slot is outside
-    0..287 or whose position is off the globe.
+    min_common_days below 1, and for a fix in play that fails
+    `preprocess.clean_fix_checks` (a slot outside 0..287, a position off
+    the globe), naming the first such row of the table.
     """
     check_threshold(threshold_m)
     check_min_common_days(min_common_days)
@@ -301,10 +302,10 @@ def _in_play(
     known[known] = day_values[day[known]] == fixes.day[rows[known]]
     known[known] = on_day[user[known], day[known]]
     rows, user, day = rows[known], user[known], day[known]
-    out_of_range = first_out_of_range(fixes.slot[rows], fixes.lat[rows], fixes.lon[rows])
-    if out_of_range:
-        i, reason = out_of_range
-        raise ValueError(f"clean fix {rows[i]}: {reason}")
+    report = RejectionReport()
+    _passing(rows.tolist(), clean_fix_checks(fixes.slot[rows], fixes.lat[rows], fixes.lon[rows]), report)
+    if report.entries:
+        raise ValueError("clean fix %d: %s" % min(report.entries))
     n = len(on_day)
     key = (day * SLOTS_PER_DAY + fixes.slot[rows]) * n + user
     order = np.argsort(key, kind="stable")

@@ -58,13 +58,15 @@ Timestamps in these shapes are parsed in bulk:
 Cells in other shapes, and cells holding a byte outside ASCII, are
 decoded and go to `parse_timestamp` one at a time.
 
-Each table's rules are one ordered list of column checks (`convert_gps`,
-`convert_survey`): a mask of the rows that fail the check, and the
-reason. A rejected row gets the reason of the first check it fails; a
-timestamp's reason is the text of the error `parse_timestamp` raised.
-The staged artifact readers convert their columns with the same two
-functions, so how a cell becomes a value is decided here only. The
-table iterates as `RawFix` rows.
+A column of numbers, days or timestamps is converted by `column_values`:
+a byte reader takes the cells it can, and one `_bulk` map of a Python
+parser the others, keeping each error's text. Each table's rules are one
+ordered list of column checks (`_passing`): a mask of the rows that fail
+the check, and the reason. A rejected row gets the reason of the first
+check it fails; a timestamp's reason is the text of the error
+`parse_timestamp` raised. The staged artifact readers convert and check
+their cells the same way, so how a cell becomes a value is decided here
+only. The table iterates as `RawFix` rows.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, islice
 from math import isfinite
 from operator import iadd
@@ -598,19 +600,13 @@ def timestamps_us(
     """Epoch microseconds of timestamp cells, which cells parse, and why the others do not.
 
     Shapes `bulk_timestamps_us` knows are parsed in bulk, the others by
-    `parse_timestamp` one at a time.
+    `parse_timestamp` (`column_values`).
     """
-    cells = cells if isinstance(cells, Cells) else Cells.of(cells)
-    t_us, ok = bulk_timestamps_us(cells, naive_utc_offset_minutes)
-    reasons = {}
-    rest = np.flatnonzero(~ok)
-    for i, text in zip(rest.tolist(), cells.texts(rest)):
-        try:
-            t_us[i] = to_epoch_us(parse_timestamp(text, naive_utc_offset_minutes))
-            ok[i] = True
-        except ValueError as exc:
-            reasons[i] = str(exc)
-    return t_us, ok, reasons
+    return column_values(
+        cells if isinstance(cells, Cells) else Cells.of(cells),
+        lambda cells: bulk_timestamps_us(cells, naive_utc_offset_minutes),
+        lambda text: to_epoch_us(parse_timestamp(text, naive_utc_offset_minutes)),
+    )
 
 
 # --- numbers from their bytes ------------------------------------------------
@@ -745,6 +741,14 @@ def exact_ints(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
     return np.where(number.negative, -number.mantissa, number.mantissa), number.ok & (number.fraction < 0)
 
 
+def int64_cell(text: str) -> int:
+    """`int(text)`, if it fits an int64 column; else ValueError."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} does not fit an int64")
+    return value
+
+
 # --- the line splitter -------------------------------------------------------
 
 
@@ -837,9 +841,9 @@ def split_rows(handle: BinaryIO, delimiter: str, line: int = 1) -> Iterator[Rows
     (`_csv_chunks`). A decode error names the offset of the bad byte in
     the handle.
     """
-    offset = handle.tell()
+    offset, blocks = handle.tell(), _line_blocks(handle)
     if len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n':
-        for block in _line_blocks(handle):
+        for block in blocks:
             if b'"' in block or b"\r" in block or b"\0" in block:
                 break
             chars = np.frombuffer(block, np.uint8)
@@ -873,55 +877,49 @@ def split_rows(handle: BinaryIO, delimiter: str, line: int = 1) -> Iterator[Rows
             offset, line = offset + len(block), line + len(ends)
         else:
             return
-        handle.seek(offset)  # back to the start of the block that is not plain
-    yield from _csv_chunks(handle, delimiter, line)
+        blocks = chain([block], blocks)  # csv reads on from the block that is not plain
+    yield from _csv_chunks(blocks, offset, delimiter, line)
 
 
-def _csv_chunks(handle: BinaryIO, delimiter: str, line: int) -> Iterator[Rows]:
-    """The rows of the rest of `handle`, as csv reads them, in chunks; `line` numbers the first line.
+def _csv_chunks(blocks: Iterable[bytes], offset: int, delimiter: str, line: int) -> Iterator[Rows]:
+    """The rows of blocks of whole lines from `offset` in the handle, as csv reads them, in chunks.
 
-    Each chunk's cells are encoded into one buffer.
+    `line` numbers the first line. Each chunk's cells are encoded into one
+    buffer. A row with a cell over csv's field limit fails with csv's
+    reason; rows are searched for it only when the chunk's longest cell is.
     """
-    lines = _TextLines(handle)
-    rows = csv.reader(lines, delimiter=delimiter)
-    while chunk := _csv_rows(rows, line - 1, lines):
+    limit = csv.field_size_limit()
+    rows = csv.reader(_text_lines(blocks, offset), delimiter=delimiter)
+    while chunk := _csv_rows(rows, line - 1):
         cells, line_nos, failed = chunk
+        flat = reduce(iadd, cells, [])
+        if max(map(len, flat), default=0) > limit:
+            for i, row in enumerate(cells):
+                if any(len(cell) > limit for cell in row):
+                    failed[i], cells[i] = f"field larger than field limit ({limit})", []
+            flat = reduce(iadd, cells, [])
         widths = np.fromiter(map(len, cells), np.int64, len(cells))
         line_nos = np.fromiter(line_nos, np.int64, len(line_nos))
-        yield Rows(line_nos, widths, np.cumsum(widths) - widths, Cells.of(reduce(iadd, cells, [])), failed)
+        yield Rows(line_nos, widths, np.cumsum(widths) - widths, Cells.of(flat), failed)
         if len(cells) < CHUNK_ROWS:
             return
 
 
-class _TextLines:
-    """The rest of a handle as lines of text for csv, as in `newline=''` mode.
+def _text_lines(blocks: Iterable[bytes], offset: int) -> Iterator[str]:
+    """Blocks of whole lines, from `offset` in the handle, as lines of text for csv.
 
-    A line ends at "\\r\\n", "\\r" or "\\n". A block of whole lines ends
-    after a "\\n", so no "\\r\\n" is split between blocks. A block is
+    Lines end as in `newline=''` mode: at "\\r\\n", "\\r" or "\\n". A block
+    ends after a "\\n", so no "\\r\\n" is split between blocks. A block is
     split by `str.splitlines` unless it holds a character splitlines also
-    breaks at. A row on one line can hold a cell over csv's field limit
-    only if the line is longer than the limit, and so covers a whole
-    window of half the limit's bytes, counted from the block's start,
-    with no "\\n". `long` turns true before the lines of the first block
-    with such a window are read.
+    breaks at.
     """
-
-    def __init__(self, handle: BinaryIO) -> None:
-        self.handle, self.window, self.long = handle, max(csv.field_size_limit() // 2, 1), False
-
-    def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(self._blocks())
-
-    def _blocks(self) -> Iterator[Iterable[str]]:
-        offset, w = self.handle.tell(), self.window
-        for block in _line_blocks(self.handle):
-            self.long = self.long or any(block.find(b"\n", i, i + w) < 0 for i in range(0, len(block), w))
-            text = utf8_text(block, offset)
-            if any(end in text for end in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
-                yield io.StringIO(text, newline="")
-            else:
-                yield text.splitlines(True)
-            offset += len(block)
+    for block in blocks:
+        text = utf8_text(block, offset)
+        if any(end in text for end in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+            yield from io.StringIO(text, newline="")
+        else:
+            yield from text.splitlines(True)
+        offset += len(block)
 
 
 def _line_ends(cell: str) -> int:
@@ -930,19 +928,17 @@ def _line_ends(cell: str) -> int:
 
 
 def _csv_rows(
-    rows: Iterator[list[str]], before: int, lines: _TextLines
+    rows: Iterator[list[str]], before: int
 ) -> tuple[list[list[str]], list[int], dict[int, str]] | None:
     """The next CHUNK_ROWS rows of a csv reader, the line each starts on, and the rows it failed on.
 
     `before` is the number of the line before the reader's first, and
     None stands for no more rows. A row whose quoted cells hold k line
-    ends spans k + 1 lines. csv's field limit is lifted while parsing,
-    so an oversized quoted cell is read whole, line breaks and all; its
-    row then fails with csv's reason. Only a row that spans lines, or
-    any row once `lines` has read a line longer than the limit, can hold
-    such a cell, so only then are the chunk's rows numbered and searched
-    one at a time. A row that fails, or that csv cannot parse, stands in
-    the chunk as [], and the third value maps its index to the reason.
+    ends spans k + 1 lines; only when some row does are the rows
+    numbered one at a time. csv's field limit is lifted while parsing,
+    so an oversized quoted cell is read whole, line breaks and all. A
+    row that csv cannot parse stands in the chunk as [], and the third
+    value maps its index to csv's reason.
     """
     chunk: list[list[str]] = []
     line_nos: list[int] = []
@@ -956,15 +952,11 @@ def _csv_rows(
                 error = None
             except csv.Error as exc:
                 error = str(exc)
-            if error is None and not lines.long and before + rows.line_num - line + 1 == len(chunk) - at:
+            if error is None and before + rows.line_num - line + 1 == len(chunk) - at:
                 line_nos.extend(range(line, before + rows.line_num + 1))
             else:
-                for i in range(at, len(chunk)):
-                    cells = chunk[i]
+                for cells in chunk[at:]:
                     line_nos.append(line)
-                    if any(len(cell) > limit for cell in cells):
-                        failed[i] = f"field larger than field limit ({limit})"
-                        chunk[i] = []
                     line += 1 + sum(map(_line_ends, cells))
             if error is None:
                 return (chunk, line_nos, failed) if chunk else None
@@ -1107,37 +1099,48 @@ def _passing(
     return ok
 
 
-def _bulk(convert: Callable[[str], object], cells: Sequence[str]) -> tuple[list, np.ndarray]:
-    """`convert` of each cell, and which cells it accepts; a rejected cell gets None.
+def _bulk(
+    convert: Callable[[str], object], cells: Sequence[str], missing: object = None
+) -> tuple[list, np.ndarray, dict[int, str]]:
+    """`convert` of each cell, which cells it accepts, and the error text of each it rejects.
 
-    One `map` converts the cells; after a cell it rejects, it goes on
-    with the next.
+    A rejected cell gets `missing`. One `map` converts the cells; after
+    a cell it rejects, it goes on with the next.
     """
     values: list = []
     ok = np.ones(len(cells), dtype=bool)
+    reasons: dict[int, str] = {}
     rest = iter(cells)
     while True:
         try:
             values.extend(map(convert, rest))  # keeps the values before a rejected cell
-            return values, ok
-        except ValueError:
-            ok[len(values)] = False
-            values.append(None)
+            return values, ok, reasons
+        except ValueError as exc:
+            ok[len(values)], reasons[len(values)] = False, str(exc)
+            values.append(missing)
 
 
-def _floats(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
-    """`float` of each cell, and which cells it accepts; a rejected cell gets NaN.
+def column_values(
+    cells: Cells,
+    fast: Callable[[Cells], tuple[np.ndarray, np.ndarray]],
+    parse: Callable[[str], object],
+    missing: object = 0,
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """The value of each cell, which cells parse, and the error text of each that does not.
 
-    `exact_floats` reads the cells on its fast path from their bytes;
-    the others are decoded and read by `float`.
+    `fast` (`exact_floats`, `exact_ints`, `iso_days`, `bulk_timestamps_us`)
+    reads the cells it marks from their bytes, as `parse` would; the others
+    are decoded and go to `parse` through one `_bulk` map. A rejected cell
+    gets `missing`.
     """
-    values, fast = exact_floats(cells)
-    ok = np.ones(len(cells), dtype=bool)
-    rest = np.flatnonzero(~fast)
-    if rest.size:
-        slow, ok[rest] = _bulk(float, cells.texts(rest))
-        values[rest] = np.array(slow, dtype=np.float64)  # numpy reads a None as NaN
-    return values, ok
+    values, ok = fast(cells)
+    rest = np.flatnonzero(~ok)
+    values[rest], ok[rest], reasons = _bulk(parse, cells.texts(rest), missing)
+    return values, ok, {int(rest[i]): reason for i, reason in reasons.items()}
+
+
+# `float` of each cell, which cells it accepts, and why not; a rejected cell gets NaN
+_floats = partial(column_values, fast=exact_floats, parse=float, missing=np.nan)
 
 
 def _text_column(cells: Cells, convert: Callable[[str], str]) -> tuple[TextColumn, np.ndarray]:
@@ -1146,7 +1149,7 @@ def _text_column(cells: Cells, convert: Callable[[str], str]) -> tuple[TextColum
     `convert` is called once per distinct cell. A rejected cell gets ''.
     """
     raw = cells.text_column()
-    texts, ok = _bulk(convert, raw.values)
+    texts, ok, _ = _bulk(convert, raw.values)
     converted = TextColumn.of([text if good else "" for text, good in zip(texts, ok.tolist())])
     return TextColumn(converted.codes[raw.codes], converted.values), ok[raw.codes]
 
@@ -1173,9 +1176,9 @@ def convert_gps(
     """The rows of one chunk of GPS columns that pass the checks; the others go to `report`."""
     blank = Cells.of([""] * len(line_nos))
     t_us, time_ok, time_reasons = timestamps_us(columns["timestamp"], naive_utc_offset_minutes)
-    lat, lat_ok = _floats(columns["lat"])
-    lon, lon_ok = _floats(columns["lon"])
-    accuracy, accuracy_ok = _floats(columns["accuracy"])
+    lat, lat_ok, _ = _floats(columns["lat"])
+    lon, lon_ok, _ = _floats(columns["lon"])
+    accuracy, accuracy_ok, _ = _floats(columns["accuracy"])
     user, _ = _text_column(columns["user_id"], str.strip)
     elevation, elevation_ok = _text_column(columns.get("elevation", blank), _canonical(float))
     satellites, satellites_ok = _text_column(columns.get("satellites", blank), _canonical(int))
@@ -1211,8 +1214,8 @@ def convert_survey(
     """The rows of one chunk of survey columns that pass the checks; the others go to `report`."""
     raters = [cell.strip() for cell in columns["rater_id"]]
     ratees = [cell.strip() for cell in columns["ratee_id"]]
-    closeness, closeness_ok = _bulk(int, columns["closeness_raw"].texts())
-    proximity, proximity_ok = _bulk(int, columns["proximity_raw"].texts())
+    closeness, closeness_ok, _ = _bulk(int, columns["closeness_raw"].texts())
+    proximity, proximity_ok, _ = _bulk(int, columns["proximity_raw"].texts())
     ok = _passing(line_nos, [
         ([not (a and b) for a, b in zip(raters, ratees)], "empty rater/ratee id"),
         (list(map(str.__eq__, raters, ratees)), "self-rating"),

@@ -61,13 +61,14 @@ class CleanTable(ColumnTable):
     lon: np.ndarray
 
 
-def first_out_of_range(
-    slot: np.ndarray, lat: np.ndarray, lon: np.ndarray
-) -> tuple[int, str] | None:
-    """The first clean fix with a slot outside 0..287 or a position ingest rejects, and why."""
-    checks = [(~((slot >= 0) & (slot < SLOTS_PER_DAY)), "slot out of range"), *position_checks(lat, lon)]
-    failures = [(int(np.argmax(failing)), reason) for failing, reason in checks if failing.any()]
-    return min(failures, key=lambda failure: failure[0], default=None)
+def slot_check(slot: np.ndarray) -> tuple[np.ndarray, str]:
+    """The range check of a slot: (mask of the rows outside 0..287, reason)."""
+    return ~((slot >= 0) & (slot < SLOTS_PER_DAY)), "slot out of range"
+
+
+def clean_fix_checks(slot: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """The range checks of a clean fix, in order: its slot, then its position as ingest checks it."""
+    return [slot_check(slot), *position_checks(lat, lon)]
 
 
 @dataclass

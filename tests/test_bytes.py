@@ -47,6 +47,15 @@ def float_bits(text: str) -> bytes | None:
         return None
 
 
+def float_error(text: str) -> str | None:
+    """The text of the ValueError `float(text)` raises, or None."""
+    try:
+        float(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @st.composite
 def decimal_texts(draw) -> str:
     """`[sign]digits[.digits]` with 0 to 25 digits, some with a suffix `float` may read."""
@@ -95,18 +104,20 @@ def test_fast_floats_are_python_floats(texts):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(FLOAT_TEXTS, max_size=40))
 def test_float_columns_read_as_python_float(texts):
-    values, ok = _floats(Cells.of(texts))
+    values, ok, reasons = _floats(Cells.of(texts))
     for text, value, good in zip(texts, values.tolist(), ok.tolist()):
         expected = float_bits(text)
         assert good == (expected is not None), text
         assert struct.pack("<d", value) == (expected or struct.pack("<d", float("nan"))), text
+    assert reasons == {i: float_error(text) for i, text in enumerate(texts) if float_error(text)}
 
 
 def test_edge_floats_one_by_one():
     # each edge alone in its buffer: its bytes lie next to the padding
     for text in EDGE_FLOATS:
-        values, ok = _floats(Cells.of([text]))
+        values, ok, reasons = _floats(Cells.of([text]))
         assert (struct.pack("<d", values[0]) if ok[0] else None) == float_bits(text), text
+        assert reasons.get(0) == float_error(text), text
 
 
 @settings(max_examples=200, deadline=None)

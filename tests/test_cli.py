@@ -383,7 +383,13 @@ class TestStageErrors:
             ("clean_fixes.csv", "lat", "90.5", "lat out of range"),
             ("clean_fixes.csv", "lon", "500", "lon out of range"),
             ("clean_fixes.csv", "lon", "180.0", "lon out of range"),
+            ("clean_fixes.csv", "slot", "9" * 20, f"slot: '{'9' * 20}' does not fit an int64"),
             ("encounters.csv", "slot", "x", "slot: invalid literal for int() with base 10: 'x'"),
+            ("encounters.csv", "slot", "-1", "slot out of range"),
+            ("encounters.csv", "slot", "999", "slot out of range"),
+            ("pairs.csv", "n_common_days", "9", "n_common_days does not match common_days"),
+            ("pairs.csv", "n_common_days", "x", "n_common_days: invalid literal for int() with base 10: 'x'"),
+            ("pairs.csv", "common_days", "2016-04-01|x", "common_days: Invalid isoformat string: 'x'"),
             ("encounters.csv", "user_lo", "zzz", "encounter for unknown pair ('zzz', 'sch000b')"),
             *(
                 pytest.param(name, "user_id", "x" * 200_000, "field larger than field limit (131072)",
@@ -405,6 +411,22 @@ class TestStageErrors:
         assert run(self.READ_BY[name], "-o", str(outdir)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: data row 2: {reason}\n"
+
+    def test_staged_artifact_reports_its_first_bad_row(self, outdir, capsys):
+        # a range failure in data row 2 comes before a parse failure in data row 3
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / "clean_fixes.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        columns = lines[header].rstrip("\n").split(",")
+        for row, column, cell in ((2, "slot", "999"), (3, "lat", "north")):
+            cells = lines[header + row].rstrip("\n").split(",")
+            cells[columns.index(column)] = cell
+            lines[header + row] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("encounters", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {path}: data row 2: slot out of range\n"
 
     def test_staged_artifacts_without_data_rows(self, outdir, capsys):
         # no fix is accurate to 1 m: clean_fixes.csv and valid_days.csv hold only a header
@@ -498,6 +520,7 @@ class TestStageErrors:
         "clean_fixes.csv": "encounters",
         "valid_days.csv": "encounters",
         "encounters.csv": "features",
+        "pairs.csv": "features",
     }
 
 

@@ -212,6 +212,28 @@ def test_gps_log_switching_to_csv_reads_alike(monkeypatch, block_bytes, change):
         assert calls.calls == 1
 
 
+class Unseekable(io.BytesIO):
+    """A handle that reads on but cannot seek, as a pipe."""
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, ingest.BLOCK_BYTES])
+@pytest.mark.parametrize("change", [quoted, crlf])
+def test_switching_to_csv_never_seeks(monkeypatch, block_bytes, change):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", 5)
+    for k in range(len(GPS_ROWS)):
+        text = change(GPS_ROWS, k)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        expected = [(reader.line_num, row) for row in reader]  # no row spans lines
+        with csv_calls() as calls:
+            chunks = list(split_rows(Unseekable(text.encode()), ","))
+        assert [(int(rows.line_nos[i]), rows.row(i)) for rows in chunks for i in range(len(rows))] == expected, k
+        assert calls.calls == 1
+
+
 def test_survey_switching_to_csv_reads_alike(monkeypatch):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", 30)
     lines = ["rater_id,ratee_id,closeness,proximity", "A,B,5,4", "A,A,3,2", "B,A,0,1", "C,A,9,1", "A,C,2,2"]
