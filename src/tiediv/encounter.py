@@ -303,7 +303,7 @@ def _in_play(
     known[known] = on_day[user[known], day[known]]
     rows, user, day = rows[known], user[known], day[known]
     report = RejectionReport()
-    _passing(rows.tolist(), clean_fix_checks(fixes.slot[rows], fixes.lat[rows], fixes.lon[rows]), report)
+    _passing(rows, clean_fix_checks(fixes.slot[rows], fixes.lat[rows], fixes.lon[rows]), report)
     if report.entries:
         raise ValueError("clean fix %d: %s" % min(report.entries))
     n = len(on_day)
