@@ -22,8 +22,8 @@ line-break character, once per artifact.
 Every writer checks what it formats: a quoted cell must parse back
 through csv to its text, a float, day or slot text must read back as
 the reader reads it to its value's bits, and a time to its instant, by
-the reader's own `_iso_us` on the byte matrix; otherwise it raises
-ValueError naming the artifact. It returns a `Receipt`: the path and
+the reader's own `_iso_us` alone, on the byte matrix; otherwise it
+raises ValueError naming the artifact. It returns a `Receipt`: the path and
 the line ends ("\n") it wrote, one per meta line, header and data row
 plus each inside a cell. `check_written` counts the file's line ends
 against it.
@@ -90,7 +90,6 @@ from .ingest import (
     int64_cell,
     iso_days,
     split_rows,
-    timestamps_us,
     utf8_text,
 )
 from .preprocess import CleanTable, clean_fix_checks, day_of, epoch_day, slot_check
@@ -353,8 +352,8 @@ def _iso_utc_bytes(t_us: np.ndarray) -> np.ndarray:
 def _time_cells(t_us: np.ndarray) -> list[str]:
     """`fixes.csv`'s timestamp cells, `isoformat()` and ",", each checked as the reader reads it.
 
-    `_iso_us` reads back the 25- and 32-byte shapes from the byte matrix,
-    `timestamps_us` any other text; a cell that is not its instant raises ValueError.
+    `_iso_us` reads each cell back from the byte matrix, in its 25- or
+    32-byte shape; a cell that is not its instant raises ValueError.
     """
     chars = _iso_utc_bytes(t_us)
     whole = np.bitwise_or.reduce(chars[_ISO_FRACTION], axis=0) == 0
@@ -363,8 +362,6 @@ def _time_cells(t_us: np.ndarray) -> list[str]:
         rows = np.flatnonzero(rows)
         back[rows], ok[rows] = _iso_us(chars[at].take(rows, axis=1).T, frac, "+", 0)
     cells = chars.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    rest = np.flatnonzero(~ok)
-    back[rest], ok[rest], _ = timestamps_us([cells[i][:-1] for i in rest.tolist()])
     wrong = ~ok | (back != t_us)
     if wrong.any():
         i = int(np.flatnonzero(wrong)[0])

@@ -9,23 +9,24 @@ row, in line order. Both readers share one table reader, which handles
 the header, blank, comment, duplicate-header and short rows, and differ
 only in their column aliases and converters.
 
-The readers take a binary handle to UTF-8 text, in which a leading
-byte-order mark is ignored, and the run's `RunConfig`, whose
-`delimiter` and `naive_utc_offset_minutes` they read. Rows are what
-csv reads in `newline=''` mode: a line ends at "\\r\\n", "\\r" or "\\n",
-whichever the export uses, and a row's number is the line it starts
-on, line ends inside a quoted cell counted.
+The readers take a seekable binary handle to UTF-8 text, in which a
+leading byte-order mark is ignored, and the run's `RunConfig`, whose
+`delimiter` and `naive_utc_offset_minutes` they read. They stream the
+handle in blocks of whole lines and never hold the whole input. Rows
+are what csv reads in `newline=''` mode: a line ends at "\\r\\n", "\\r"
+or "\\n", whichever the export uses, and a row's number is the line it
+starts on, line ends inside a quoted cell counted.
 Text is plain when it holds no '"', "\\r" or NUL and no line longer than
 csv's field limit, and the delimiter is ASCII. Each "\\n"-ended line of
 plain text is one row, `line.split(delimiter)`, or [] if it is empty,
 so `split_rows` splits plain text without csv and without decoding it:
 every cell ends at a delimiter or a line end, so numpy finds each
 cell's byte range, and a chunk of rows hands out its cells as `Cells`,
-byte ranges of one buffer. It reads the text in blocks of whole lines;
-from the first block that is not plain, csv reads the rest, and each
-chunk of csv's cells is encoded into one buffer. A decode error gives
-the offset of the bad byte in the file. The staged artifact readers
-split with it too.
+byte ranges of one buffer. A plain block that is not ASCII is decoded
+once, to check that it is UTF-8. From the first block that is not
+plain, csv reads the rest, and each chunk of csv's cells is encoded
+into one buffer. A decode error gives the offset of the bad byte in
+the file. The staged artifact readers split with it too.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -189,8 +190,6 @@ _PAD = 32
 _PADDING = bytes(_PAD)
 # a text cell of at most this many bytes is coded as one uint64
 _CODE_BYTES = 8
-# cells of at most this many bytes in all are decoded together (`Cells.texts`)
-_GATHER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,25 +236,8 @@ class Cells:
         return np.lib.stride_tricks.sliding_window_view(self.chars(), width)[at]
 
     def texts(self, rows: np.ndarray | None = None) -> list[str]:
-        """The texts of the cells (of `rows`, an index array, if given).
-
-        Up to `_GATHER_BYTES` bytes of cells are gathered into one buffer,
-        a "\\n" after each, which is decoded once and split; the gather
-        takes an int64 index per byte. More bytes, and cells holding a
-        "\\n" (only csv reads them), are decoded one cell at a time.
-        """
+        """The texts of the cells (of `rows`, an index array, if given), each decoded alone."""
         cells = self if rows is None else self.take(rows)
-        if not len(cells):
-            return []
-        sizes = cells.ends - cells.starts + 1
-        stops = np.cumsum(sizes)
-        if stops[-1] <= _GATHER_BYTES:
-            buffer = self.chars()[np.arange(stops[-1]) + np.repeat(cells.starts - (stops - sizes), sizes)]
-            buffer[stops - 1] = ord("\n")
-            texts = buffer.tobytes().decode("utf-8", "surrogatepass").split("\n")
-            if len(texts) == len(cells) + 1:
-                del texts[-1]
-                return texts
         return [
             self.data[a:b].decode("utf-8", "surrogatepass")
             for a, b in zip(cells.starts.tolist(), cells.ends.tolist())
@@ -430,6 +412,8 @@ _ISO_SHAPES = tuple((frac, zone) for frac in (0, 3, 6) for zone in ("Z", "+", ""
 _DATE_TIME_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
 _DATE_TIME_SEPARATORS = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# the first and last UTC instants `datetime` holds, in epoch microseconds
+_MIN_US, _MAX_US = (to_epoch_us(t.replace(tzinfo=timezone.utc)) for t in (datetime.min, datetime.max))
 
 
 def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
@@ -490,8 +474,8 @@ def _iso_us(
     """Epoch microseconds and validity of rows of one fixed ISO shape.
 
     `chars` holds one ASCII timestamp per row as a uint8 matrix. A row is
-    valid only if it is a real date and time whose UTC instant lies well
-    inside `datetime`'s range; others are left to `parse_timestamp`.
+    valid only if it is a real date and time whose UTC instant lies in
+    `datetime`'s range; others are left to `parse_timestamp`.
     Naive times are `naive_offset_s` seconds east of UTC.
     """
     chars = np.ascontiguousarray(chars.T)  # a row per character position
@@ -533,7 +517,7 @@ def _iso_us(
 
     year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
     hour, minute, second = number(11, 12), number(14, 15), number(17, 18)
-    ok &= (year >= 2) & (year <= 9998) & _real_date(year, month, day)
+    ok &= (year >= 1) & _real_date(year, month, day)
     ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
     year = np.where(ok, year, 1970)  # keep rejected rows' arithmetic in range
 
@@ -541,12 +525,11 @@ def _iso_us(
     t_us = (days * 86400 + (hour * 3600 + minute * 60 + second - offset_s)) * US_PER_S
     if frac:
         t_us += number(*range(20, 20 + frac)) * 10 ** (6 - frac)
+    ok &= (t_us >= _MIN_US) & (t_us <= _MAX_US)
     return np.where(ok, t_us, 0), ok
 
 
-def bulk_timestamps_us(
-    cells: Cells | Sequence[str], naive_utc_offset_minutes: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def bulk_timestamps_us(cells: Cells, naive_utc_offset_minutes: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Epoch microseconds of the cells in a bulk-parsed shape, and which those are.
 
     Where the mask is True the value equals
@@ -556,7 +539,6 @@ def bulk_timestamps_us(
     of their UTF-8 bytes. Every byte of a bulk shape is ASCII, so a cell
     that is not is left to `parse_timestamp`.
     """
-    cells = cells if isinstance(cells, Cells) else Cells.of(cells)
     n = len(cells)
     t_us = np.zeros(n, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
@@ -595,7 +577,7 @@ def bulk_timestamps_us(
 
 
 def timestamps_us(
-    cells: Cells | Sequence[str], naive_utc_offset_minutes: int = 0
+    cells: Cells, naive_utc_offset_minutes: int = 0
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """Epoch microseconds of timestamp cells, which cells parse, and why the others do not.
 
@@ -603,7 +585,7 @@ def timestamps_us(
     `parse_timestamp` (`column_values`).
     """
     return column_values(
-        cells if isinstance(cells, Cells) else Cells.of(cells),
+        cells,
         lambda cells: bulk_timestamps_us(cells, naive_utc_offset_minutes),
         lambda text: to_epoch_us(parse_timestamp(text, naive_utc_offset_minutes)),
     )
@@ -835,7 +817,7 @@ def split_rows(handle: BinaryIO, delimiter: str, line: int = 1) -> Iterator[Rows
     in blocks of whole lines, and each plain block is split so without
     being decoded: every cell ends at a delimiter or a line end, so
     numpy finds the byte range of each cell, and the block's bytes are
-    the buffer of its chunks of CHUNK_ROWS lines. A chunk that is not
+    the buffer of its chunks of CHUNK_ROWS lines. A block that is not
     ASCII is decoded once, to check that it is UTF-8. From the first
     block that is not plain, csv reads the rest of the text
     (`_csv_chunks`). A decode error names the offset of the bad byte in
@@ -860,12 +842,10 @@ def split_rows(handle: BinaryIO, delimiter: str, line: int = 1) -> Iterator[Rows
             data = _PADDING + block + _PADDING
             cell_ends = bounds + _PAD
             cell_starts = np.concatenate(([_PAD], cell_ends[:-1] + 1))
-            ascii = block.isascii()
+            if not block.isascii():
+                utf8_text(block, offset)
             for a in range(0, len(ends), CHUNK_ROWS):
                 b = min(a + CHUNK_ROWS, len(ends))
-                lo = int(ends[a - 1]) + 1 if a else 0
-                if not ascii:
-                    utf8_text(block[lo : ends[b - 1] + 1], offset + lo)
                 cells = slice(first[a], last[b - 1] + 1)
                 yield Rows(
                     np.arange(line + a, line + b),
@@ -1061,12 +1041,14 @@ def _read_table(
     and the cells of every resolved column (by canonical name). There is
     at least one chunk, which may hold no rows. Blank and comment rows
     are skipped; duplicate-header, short and unparseable rows go to
-    `report`. A leading byte-order mark is ignored.
+    `report`. `source` is read from its position on, in blocks; a
+    byte-order mark there is skipped, and without one the handle is
+    sought back to where it was.
     """
-    raw = source.read()
-    handle = io.BytesIO(raw)
-    handle.seek(len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
-    chunks = split_rows(handle, delimiter)
+    start = source.tell()
+    if source.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        source.seek(start)
+    chunks = split_rows(source, delimiter)
     header, rows, first = _find_header(chunks)
     positions = _resolve_header(header, aliases, required)
     header_lowered = [c.strip().lower() for c in header]

@@ -12,13 +12,11 @@ import re
 import struct
 from dataclasses import fields
 from datetime import date, datetime
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiediv import ingest
 from tiediv.ingest import (
     Cells,
     TextColumn,
@@ -169,8 +167,6 @@ def same_column(column: TextColumn, expected: TextColumn) -> bool:
 def test_byte_coded_text_columns_are_text_column_of(texts, data):
     cells = Cells.of(texts)
     assert cells.texts() == texts
-    with mock.patch.object(ingest, "_GATHER_BYTES", 3):  # decoded one cell at a time
-        assert cells.texts() == texts
     assert same_column(cells.text_column(), TextColumn.of(texts))
     # a column of some of the cells, in any order, as a chunk's column is
     rows = data.draw(st.lists(st.integers(0, max(len(texts) - 1, 0)), max_size=len(texts))) if texts else []

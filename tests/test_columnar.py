@@ -32,6 +32,7 @@ from tiediv.encounter import Encounter, EncounterSet, detect_encounters
 from tiediv.geo import geohash_encode, geohash_encode_many, haversine_m, within_m
 from tiediv.ingest import (
     CHUNK_ROWS,
+    Cells,
     FixTable,
     RawFix,
     SurveyRecord,
@@ -92,7 +93,7 @@ class TestBulkTimestamps:
         rng = random.Random(3)
         cells = [text for t in random_instants(rng, 400) for text in renderings(t, rng)]
         for naive_offset in (0, 330, -240, 1439, -1439):
-            t_us, ok = bulk_timestamps_us(cells, naive_offset)
+            t_us, ok = bulk_timestamps_us(Cells.of(cells), naive_offset)
             for cell, value, accepted in zip(cells, t_us.tolist(), ok.tolist()):
                 if accepted:
                     assert value == to_epoch_us(parse_timestamp(cell, naive_offset)), cell
@@ -102,7 +103,7 @@ class TestBulkTimestamps:
     def test_naive_cells_with_an_offset_outside_a_day_are_left_alone(self):
         # `parse_timestamp` rejects such an offset row by row
         cells = ["2016-04-03 10:00:00", "2016-04-03T10:00:00Z"]
-        assert bulk_timestamps_us(cells, 1440)[1].tolist() == [False, True]
+        assert bulk_timestamps_us(Cells.of(cells), 1440)[1].tolist() == [False, True]
 
     @pytest.mark.parametrize(
         "cell",
@@ -116,7 +117,7 @@ class TestBulkTimestamps:
         ],
     )
     def test_fractional_epochs_inside_the_exact_range(self, cell):
-        t_us, ok = bulk_timestamps_us([cell])
+        t_us, ok = bulk_timestamps_us(Cells.of([cell]))
         assert ok[0]
         assert t_us[0] == to_epoch_us(parse_timestamp(cell))
 
@@ -129,7 +130,7 @@ class TestBulkTimestamps:
     @settings(max_examples=300, deadline=None)
     def test_fractional_epochs_match_fromtimestamp(self, seconds, fraction):
         cell = f"{seconds}.{fraction}"
-        t_us, ok = bulk_timestamps_us([cell])
+        t_us, ok = bulk_timestamps_us(Cells.of([cell]))
         assert ok[0]
         assert t_us[0] == to_epoch_us(parse_timestamp(cell))
 
@@ -169,12 +170,12 @@ class TestBulkTimestamps:
         ],
     )
     def test_other_cells_are_left_to_the_scalar_parser(self, cell):
-        _, ok = bulk_timestamps_us([cell])
+        _, ok = bulk_timestamps_us(Cells.of([cell]))
         assert not ok[0]
 
     def test_leap_day_and_epoch_edges(self):
         cells = ["2000-02-29T00:00:00Z", "2016-02-29T23:59:59-00:00", "0", "1", "01459677731"]
-        t_us, ok = bulk_timestamps_us(cells)
+        t_us, ok = bulk_timestamps_us(Cells.of(cells))
         assert ok.all()
         assert t_us.tolist() == [to_epoch_us(parse_timestamp(c)) for c in cells]
 
@@ -207,7 +208,7 @@ class TestBulkTimestamps:
             cells += [text, text[:i] + rng.choice("é２\u0663\u00a0\U0001d7ce") + text[i + 1 :]]
         cells += ["2016-04-03é10:00:00Z", "２０１６-04-03T10:00:00Z", "１４５９６７７７３１"]
         for naive_offset in (0, 330):
-            t_us, ok = bulk_timestamps_us(cells, naive_offset)
+            t_us, ok = bulk_timestamps_us(Cells.of(cells), naive_offset)
             assert ok.tolist() == [cell.isascii() for cell in cells]
             for cell, value, accepted in zip(cells, t_us.tolist(), ok.tolist()):
                 if accepted:
@@ -464,7 +465,7 @@ class TestTables:
 @settings(max_examples=50, deadline=None)
 def test_bulk_epoch_seconds(seconds):
     cells = [str(s) for s in seconds]
-    t_us, ok = bulk_timestamps_us(cells)
+    t_us, ok = bulk_timestamps_us(Cells.of(cells))
     assert ok.all()
     assert t_us.tolist() == [to_epoch_us(parse_timestamp(c)) for c in cells]
 

@@ -1,5 +1,6 @@
 """Parsing of GPS logs and survey files."""
 
+import codecs
 import io
 import re
 from datetime import datetime, timezone
@@ -290,6 +291,28 @@ class TestByteOrderMark:
         records, report = parse_survey(io.BytesIO(b"\xef\xbb\xbf" + plain))
         assert [(r.rater_id, r.ratee_id) for r in records] == [("A", "B")]
         assert report.entries == [(3, "self-rating")]
+
+
+class Unslurpable(io.BytesIO):
+    """A handle whose unbounded `read()` raises, so a reader must stream it."""
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read the whole input at once")
+        return super().read(size)
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+@pytest.mark.parametrize("block_bytes", [ingest.BLOCK_BYTES, 256])
+def test_readers_stream_their_handle(monkeypatch, bom, block_bytes):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    data = Path(__file__).parent / "data"
+    for parse, name in ((parse_gps_log, "mini_gps.csv"), (parse_survey, "mini_survey.csv")):
+        text = bom + (data / name).read_bytes()
+        rows, report = parse(Unslurpable(text))
+        expected_rows, expected_report = parse(io.BytesIO(text))
+        assert list(rows) == list(expected_rows) and len(rows) > 0
+        assert report == expected_report
 
 
 class TestOversizedField:
