@@ -576,21 +576,6 @@ def bulk_timestamps_us(cells: Cells, naive_utc_offset_minutes: int = 0) -> tuple
     return t_us, ok
 
 
-def timestamps_us(
-    cells: Cells, naive_utc_offset_minutes: int = 0
-) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Epoch microseconds of timestamp cells, which cells parse, and why the others do not.
-
-    Shapes `bulk_timestamps_us` knows are parsed in bulk, the others by
-    `parse_timestamp` (`column_values`).
-    """
-    return column_values(
-        cells,
-        lambda cells: bulk_timestamps_us(cells, naive_utc_offset_minutes),
-        lambda text: to_epoch_us(parse_timestamp(text, naive_utc_offset_minutes)),
-    )
-
-
 # --- numbers from their bytes ------------------------------------------------
 
 # Eight bytes of a cell are read as one big-endian uint64 (`Cells.words`), and
@@ -1157,7 +1142,11 @@ def convert_gps(
 ) -> FixTable:
     """The rows of one chunk of GPS columns that pass the checks; the others go to `report`."""
     blank = Cells.of([""] * len(line_nos))
-    t_us, time_ok, time_reasons = timestamps_us(columns["timestamp"], naive_utc_offset_minutes)
+    t_us, time_ok, time_reasons = column_values(
+        columns["timestamp"],
+        lambda cells: bulk_timestamps_us(cells, naive_utc_offset_minutes),
+        lambda text: to_epoch_us(parse_timestamp(text, naive_utc_offset_minutes)),
+    )
     lat, lat_ok, _ = _floats(columns["lat"])
     lon, lon_ok, _ = _floats(columns["lon"])
     accuracy, accuracy_ok, _ = _floats(columns["accuracy"])

@@ -303,7 +303,7 @@ class Unslurpable(io.BytesIO):
 
 
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
-@pytest.mark.parametrize("block_bytes", [ingest.BLOCK_BYTES, 256])
+@pytest.mark.parametrize("block_bytes", [ingest.BLOCK_BYTES, 1 << 14])
 def test_readers_stream_their_handle(monkeypatch, bom, block_bytes):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
     data = Path(__file__).parent / "data"
