@@ -47,9 +47,11 @@ fails a check, and the reason ('column: error' for a cell that does not
 parse). `fixes.csv` and `survey.csv` use ingest's own `convert_gps` and
 `convert_survey`. The other lists check that each cell parses, then
 `clean_fixes.csv` the ranges `detect_encounters` checks
-(`preprocess.clean_fix_checks`), `encounters.csv` the slot range and
-that its pair is in `pairs.csv`, and `pairs.csv` that `n_common_days`
-counts the `common_days`.
+(`preprocess.clean_fix_checks`); `pairs.csv` that `n_common_days`
+counts the `common_days`, which strictly increase, and that no pair is
+listed twice; and `encounters.csv` the slot range, that its pair is in
+`pairs.csv` and its day one of the pair's common days, and that no
+(pair, day, slot) is listed twice.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import BinaryIO, Callable, Container, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -560,45 +562,73 @@ def _common_days(text: str) -> tuple[date, ...]:
     return tuple(date.fromisoformat(part) for part in text.split(_ITEM_SEP) if part)
 
 
+def _repeats(keys: Iterable, listed: set) -> list[bool]:
+    """Whether each key is in `listed` or comes earlier in `keys`; `listed` gains every key."""
+    repeated = []
+    for key in keys:
+        repeated.append(key in listed)
+        listed.add(key)
+    return repeated
+
+
 def _convert_pairs(
-    row_nos: Sequence[int], cells: Mapping[str, Cells], report: RejectionReport
+    row_nos: Sequence[int], cells: Mapping[str, Cells], report: RejectionReport, listed: set
 ) -> Iterator[tuple]:
-    """(pair, common days) of each row of a chunk of `pairs.csv`; a row that fails goes to `report`."""
+    """(pair, common days) of each row of a chunk of `pairs.csv`; a row that fails goes to `report`.
+
+    `listed` holds the pairs of earlier rows. The writer's rows pass the
+    checks across rows: common days strictly increase, as
+    `detect_encounters` picks them from the sorted distinct days; no pair
+    is listed twice, as `write_pairs` writes one row per key of a dict.
+    """
     count, count_parse = _column(cells, "n_common_days", exact_ints, int64_cell)
     days, days_ok, reasons = _bulk(_common_days, cells["common_days"].texts(), ())
     counted = np.fromiter(map(len, days), np.int64, len(days))
+    pairs = list(zip(cells["user_lo"].texts(), cells["user_hi"].texts()))
     _passing(row_nos, [
         count_parse,
         (~days_ok, {i: f"common_days: {reason}" for i, reason in reasons.items()}),
         (count != counted, "n_common_days does not match common_days"),
+        ([d != tuple(sorted(set(d))) for d in days], "common_days not strictly increasing"),
+        (_repeats(pairs, listed), "pair listed twice"),
     ], report)
-    return zip(zip(cells["user_lo"].texts(), cells["user_hi"].texts()), days)
+    return zip(pairs, days)
 
 
 def _convert_encounters(
-    row_nos: Sequence[int],
-    cells: Mapping[str, Cells],
-    report: RejectionReport,
-    pairs: Container[tuple[str, str]],
+    row_nos: Sequence[int], cells: Mapping[str, Cells], report: RejectionReport, common: Mapping, listed: set
 ) -> list[Encounter]:
-    """The encounters of a chunk of `encounters.csv`; a row that fails goes to `report`."""
+    """The encounters of a chunk of `encounters.csv`; a row that fails goes to `report`.
+
+    `common` maps each pair of `pairs.csv` to its common days, and
+    `listed` holds the (pair, day, slot) of earlier rows. The writer's
+    rows pass the checks across rows: the day is a common day of the
+    pair, as `detect_encounters` joins a user's fixes only on the user's
+    valid days; no (pair, day, slot) is listed twice, as the join keeps
+    one fix per user and (day, slot) and meets two fixes once.
+    """
     day, day_parse = _column(cells, "day", iso_days, _epoch_day)
     slot, slot_parse = _column(cells, "slot", exact_ints, int64_cell)
     lo, hi = cells["user_lo"].texts(), cells["user_hi"].texts()
-    unknown = [pair not in pairs for pair in zip(lo, hi)]
-    named = {i: f"encounter for unknown pair {(lo[i], hi[i])}" for i in np.flatnonzero(unknown).tolist()}
-    _passing(row_nos, [day_parse, slot_parse, slot_check(slot), (unknown, named)], report)
-    columns = (lo, hi, _dates(day), slot.tolist(), cells["cell"].texts())
-    return list(map(tuple.__new__, repeat(Encounter), zip(*columns)))
+    pairs, days, slots = list(zip(lo, hi)), _dates(day), slot.tolist()
+    unknown = [pair not in common for pair in pairs]
+    named = {i: f"encounter for unknown pair {pairs[i]}" for i in np.flatnonzero(unknown).tolist()}
+    _passing(row_nos, [
+        day_parse, slot_parse, slot_check(slot), (unknown, named),
+        ([d not in common.get(pair, ()) for pair, d in zip(pairs, days)], "day not a common day of its pair"),
+        (_repeats(zip(pairs, days, slots), listed), "encounter listed twice"),
+    ], report)
+    return list(map(tuple.__new__, repeat(Encounter), zip(lo, hi, days, slots, cells["cell"].texts())))
 
 
 def read_encounter_sets(
     encounters_path: str | Path, pairs_path: str | Path
 ) -> dict[tuple[str, str], EncounterSet]:
     """Rebuild per-pair encounter sets from the two interchange files."""
-    common = dict(chain.from_iterable(_converted(pairs_path, PAIR_COLUMNS, _convert_pairs)))
+    pairs = _converted(pairs_path, PAIR_COLUMNS, partial(_convert_pairs, listed=set()))
+    common = dict(chain.from_iterable(pairs))
     by_pair: dict[tuple[str, str], list[Encounter]] = {pair: [] for pair in common}
-    encounters = _converted(encounters_path, ENCOUNTER_COLUMNS, partial(_convert_encounters, pairs=common))
-    for encounter in chain.from_iterable(encounters):
+    convert = partial(_convert_encounters, common=common, listed=set())
+    for encounter in chain.from_iterable(_converted(encounters_path, ENCOUNTER_COLUMNS, convert)):
         by_pair[encounter[:2]].append(encounter)
     return {pair: EncounterSet(common[pair], tuple(by_pair[pair])) for pair in sorted(common)}

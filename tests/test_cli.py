@@ -1,11 +1,15 @@
 """CLI stages, chaining, determinism, and error handling."""
 
+import csv
 import hashlib
+import io
 import random
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,6 +395,9 @@ class TestStageErrors:
             ("pairs.csv", "n_common_days", "x", "n_common_days: invalid literal for int() with base 10: 'x'"),
             ("pairs.csv", "common_days", "2016-04-01|x", "common_days: Invalid isoformat string: 'x'"),
             ("encounters.csv", "user_lo", "zzz", "encounter for unknown pair ('zzz', 'sch000b')"),
+            ("encounters.csv", "day", "2016-05-20", "day not a common day of its pair"),
+            ("pairs.csv", "common_days", "|".join(f"2016-04-{d:02d}" for d in (2, 1, *range(3, 11))),
+             "common_days not strictly increasing"),
             *(
                 pytest.param(name, "user_id", "x" * 200_000, "field larger than field limit (131072)",
                              id=f"{name}-user_id-over the csv field limit")
@@ -411,6 +418,28 @@ class TestStageErrors:
         assert run(self.READ_BY[name], "-o", str(outdir)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: data row 2: {reason}\n"
+
+    DAYS = "|".join(f"2016-04-{d:02d}" for d in range(1, 11))
+
+    @pytest.mark.parametrize(
+        ("name", "line", "inserted", "reason"),
+        [
+            ("pairs.csv", "sch000a,sch000b,1,2016-04-01", True, "pair listed twice"),
+            ("pairs.csv", f"soc000a,soc000b,11,2016-04-01|{DAYS}", False, "common_days not strictly increasing"),
+            ("encounters.csv", "sch000a,sch000b,2016-04-01,150,ts5euv95", True, "encounter listed twice"),
+        ],
+    )
+    def test_staged_rows_that_contradict_each_other(self, outdir, capsys, name, line, inserted, reason):
+        # `line` goes in as data row 2, after data row 1 or in its place
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        path = outdir / name
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[header + 2 : header + 2 + (not inserted)] = [line + "\n"]
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("features", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {path}: data row 2: {reason}\n"
 
     def test_staged_artifact_reports_its_first_bad_row(self, outdir, capsys):
         # a range failure in data row 2 comes before a parse failure in data row 3
@@ -522,6 +551,79 @@ class TestStageErrors:
         "encounters.csv": "features",
         "pairs.csv": "features",
     }
+
+
+@lru_cache(maxsize=1)
+def mini_outdir() -> dict[str, str]:
+    """The text of every file `tiediv all` writes on the mini fixture, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert main(["all", "--gps", GPS, "--survey", SURVEY, "-o", str(out)]) == 0
+        return {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
+
+
+def head_and_rows(text: str) -> tuple[str, list[list[str]]]:
+    """The meta lines and header of an artifact that holds no quoted cell, and its data rows."""
+    lines = text.splitlines(True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return "".join(lines[: header + 1]), [next(csv.reader([line])) for line in lines[header + 1 :]]
+
+
+def check_encounter_sets(sets: dict, pair_rows: int) -> None:
+    """Each pair comes once, with strictly increasing common days, and each encounter once, on one of them."""
+    assert len(sets) == pair_rows
+    for pair, es in sets.items():
+        assert list(es.common_days) == sorted(set(es.common_days)), pair
+        assert all(e[:2] == pair and e.day in es.common_days for e in es.encounters), pair
+        assert len({(e.day, e.slot) for e in es.encounters}) == len(es.encounters), pair
+
+
+# values an edit puts in a cell, besides another row's cell of the column and junk text
+BOUNDARY_NUMBERS = ["0", "-1", "1", "287", "288", "-0.0", "90", "-90.0", "90.5", "180", "-180", "1e308",
+                    "inf", "-inf", "nan", "9" * 20, "-" + "9" * 19, "2147483648", "0.1", "1.", ".5"]
+OUTSIDE_WINDOW = ["2016-03-31", "2016-05-20", "1970-01-01", "0001-01-01", "9999-12-31", "2016-02-29"]
+DAY_ITEMS = st.sampled_from(OUTSIDE_WINDOW + [f"2016-04-{d:02d}" for d in range(1, 13)] + ["", "x"])
+JUNK = st.text(st.sampled_from(list("ax0-.:|# é") + [",", '"', "\n", "\r", "\0", "\u2028"]), max_size=8)
+
+
+@given(st.sampled_from(sorted(TestStageErrors.READ_BY)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_edited_staged_artifact_is_read_or_rejected(name, data):
+    """One edited cell of a staged artifact: the next stage exits 0, or 1 with one error line.
+
+    It must never raise, and when it exits 0 what `read_encounter_sets`
+    returned holds the facts its writer's output holds.
+    """
+    files = dict(mini_outdir())
+    head, rows = head_and_rows(files[name])
+    i = data.draw(st.integers(0, len(rows) - 1), label="data row")
+    j = data.draw(st.integers(0, len(rows[i]) - 1), label="column")
+    rows[i][j] = data.draw(st.one_of(
+        st.sampled_from([row[j] for row in rows]),
+        st.sampled_from(BOUNDARY_NUMBERS),
+        st.sampled_from(OUTSIDE_WINDOW),
+        JUNK,
+        st.lists(DAY_ITEMS, max_size=12).map("|".join),
+    ), label="cell")
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(rows)
+    files[name] = head + body.getvalue()
+    returned = []
+
+    def reading(*paths, read=artifacts.read_encounter_sets):
+        returned.append(read(*paths))
+        return returned[-1]
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(artifacts, "read_encounter_sets", reading):
+        for file, text in files.items():
+            (Path(tmp) / file).write_text(text, encoding="utf-8", newline="")
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([TestStageErrors.READ_BY[name], "-o", tmp])
+    if code:
+        assert code == 1 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    for sets in returned if code == 0 else ():
+        check_encounter_sets(sets, len(head_and_rows(mini_outdir()["pairs.csv"])[1]))
 
 
 def renamed_inputs(directory: Path, renamed: dict[str, str]) -> list[str]:
