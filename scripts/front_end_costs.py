@@ -23,6 +23,10 @@ then the three readers again on a copy of each file whose lines end in
 
     parse_gps_log crlf, read_fixes crlf, read_clean_fixes crlf
 
+and last the peak of the memory that Python and numpy allocate during
+one call of each of those six, by `tracemalloc`: where a reader's memory
+goes, in-process.
+
     PYTHONPATH=src python scripts/front_end_costs.py --users 32 --days 7
 
 Numbers are in-process medians on whatever machine runs the script; they
@@ -35,6 +39,7 @@ import argparse
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +89,16 @@ def median_s(call, repeat: int) -> float:
     return statistics.median(times)
 
 
+def peak_mb(call) -> float:
+    """The `tracemalloc` peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=32, help="users who log fixes (at least 2)")
@@ -129,6 +144,9 @@ def main() -> None:
         }
         for name, call in calls.items():
             print(f"{name:<21} {median_s(call, args.repeat) * 1000:9.1f} ms")
+        for name in ("parse_gps_log", "read_fixes", "read_clean_fixes"):
+            for copy in (name, f"{name} crlf"):
+                print(f"{copy:<21} {peak_mb(calls[copy]):9.1f} MiB peak")
 
 
 if __name__ == "__main__":
