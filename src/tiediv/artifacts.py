@@ -279,13 +279,12 @@ def check_written(receipt: Receipt) -> None:
         raise ValueError(f"{path}: holds {line_ends} lines, but {receipt.lines} were written")
 
 
-def _skip_meta(handle: BinaryIO) -> int:
-    """Read past the '#' meta lines, checking that they decode; the number of the header's line."""
+def _skip_meta(handle: BinaryIO) -> tuple[int, int, bytes]:
+    """Read past the '#' meta lines, checking that they decode: the header's line number, offset and bytes."""
     line, offset = 1, 0
     for text in iter(handle.readline, b""):
         if not text.startswith(b"#"):
-            handle.seek(offset)
-            return line
+            return line, offset, text
         utf8_text(text, offset)
         line, offset = line + 1, offset + len(text)
     raise ValueError("no header line")
@@ -303,7 +302,7 @@ def _column_chunks(path: str | Path, names: Sequence[str]) -> Iterator[tuple[int
     with open(path, "rb") as handle, gc_paused(), _naming(path):
         columns: list[str] | None = None
         first = 1
-        for rows in split_rows(handle, ",", _skip_meta(handle)):
+        for rows in split_rows(handle, ",", *_skip_meta(handle)):
             head = int(columns is None)  # the first row is the header
             if head:
                 if 0 in rows.failed:

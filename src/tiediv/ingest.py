@@ -9,24 +9,25 @@ row, in line order. Both readers share one table reader, which handles
 the header, blank, comment, duplicate-header and short rows, and differ
 only in their column aliases and converters.
 
-The readers take a seekable binary handle to UTF-8 text, in which a
-leading byte-order mark is ignored, and the run's `RunConfig`, whose
-`delimiter` and `naive_utc_offset_minutes` they read. They stream the
-handle in blocks of whole lines and never hold the whole input. Rows
-are what csv reads in `newline=''` mode: a line ends at "\\r\\n", "\\r"
-or "\\n", whichever the export uses, and a row's number is the line it
-starts on, line ends inside a quoted cell counted.
+The readers take a binary handle to UTF-8 text, in which a leading
+byte-order mark is ignored, and the run's `RunConfig`, whose
+`delimiter` and `naive_utc_offset_minutes` they read. They never seek
+the handle, so it may be a pipe. Rows are what csv reads in
+`newline=''` mode: a line ends at "\\r\\n", "\\r" or "\\n", whichever the
+export uses, and a row's number is the line it starts on, line ends
+inside a quoted cell counted.
 Text is plain when it holds no '"', "\\r" or NUL and no line longer than
 csv's field limit, and the delimiter is ASCII. Each "\\n"-ended line of
 plain text is one row, `line.split(delimiter)`, or [] if it is empty,
 so `split_rows` splits plain text without csv and without decoding it:
 every cell ends at a delimiter or a line end, so numpy finds each
 cell's byte range, and a chunk of rows hands out its cells as `Cells`,
-byte ranges of one buffer. A plain block that is not ASCII is decoded
-once, to check that it is UTF-8. From the first block that is not
-plain, csv reads the rest, and each chunk of csv's cells is encoded
-into one buffer. A decode error gives the offset of the bad byte in
-the file. The staged artifact readers split with it too.
+byte ranges of one buffer. It streams the text in blocks of whole
+lines, never the whole input at once, and decodes a plain block that
+is not ASCII once, to check that it is UTF-8; from the first block that
+is not plain, csv reads the rest, and each chunk of csv's cells is
+encoded into one buffer. A decode error gives the offset of the bad
+byte in the file. The staged artifact readers split with it too.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -785,30 +786,34 @@ def utf8_text(data: bytes, offset: int) -> str:
         raise ValueError(f"'utf-8' codec can't decode {what} in position {where}: {exc.reason}") from None
 
 
-def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
-    """The rest of `handle` in blocks of whole lines; only the last may lack its "\\n"."""
-    while block := handle.read(BLOCK_BYTES):
+def _line_blocks(handle: BinaryIO, head: bytes) -> Iterator[bytes]:
+    """`head`, then the rest of `handle`, in blocks of whole lines; only the last may lack its "\\n"."""
+    while block := head + handle.read(BLOCK_BYTES):
         yield block if block.endswith(b"\n") else block + handle.readline()
+        head = b""
 
 
-def split_rows(handle: BinaryIO, delimiter: str, line: int = 1) -> Iterator[Rows]:
-    """The rows of UTF-8 delimited text, from `handle`'s position on, in chunks.
+def split_rows(
+    handle: BinaryIO, delimiter: str, line: int = 1, offset: int = 0, head: bytes = b""
+) -> Iterator[Rows]:
+    """The rows of UTF-8 delimited text, `head` and then the rest of `handle`, in chunks.
 
-    `line` is the number of the first line. Text is plain when it holds
-    no '"', "\\r" or NUL and no line longer than csv's field limit, and
-    the delimiter is ASCII, not '"' or a line end. Each "\\n"-ended line
-    of plain text is then one row, as csv reads it in `newline=''` mode:
-    `line.split(delimiter)`, or [] if the line is empty. The text is read
-    in blocks of whole lines, and each plain block is split so without
-    being decoded: every cell ends at a delimiter or a line end, so
-    numpy finds the byte range of each cell, and the block's bytes are
-    the buffer of its chunks of CHUNK_ROWS lines. A block that is not
-    ASCII is decoded once, to check that it is UTF-8. From the first
-    block that is not plain, csv reads the rest of the text
-    (`_csv_chunks`). A decode error names the offset of the bad byte in
-    the handle.
+    `head` holds bytes already read from the handle; the text starts on
+    line `line`, at byte `offset` of the input. Text is plain when it
+    holds no '"', "\\r" or NUL and no line longer than csv's field
+    limit, and the delimiter is ASCII, not '"' or a line end. Each
+    "\\n"-ended line of plain text is then one row, as csv reads it in
+    `newline=''` mode: `line.split(delimiter)`, or [] if the line is
+    empty. The text is read in blocks of whole lines, and each plain
+    block is split so without being decoded: every cell ends at a
+    delimiter or a line end, so numpy finds the byte range of each cell,
+    and the block's bytes are the buffer of its chunks of CHUNK_ROWS
+    lines. A block that is not ASCII is decoded once, to check that it
+    is UTF-8. From the first block that is not plain, csv reads the rest
+    of the text (`_csv_chunks`). A decode error names the offset of the
+    bad byte in the input.
     """
-    offset, blocks = handle.tell(), _line_blocks(handle)
+    blocks = _line_blocks(handle, head)
     if len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n':
         for block in blocks:
             if b'"' in block or b"\r" in block or b"\0" in block:
@@ -1026,14 +1031,11 @@ def _read_table(
     and the cells of every resolved column (by canonical name). There is
     at least one chunk, which may hold no rows. Blank and comment rows
     are skipped; duplicate-header, short and unparseable rows go to
-    `report`. `source` is read from its position on, in blocks; a
-    byte-order mark there is skipped, and without one the handle is
-    sought back to where it was.
+    `report`. `source` is streamed; a leading byte-order mark is skipped.
     """
-    start = source.tell()
-    if source.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-        source.seek(start)
-    chunks = split_rows(source, delimiter)
+    head = source.read(len(codecs.BOM_UTF8))
+    skip = len(head) if head == codecs.BOM_UTF8 else 0
+    chunks = split_rows(source, delimiter, offset=skip, head=head[skip:])
     header, rows, first = _find_header(chunks)
     positions = _resolve_header(header, aliases, required)
     header_lowered = [c.strip().lower() for c in header]

@@ -293,13 +293,19 @@ class TestByteOrderMark:
         assert report.entries == [(3, "self-rating")]
 
 
-class Unslurpable(io.BytesIO):
-    """A handle whose unbounded `read()` raises, so a reader must stream it."""
+class Pipe(io.BytesIO):
+    """A handle that reads on, as a pipe does, but neither seeks nor reads the whole input at once."""
 
     def read(self, size=-1):
         if size is None or size < 0:
             raise AssertionError("read the whole input at once")
         return super().read(size)
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
 
 
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
@@ -309,7 +315,7 @@ def test_readers_stream_their_handle(monkeypatch, bom, block_bytes):
     data = Path(__file__).parent / "data"
     for parse, name in ((parse_gps_log, "mini_gps.csv"), (parse_survey, "mini_survey.csv")):
         text = bom + (data / name).read_bytes()
-        rows, report = parse(Unslurpable(text))
+        rows, report = parse(Pipe(text))
         expected_rows, expected_report = parse(io.BytesIO(text))
         assert list(rows) == list(expected_rows) and len(rows) > 0
         assert report == expected_report
