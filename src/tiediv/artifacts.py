@@ -23,10 +23,10 @@ Every writer checks what it formats: a quoted cell must parse back
 through csv to its text, a float, day or slot text must read back as
 the reader reads it to its value's bits, and a time to its instant, by
 the reader's own `_iso_us` alone, on the byte matrix; otherwise it
-raises ValueError naming the artifact. It returns a `Receipt`: the path and
-the line ends ("\n") it wrote, one per meta line, header and data row
-plus each inside a cell. `check_written` counts the file's line ends
-against it.
+raises ValueError naming the artifact. It returns a `Receipt`: the
+path and the line ends ("\n") it wrote, one per meta line, header and
+data row plus each inside a cell. `check_written` counts the file's
+line ends against it.
 
 Readers stream the file in blocks of whole lines. They skip the '#'
 meta lines before the header and read the rest with ingest's

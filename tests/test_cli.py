@@ -429,7 +429,7 @@ class TestStageErrors:
             ("encounters.csv", "sch000a,sch000b,2016-04-01,150,ts5euv95", True, "encounter listed twice"),
         ],
     )
-    def test_staged_rows_that_contradict_each_other(self, outdir, capsys, name, line, inserted, reason):
+    def test_staged_edit_beyond_one_cell(self, outdir, capsys, name, line, inserted, reason):
         # `line` goes in as data row 2, after data row 1 or in its place
         assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
         path = outdir / name
@@ -622,8 +622,9 @@ def test_edited_staged_artifact_is_read_or_rejected(name, data):
             code = main([TestStageErrors.READ_BY[name], "-o", tmp])
     if code:
         assert code == 1 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
-    for sets in returned if code == 0 else ():
-        check_encounter_sets(sets, len(head_and_rows(mini_outdir()["pairs.csv"])[1]))
+    else:
+        for sets in returned:
+            check_encounter_sets(sets, len(head_and_rows(mini_outdir()["pairs.csv"])[1]))
 
 
 def renamed_inputs(directory: Path, renamed: dict[str, str]) -> list[str]:
