@@ -361,7 +361,8 @@ def _time_cells(t_us: np.ndarray) -> list[str]:
     back, ok = np.zeros_like(t_us), np.zeros(len(t_us), dtype=bool)
     for rows, at, frac in ((whole, _ISO_WHOLE, 0), (~whole, slice(0, 32), 6)):
         rows = np.flatnonzero(rows)
-        back[rows], ok[rows] = _iso_us(chars[at].take(rows, axis=1).T, frac, "+", 0)
+        matrix = chars[at].take(rows, axis=1)
+        back[rows], ok[rows] = _iso_us(matrix, matrix - np.uint8(ord("0")), frac, "+", 0)
     cells = chars.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
     wrong = ~ok | (back != t_us)
     if wrong.any():

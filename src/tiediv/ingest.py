@@ -54,8 +54,9 @@ Timestamps in these shapes are parsed in bulk:
 - `YYYY-MM-DDTHH:MM:SS`, with an optional 3- or 6-digit fraction, and
   with a `Z` or `+hh:mm` zone or none (naive, `naive_utc_offset_minutes`
   east of UTC); a naive time may have a space in place of the `T`.
-  The cells of each such shape are parsed together from one `uint8`
-  matrix of their bytes, a row per cell.
+
+Every number is read from a `uint8` matrix of its column's cells of one
+shape, a row per byte position (`_byte_rows`), by Horner steps (`_horner`).
 
 Cells in other shapes, and cells holding a byte outside ASCII, are
 decoded and go to `parse_timestamp` one at a time.
@@ -191,6 +192,8 @@ _PAD = 32
 _PADDING = bytes(_PAD)
 # a text cell of at most this many bytes is coded as one uint64
 _CODE_BYTES = 8
+# the high n bytes of a uint64, for n = 0..8
+_HIGH_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +260,8 @@ class Cells:
         keys = self.words(self.starts) & _HIGH_BYTES[size]
         coded = self.ends - self.starts <= _CODE_BYTES
         if self.data.find(b"\0", _PAD, len(self.data) - _PAD) >= 0:  # csv reads NUL
-            coded &= _zero_bytes(keys | _LOW_BYTES[_CODE_BYTES - size]) == 0
+            nul = (self.windows(_CODE_BYTES, self.starts) == 0) & (np.arange(_CODE_BYTES) < size[:, None])
+            coded &= ~nul.any(axis=1)
         if not coded.all():
             rest = np.flatnonzero(~coded)
             keys[rest] = 0  # coded as '', then recoded below
@@ -410,8 +414,6 @@ _POW10 = 10 ** np.arange(7, dtype=np.int64)  # for 0 to 6 fraction digits
 # (fraction digits, zone) of the ISO shapes parsed in bulk; zone 'Z' means
 # a 'Z' or 'z' suffix, '+' a '+hh:mm' or '-hh:mm' offset, '' none (naive)
 _ISO_SHAPES = tuple((frac, zone) for frac in (0, 3, 6) for zone in ("Z", "+", ""))
-_DATE_TIME_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
-_DATE_TIME_SEPARATORS = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 # the first and last UTC instants `datetime` holds, in epoch microseconds
 _MIN_US, _MAX_US = (to_epoch_us(t.replace(tzinfo=timezone.utc)) for t in (datetime.min, datetime.max))
@@ -447,6 +449,33 @@ def _real_date(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarr
     return (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
 
 
+def _byte_rows(cells: Cells, width: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `width` bytes from each offset of `at` on, a row per position, and those bytes less "0"."""
+    chars = np.ascontiguousarray(cells.windows(width, at).T)
+    return chars, chars - np.uint8(ord("0"))  # wraps, so a byte below "0" is above 9 too
+
+
+def _horner(digits: np.ndarray, dtype: type = np.int32, scale: np.ndarray | int = 10) -> np.ndarray:
+    """The number each column of `digits` spells, its first row the leading digit.
+
+    Each next row multiplies by `scale`, or by its row of `scale`; int32
+    holds any number of up to 6 rows, even of bytes that are not digits.
+    """
+    value = digits[0].astype(dtype)
+    for k in range(1, len(digits)):
+        value *= scale if isinstance(scale, int) else scale[k]
+        value += digits[k]
+    return value
+
+
+def _iso_date(chars: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Which columns of a byte matrix begin with a real `YYYY-MM-DD` date, and its year, month and day."""
+    year, month, day = _horner(digits[0:4]), _horner(digits[5:7]), _horner(digits[8:10])
+    ok = np.logical_and.reduce(digits[[0, 1, 2, 3, 5, 6, 8, 9]] <= 9)
+    ok &= (chars[4] == ord("-")) & (chars[7] == ord("-"))
+    return ok & (year >= 1) & _real_date(year, month, day), year, month, day
+
+
 def iso_days(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
     """Days since 1970-01-01 of the `YYYY-MM-DD` cells in ASCII digits, and which those are.
 
@@ -457,49 +486,34 @@ def iso_days(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
     ok = np.zeros(len(cells), dtype=bool)
     rows = np.flatnonzero(cells.ends - cells.starts == 10)
     if rows.size:
-        chars = np.ascontiguousarray(cells.windows(10, cells.starts[rows]).T)
-        # wraps, so a byte below "0" is above 9 too
-        digits = (chars[[0, 1, 2, 3, 5, 6, 8, 9]] - np.uint8(ord("0"))).astype(np.int32)
-        good = np.logical_and.reduce(digits <= 9) & (chars[4] == ord("-")) & (chars[7] == ord("-"))
-        year = ((digits[0] * 10 + digits[1]) * 10 + digits[2]) * 10 + digits[3]
-        month, day = digits[4] * 10 + digits[5], digits[6] * 10 + digits[7]
-        good &= (year >= 1) & _real_date(year, month, day)
+        good, year, month, day = _iso_date(*_byte_rows(cells, 10, cells.starts[rows]))
         days[rows] = np.where(good, _days_from_civil(np.where(good, year, 1970), month, day), 0)
         ok[rows] = good
     return days, ok
 
 
 def _iso_us(
-    chars: np.ndarray, frac: int, zone: str, naive_offset_s: int
+    chars: np.ndarray, digits: np.ndarray, frac: int, zone: str, naive_offset_s: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch microseconds and validity of rows of one fixed ISO shape.
+    """Epoch microseconds and validity of the timestamps of one fixed ISO shape.
 
-    `chars` holds one ASCII timestamp per row as a uint8 matrix. A row is
-    valid only if it is a real date and time whose UTC instant lies in
-    `datetime`'s range; others are left to `parse_timestamp`.
-    Naive times are `naive_offset_s` seconds east of UTC.
+    `chars` holds one timestamp per column (`_byte_rows`), `digits` its
+    bytes less "0". A timestamp is valid only if it is a real date and
+    time whose UTC instant lies in `datetime`'s range; others are left to
+    `parse_timestamp`. Naive times are `naive_offset_s` seconds east of UTC.
     """
-    chars = np.ascontiguousarray(chars.T)  # a row per character position
-    digits = chars - np.uint8(ord("0"))  # wraps, so a byte below "0" is above 9 too
-
-    def number(*cols: int) -> np.ndarray:
-        # int32 holds any field of up to 6 digits, even of bytes that are not digits
-        value = digits[cols[0]].astype(np.int32)
-        for col in cols[1:]:
-            value = value * 10 + digits[col]
-        return value
-
     zone_at = 19 + (frac + 1 if frac else 0)
-    digit_cols = list(_DATE_TIME_DIGITS) + list(range(20, 20 + frac))
-    separators = list(_DATE_TIME_SEPARATORS)
+    digit_rows = [11, 12, 14, 15, 17, 18, *range(20, 20 + frac)]
+    separators = [(13, ":"), (16, ":")]
     if frac:
         separators.append((19, "."))
     if zone == "+":
-        digit_cols += [zone_at + 1, zone_at + 2, zone_at + 4, zone_at + 5]
+        digit_rows += [zone_at + 1, zone_at + 2, zone_at + 4, zone_at + 5]
         separators.append((zone_at + 3, ":"))
-    ok = np.logical_and.reduce(digits[digit_cols] <= 9)
-    for col, char in separators:
-        ok &= chars[col] == ord(char)
+    ok, year, month, day = _iso_date(chars, digits)
+    ok &= np.logical_and.reduce(digits[digit_rows] <= 9)
+    for row, char in separators:
+        ok &= chars[row] == ord(char)
     # a naive time may also have the space of `str(datetime)` before the time
     ok &= (chars[10] == ord("T")) | ((chars[10] == ord(" ")) & (zone == ""))
 
@@ -512,20 +526,18 @@ def _iso_us(
     else:
         sign = chars[zone_at]
         ok &= (sign == ord("+")) | (sign == ord("-"))
-        off_h, off_m = number(zone_at + 1, zone_at + 2), number(zone_at + 4, zone_at + 5)
+        off_h, off_m = _horner(digits[zone_at + 1 : zone_at + 3]), _horner(digits[zone_at + 4 : zone_at + 6])
         ok &= (off_h <= 23) & (off_m <= 59)
         offset_s = np.where(sign == ord("-"), -1, 1) * (off_h * 3600 + off_m * 60)
 
-    year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
-    hour, minute, second = number(11, 12), number(14, 15), number(17, 18)
-    ok &= (year >= 1) & _real_date(year, month, day)
+    hour, minute, second = _horner(digits[11:13]), _horner(digits[14:16]), _horner(digits[17:19])
     ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
     year = np.where(ok, year, 1970)  # keep rejected rows' arithmetic in range
 
     days = _days_from_civil(year, month, day).astype(np.int64)
     t_us = (days * 86400 + (hour * 3600 + minute * 60 + second - offset_s)) * US_PER_S
     if frac:
-        t_us += number(*range(20, 20 + frac)) * 10 ** (6 - frac)
+        t_us += _horner(digits[20 : 20 + frac]) * 10 ** (6 - frac)
     ok &= (t_us >= _MIN_US) & (t_us <= _MAX_US)
     return np.where(ok, t_us, 0), ok
 
@@ -536,9 +548,10 @@ def bulk_timestamps_us(cells: Cells, naive_utc_offset_minutes: int = 0) -> tuple
     Where the mask is True the value equals
     `parse_timestamp(cell, naive_utc_offset_minutes)`; every other cell is
     left for `parse_timestamp` to accept or reject. Epoch seconds are read
-    by `_decimals`, and the cells of each ISO shape from one byte matrix
-    of their UTF-8 bytes. Every byte of a bulk shape is ASCII, so a cell
-    that is not is left to `parse_timestamp`.
+    by `_decimals`, from their bytes right-aligned in one byte matrix, and
+    the cells of each ISO shape by `_iso_us`, from one matrix of their
+    bytes. Every byte of a bulk shape is ASCII, so a cell that is not is
+    left to `parse_timestamp`.
     """
     n = len(cells)
     t_us = np.zeros(n, dtype=np.int64)
@@ -572,47 +585,12 @@ def bulk_timestamps_us(cells: Cells, naive_utc_offset_minutes: int = 0) -> tuple
         width = 19 + (frac + 1 if frac else 0) + {"Z": 1, "+": 6, "": 0}[zone]
         rows = np.flatnonzero(lengths == width)
         if rows.size:
-            chars = cells.windows(width, cells.starts[rows])
-            t_us[rows], ok[rows] = _iso_us(chars, frac, zone, naive_utc_offset_minutes * 60)
+            chars, digits = _byte_rows(cells, width, cells.starts[rows])
+            t_us[rows], ok[rows] = _iso_us(chars, digits, frac, zone, naive_utc_offset_minutes * 60)
     return t_us, ok
 
 
 # --- numbers from their bytes ------------------------------------------------
-
-# Eight bytes of a cell are read as one big-endian uint64 (`Cells.words`), and
-# tested or converted a byte at a time by integer arithmetic on the word.
-_BYTE = np.uint64(8)
-_ALL = 0x0101010101010101
-
-
-def _each_byte(byte: int) -> np.uint64:
-    return np.uint64(byte * _ALL)
-
-
-_LOW7, _HIGH_BITS = _each_byte(0x7F), _each_byte(0x80)
-# the low (high) n bytes of a word, for n = 0..8
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-_HIGH_BYTES = ~_LOW_BYTES[::-1]
-
-
-def _zero_bytes(words: np.ndarray) -> np.ndarray:
-    """The high bit of each zero byte of the words."""
-    return ~(((words & _LOW7) + _LOW7) | words | _LOW7)
-
-
-def _above_9(words: np.ndarray) -> np.ndarray:
-    """The high bit of each byte of the words above 9."""
-    return (((words & _LOW7) + _each_byte(0x76)) | words) & _HIGH_BITS
-
-
-def _eight_digits(words: np.ndarray) -> np.ndarray:
-    """The number each word's eight bytes of 0..9 spell, its first byte the leading digit."""
-    pairs = (words >> _BYTE & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(10)
-    pairs += words & np.uint64(0x00FF00FF00FF00FF)
-    fours = (pairs >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(100)
-    fours += pairs & np.uint64(0x0000FFFF0000FFFF)
-    return (fours >> np.uint64(32)) * np.uint64(10000) + (fours & np.uint64(0xFFFFFFFF))
-
 
 # a decimal cell of at most this many bytes is read by `_decimals`
 _DECIMAL_BYTES = 17
@@ -641,12 +619,12 @@ class _Decimals(NamedTuple):
 
 
 def _decimals(cells: Cells) -> _Decimals:
-    """The cells of at most 17 bytes that are decimal numbers, read by digit arithmetic.
+    """The cells of at most 17 bytes that are decimal numbers, read from a byte matrix.
 
-    The bytes after the sign are read as words from the cell's end
-    back. In each word every byte must be a digit or the point; the
-    bytes above the point move down one place into its byte, and the
-    words then spell the mantissa eight digits at a time.
+    The bytes after the sign are right-aligned in a matrix as wide as
+    the longest (`_byte_rows`). Row sums count the points and the bytes
+    that are not digits, a weighted row sum puts the point, and Horner
+    steps that skip it spell the mantissa.
     """
     n = len(cells)
     lengths = cells.ends - cells.starts
@@ -654,33 +632,18 @@ def _decimals(cells: Cells) -> _Decimals:
     part = cells if candidate.all() else cells.take(np.flatnonzero(candidate))
     sign = cells.chars()[part.starts] == ord("-")
     size = part.ends - part.starts - sign
-    good = np.ones(len(part), dtype=bool)
-    points = np.zeros(len(part), dtype=np.int64)
-    place = np.full(len(part), -1, dtype=np.int64)
-    words, keep = [], []  # each word's digits, and the mask of its bytes that stay in place
-    below = np.zeros(len(part), dtype=bool)  # the point is in a lower word
-    for k in range(-(-int(size.max(initial=0)) // 8)):
-        word = part.words(part.ends - 8 * (k + 1))  # the cell's bytes 8k to 8k + 7 from its end
-        inside = _LOW_BYTES[np.clip(size - 8 * k, 0, 8)]
-        digit = (word ^ _each_byte(ord("0"))) & inside
-        point = _zero_bytes(word ^ _each_byte(ord("."))) & inside
-        good &= (_above_9(digit) == point) & (point & (point - np.uint64(1)) == 0)
-        has_point = point != 0
-        points += has_point
-        at = (np.frexp(point.astype(np.float64))[1] - 8) // 8  # the point's byte in the word
-        place = np.where(has_point, 8 * k + at, place)
-        # the bytes below the point stay; with no point in or below the word, all do
-        words.append(digit & ~((point >> np.uint64(7)) * np.uint64(0xFF)))
-        keep.append(np.where(below, np.uint64(0), (point >> np.uint64(7)) - np.uint64(1)))
-        below |= has_point
-    good &= (points <= 1) & (size > points)  # a point and at least one digit
-    mantissa = np.zeros(len(part), dtype=np.uint64)
-    for k, (word, stay) in enumerate(zip(words, keep)):
-        moved = (word & ~stay) >> _BYTE
-        if k + 1 < len(words):  # the next word's lowest byte moves into the top byte
-            moved |= np.where(stay == ~np.uint64(0), np.uint64(0), words[k + 1] << np.uint64(56))
-        mantissa += _eight_digits((word & stay) | moved) * np.uint64(10 ** (8 * k))
-    number = _Decimals(good, sign, place, size - (points > 0), mantissa.astype(np.int64))
+    width = max(int(size.max(initial=0)), 1)
+    chars, digits = _byte_rows(part, width, part.ends - width)
+    inside = np.arange(width, dtype=np.uint8)[:, None] >= (width - size).astype(np.uint8)  # the cell's bytes
+    point = (chars == ord(".")) & inside
+    others = np.add.reduce((digits > 9) & inside, axis=0, dtype=np.uint8)
+    points = np.add.reduce(point, axis=0, dtype=np.uint8)
+    good = (others == points) & (points <= 1) & (size > points)  # a point and at least one digit
+    after = np.arange(width - 1, -1, -1, dtype=np.int8)[:, None]  # the rows after each row
+    fraction = np.where(points == 1, np.add.reduce(point * after, axis=0, dtype=np.int8), -1)
+    digits *= inside & ~point
+    mantissa = _horner(digits, np.int64, np.uint8(10) - np.uint8(9) * point)
+    number = _Decimals(good, sign, fraction, size - points, mantissa)
     if len(part) == n:
         return number
     full = _Decimals(*(np.zeros(n, dtype=values.dtype) for values in number))
