@@ -48,8 +48,9 @@ parse). `fixes.csv` and `survey.csv` use ingest's own `convert_gps` and
 `convert_survey`. The other lists check that each cell parses, then
 `clean_fixes.csv` the ranges `detect_encounters` checks
 (`preprocess.clean_fix_checks`); `pairs.csv` that `n_common_days`
-counts the `common_days`, which strictly increase, and that no pair is
-listed twice; and `encounters.csv` the slot range, that its pair is in
+counts the `common_days`, which strictly increase, that `user_lo` comes
+before `user_hi`, and that no pair is listed twice; and `encounters.csv`
+the slot range, that its cell is a geohash-8 cell, that its pair is in
 `pairs.csv` and its day one of the pair's common days, and that no
 (pair, day, slot) is listed twice.
 """
@@ -69,7 +70,8 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, 
 
 import numpy as np
 
-from .encounter import Encounter, EncounterSet
+from .encounter import GEOHASH_LENGTH, Encounter, EncounterSet
+from .geo import GEOHASH_BASE32
 from .ingest import (
     _GPS_ALIASES,
     CHUNK_ROWS,
@@ -580,6 +582,9 @@ def _convert_pairs(
     checks across rows: common days strictly increase, as
     `detect_encounters` picks them from the sorted distinct days; no pair
     is listed twice, as `write_pairs` writes one row per key of a dict.
+    They pass `user_lo` < `user_hi` too, as `detect_encounters` keys a
+    pair by its sorted users; `build_observations` looks pairs up so, and
+    would drop a pair listed the other way round.
     """
     count, count_parse = _column(cells, "n_common_days", exact_ints, int64_cell)
     days, days_ok, reasons = _bulk(_common_days, cells["common_days"].texts(), ())
@@ -590,6 +595,7 @@ def _convert_pairs(
         (~days_ok, {i: f"common_days: {reason}" for i, reason in reasons.items()}),
         (count != counted, "n_common_days does not match common_days"),
         ([d != tuple(sorted(set(d))) for d in days], "common_days not strictly increasing"),
+        ([lo >= hi for lo, hi in pairs], "user_lo not before user_hi"),
         (_repeats(pairs, listed), "pair listed twice"),
     ], report)
     return zip(pairs, days)
@@ -601,7 +607,8 @@ def _convert_encounters(
     """The encounters of a chunk of `encounters.csv`; a row that fails goes to `report`.
 
     `common` maps each pair of `pairs.csv` to its common days, and
-    `listed` holds the (pair, day, slot) of earlier rows. The writer's
+    `listed` holds the (pair, day, slot) of earlier rows. A cell must be
+    a geohash-8 cell; each distinct cell is checked once. The writer's
     rows pass the checks across rows: the day is a common day of the
     pair, as `detect_encounters` joins a user's fixes only on the user's
     valid days; no (pair, day, slot) is listed twice, as the join keeps
@@ -611,14 +618,20 @@ def _convert_encounters(
     slot, slot_parse = _column(cells, "slot", exact_ints, int64_cell)
     lo, hi = cells["user_lo"].texts(), cells["user_hi"].texts()
     pairs, days, slots = list(zip(lo, hi)), _dates(day), slot.tolist()
+    cell = cells["cell"].text_column()
+    geohash = set(GEOHASH_BASE32)
+    not_cell = np.array([len(c) != GEOHASH_LENGTH or not set(c) <= geohash for c in cell.values], dtype=bool)
     unknown = [pair not in common for pair in pairs]
     named = {i: f"encounter for unknown pair {pairs[i]}" for i in np.flatnonzero(unknown).tolist()}
     _passing(row_nos, [
-        day_parse, slot_parse, slot_check(slot), (unknown, named),
+        day_parse, slot_parse, slot_check(slot),
+        (not_cell[cell.codes], f"cell: not a geohash-{GEOHASH_LENGTH} cell"),
+        (unknown, named),
         ([d not in common.get(pair, ()) for pair, d in zip(pairs, days)], "day not a common day of its pair"),
         (_repeats(zip(pairs, days, slots), listed), "encounter listed twice"),
     ], report)
-    return list(map(tuple.__new__, repeat(Encounter), zip(lo, hi, days, slots, cells["cell"].texts())))
+    texts = np.array(cell.values, dtype=object)[cell.codes].tolist()
+    return list(map(tuple.__new__, repeat(Encounter), zip(lo, hi, days, slots, texts)))
 
 
 def read_encounter_sets(

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from tiediv import artifacts, ingest
 from tiediv.cli import main
+from tiediv.encounter import GEOHASH_LENGTH
+from tiediv.geo import GEOHASH_BASE32
 from tiediv.ingest import to_epoch_us
 
 from helpers import read_table
@@ -391,6 +393,7 @@ class TestStageErrors:
             ("encounters.csv", "slot", "x", "slot: invalid literal for int() with base 10: 'x'"),
             ("encounters.csv", "slot", "-1", "slot out of range"),
             ("encounters.csv", "slot", "999", "slot out of range"),
+            ("encounters.csv", "cell", "not a cell", "cell: not a geohash-8 cell"),
             ("pairs.csv", "n_common_days", "9", "n_common_days does not match common_days"),
             ("pairs.csv", "n_common_days", "x", "n_common_days: invalid literal for int() with base 10: 'x'"),
             ("pairs.csv", "common_days", "2016-04-01|x", "common_days: Invalid isoformat string: 'x'"),
@@ -426,6 +429,7 @@ class TestStageErrors:
         [
             ("pairs.csv", "sch000a,sch000b,1,2016-04-01", True, "pair listed twice"),
             ("pairs.csv", f"soc000a,soc000b,11,2016-04-01|{DAYS}", False, "common_days not strictly increasing"),
+            ("pairs.csv", f"soc000b,soc000a,10,{DAYS}", False, "user_lo not before user_hi"),
             ("encounters.csv", "sch000a,sch000b,2016-04-01,150,ts5euv95", True, "encounter listed twice"),
         ],
     )
@@ -570,9 +574,16 @@ def head_and_rows(text: str) -> tuple[str, list[list[str]]]:
 
 
 def check_encounter_sets(sets: dict, pair_rows: int) -> None:
-    """Each pair comes once, with strictly increasing common days, and each encounter once, on one of them."""
+    """What the writer's encounter sets hold.
+
+    Each pair comes once, its users in order, with strictly increasing
+    common days, and each encounter once, on one of them, at a geohash-8 cell.
+    """
     assert len(sets) == pair_rows
     for pair, es in sets.items():
+        assert pair[0] < pair[1], pair
+        cells = {e.cell for e in es.encounters}
+        assert all(len(cell) == GEOHASH_LENGTH and set(cell) <= set(GEOHASH_BASE32) for cell in cells), pair
         assert list(es.common_days) == sorted(set(es.common_days)), pair
         assert all(e[:2] == pair and e.day in es.common_days for e in es.encounters), pair
         assert len({(e.day, e.slot) for e in es.encounters}) == len(es.encounters), pair
