@@ -12,6 +12,8 @@ import re
 import struct
 from dataclasses import fields
 from datetime import date, datetime
+from functools import partial
+from itertools import product
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from tiediv.ingest import (
     Cells,
     TextColumn,
     _floats,
+    column_values,
     exact_floats,
     exact_ints,
     iso_days,
@@ -38,6 +41,10 @@ EDGE_FLOATS = [
 ]
 
 
+# every cell of up to 3 bytes over the bytes of a number, space included
+SHORT_CELLS = ["".join(chars) for size in range(4) for chars in product("0123456789.-+e ", repeat=size)]
+
+
 def float_bits(text: str) -> bytes | None:
     try:
         return struct.pack("<d", float(text))
@@ -45,13 +52,16 @@ def float_bits(text: str) -> bytes | None:
         return None
 
 
-def float_error(text: str) -> str | None:
-    """The text of the ValueError `float(text)` raises, or None."""
+def error_text(convert, text: str) -> str | None:
+    """The text of the ValueError `convert(text)` raises, or None."""
     try:
-        float(text)
+        convert(text)
     except ValueError as exc:
         return str(exc)
     return None
+
+
+float_error, int_error = partial(error_text, float), partial(error_text, int)
 
 
 @st.composite
@@ -116,6 +126,17 @@ def test_edge_floats_one_by_one():
         values, ok, reasons = _floats(Cells.of([text]))
         assert (struct.pack("<d", values[0]) if ok[0] else None) == float_bits(text), text
         assert reasons.get(0) == float_error(text), text
+    # all of them and every cell of up to 3 bytes in one column: the short
+    # cells stand right-aligned next to 17- and 24-byte ones in one matrix
+    texts = EDGE_FLOATS + SHORT_CELLS
+    values, ok, reasons = _floats(Cells.of(texts))
+    for i, text in enumerate(texts):
+        assert (struct.pack("<d", values[i]) if ok[i] else None) == float_bits(text), text
+        assert reasons.get(i) == float_error(text), text
+    values, ok, reasons = column_values(Cells.of(texts), exact_ints, int)
+    for i, text in enumerate(texts):
+        assert (values[i] if ok[i] else None) == (None if int_error(text) else int(text)), text
+        assert reasons.get(i) == int_error(text), text
 
 
 @settings(max_examples=200, deadline=None)
