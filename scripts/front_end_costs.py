@@ -23,9 +23,17 @@ then the three readers again on a copy of each file whose lines end in
 
     parse_gps_log crlf, read_fixes crlf, read_clean_fixes crlf
 
-and last the peak of the memory that Python and numpy allocate during
-one call of each of those six, by `tracemalloc`: where a reader's memory
-goes, in-process.
+then the peak of the memory that Python and numpy allocate during one
+call of each of those six, by `tracemalloc`: where a reader's memory
+goes, in-process. Last come the byte kernels, each on the first
+KERNEL_CELLS cells of one column (fewer if the file is shorter), cut
+from the file as the readers cut it, and timed over KERNEL_REPEAT calls:
+
+    timestamps         bulk_timestamps_us on the log's timestamps
+    lat, accuracy      exact_floats on the log's lat and accuracy
+    clean lat          exact_floats on clean_fixes.csv's lat
+    days, slots        iso_days and exact_ints on clean_fixes.csv's day and slot
+    users              Cells.text_column on the log's users
 
     PYTHONPATH=src python scripts/front_end_costs.py --users 32 --days 7
 
@@ -40,19 +48,34 @@ import statistics
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from tiediv.artifacts import read_clean_fixes, read_fixes, write_clean_fixes, write_fixes
 from tiediv.config import RunConfig
-from tiediv.ingest import US_PER_S, FixTable, SurveyRecord, TextColumn, parse_gps_log
+from tiediv.ingest import (
+    US_PER_S,
+    Cells,
+    FixTable,
+    SurveyRecord,
+    TextColumn,
+    bulk_timestamps_us,
+    exact_floats,
+    exact_ints,
+    iso_days,
+    parse_gps_log,
+    split_rows,
+)
 from tiediv.preprocess import SECONDS_PER_DAY, epoch_day, filter_pipeline
 
 SEED = 1
 FIX_EVERY_S = 120
 JITTER_S = (0, 30, 60)
 ACCURACY_M = (5.0, 10.0, 25.0, 80.0)  # 80 m is over the default 60 m cutoff
+KERNEL_CELLS = 1 << 15
+KERNEL_REPEAT = 41
 
 
 def generate(users: int, days: int, cfg: RunConfig) -> tuple[FixTable, list[SurveyRecord]]:
@@ -97,6 +120,16 @@ def peak_mb(call) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def column_cells(path: Path, name: str) -> Cells:
+    """The first KERNEL_CELLS cells of column `name` of a plain artifact, byte ranges of its text."""
+    with open(path, "rb") as handle:
+        while (header := handle.readline()).startswith(b"#"):  # the meta lines
+            pass
+        rows = next(split_rows(handle, ","))
+    column = header.decode().rstrip("\n").split(",").index(name)
+    return rows.column(np.arange(min(len(rows), KERNEL_CELLS)), column)
 
 
 def main() -> None:
@@ -147,6 +180,19 @@ def main() -> None:
         for name in ("parse_gps_log", "read_fixes", "read_clean_fixes"):
             for copy in (name, f"{name} crlf"):
                 print(f"{copy:<21} {peak_mb(calls[copy]):9.1f} MiB peak")
+        kernels = {
+            "timestamps": (bulk_timestamps_us, log, "timestamp"),
+            "lat": (exact_floats, log, "lat"),
+            "accuracy": (exact_floats, log, "accuracy"),
+            "clean lat": (exact_floats, clean_csv, "lat"),
+            "days": (iso_days, clean_csv, "day"),
+            "slots": (exact_ints, clean_csv, "slot"),
+            "users": (Cells.text_column, log, "user_id"),
+        }
+        for name, (kernel, path, column) in kernels.items():
+            cells = column_cells(path, column)
+            ms = median_s(partial(kernel, cells), KERNEL_REPEAT) * 1000
+            print(f"{name:<21} {ms:9.3f} ms for {len(cells)} cells")
 
 
 if __name__ == "__main__":
