@@ -641,6 +641,8 @@ def _decimals(cells: Cells) -> _Decimals:
     good = (others == points) & (points <= 1) & (size > points)  # a point and at least one digit
     after = np.arange(width - 1, -1, -1, dtype=np.int8)[:, None]  # the rows after each row
     fraction = np.where(points == 1, np.add.reduce(point * after, axis=0, dtype=np.int8), -1)
+    # the bytes before the cell's read as leading zeros, and the point's row
+    # as a step that multiplies by 1 and adds 0
     digits *= inside & ~point
     mantissa = _horner(digits, np.int64, np.uint8(10) - np.uint8(9) * point)
     number = _Decimals(good, sign, fraction, size - points, mantissa)
