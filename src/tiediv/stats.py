@@ -31,6 +31,10 @@ class PerfectCorrelationError(StatsError):
     """Raised when |r| = 1 and the F statistic would be infinite."""
 
 
+class SampleSizeError(StatsError):
+    """Raised for fewer than 3 samples: an F with (1, n-2) degrees of freedom needs n >= 3."""
+
+
 @dataclass(frozen=True)
 class RegressionResult:
     """Outcome of regressing one feature against the target."""
@@ -45,14 +49,14 @@ class RegressionResult:
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Product-moment correlation between two equal-length samples.
 
-    Raises DegenerateInputError if either sample is constant and
-    ValueError for length mismatch or n < 3.
+    Raises DegenerateInputError if either sample is constant,
+    SampleSizeError for n < 3 and ValueError for length mismatch.
     """
     n = len(x)
     if n != len(y):
         raise ValueError(f"length mismatch: {n} vs {len(y)}")
     if n < 3:
-        raise ValueError(f"need at least 3 samples, got {n}")
+        raise SampleSizeError(f"need at least 3 samples, got {n}")
     mean_x = sum(x) / n
     mean_y = sum(y) / n
     sxx = syy = sxy = 0.0
@@ -75,7 +79,7 @@ def f_from_r(r: float, n: int) -> float:
     F = r^2 (n-2) / (1 - r^2).
     """
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise SampleSizeError(f"need n >= 3, got {n}")
     if abs(r) >= 1.0:
         raise PerfectCorrelationError("|r| = 1, F statistic is infinite")
     r2 = r * r

@@ -14,6 +14,8 @@ from scipy.integrate import quad
 from tiediv.stats import (
     DegenerateInputError,
     PerfectCorrelationError,
+    SampleSizeError,
+    StatsError,
     betainc_reg,
     evaluate_feature,
     f_from_r,
@@ -90,6 +92,15 @@ class TestPearson:
             pearson_r([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             pearson_r([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+    def test_too_short_is_a_stats_error(self):
+        # callers that turn a StatsError into an error row must catch this one too
+        with pytest.raises(SampleSizeError, match="need at least 3 samples, got 2"):
+            pearson_r([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(SampleSizeError, match="need n >= 3, got 2"):
+            f_from_r(0.5, 2)
+        assert issubclass(SampleSizeError, StatsError)
 
 
 class TestFFromR:
