@@ -11,7 +11,8 @@ clean-fix column tables, the survey, the valid days and the encounter
 sets. A later stage of the same call takes them from there instead of
 parsing the file back, so `all` writes each artifact once and never
 re-reads it; a single-stage command reads the artifacts of earlier
-calls from disk.
+calls from disk. The analysis stages of a call share one
+`features.ObservationTable` there, under "observations", and its columns.
 
 The exit status rests on a write check. Each stage returns the receipts
 of its writers (`artifacts.Receipt`). The writers have already checked
@@ -74,9 +75,9 @@ def _meta(cfg: RunConfig, *input_paths: Path | str) -> dict[str, str]:
     return meta
 
 
-# What the stages of one `main` call wrote, by artifact path. Each stage
-# takes it as `written` and adds what it writes.
-Written = dict[Path, object]
+# What the stages of one `main` call wrote, by artifact path, and the
+# observation table. Each stage takes it as `written` and adds what it writes.
+Written = dict[Path | str, object]
 
 
 def _load(written: Written, path: Path, read: Callable[[Path], object]):
@@ -185,20 +186,19 @@ def _load_observations(cfg: RunConfig, written: Written):
     enc_path = _require(cfg, "encounters.csv", "encounters")
     pairs_path = _require(cfg, "pairs.csv", "encounters")
     survey_path = _require(cfg, "survey.csv", "ingest")
-    encounter_sets = _load(
-        written, enc_path, lambda path: artifacts.read_encounter_sets(path, pairs_path)
-    )
-    survey = _load(written, survey_path, artifacts.read_survey)
-    observations = features.build_observations(survey, encounter_sets)
-    if not observations:
+    if "observations" not in written:
+        encounter_sets = _load(written, enc_path, lambda path: artifacts.read_encounter_sets(path, pairs_path))
+        survey = _load(written, survey_path, artifacts.read_survey)
+        written["observations"] = features.build_observations(survey, encounter_sets)
+    if not written["observations"]:
         raise CliError("no observations: no surveyed pair passed the pipeline")
-    return observations, [enc_path, pairs_path, survey_path]
+    return written["observations"], [enc_path, pairs_path, survey_path]
 
 
 def _analysis_stage(
     artifact: str,
     row_type: type,
-    rows_of: Callable[[list[features.Observation], RunConfig], list],
+    rows_of: Callable[[features.ObservationTable, RunConfig], list],
     **extra_meta: str,
 ) -> Callable[..., list[Receipt]]:
     """A stage that writes `rows_of(observations, cfg)` to `artifact`, `row_type`'s fields as columns."""
@@ -216,7 +216,7 @@ def _analysis_stage(
 stage_features = _analysis_stage(
     "features.csv",
     features.FeatureRow,
-    lambda obs, cfg: [features.compute_pair_features(o, cfg.width_t, cfg.q) for o in obs],
+    lambda obs, cfg: features.compute_pair_features(obs, cfg.width_t, cfg.q),
     zero_encounter_pairs="included with diversity 0",
 )
 stage_compare = _analysis_stage(

@@ -92,14 +92,6 @@ class EncounterSet(NamedTuple):
     def n_encounters(self) -> int:
         return len(self.encounters)
 
-    def first_days(self, d: int) -> "EncounterSet | None":
-        """Restrict to the pair's first d common days; None if fewer exist."""
-        if self.n_common_days < d:
-            return None
-        horizon = self.common_days[:d]
-        kept = set(horizon)
-        return EncounterSet(horizon, tuple(e for e in self.encounters if e.day in kept))
-
 
 def canonical_pair(a: str, b: str) -> tuple[str, str]:
     if a == b:

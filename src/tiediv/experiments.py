@@ -3,7 +3,8 @@
 Every function here is a pure, deterministic map from observations to
 table rows: interval-width sweeps, diversity-order sweeps, the
 three-feature comparison, per-closeness distribution summaries, and the
-evolution of temporal diversity as the common-day horizon grows.
+evolution of temporal diversity as the common-day horizon grows. Each
+reads its columns from a `features.ObservationTable`, which caches them.
 
 A row type's fields are its artifact's columns, in order: `cli` writes
 `compare.csv`, `sweep_t.csv`, `sweep_q.csv`, `subgroups.csv` and
@@ -17,8 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .encounter import EncounterSet
-from .features import DEFAULT_WIDTH_T, Observation, compute_pair_features, temporal_diversity
+from .features import DEFAULT_WIDTH_T, Observation, ObservationTable
 from .stats import StatsError, evaluate_feature
 
 DEFAULT_WIDTH_GRID = (5, 15, 30, 60, 90, 120, 180, 240, 360, 720)
@@ -98,13 +98,13 @@ def _sweep(
     row_type: type,
     observations: Sequence[Observation],
     grid: Iterable,
-    diversity: Callable[[EncounterSet, object], float],
+    column: Callable[[ObservationTable, object], list[float]],
 ) -> list:
     """One `row_type(value, f_value, p_value, error)` per distinct grid value, ascending."""
+    table = ObservationTable.of(observations)
     rows = []
     for value in sorted(set(grid)):
-        values = [diversity(obs.encounters, value) for obs in observations]
-        fit = _regress("temporal_diversity", values, observations)
+        fit = _regress("temporal_diversity", column(table, value), table)
         rows.append(row_type(value, fit.f_value, fit.p_value, fit.error))
     return rows
 
@@ -114,7 +114,7 @@ def sweep_width(
     widths: Iterable[int] = DEFAULT_WIDTH_GRID,
 ) -> list[WidthRow]:
     """F-test temporal diversity (Shannon) against closeness per width."""
-    return _sweep(WidthRow, observations, widths, temporal_diversity)
+    return _sweep(WidthRow, observations, widths, lambda table, width: table.temporal_diversity(width))
 
 
 def sweep_q(
@@ -123,15 +123,14 @@ def sweep_q(
     width_t: int = DEFAULT_WIDTH_T,
 ) -> list[OrderRow]:
     """F-test Renyi temporal diversity against closeness per order q."""
-    return _sweep(OrderRow, observations, orders, lambda es, q: temporal_diversity(es, width_t, q))
+    return _sweep(OrderRow, observations, orders, lambda table, q: table.temporal_diversity(width_t, q))
 
 
-def _feature_columns(
-    observations: Sequence[Observation], width_t: int
-) -> dict[str, list[float]]:
+def _feature_columns(observations: Sequence[Observation], width_t: int) -> dict[str, list[float]]:
     """Each of FEATURE_NAMES as a column over the observations (Shannon diversity)."""
-    rows = [compute_pair_features(obs, width_t) for obs in observations]
-    return {feature: [getattr(row, feature) for row in rows] for feature in FEATURE_NAMES}
+    table = ObservationTable.of(observations)
+    shannon = table.temporal_diversity(width_t)
+    return dict(zip(FEATURE_NAMES, (table.location_diversity(), table.mean_encounters(), shannon)))
 
 
 def compare_features(
@@ -165,20 +164,8 @@ def subgroup_distributions(
             lo_fence = q1 - 1.5 * iqr
             hi_fence = q3 + 1.5 * iqr
             outliers = tuple(sorted(float(v) for v in arr if v < lo_fence or v > hi_fence))
-            rows.append(
-                SubgroupRow(
-                    feature,
-                    label,
-                    len(values),
-                    float(arr.mean()),
-                    float(arr.min()),
-                    float(q1),
-                    float(median),
-                    float(q3),
-                    float(arr.max()),
-                    outliers,
-                )
-            )
+            summary = (arr.mean(), arr.min(), q1, median, q3, arr.max())
+            rows.append(SubgroupRow(feature, label, len(values), *map(float, summary), outliers))
     return rows
 
 
@@ -192,17 +179,16 @@ def evolution(
     Observations whose pair has fewer than d common days are excluded at
     that horizon.
     """
+    table = ObservationTable.of(observations)
+    horizons = sorted(set(horizons))
+    if horizons and horizons[0] < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizons[0]}")
     rows = []
     for label in CLOSENESS_LABELS:
-        subgroup = [o for o in observations if o.closeness == label]
-        for d in sorted(set(horizons)):
-            if d < 1:
-                raise ValueError(f"horizon must be >= 1, got {d}")
-            diversities = []
-            for obs in subgroup:
-                restricted = obs.encounters.first_days(d)
-                if restricted is not None:
-                    diversities.append(temporal_diversity(restricted, width_t))
+        subgroup = [i for i, obs in enumerate(table) if obs.closeness == label]
+        for d in horizons:
+            column = table.temporal_diversity(width_t, horizon=d)
+            diversities = [column[i] for i in subgroup if table[i].encounters.n_common_days >= d]
             mean = sum(diversities) / len(diversities) if diversities else None
             rows.append(EvolutionRow(label, d, mean, len(diversities)))
     return rows

@@ -9,6 +9,12 @@ encounters per geohash cell. All entropies use the natural logarithm;
 exp(H) then reads directly as an effective category count (uniform over
 k categories gives exactly k).
 
+The analysis sample is an `ObservationTable`. Its temporal diversity
+column at (width, q, first d common days) is one `np.unique` over
+(pair, interval), then `hill_diversity` once per pair on its nonzero
+counts in interval order: the bits of `temporal_diversity`, since zero
+counts add nothing to its sums. Columns are cached on the table.
+
 `compute_pair_features` gives one `FeatureRow` per observation; its
 fields are the columns of `features.csv`, in order.
 """
@@ -16,9 +22,10 @@ fields are the columns of `features.csv`, in order.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import exp, expm1, inf, log, log1p
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .encounter import EncounterSet, canonical_pair
 from .ingest import SurveyRecord
@@ -34,8 +41,7 @@ _SHANNON_LIMIT_EPS = 1e-9
 _NEAR_SHANNON = 1e-3
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One directed rater -> ratee record: pair data joined to its label."""
 
     rater_id: str
@@ -153,48 +159,97 @@ def temporal_diversity(
     return hill_diversity(interval_counts(encounters, width_t), 1.0 if q is None else q)
 
 
+class ObservationTable(tuple[Observation, ...]):
+    """The observations in order, and each distinct pair's encounters as flat arrays.
+
+    `pairs` holds the distinct encounter sets in first-seen order (a
+    mutual rating's two observations share one); `pair_of[i]` indexes
+    observation i's. Each encounter of each pair has its pair index, its
+    slot and its day rank: the index of its day among the pair's common
+    days, or n_common_days if the day is not one of them.
+    """
+
+    def __init__(self, observations: Iterable[Observation]) -> None:
+        # tuple.__new__ has taken the observations: they are self
+        index: dict[int, int] = {}
+        self.pair_of = [index.setdefault(id(o.encounters), len(index)) for o in self]
+        self.pairs = list({id(o.encounters): o.encounters for o in self}.values())
+        rows = [
+            (p, enc.slot, rank.get(enc.day, es.n_common_days))
+            for p, es in enumerate(self.pairs)
+            for rank in [{day: i for i, day in enumerate(es.common_days)}]
+            for enc in es.encounters
+        ]
+        self._owner, self._slot, self._rank = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        self._columns: dict[tuple, list[float]] = {}
+
+    @classmethod
+    def of(cls, observations: Sequence[Observation]) -> "ObservationTable":
+        """`observations` if it is a table, else a table of them."""
+        return observations if isinstance(observations, cls) else cls(observations)
+
+    def _column(self, key: tuple, per_pair: Callable[[], list[float]]) -> list[float]:
+        """The cached column `key`: `per_pair()`'s value of each observation's pair."""
+        if key not in self._columns:
+            values = per_pair()
+            self._columns[key] = [values[p] for p in self.pair_of]
+        return self._columns[key]
+
+    def temporal_diversity(
+        self, width_t: int = DEFAULT_WIDTH_T, q: float | None = None, horizon: int | None = None
+    ) -> list[float]:
+        """Each observation's `temporal_diversity`, on only its first `horizon` common days if given."""
+        check_width_t(width_t)
+        q = 1.0 if q is None else q
+        check_order(q)
+
+        def per_pair() -> list[float]:
+            keep = slice(None) if horizon is None else self._rank < horizon
+            bins = MINUTES_PER_DAY // width_t
+            interval = self._slot[keep] * SLOT_MINUTES // width_t
+            keys, counts = np.unique(self._owner[keep] * bins + interval, return_counts=True)
+            ends = np.searchsorted(keys, np.arange(1, len(self.pairs) + 1) * bins).tolist()
+            counts = counts.tolist()
+            return [hill_diversity(counts[start:end], q) for start, end in zip([0, *ends], ends)]
+
+        return self._column(("td", width_t, q, horizon), per_pair)
+
+    def location_diversity(self) -> list[float]:
+        return self._column(("ld",), lambda: [location_diversity(es) for es in self.pairs])
+
+    def mean_encounters(self) -> list[float]:
+        return self._column(("me",), lambda: [mean_encounters(es, es.n_common_days) for es in self.pairs])
+
+
 def compute_pair_features(
-    observation: Observation, width_t: int = DEFAULT_WIDTH_T, q: float | None = None
-) -> FeatureRow:
-    """All three features of one observation's pair.
+    observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T, q: float | None = None
+) -> list[FeatureRow]:
+    """All three features of each observation's pair, one row per observation.
 
     Pairs with zero encounters get diversity 0 and rate 0; they stay in
     the analysis sample rather than being dropped, since most weakly
     tied pairs never meet at all.
     """
-    es = observation.encounters
-    return FeatureRow(
-        observation.rater_id,
-        observation.ratee_id,
-        temporal_diversity(es, width_t, q),
-        location_diversity(es),
-        mean_encounters(es, es.n_common_days),
-        es.n_encounters,
-        es.n_common_days,
-    )
+    table = ObservationTable.of(observations)
+    rows = zip(table, table.temporal_diversity(width_t, q), table.location_diversity(), table.mean_encounters())
+    return [
+        FeatureRow(o.rater_id, o.ratee_id, td, ld, me, o.encounters.n_encounters, o.encounters.n_common_days)
+        for o, td, ld, me in rows
+    ]
 
 
 def build_observations(
     survey: Iterable[SurveyRecord],
     encounter_sets: Mapping[tuple[str, str], EncounterSet],
-) -> list[Observation]:
+) -> ObservationTable:
     """Join directed survey records to their pair's encounter data.
 
     Records whose pair is not among the eligible encounter sets (user
     dropped in cleaning, or too few common days) are skipped. Both
     directions of a mutual rating become independent observations.
     """
-    observations: list[Observation] = []
-    for rec in survey:
-        es = encounter_sets.get(canonical_pair(rec.rater_id, rec.ratee_id))
-        if es is None:
-            continue
-        observations.append(
-            Observation(
-                rater_id=rec.rater_id,
-                ratee_id=rec.ratee_id,
-                closeness=regroup_closeness(rec.closeness_raw),
-                encounters=es,
-            )
-        )
-    return observations
+    return ObservationTable(
+        Observation(rec.rater_id, rec.ratee_id, regroup_closeness(rec.closeness_raw), es)
+        for rec in survey
+        if (es := encounter_sets.get(canonical_pair(rec.rater_id, rec.ratee_id))) is not None
+    )

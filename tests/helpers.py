@@ -1,10 +1,11 @@
 """Shared builders for test fixtures, and oracles the pipeline does not use.
 
-`read_table`, `geohash_decode_bounds`, `common_days`, `iso_utc_texts` and
-`lexsort_winners` are row-at-a-time or sort-based definitions that only
-tests need: an artifact parsed back whole, a geohash cell's bounding box,
-two users' common valid days, `fixes.csv`'s timestamp texts, and the
-winners of the dedupe's tie-break.
+`read_table`, `geohash_decode_bounds`, `common_days`, `first_days`,
+`iso_utc_texts` and `lexsort_winners` are row-at-a-time or sort-based
+definitions that only tests need: an artifact parsed back whole, a
+geohash cell's bounding box, two users' common valid days, a pair's
+encounters on its first d common days, `fixes.csv`'s timestamp texts,
+and the winners of the dedupe's tie-break.
 """
 
 from __future__ import annotations
@@ -207,6 +208,19 @@ def geohash_decode_bounds(code: str) -> tuple[float, float, float, float]:
 def common_days(a: tuple[date, ...], b: tuple[date, ...]) -> tuple[date, ...]:
     """Chronological intersection of two users' valid days."""
     return tuple(sorted(set(a) & set(b)))
+
+
+def first_days(es: EncounterSet, d: int) -> EncounterSet | None:
+    """The pair restricted to its first d common days; None if fewer exist.
+
+    The oracle of `ObservationTable.temporal_diversity`'s horizon: the
+    encounters it keeps are those on one of the first d common days.
+    """
+    if es.n_common_days < d:
+        return None
+    horizon = es.common_days[:d]
+    kept = set(horizon)
+    return EncounterSet(horizon, tuple(e for e in es.encounters if e.day in kept))
 
 
 def iso_utc_texts(t_us: np.ndarray) -> list[str]:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiediv import artifacts, ingest
+from tiediv import artifacts, experiments, features, ingest
 from tiediv.cli import main
 from tiediv.encounter import GEOHASH_LENGTH
 from tiediv.geo import GEOHASH_BASE32
@@ -87,6 +87,20 @@ class TestFullChain:
             has_f = bool(row[columns.index("f_value")])
             has_error = bool(row[columns.index("error")])
             assert has_f != has_error
+
+    def test_fewer_than_three_observations_run_to_the_end(self, outdir, tmp_path):
+        # one pair rated both ways: too few samples for an F, so the regressions
+        # become error rows and every artifact is still written
+        survey = tmp_path / "two.csv"
+        survey.write_text("".join(Path(SURVEY).read_text().splitlines(keepends=True)[:3]))
+        assert run("all", "--gps", GPS, "--survey", str(survey), "-o", str(outdir)) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == sorted([*ALL_ARTIFACTS, "ingest_rejects.txt"])
+        assert len(read_table(outdir / "features.csv")[2]) == 2
+        for name, n_rows in (("compare.csv", 3), ("sweep_t.csv", 10), ("sweep_q.csv", 19)):
+            _, columns, rows = read_table(outdir / name)
+            assert len(rows) == n_rows, name
+            assert {row[columns.index("error")] for row in rows} == {"need at least 3 samples, got 2"}, name
+            assert {row[columns.index("f_value")] for row in rows} == {""}, name
 
     def test_rerun_is_byte_identical(self, outdir):
         assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
@@ -276,6 +290,36 @@ class TestInMemoryHandoff:
         assert run("preprocess", "-o", str(outdir)) == 0
         assert run("preprocess", "-o", str(outdir)) == 0
         assert calls == [outdir / "fixes.csv"] * 2
+
+
+    def test_all_builds_one_observation_table(self, outdir, monkeypatch):
+        # wrapped by module attribute, as perfbench's tracer wraps them: each must
+        # still be called, or the tracer's per-function metrics would read 0
+        calls: dict[str, int] = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(features, "build_observations")
+        counting(features, "compute_pair_features")
+        for name in ("compare_features", "sweep_width", "sweep_q", "subgroup_distributions", "evolution"):
+            counting(experiments, name)
+        assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        assert calls == {
+            "build_observations": 1,
+            "compute_pair_features": 1,
+            "compare_features": 1,
+            "sweep_width": 1,
+            "sweep_q": 1,
+            "subgroup_distributions": 1,
+            "evolution": 1,
+        }
 
 
 def test_main_calls_in_one_process_share_no_settings(outdir, tmp_path):

@@ -12,7 +12,7 @@ from tiediv import encounter
 from tiediv.encounter import Encounter, EncounterSet, canonical_pair, detect_encounters
 from tiediv.geo import EARTH_RADIUS_M, geohash_encode, haversine_m, within_m
 
-from helpers import CleanRow, brute_force_encounters, clean_table
+from helpers import CleanRow, brute_force_encounters, clean_table, first_days
 
 BASE_LAT, BASE_LON = 23.19, 72.63
 START = date(2016, 4, 1)
@@ -172,15 +172,15 @@ class TestFirstDays:
     def test_restriction_and_exclusion(self):
         fixes = [fix("a", d, 100) for d in range(8)] + [fix("b", d, 100) for d in range(8)]
         es = detect(fixes)[("a", "b")]
-        first3 = es.first_days(3)
+        first3 = first_days(es, 3)
         assert first3.common_days == tuple(day(i) for i in range(3))
         assert first3.n_encounters == 3
-        assert es.first_days(9) is None
+        assert first_days(es, 9) is None
 
     def test_full_horizon_is_identity(self):
         fixes = [fix("a", d, 100) for d in range(8)] + [fix("b", d, 100) for d in range(8)]
         es = detect(fixes)[("a", "b")]
-        assert es.first_days(es.n_common_days) == es
+        assert first_days(es, es.n_common_days) == es
 
 
 class TestCanonicalPair:

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiediv.encounter import EncounterSet
+from tiediv.encounter import Encounter, EncounterSet
 from tiediv.features import (
+    MINUTES_PER_DAY,
     Observation,
+    ObservationTable,
     build_observations,
     compute_pair_features,
     hill_diversity,
@@ -29,7 +31,7 @@ from tiediv.features import (
 )
 from tiediv.ingest import SurveyRecord
 
-from helpers import encounter_set_from_counts, make_encounter_set
+from helpers import day, encounter_set_from_counts, first_days, make_encounter_set
 
 T_AB = (0, 0, 0, 2, 10, 3, 0, 0, 0, 2, 0, 0)
 T_AC = (3, 0, 4, 0, 3, 0, 2, 2, 0, 0, 0, 3)
@@ -319,7 +321,7 @@ class TestObservations:
 
     def test_pair_features_bundle(self):
         es = encounter_set_from_counts(T_AB, width_t=120, n_common_days=14)
-        pf = compute_pair_features(Observation("alice", "bob", 2, es), width_t=120)
+        [pf] = compute_pair_features([Observation("alice", "bob", 2, es)], width_t=120)
         assert (pf.rater, pf.ratee) == ("alice", "bob")
         assert pf.n_encounters == 17
         assert pf.n_common_days == 14
@@ -328,7 +330,84 @@ class TestObservations:
 
     def test_empty_pair_keeps_zero_features(self):
         es = make_encounter_set([], n_common_days=9)
-        pf = compute_pair_features(Observation("bob", "alice", 0, es))
+        [pf] = compute_pair_features([Observation("bob", "alice", 0, es)])
         assert pf.temporal_diversity == 0.0
         assert pf.location_diversity == 0.0
         assert pf.mean_encounters == 0.0
+
+
+# every width that tiles the day, 1, 3 and 9 among them, whose intervals do not align with 5-minute slots
+WIDTHS = [w for w in range(1, MINUTES_PER_DAY + 1) if MINUTES_PER_DAY % w == 0]
+ORDERS = [None, 0.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-4, 1.0 + 1e-4, 2.0, 200.0, 1e300]
+CELLS = ("tsz0000g", "tsz0000h", "tsz0000j")
+
+
+@st.composite
+def encounter_sets(draw, pair):
+    """An EncounterSet of 1-6 common days with gaps; some encounters fall on a day that is not one."""
+    offsets = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=6)))
+    days = tuple(day(i) for i in offsets)
+    events = draw(st.lists(st.tuples(st.sampled_from([*offsets, 10]), st.integers(0, 287)), max_size=25, unique=True))
+    encounters = tuple(
+        Encounter(*pair, day(offset), slot, draw(st.sampled_from(CELLS))) for offset, slot in sorted(events)
+    )
+    return EncounterSet(days, encounters)
+
+
+@st.composite
+def observation_samples(draw):
+    """Observations of 1-5 pairs in drawn order; a mutual rating's two share one set."""
+    observations = []
+    for i in range(draw(st.integers(1, 5))):
+        pair = (f"u{i}a", f"u{i}b")
+        es = draw(encounter_sets(pair))
+        for rater, ratee in [pair, pair[::-1]][: draw(st.integers(1, 2))]:
+            observations.append(Observation(rater, ratee, draw(st.integers(0, 4)), es))
+    return draw(st.permutations(observations))
+
+
+class TestObservationTable:
+    """Each column of the table equals the scalar oracles' values, bit for bit."""
+
+    @given(observation_samples(), st.sampled_from(WIDTHS), st.sampled_from(ORDERS), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_equal_the_scalar_oracles(self, observations, width_t, q, horizon):
+        table = ObservationTable(observations)
+        assert list(table) == observations
+        assert table.temporal_diversity(width_t, q) == [
+            temporal_diversity(o.encounters, width_t, q) for o in observations
+        ]
+        assert table.location_diversity() == [location_diversity(o.encounters) for o in observations]
+        assert table.mean_encounters() == [o.encounters.n_encounters / o.encounters.n_common_days for o in observations]
+        column = table.temporal_diversity(width_t, q, horizon)
+        for o, value in zip(observations, column):
+            restricted = first_days(o.encounters, horizon)
+            if restricted is not None:
+                assert value == temporal_diversity(restricted, width_t, q)
+
+    @given(observation_samples())
+    @settings(max_examples=50, deadline=None)
+    def test_pair_features_equal_the_scalar_features(self, observations):
+        rows = compute_pair_features(observations, 60, 2.0)
+        assert [(r.rater, r.ratee) for r in rows] == [(o.rater_id, o.ratee_id) for o in observations]
+        for row, o in zip(rows, observations):
+            es = o.encounters
+            assert row.temporal_diversity == temporal_diversity(es, 60, 2.0)
+            assert row.location_diversity == location_diversity(es)
+            assert row.mean_encounters == mean_encounters(es, es.n_common_days)
+            assert (row.n_encounters, row.n_common_days) == (es.n_encounters, es.n_common_days)
+
+    def test_mutual_ratings_share_one_pair_and_columns_are_cached(self):
+        es = make_encounter_set([(0, 10), (1, 100)], pair=("a", "b"))
+        table = ObservationTable([Observation("a", "b", 1, es), Observation("b", "a", 3, es)])
+        assert table.pairs == [es] and table.pair_of == [0, 0]
+        assert table.temporal_diversity(60) is table.temporal_diversity(60, None) is table.temporal_diversity(60, 1.0)
+        assert ObservationTable.of(table) is table
+
+    def test_bad_width_or_order_rejected_on_an_empty_table(self):
+        table = ObservationTable([])
+        assert table.temporal_diversity(60, 2.0, 3) == []
+        with pytest.raises(ValueError, match="width_t must divide 1440"):
+            table.temporal_diversity(7)
+        with pytest.raises(ValueError, match="diversity order must be >= 0"):
+            table.temporal_diversity(60, -1.0)
