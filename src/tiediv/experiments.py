@@ -145,6 +145,22 @@ def compare_features(
     return [_regress(feature, values, observations) for feature, values in columns.items()]
 
 
+def _quartiles(values: Sequence[float]) -> list[float]:
+    """`np.percentile(values, [25, 50, 75])` bit for bit, by numpy's linear rule.
+
+    np.percentile calls np.unique, which imports numpy.ma on first use (about 17 ms).
+    """
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    quartiles = []
+    for index in (last * 0.25, last * 0.5, last * 0.75):
+        lo = int(index)
+        a, b, t = ordered[lo], ordered[min(lo + 1, last)], index - lo
+        # as numpy's _lerp, which steps down from the upper value when t >= 0.5
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return quartiles
+
+
 def subgroup_distributions(
     observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T
 ) -> list[SubgroupRow]:
@@ -159,7 +175,7 @@ def subgroup_distributions(
                 rows.append(SubgroupRow(feature, label, 0))
                 continue
             arr = np.asarray(values, dtype=float)
-            q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+            q1, median, q3 = _quartiles(values)
             iqr = q3 - q1
             lo_fence = q1 - 1.5 * iqr
             hi_fence = q3 + 1.5 * iqr

@@ -9,11 +9,9 @@ encounters per geohash cell. All entropies use the natural logarithm;
 exp(H) then reads directly as an effective category count (uniform over
 k categories gives exactly k).
 
-The analysis sample is an `ObservationTable`. Its temporal diversity
-column at (width, q, first d common days) is one `np.unique` over
-(pair, interval), then `hill_diversity` once per pair on its nonzero
-counts in interval order: the bits of `temporal_diversity`, since zero
-counts add nothing to its sums. Columns are cached on the table.
+An `ObservationTable` computes each column once per pair and caches it:
+`hill_diversity` on the pair's nonzero interval counts, from one
+`np.unique`, gives `temporal_diversity`'s bits (zeros add to no sum).
 
 `compute_pair_features` gives one `FeatureRow` per observation; its
 fields are the columns of `features.csv`, in order.
@@ -162,11 +160,10 @@ def temporal_diversity(
 class ObservationTable(tuple[Observation, ...]):
     """The observations in order, and each distinct pair's encounters as flat arrays.
 
-    `pairs` holds the distinct encounter sets in first-seen order (a
-    mutual rating's two observations share one); `pair_of[i]` indexes
-    observation i's. Each encounter of each pair has its pair index, its
-    slot and its day rank: the index of its day among the pair's common
-    days, or n_common_days if the day is not one of them.
+    `pairs` holds the distinct sets, first seen first (a mutual rating's
+    two observations share one); `pair_of[i]` indexes observation i's.
+    Each encounter has its pair, slot and day rank: its day's index among
+    the pair's common days, or n_common_days if it is not one of them.
     """
 
     def __init__(self, observations: Iterable[Observation]) -> None:

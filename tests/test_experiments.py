@@ -1,8 +1,12 @@
 """Sweeps, feature comparison, subgroup summaries, and evolution."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiediv.experiments import (
+    _quartiles,
     compare_features,
     evolution,
     subgroup_distributions,
@@ -111,6 +115,22 @@ class TestCompareFeatures:
 
 
 class TestSubgroupDistributions:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 2.5, 3.0]),
+                st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_quartiles_are_numpys_percentiles_bit_for_bit(self, values):
+        # ties, singletons and even and odd lengths; diversities and rates are never -0.0 or nan
+        expected = [float(v).hex() for v in np.percentile(np.asarray(values, dtype=float), [25.0, 50.0, 75.0])]
+        assert [v.hex() for v in _quartiles(values)] == expected
+
     def test_singleton_subgroup_collapses_summary(self):
         es = encounter_set_from_counts((0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0), width_t=120)
         summaries = subgroup_distributions([obs(es, 3)])
