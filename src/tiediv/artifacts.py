@@ -30,14 +30,14 @@ line ends against it.
 
 Readers stream the file in blocks of whole lines. They skip the '#'
 meta lines before the header and read the rest with ingest's
-`split_rows`: plain text (no '"', "\\r" or NUL) is split without csv,
-and from the first block that is not plain (a cell the writer quoted,
-or a file whose line ends were changed to "\\r\\n"), csv reads the rest,
-so a row ends only where csv would end it. Each column comes as ingest's
-`Cells`, the byte ranges of its cells. A row of the wrong width or one
-csv cannot parse raises ValueError naming the artifact and the data
-row, and a byte that is not UTF-8 one naming the artifact and the
-byte's offset in the file.
+`split_rows`: plain text (no '"', NUL or "\\r" outside a "\\r\\n" line
+end) is split without csv, also in a copy whose line ends were changed
+to "\\r\\n", and from the first block that is not plain (a cell the
+writer quoted), csv reads the rest, so a row ends only where csv would
+end it. Each column comes as ingest's `Cells`, the byte ranges of its
+cells. A row of the wrong width or one csv cannot parse raises
+ValueError naming the artifact and the data row, and a byte that is
+not UTF-8 one naming the artifact and the byte's offset in the file.
 
 Each reader hands every chunk of columns to its artifact's converter
 (`_converted`), which converts the cells by ingest's `column_values` or

@@ -16,18 +16,20 @@ the handle, so it may be a pipe. Rows are what csv reads in
 `newline=''` mode: a line ends at "\\r\\n", "\\r" or "\\n", whichever the
 export uses, and a row's number is the line it starts on, line ends
 inside a quoted cell counted.
-Text is plain when it holds no '"', "\\r" or NUL and no line longer than
-csv's field limit, and the delimiter is ASCII. Each "\\n"-ended line of
-plain text is one row, `line.split(delimiter)`, or [] if it is empty,
-so `split_rows` splits plain text without csv and without decoding it:
-every cell ends at a delimiter or a line end, so numpy finds each
-cell's byte range, and a chunk of rows hands out its cells as `Cells`,
-byte ranges of one buffer. It streams the text in blocks of whole
-lines, never the whole input at once, and decodes a plain block that
-is not ASCII once, to check that it is UTF-8; from the first block that
-is not plain, csv reads the rest, and each chunk of csv's cells is
-encoded into one buffer. A decode error gives the offset of the bad
-byte in the file. The staged artifact readers split with it too.
+Text is plain when it holds no '"' or NUL, no "\\r" but that of a
+"\\r\\n", and no line longer than csv's field limit, and the delimiter
+is ASCII. Each "\\n"- or "\\r\\n"-ended line of plain text is one row,
+`line.split(delimiter)`, or [] if it is empty, so `split_rows` splits
+plain text without csv and without decoding it: every cell ends at a
+delimiter or a line end, so numpy finds each cell's byte range, and a
+chunk of rows hands out its cells as `Cells`, byte ranges of one
+buffer. It streams the text in blocks of whole lines, never the whole
+input at once, and decodes a plain block that is not ASCII once, to
+check that it is UTF-8; from the first block that is not plain (a
+quoted cell, a lone "\\r", a NUL), csv reads the rest, and each chunk
+of csv's cells is encoded into one buffer. A decode error gives the
+offset of the bad byte in the file. The staged artifact readers split
+with it too.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -83,7 +85,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import partial, reduce
-from itertools import chain, islice
+from itertools import chain
 from math import isfinite
 from operator import iadd
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -239,8 +241,8 @@ class Cells:
         """The `width` bytes from each offset of `at` on, a row each."""
         return np.lib.stride_tricks.sliding_window_view(self.chars(), width)[at]
 
-    def texts(self, rows: np.ndarray | None = None) -> list[str]:
-        """The texts of the cells (of `rows`, an index array, if given), each decoded alone."""
+    def texts(self, rows: np.ndarray | slice | None = None) -> list[str]:
+        """The texts of the cells (of `rows`, an index array or slice, if given), each decoded alone."""
         cells = self if rows is None else self.take(rows)
         return [
             self.data[a:b].decode("utf-8", "surrogatepass")
@@ -728,12 +730,7 @@ class Rows:
         return len(self.line_nos)
 
     def row(self, i: int) -> list[str]:
-        at = slice(self.starts[i], self.starts[i] + self.widths[i])
-        data = self.cells.data
-        return [
-            data[a:b].decode("utf-8", "surrogatepass")
-            for a, b in zip(self.cells.starts[at].tolist(), self.cells.ends[at].tolist())
-        ]
+        return self.cells.texts(slice(self.starts[i], self.starts[i] + self.widths[i]))
 
     def column(self, rows: np.ndarray, j: int) -> Cells:
         """Cell j of each of `rows`, indices of rows with more than j cells."""
@@ -765,23 +762,24 @@ def split_rows(
 
     `head` holds bytes already read from the handle; the text starts on
     line `line`, at byte `offset` of the input. Text is plain when it
-    holds no '"', "\\r" or NUL and no line longer than csv's field
-    limit, and the delimiter is ASCII, not '"' or a line end. Each
-    "\\n"-ended line of plain text is then one row, as csv reads it in
-    `newline=''` mode: `line.split(delimiter)`, or [] if the line is
-    empty. The text is read in blocks of whole lines, and each plain
-    block is split so without being decoded: every cell ends at a
-    delimiter or a line end, so numpy finds the byte range of each cell,
-    and the block's bytes are the buffer of its chunks of CHUNK_ROWS
-    lines. A block that is not ASCII is decoded once, to check that it
-    is UTF-8. From the first block that is not plain, csv reads the rest
-    of the text (`_csv_chunks`). A decode error names the offset of the
-    bad byte in the input.
+    holds no '"' or NUL, every "\\r" in it comes just before a "\\n", no
+    line is longer than csv's field limit, and the delimiter is ASCII,
+    not '"' or a line end. Each line of plain text, ended by "\\n" or
+    "\\r\\n", is then one row, as csv reads it in `newline=''` mode:
+    `line.split(delimiter)`, or [] if the line is empty. The text is
+    read in blocks of whole lines, and each plain block is split so
+    without being decoded: every cell ends at a delimiter or a line end,
+    so numpy finds the byte range of each cell, and the block's bytes
+    are the buffer of its chunks of CHUNK_ROWS lines. A block that is
+    not ASCII is decoded once, to check that it is UTF-8. From the first
+    block that is not plain, csv reads the rest of the text
+    (`_csv_chunks`). A decode error names the offset of the bad byte in
+    the input.
     """
     blocks = _line_blocks(handle, head)
     if len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n':
         for block in blocks:
-            if b'"' in block or b"\r" in block or b"\0" in block:
+            if b'"' in block or b"\0" in block:
                 break
             chars = np.frombuffer(block, np.uint8)
             bounds = np.flatnonzero((chars == ord(delimiter)) | (chars == ord("\n")))
@@ -791,12 +789,18 @@ def split_rows(
             last = np.flatnonzero(line_end)  # the last cell of each line
             ends = bounds[last]
             lengths = np.diff(ends, prepend=-1) - 1
-            if lengths.max() > csv.field_size_limit():
-                break
-            first = np.concatenate(([0], last[:-1] + 1))
             data = _PADDING + block + _PADDING
             cell_ends = bounds + _PAD
             cell_starts = np.concatenate(([_PAD], cell_ends[:-1] + 1))
+            if b"\r" in block:  # plain if each "\r" is the start of a "\r\n" line end
+                if block.count(b"\r") != block.count(b"\r\n"):
+                    break
+                crlf = np.frombuffer(data, np.uint8)[cell_ends[last] - 1] == ord("\r")
+                cell_ends[last] -= crlf
+                lengths -= crlf
+            if lengths.max() > csv.field_size_limit():
+                break
+            first = np.concatenate(([0], last[:-1] + 1))
             if not block.isascii():
                 utf8_text(block, offset)
             for a in range(0, len(ends), CHUNK_ROWS):
@@ -819,14 +823,36 @@ def split_rows(
 def _csv_chunks(blocks: Iterable[bytes], offset: int, delimiter: str, line: int) -> Iterator[Rows]:
     """The rows of blocks of whole lines from `offset` in the handle, as csv reads them, in chunks.
 
-    `line` numbers the first line. Each chunk's cells are encoded into one
-    buffer. A row with a cell over csv's field limit fails with csv's
-    reason; rows are searched for it only when the chunk's longest cell is.
+    A row's number is the line it starts on: `line`, the number of the
+    first line, plus the lines csv has read before the row. csv's field
+    limit is lifted while csv parses, so an oversized quoted cell is read
+    whole, line breaks and all; a row with a cell over the limit then
+    fails with csv's reason, and rows are searched for it only when the
+    chunk's longest cell is over it. A row that csv cannot parse has no
+    cells, and csv's reason. Each chunk's cells are encoded into one buffer.
     """
     limit = csv.field_size_limit()
-    rows = csv.reader(_text_lines(blocks, offset), delimiter=delimiter)
-    while chunk := _csv_rows(rows, line - 1):
-        cells, line_nos, failed = chunk
+    reader = csv.reader(_text_lines(blocks, offset), delimiter=delimiter)
+    while True:
+        cells: list[list[str]] = []
+        line_nos: list[int] = []
+        failed: dict[int, str] = {}
+        csv.field_size_limit(sys.maxsize)
+        try:
+            while len(cells) < CHUNK_ROWS:
+                at = line + reader.line_num
+                try:
+                    cells.append(next(reader))
+                except StopIteration:
+                    break
+                except csv.Error as exc:
+                    failed[len(cells)] = str(exc)
+                    cells.append([])
+                line_nos.append(at)
+        finally:
+            csv.field_size_limit(limit)
+        if not cells:
+            return
         flat = reduce(iadd, cells, [])
         if max(map(len, flat), default=0) > limit:
             for i, row in enumerate(cells):
@@ -834,8 +860,7 @@ def _csv_chunks(blocks: Iterable[bytes], offset: int, delimiter: str, line: int)
                     failed[i], cells[i] = f"field larger than field limit ({limit})", []
             flat = reduce(iadd, cells, [])
         widths = np.fromiter(map(len, cells), np.int64, len(cells))
-        line_nos = np.fromiter(line_nos, np.int64, len(line_nos))
-        yield Rows(line_nos, widths, np.cumsum(widths) - widths, Cells.of(flat), failed)
+        yield Rows(np.array(line_nos, np.int64), widths, np.cumsum(widths) - widths, Cells.of(flat), failed)
         if len(cells) < CHUNK_ROWS:
             return
 
@@ -844,62 +869,11 @@ def _text_lines(blocks: Iterable[bytes], offset: int) -> Iterator[str]:
     """Blocks of whole lines, from `offset` in the handle, as lines of text for csv.
 
     Lines end as in `newline=''` mode: at "\\r\\n", "\\r" or "\\n". A block
-    ends after a "\\n", so no "\\r\\n" is split between blocks. A block is
-    split by `str.splitlines` unless it holds a character splitlines also
-    breaks at.
+    ends after a "\\n", so no "\\r\\n" is split between blocks.
     """
     for block in blocks:
-        text = utf8_text(block, offset)
-        if any(end in text for end in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
-            yield from io.StringIO(text, newline="")
-        else:
-            yield from text.splitlines(True)
+        yield from io.StringIO(utf8_text(block, offset), newline="")
         offset += len(block)
-
-
-def _line_ends(cell: str) -> int:
-    """The line ends ("\\r\\n", "\\r" or "\\n") inside a cell."""
-    return cell.count("\n") + cell.count("\r") - cell.count("\r\n")
-
-
-def _csv_rows(
-    rows: Iterator[list[str]], before: int
-) -> tuple[list[list[str]], list[int], dict[int, str]] | None:
-    """The next CHUNK_ROWS rows of a csv reader, the line each starts on, and the rows it failed on.
-
-    `before` is the number of the line before the reader's first, and
-    None stands for no more rows. A row whose quoted cells hold k line
-    ends spans k + 1 lines; only when some row does are the rows
-    numbered one at a time. csv's field limit is lifted while parsing,
-    so an oversized quoted cell is read whole, line breaks and all. A
-    row that csv cannot parse stands in the chunk as [], and the third
-    value maps its index to csv's reason.
-    """
-    chunk: list[list[str]] = []
-    line_nos: list[int] = []
-    failed: dict[int, str] = {}
-    limit = csv.field_size_limit(sys.maxsize)
-    try:
-        while True:
-            at, line = len(chunk), before + rows.line_num + 1
-            try:
-                chunk.extend(islice(rows, CHUNK_ROWS - len(chunk)))
-                error = None
-            except csv.Error as exc:
-                error = str(exc)
-            if error is None and before + rows.line_num - line + 1 == len(chunk) - at:
-                line_nos.extend(range(line, before + rows.line_num + 1))
-            else:
-                for cells in chunk[at:]:
-                    line_nos.append(line)
-                    line += 1 + sum(map(_line_ends, cells))
-            if error is None:
-                return (chunk, line_nos, failed) if chunk else None
-            failed[len(chunk)] = error
-            chunk.append([])
-            line_nos.append(line)
-    finally:
-        csv.field_size_limit(limit)
 
 
 # --- the shared table reader -------------------------------------------------

@@ -87,7 +87,9 @@ def plain_tables(draw):
         st.lists(cell, min_size=1, max_size=width + 3).map(delimiter.join),  # short and long rows
     )
     lines = [delimiter.join(header)] + draw(st.lists(line, max_size=40))
-    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    last = draw(st.sampled_from(["\n", "\r\n", ""]))
+    text = "".join(map(str.__add__, lines, ends[:-1] + [last]))
     return text, delimiter, width
 
 
@@ -107,7 +109,7 @@ def test_plain_text_splits_as_csv(table, chunk_rows, block_bytes):
         csv_calls() as calls,
     ):
         chunks = list(split_rows(io.BytesIO(text.encode()), delimiter))
-    assert calls.calls == 0  # plain text never reaches csv
+    assert calls.calls == 0  # plain text, "\r\n" line ends and all, never reaches csv
     assert [(int(rows.line_nos[i]), rows.row(i)) for rows in chunks for i in range(len(rows))] == expected
     # the bulk columns of the rows with at least `width` cells hold their first `width` cells
     columns = [[] for _ in range(width)]
@@ -189,6 +191,11 @@ def crlf(lines: list[str], k: int) -> str:
     return "".join(line + ("\r\n" if i == k else "\n") for i, line in enumerate(lines))
 
 
+def lone_cr(lines: list[str], k: int) -> str:
+    """The lines as text with line k ended by a lone "\\r"; csv reads the same rows."""
+    return "".join(line + ("\r" if i == k else "\n") for i, line in enumerate(lines))
+
+
 def parsed_gps(text: str) -> tuple[list, list]:
     fixes, report = parse_gps_log(io.BytesIO(text.encode()))
     return table_columns(fixes), report.entries
@@ -209,7 +216,7 @@ def test_gps_log_switching_to_csv_reads_alike(monkeypatch, block_bytes, change):
     for k in range(len(GPS_ROWS)):
         with csv_calls() as calls:
             assert parsed_gps(change(GPS_ROWS, k)) == plain, k
-        assert calls.calls == 1
+        assert calls.calls == (1 if change is quoted else 0)  # a "\r\n" line end is plain
 
 
 class Unseekable(io.BytesIO):
@@ -220,7 +227,7 @@ class Unseekable(io.BytesIO):
 
 
 @pytest.mark.parametrize("block_bytes", [1, 100, ingest.BLOCK_BYTES])
-@pytest.mark.parametrize("change", [quoted, crlf])
+@pytest.mark.parametrize("change", [quoted, lone_cr])
 def test_switching_to_csv_never_seeks(monkeypatch, block_bytes, change):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(ingest, "CHUNK_ROWS", 5)
@@ -231,7 +238,8 @@ def test_switching_to_csv_never_seeks(monkeypatch, block_bytes, change):
         with csv_calls() as calls:
             chunks = list(split_rows(Unseekable(text.encode()), ","))
         assert [(int(rows.line_nos[i]), rows.row(i)) for rows in chunks for i in range(len(rows))] == expected, k
-        assert calls.calls == 1
+        # a "\r" ending the line before an empty one makes a "\r\n" line end, which is plain
+        assert calls.calls == (0 if "\r\n" in text else 1)
 
 
 def test_survey_switching_to_csv_reads_alike(monkeypatch):
@@ -290,4 +298,4 @@ def test_artifact_switching_to_csv_reads_alike(mini_run, tmp_path, monkeypatch, 
         path.write_text(change(lines, k), encoding="utf-8", newline="")
         with csv_calls() as calls:
             assert table_columns(read(path)) == plain, k
-        assert calls.calls == 1
+        assert calls.calls == (1 if change is quoted else 0)  # a "\r\n" line end is plain
