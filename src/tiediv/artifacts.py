@@ -440,7 +440,7 @@ def write_survey(
 
 def read_survey(path: str | Path) -> list[SurveyRecord]:
     """The records of `survey.csv`, checked and converted as ingest converts a survey."""
-    return list(chain.from_iterable(_converted(path, SURVEY_COLUMNS, convert_survey)))
+    return list(chain.from_iterable(_converted(path, SURVEY_COLUMNS, partial(convert_survey, seen=set()))))
 
 
 CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")

@@ -1121,9 +1121,14 @@ def convert_gps(
 
 
 def convert_survey(
-    line_nos: Sequence[int], columns: Mapping[str, Cells], report: RejectionReport
+    line_nos: Sequence[int], columns: Mapping[str, Cells], report: RejectionReport, seen: set[tuple[str, str]]
 ) -> list[SurveyRecord]:
-    """The rows of one chunk of survey columns that pass the checks; the others go to `report`."""
+    """The rows of one chunk of survey columns that pass the checks; the others go to `report`.
+
+    `seen` holds the (rater, ratee) of the rows accepted before the
+    chunk, and gains the chunk's: a row that passes the other checks is
+    rejected if an accepted row already rated its pair in that direction.
+    """
     raters = [cell.strip() for cell in columns["rater_id"]]
     ratees = [cell.strip() for cell in columns["ratee_id"]]
     closeness, closeness_ok, _ = _bulk(int, columns["closeness_raw"].texts())
@@ -1135,10 +1140,14 @@ def convert_survey(
         ([c not in range(6) for c in closeness], "closeness out of range"),
         ([p not in range(1, 6) for p in proximity], "proximity out of range"),
     ], report)
-    return [
-        SurveyRecord(raters[i], ratees[i], closeness[i], proximity[i])
-        for i in np.flatnonzero(ok).tolist()
-    ]
+    records = []
+    for i in np.flatnonzero(ok).tolist():
+        if (raters[i], ratees[i]) in seen:
+            report.reject(line_nos[i], "duplicate rating")
+        else:
+            seen.add((raters[i], ratees[i]))
+            records.append(SurveyRecord(raters[i], ratees[i], closeness[i], proximity[i]))
+    return records
 
 
 def run_config(config: RunConfig | None) -> RunConfig:
@@ -1179,15 +1188,17 @@ def parse_survey(
 ) -> tuple[list[SurveyRecord], RejectionReport]:
     """Parse the closeness survey into SurveyRecord rows.
 
-    Self-ratings and out-of-range scores are rejected row by row.
+    Self-ratings, out-of-range scores and repeated ratings of a pair in
+    one direction are rejected row by row.
     """
     cfg = run_config(config)
     report = RejectionReport()
-    records = []
+    records: list[SurveyRecord] = []
+    seen: set[tuple[str, str]] = set()
     for line_nos, columns in _read_table(
         source, cfg.delimiter, _SURVEY_ALIASES, _SURVEY_REQUIRED, report
     ):
-        records += convert_survey(line_nos, columns, report)
+        records += convert_survey(line_nos, columns, report, seen)
     report.entries.sort()
     report.n_accepted = len(records)
     return records, report

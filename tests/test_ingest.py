@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 from tiediv import ingest
+from tiediv.artifacts import read_survey, write_survey
 from tiediv.cli import main
 from tiediv.config import RunConfig
 from tiediv.ingest import (
     CHUNK_ROWS,
     SchemaError,
+    SurveyRecord,
     parse_gps_log,
     parse_survey,
     parse_timestamp,
@@ -274,6 +276,49 @@ class TestParseSurvey:
         rows = ["A,B,5,4", "A,A,3,2", "B,A,0,1", "C,D,9,1"]
         records, report = parse_survey(survey_source(*rows))
         assert len(records) + report.n_rejected == len(rows)
+
+    def test_repeated_rating_rejected(self):
+        rows = ["A,B,5,4", "B,A,3,2", "A,B,0,2", " A , B ,1,1", "A,C,2,2"]
+        records, report = parse_survey(survey_source(*rows))
+        assert [(r.rater_id, r.ratee_id, r.closeness_raw) for r in records] == [
+            ("A", "B", 5), ("B", "A", 3), ("A", "C", 2)
+        ]
+        assert report.entries == [(4, "duplicate rating"), (5, "duplicate rating")]
+        assert report.n_accepted == 3
+
+    def test_only_accepted_ratings_count(self):
+        """A rejected row of a pair does not make the pair's accepted row a repeat."""
+        records, report = parse_survey(survey_source("A,B,9,2", "A,B,x,2", "A,B,5,4", "A,B,5,4"))
+        assert [(r.rater_id, r.ratee_id, r.closeness_raw) for r in records] == [("A", "B", 5)]
+        assert report.entries == [
+            (2, "closeness out of range"),
+            (3, "non-integer closeness/proximity"),
+            (5, "duplicate rating"),
+        ]
+
+    def test_repeated_rating_found_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", 1)
+        records, report = parse_survey(survey_source("A,B,5,4", "B,A,3,2", "A,B,5,4"))
+        assert len(records) == 2
+        assert report.entries == [(4, "duplicate rating")]
+
+    def test_ingest_rejects_a_repeated_rating(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        survey = tmp_path / "survey.csv"
+        survey.write_text((data / "mini_survey.csv").read_text(encoding="utf-8") + "sch000a,sch000b,0,2\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--gps", str(data / "mini_gps.csv"), "--survey", str(survey), "-o", str(out)]) == 0
+        rejects = (out / "ingest_rejects.txt").read_text(encoding="utf-8")
+        assert rejects.endswith("== survey ==\n6\tduplicate rating\n# accepted=4 rejected=1\n")
+
+    def test_staged_survey_with_a_repeated_rating_fails(self, tmp_path):
+        path = tmp_path / "survey.csv"
+        record = SurveyRecord("A", "B", 5, 4)
+        write_survey(path, [record, SurveyRecord("B", "A", 3, 2)], {})
+        assert read_survey(path) == [record, SurveyRecord("B", "A", 3, 2)]
+        write_survey(path, [record, SurveyRecord("B", "A", 3, 2), record], {})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 3: duplicate rating")):
+            read_survey(path)
 
 
 class TestByteOrderMark:
