@@ -299,3 +299,61 @@ def test_artifact_switching_to_csv_reads_alike(mini_run, tmp_path, monkeypatch, 
         with csv_calls() as calls:
             assert table_columns(read(path)) == plain, k
         assert calls.calls == (1 if change is quoted else 0)  # a "\r\n" line end is plain
+
+
+# --- every reader reads a "\r\n" twin alike, without csv ---------------------
+
+
+def parsed(parse, path: Path) -> tuple:
+    with open(path, "rb") as handle:
+        rows, report = parse(handle)
+    return (table_columns(rows) if isinstance(rows, ingest.FixTable) else rows), report.entries
+
+
+# reader: (the files it reads, lines that make the first file fail or reject rows, the reader)
+TWIN_READERS = {
+    "parse_gps_log": (
+        ["mini_gps.csv"],
+        [b"u9,bad,23.1,72.6,,5,,gps", b"u2,2016-04-03T11:00:11Z", b"", GPS_HEADER.upper().encode()],
+        lambda path: parsed(parse_gps_log, path),
+    ),
+    "parse_survey": (
+        ["mini_survey.csv"], [b"sch000a,sch000a,3,2", b"sch000a,sch000b,0,2"], lambda path: parsed(parse_survey, path)
+    ),
+    "read_fixes": (["fixes.csv"], [b"x"], lambda path: table_columns(artifacts.read_fixes(path))),
+    "read_survey": (["survey.csv"], [b"sch000a,sch000b,0,2"], artifacts.read_survey),
+    "read_clean_fixes": (["clean_fixes.csv"], [b"x"], lambda path: table_columns(artifacts.read_clean_fixes(path))),
+    "read_valid_days": (["valid_days.csv"], [b"x"], artifacts.read_valid_days),
+    "read_encounter_sets": (["encounters.csv", "pairs.csv"], [b"x"], artifacts.read_encounter_sets),
+}
+
+
+@pytest.mark.parametrize("reader", TWIN_READERS)
+def test_crlf_twin_reads_alike_without_csv(mini_run, tmp_path, reader):
+    """Rows, reasons and line numbers of a copy with "\\r\\n" line ends are the original's."""
+    names, bad_lines, read = TWIN_READERS[reader]
+    sources = [(DATA if name.startswith("mini_") else mini_run) / name for name in names]
+
+    def outcome(extra: list[bytes], line_end: bytes):
+        """What `read` gives, or the error it raises, on the sources with `extra` after the first one's lines."""
+        folder = tmp_path / f"{len(extra)}{line_end.hex()}"
+        folder.mkdir()
+        paths = []
+        for k, source in enumerate(sources):
+            text = source.read_bytes()
+            assert b"\r" not in text and text.endswith(b"\n")
+            text += b"".join(line + b"\n" for line in (extra if k == 0 else []))
+            paths.append(folder / source.name)
+            paths[-1].write_bytes(text.replace(b"\n", line_end))
+        try:
+            return read(*paths)
+        except ValueError as exc:
+            return str(exc).replace(str(folder), "")
+
+    plains = []
+    for extra in ([], bad_lines):
+        plains.append(outcome(extra, b"\n"))
+        with csv_calls() as calls:
+            assert outcome(extra, b"\r\n") == plains[-1]
+        assert calls.calls == 0
+    assert plains[0] != plains[1]  # the bad lines were read, and rejected or failed
