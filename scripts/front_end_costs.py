@@ -18,13 +18,16 @@ REPEAT times and the script prints its median wall time:
     read_fixes         the written fixes.csv
     read_clean_fixes   the written clean_fixes.csv
 
-then the three readers again on a copy of each file whose lines end in
-"\r\n", which the csv module reads (`ingest.split_rows`):
+then the three readers again on two copies of each file: one whose
+lines end in "\r\n", which the plain splitter reads as it reads "\n"
+line ends, and one whose first cell of every line is quoted, which the
+csv module reads (`ingest.split_rows`):
 
     parse_gps_log crlf, read_fixes crlf, read_clean_fixes crlf
+    parse_gps_log quoted, read_fixes quoted, read_clean_fixes quoted
 
 then the peak of the memory that Python and numpy allocate during one
-call of each of those six, by `tracemalloc`: where a reader's memory
+call of each of those nine, by `tracemalloc`: where a reader's memory
 goes, in-process. Last come the byte kernels, each on the first
 KERNEL_CELLS cells of one column (fewer if the file is shorter), cut
 from the file as the readers cut it, and timed over KERNEL_REPEAT calls:
@@ -155,10 +158,14 @@ def main() -> None:
         result = filter_pipeline(fixes, survey, cfg)
         write_fixes(fixes_csv, fixes, {})
         write_clean_fixes(clean_csv, result.clean_fixes, {})
-        crlf = {}
+        crlf, quoted = {}, {}
         for path in (log, fixes_csv, clean_csv):
+            text = path.read_bytes()
             crlf[path] = path.with_name(f"crlf_{path.name}")
-            crlf[path].write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            crlf[path].write_bytes(text.replace(b"\n", b"\r\n"))
+            quoted[path] = path.with_name(f"quoted_{path.name}")
+            lines = text.splitlines(True)
+            quoted[path].write_bytes(b"".join(b'"' + line.replace(b",", b'",', 1) for line in lines))
         counts = result.counts
         print(
             f"users={args.users} days={args.days} fixes={len(fixes)} accurate={counts['accurate']} "
@@ -174,12 +181,15 @@ def main() -> None:
             "parse_gps_log crlf": lambda: parse(crlf[log]),
             "read_fixes crlf": lambda: read_fixes(crlf[fixes_csv]),
             "read_clean_fixes crlf": lambda: read_clean_fixes(crlf[clean_csv]),
+            "parse_gps_log quoted": lambda: parse(quoted[log]),
+            "read_fixes quoted": lambda: read_fixes(quoted[fixes_csv]),
+            "read_clean_fixes quoted": lambda: read_clean_fixes(quoted[clean_csv]),
         }
         for name, call in calls.items():
-            print(f"{name:<21} {median_s(call, args.repeat) * 1000:9.1f} ms")
+            print(f"{name:<23} {median_s(call, args.repeat) * 1000:9.1f} ms")
         for name in ("parse_gps_log", "read_fixes", "read_clean_fixes"):
-            for copy in (name, f"{name} crlf"):
-                print(f"{copy:<21} {peak_mb(calls[copy]):9.1f} MiB peak")
+            for copy in (name, f"{name} crlf", f"{name} quoted"):
+                print(f"{copy:<23} {peak_mb(calls[copy]):9.1f} MiB peak")
         kernels = {
             "timestamps": (bulk_timestamps_us, log, "timestamp"),
             "lat": (exact_floats, log, "lat"),
@@ -192,7 +202,7 @@ def main() -> None:
         for name, (kernel, path, column) in kernels.items():
             cells = column_cells(path, column)
             ms = median_s(partial(kernel, cells), KERNEL_REPEAT) * 1000
-            print(f"{name:<21} {ms:9.3f} ms for {len(cells)} cells")
+            print(f"{name:<23} {ms:9.3f} ms for {len(cells)} cells")
 
 
 if __name__ == "__main__":

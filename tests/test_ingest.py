@@ -307,7 +307,8 @@ class TestParseSurvey:
         survey = tmp_path / "survey.csv"
         survey.write_text((data / "mini_survey.csv").read_text(encoding="utf-8") + "sch000a,sch000b,0,2\n")
         out = tmp_path / "out"
-        assert main(["ingest", "--gps", str(data / "mini_gps.csv"), "--survey", str(survey), "-o", str(out)]) == 0
+        gps = data / "mini_gps.csv"
+        assert main(["ingest", "--gps", str(gps), "--survey", str(survey), "-o", str(out)]) == 0
         rejects = (out / "ingest_rejects.txt").read_text(encoding="utf-8")
         assert rejects.endswith("== survey ==\n6\tduplicate rating\n# accepted=4 rejected=1\n")
 

@@ -318,11 +318,15 @@ TWIN_READERS = {
         lambda path: parsed(parse_gps_log, path),
     ),
     "parse_survey": (
-        ["mini_survey.csv"], [b"sch000a,sch000a,3,2", b"sch000a,sch000b,0,2"], lambda path: parsed(parse_survey, path)
+        ["mini_survey.csv"],
+        [b"sch000a,sch000a,3,2", b"sch000a,sch000b,0,2"],
+        lambda path: parsed(parse_survey, path),
     ),
     "read_fixes": (["fixes.csv"], [b"x"], lambda path: table_columns(artifacts.read_fixes(path))),
     "read_survey": (["survey.csv"], [b"sch000a,sch000b,0,2"], artifacts.read_survey),
-    "read_clean_fixes": (["clean_fixes.csv"], [b"x"], lambda path: table_columns(artifacts.read_clean_fixes(path))),
+    "read_clean_fixes": (
+        ["clean_fixes.csv"], [b"x"], lambda path: table_columns(artifacts.read_clean_fixes(path))
+    ),
     "read_valid_days": (["valid_days.csv"], [b"x"], artifacts.read_valid_days),
     "read_encounter_sets": (["encounters.csv", "pairs.csv"], [b"x"], artifacts.read_encounter_sets),
 }
@@ -335,7 +339,7 @@ def test_crlf_twin_reads_alike_without_csv(mini_run, tmp_path, reader):
     sources = [(DATA if name.startswith("mini_") else mini_run) / name for name in names]
 
     def outcome(extra: list[bytes], line_end: bytes):
-        """What `read` gives, or the error it raises, on the sources with `extra` after the first one's lines."""
+        """What `read` gives, or the error it raises, on the sources with `extra` after the first's lines."""
         folder = tmp_path / f"{len(extra)}{line_end.hex()}"
         folder.mkdir()
         paths = []
