@@ -793,9 +793,10 @@ def split_rows(
             cell_ends = bounds + _PAD
             cell_starts = np.concatenate(([_PAD], cell_ends[:-1] + 1))
             if b"\r" in block:  # plain if each "\r" is the start of a "\r\n" line end
-                if block.count(b"\r") != block.count(b"\r\n"):
-                    break
+                # the lines whose last byte is "\r", all ended by "\n" unless the block ends in "\r"
                 crlf = np.frombuffer(data, np.uint8)[cell_ends[last] - 1] == ord("\r")
+                if block.endswith(b"\r") or np.count_nonzero(crlf) != block.count(b"\r"):
+                    break
                 cell_ends[last] -= crlf
                 lengths -= crlf
             if lengths.max() > csv.field_size_limit():

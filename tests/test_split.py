@@ -162,6 +162,22 @@ def test_non_ascii_delimiter_is_read_by_csv():
     assert calls.calls == 1
 
 
+@pytest.mark.parametrize(
+    ("text", "calls", "rows"),
+    [
+        (b"a,b\r\n\r\nc\r\n", 0, [(1, ["a", "b"]), (2, []), (3, ["c"])]),
+        (b"a,b\r\nc", 0, [(1, ["a", "b"]), (2, ["c"])]),
+        (b"a,b\r\nc\r", 1, [(1, ["a", "b"]), (2, ["c"])]),  # a lone "\r", at the end of the text
+        (b"a,b\rc\r\n", 1, [(1, ["a", "b"]), (2, ["c"])]),
+        (b"a,b\r\r\nc\n", 1, [(1, ["a", "b"]), (2, []), (3, ["c"])]),
+    ],
+)
+def test_only_a_lone_cr_takes_the_csv_path(text, calls, rows):
+    with csv_calls() as made:
+        assert split(text) == rows
+    assert made.calls == calls
+
+
 # --- the switch to csv gives the same rows -----------------------------------
 
 GPS_ROWS = [
