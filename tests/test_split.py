@@ -2,6 +2,7 @@
 
 import csv
 import io
+import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -121,35 +122,56 @@ def test_plain_text_splits_as_csv(table, chunk_rows, block_bytes):
     assert columns == [[row[j] for row in wide_rows] for j in range(width)]
 
 
-# cells of any text: quotes, line ends and the characters str.splitlines breaks at, but csv does not
-ANY_CHARS = st.sampled_from(list('ab, "#') + ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00e9"])
+# cells of any text: quotes, line ends, delimiters of one to three bytes, the characters str.splitlines
+# breaks at but csv does not, and NUL, which csv reads from Python 3.11 on (before, it fails the line)
+ANY_CHARS = st.sampled_from(
+    list('ab, "#') + ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00e9", "\u00a7", "\u4e2d"]
+    + (["\0"] if sys.version_info >= (3, 11) else [])
+)
+# lines of "x" before the drawn rows, in some of the texts, so that a block of BLOCK_BYTES ends among
+# the rows: the line it ends on may end inside a quoted cell
+PAD_LINE = "x" * 65535 + "\n"
 
 
 @st.composite
 def any_texts(draw):
+    delimiter = draw(st.sampled_from([",", "\u00a7", "\u4e2d"]))
     cell = st.text(ANY_CHARS, max_size=5)
+    one_line = cell.map(lambda text: text.replace("\n", "").replace("\r", ""))
     quoted_cell = cell.map(lambda text: '"' + text.replace('"', '""') + '"')
-    row = st.lists(st.one_of(cell.map(lambda text: text.replace('"', "").replace("\n", "").replace("\r", "")),
-                             quoted_cell), max_size=4)
+    row = st.lists(
+        st.one_of(
+            one_line.map(lambda text: text.replace('"', "")),
+            quoted_cell,
+            one_line.map(lambda text: "b" + text),  # a quote inside an unquoted cell is literal
+            st.tuples(quoted_cell, one_line).map("".join),  # and so is text after a closing quote
+        ),
+        max_size=4,
+    )
     lines = draw(st.lists(st.tuples(row, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
-    return "".join(",".join(cells) + end for cells, end in lines) + draw(st.sampled_from(["", "x", '"x']))
+    text = "".join(delimiter.join(cells) + end for cells, end in lines) + draw(st.sampled_from(["", "x", '"x']))
+    if text and draw(st.integers(0, 5)) == 0:
+        lines, rest = divmod(ingest.BLOCK_BYTES - draw(st.integers(1, len(text.encode()))), len(PAD_LINE))
+        text = PAD_LINE * lines + PAD_LINE[-rest:] + text
+    return text, delimiter
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    text=any_texts(),
+    drawn=any_texts(),
     chunk_rows=st.sampled_from([1, 2, ingest.CHUNK_ROWS]),
     block_bytes=st.sampled_from([1, 7, 64, ingest.BLOCK_BYTES]),
 )
-def test_any_text_splits_as_csv(text, chunk_rows, block_bytes):
+def test_any_text_splits_as_csv(drawn, chunk_rows, block_bytes):
     """Plain or not, each row is csv's, numbered by the line it starts on."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    text, delimiter = drawn
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     expected, line = [], 1
     for row in reader:
         expected.append((line, row))
         line = reader.line_num + 1
     with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows), mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
-        assert split(text.encode()) == expected
+        assert split(text.encode(), delimiter) == expected
 
 
 def test_empty_text_has_no_rows():
