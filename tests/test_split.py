@@ -128,8 +128,8 @@ ANY_CHARS = st.sampled_from(
     list('ab, "#') + ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00e9", "\u00a7", "\u4e2d"]
     + (["\0"] if sys.version_info >= (3, 11) else [])
 )
-# lines of "x" before the drawn rows, in some of the texts, so that a block of BLOCK_BYTES ends among
-# the rows: the line it ends on may end inside a quoted cell
+# lines of "x" before the drawn rows, in some of the texts, so that a block of BLOCK_BYTES ends just
+# after a line-end byte inside a cell: inside a quoted span, as only quoted cells hold line ends
 PAD_LINE = "x" * 65535 + "\n"
 
 
@@ -149,9 +149,14 @@ def any_texts(draw):
         max_size=4,
     )
     lines = draw(st.lists(st.tuples(row, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
-    text = "".join(delimiter.join(cells) + end for cells, end in lines) + draw(st.sampled_from(["", "x", '"x']))
-    if text and draw(st.integers(0, 5)) == 0:
-        lines, rest = divmod(ingest.BLOCK_BYTES - draw(st.integers(1, len(text.encode()))), len(PAD_LINE))
+    text, breaks = "", []
+    for cells, end in lines:
+        row = delimiter.join(cells)
+        breaks += [len(text.encode()) + len(row[:i].encode()) + 1 for i, char in enumerate(row) if char in "\r\n"]
+        text += row + end
+    text += draw(st.sampled_from(["", "x", '"x']))
+    if breaks and draw(st.integers(0, 3)) == 0:
+        lines, rest = divmod(ingest.BLOCK_BYTES - draw(st.sampled_from(breaks)), len(PAD_LINE))
         text = PAD_LINE * lines + PAD_LINE[-rest:] + text
     return text, delimiter
 
