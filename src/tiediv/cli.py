@@ -222,12 +222,12 @@ stage_features = _analysis_stage(
 stage_compare = _analysis_stage(
     "compare.csv",
     experiments.CompareRow,
-    lambda obs, cfg: experiments.compare_features(obs, cfg.width_t),
+    lambda obs, cfg: experiments.compare_features(obs, cfg.width_t, cfg.q),
 )
 stage_sweep_t = _analysis_stage(
     "sweep_t.csv",
     experiments.WidthRow,
-    lambda obs, cfg: experiments.sweep_width(obs, cfg.width_grid),
+    lambda obs, cfg: experiments.sweep_width(obs, cfg.width_grid, cfg.q),
 )
 stage_sweep_q = _analysis_stage(
     "sweep_q.csv",
@@ -237,12 +237,12 @@ stage_sweep_q = _analysis_stage(
 stage_subgroups = _analysis_stage(
     "subgroups.csv",
     experiments.SubgroupRow,
-    lambda obs, cfg: experiments.subgroup_distributions(obs, cfg.width_t),
+    lambda obs, cfg: experiments.subgroup_distributions(obs, cfg.width_t, cfg.q),
 )
 stage_evolve = _analysis_stage(
     "evolution.csv",
     experiments.EvolutionRow,
-    lambda obs, cfg: experiments.evolution(obs, range(1, cfg.max_horizon + 1), cfg.width_t),
+    lambda obs, cfg: experiments.evolution(obs, range(1, cfg.max_horizon + 1), cfg.width_t, cfg.q),
 )
 
 

@@ -23,8 +23,8 @@ jitter and coverage) are `_RULES`, each reported on one field. A broken
 rule raises `SettingError`, a ValueError that names the field;
 `build_config` only parses text, and reports a failure with that text.
 
-`q` sets the order of `features.csv`'s `temporal_diversity` only:
-compare, subgroups, evolve and sweep-t use Shannon diversity, and
+`q` sets the order of every temporal diversity of a run (features,
+compare, sweep-t, subgroups, evolve), Shannon diversity when unset;
 sweep-q uses the orders of `q_grid`.
 """
 

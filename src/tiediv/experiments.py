@@ -41,7 +41,7 @@ class CompareRow(NamedTuple):
 
 
 class WidthRow(NamedTuple):
-    """F-test of Shannon temporal diversity at one interval width."""
+    """F-test of temporal diversity at one interval width."""
 
     width_t: int
     f_value: float | None
@@ -112,9 +112,10 @@ def _sweep(
 def sweep_width(
     observations: Sequence[Observation],
     widths: Iterable[int] = DEFAULT_WIDTH_GRID,
+    q: float | None = None,
 ) -> list[WidthRow]:
-    """F-test temporal diversity (Shannon) against closeness per width."""
-    return _sweep(WidthRow, observations, widths, lambda table, width: table.temporal_diversity(width))
+    """F-test temporal diversity of order q against closeness per width."""
+    return _sweep(WidthRow, observations, widths, lambda table, width: table.temporal_diversity(width, q))
 
 
 def sweep_q(
@@ -126,22 +127,22 @@ def sweep_q(
     return _sweep(OrderRow, observations, orders, lambda table, q: table.temporal_diversity(width_t, q))
 
 
-def _feature_columns(observations: Sequence[Observation], width_t: int) -> dict[str, list[float]]:
-    """Each of FEATURE_NAMES as a column over the observations (Shannon diversity)."""
+def _feature_columns(observations: Sequence[Observation], width_t: int, q: float | None) -> dict[str, list[float]]:
+    """Each of FEATURE_NAMES as a column over the observations."""
     table = ObservationTable.of(observations)
-    shannon = table.temporal_diversity(width_t)
-    return dict(zip(FEATURE_NAMES, (table.location_diversity(), table.mean_encounters(), shannon)))
+    columns = (table.location_diversity(), table.mean_encounters(), table.temporal_diversity(width_t, q))
+    return dict(zip(FEATURE_NAMES, columns))
 
 
 def compare_features(
-    observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T
+    observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T, q: float | None = None
 ) -> list[CompareRow]:
     """Regress each of the three features against reported closeness.
 
     A degenerate feature column yields an error row; the other features
     are still evaluated.
     """
-    columns = _feature_columns(observations, width_t)
+    columns = _feature_columns(observations, width_t, q)
     return [_regress(feature, values, observations) for feature, values in columns.items()]
 
 
@@ -162,11 +163,11 @@ def _quartiles(values: Sequence[float]) -> list[float]:
 
 
 def subgroup_distributions(
-    observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T
+    observations: Sequence[Observation], width_t: int = DEFAULT_WIDTH_T, q: float | None = None
 ) -> list[SubgroupRow]:
     """Five-number summary plus 1.5*IQR outliers per (closeness, feature)."""
     rows = []
-    for feature, feature_values in _feature_columns(observations, width_t).items():
+    for feature, feature_values in _feature_columns(observations, width_t, q).items():
         values_by_label: dict[int, list[float]] = {c: [] for c in CLOSENESS_LABELS}
         for obs, value in zip(observations, feature_values):
             values_by_label[obs.closeness].append(value)
@@ -189,6 +190,7 @@ def evolution(
     observations: Sequence[Observation],
     horizons: Iterable[int] = range(1, DEFAULT_MAX_HORIZON + 1),
     width_t: int = DEFAULT_WIDTH_T,
+    q: float | None = None,
 ) -> list[EvolutionRow]:
     """Mean temporal diversity per subgroup using only the first d common days.
 
@@ -203,7 +205,7 @@ def evolution(
     for label in CLOSENESS_LABELS:
         subgroup = [i for i, obs in enumerate(table) if obs.closeness == label]
         for d in horizons:
-            column = table.temporal_diversity(width_t, horizon=d)
+            column = table.temporal_diversity(width_t, q, d)
             diversities = [column[i] for i in subgroup if table[i].encounters.n_common_days >= d]
             mean = sum(diversities) / len(diversities) if diversities else None
             rows.append(EvolutionRow(label, d, mean, len(diversities)))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiediv import artifacts, experiments, features, ingest
+from tiediv import artifacts, experiments, features, ingest, stats
 from tiediv.cli import main
 from tiediv.encounter import GEOHASH_LENGTH
 from tiediv.geo import GEOHASH_BASE32
@@ -330,6 +330,50 @@ def test_main_calls_in_one_process_share_no_settings(outdir, tmp_path):
     reference = tmp_path / "reference"
     assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(reference)) == 0
     assert data_rows(outdir, ["features.csv"]) == data_rows(reference, ["features.csv"]) != with_q2
+
+
+@pytest.fixture(scope="module")
+def synth_inputs(tmp_path_factory) -> list[str]:
+    """The golden synthetic case's inputs: 4 pairs per archetype, so TD's r with closeness is below 1."""
+    gen = tmp_path_factory.mktemp("synth")
+    assert run("synth", "-o", str(gen), "--synth-pairs", "4", "--synth-days", "9", "--seed", "11") == 0
+    return ["--gps", str(gen / "synth_gps.csv"), "--survey", str(gen / "synth_survey.csv"), "--min-common-days", "5"]
+
+
+@pytest.mark.parametrize("q", ["0", "2"])
+@pytest.mark.parametrize("inputs", ["mini", "synth"])
+def test_q_reaches_every_artifact_that_summarises_temporal_diversity(outdir, synth_inputs, inputs, q):
+    """compare, subgroups and evolve summarise features.csv's temporal diversity, of the run's order q."""
+    args = ["--gps", GPS, "--survey", SURVEY] if inputs == "mini" else synth_inputs
+    assert run("all", *args, "-o", str(outdir), "--q", q) == 0
+    observations = features.build_observations(
+        artifacts.read_survey(outdir / "survey.csv"),
+        artifacts.read_encounter_sets(outdir / "encounters.csv", outdir / "pairs.csv"),
+    )
+    _, columns, rows = read_table(outdir / "features.csv")
+    assert [row[:2] for row in rows] == [[o.rater_id, o.ratee_id] for o in observations]
+    td = [float(row[columns.index("temporal_diversity")]) for row in rows]
+    days = [int(row[columns.index("n_common_days")]) for row in rows]
+    closeness = [o.closeness for o in observations]
+    labels = {label: [i for i, c in enumerate(closeness) if c == label] for label in set(closeness)}
+
+    _, columns, rows = read_table(outdir / "subgroups.csv")
+    mean = columns.index("mean")
+    means = {int(row[1]): float(row[mean]) for row in rows if row[0] == "temporal_diversity" and row[mean]}
+    assert means == {label: pytest.approx(np.mean([td[i] for i in members])) for label, members in labels.items()}
+
+    _, columns, rows = read_table(outdir / "compare.csv")
+    r = {row[0]: row[columns.index("r")] for row in rows}["temporal_diversity"]
+    expected = stats.pearson_r(td, [float(c) for c in closeness])
+    assert float(r) == pytest.approx(expected) if r else abs(expected) == pytest.approx(1.0)
+
+    # at the most common days of a subgroup, evolve reads the pairs with that many, on all their days
+    _, columns, rows = read_table(outdir / "evolution.csv")
+    evolution = {(int(row[0]), int(row[1])): row[2] for row in rows}
+    for label, members in labels.items():
+        d = max(days[i] for i in members)
+        full = [td[i] for i in members if days[i] == d]
+        assert float(evolution[label, d]) == pytest.approx(sum(full) / len(full))
 
 
 class TestStageErrors:

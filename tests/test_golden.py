@@ -76,17 +76,17 @@ GOLDEN = {
         "gen/synth_gps.csv": "f7b27e8239e723a92ac69da2e55ae2b02f4eb22e2a35b061d69cb23d764414ab",
         "gen/synth_survey.csv": "0193b5999b84a96b4b7fdb948288e74d866511ff36c6d2fe9c79e73bdb2dc223",
         "out/clean_fixes.csv": "eef1f9f9bc199b1c1c1d7e7e3936da61e6f7973a9b4ce3270defd2c85487db72",
-        "out/compare.csv": "0820381f49a9742dc946bae9b2a115150150179f2c3b784906553222d2528e4a",
+        "out/compare.csv": "b17befe73b8580fcdd19a49553ab296405275e0204df4f92a219b47105678d1f",
         "out/encounters.csv": "cfefcd19b5c8fd38c0b090d48d29fd6290708748b1eedb9aa297ee7ae934ded6",
-        "out/evolution.csv": "9c063afeae7fd932118541a1ebcb54ed56ca5b84e5384992ad774b303be7b00e",
+        "out/evolution.csv": "398b09c5ff3368e9c7ca1303924d99b46213efd0b36ee084770bffc4d0718040",
         "out/features.csv": "3145177117b0b5d23863a199de4256f930b1f5cc45af8988d5cb379f907aed39",
         "out/fixes.csv": "29b41b75673322f3e1c538fe0e5335851cf6e3352de5f7ca051503c11768f1d6",
         "out/ingest_rejects.txt": "b4ab5ccef4c1222df3c19b08b65411b4f1038a566dd0d073daac0e0783432874",
         "out/pairs.csv": "7dd5da34eccc73c8bb546fe4346bff95fa1e659077eca85f9633a9bc87fb7711",
-        "out/subgroups.csv": "b67e6758c2993623bfc379cfb7008f05fdc8272f022b2c15909af6098e4e54dc",
+        "out/subgroups.csv": "ce0f28212e9c18267eaec35d334078c51108a86ee027ed03c2dc1e067dd126ef",
         "out/survey.csv": "4a45fe714d03f8bbeeab4b66fd5405e29e3787858df5e3b3d21d3e0ea5f2c3ec",
         "out/sweep_q.csv": "f3b2d7c76d3a8a136b7fbf52e13fd2e3edba3511d53aa953217c263ab6b89a85",
-        "out/sweep_t.csv": "ff760141c1b5ab23d49a26bf2ead88e5556863e53ced6177fbffd7d281bbc7d5",
+        "out/sweep_t.csv": "883bb37b1baaf5dcf81a8e5879d8c9a53615145abc8a17b90f368af8becd0b55",
         "out/valid_days.csv": "4df8fdc1e1a909f8a8058c8d8497d9e77167bdbb89b9106f01b7692dd170ea81",
     },
     "messy": {
