@@ -28,16 +28,14 @@ path and the line ends ("\n") it wrote, one per meta line, header and
 data row plus each inside a cell. `check_written` counts the file's
 line ends against it.
 
-Readers stream the file in blocks of whole lines. They skip the '#'
-meta lines before the header and read the rest with ingest's
-`split_rows`: plain text (no '"', NUL or "\\r" outside a "\\r\\n" line
-end) is split without csv, also in a copy whose line ends were changed
-to "\\r\\n", and from the first block that is not plain (a cell the
-writer quoted), csv reads the rest, so a row ends only where csv would
-end it. Each column comes as ingest's `Cells`, the byte ranges of its
-cells. A row of the wrong width or one csv cannot parse raises
-ValueError naming the artifact and the data row, and a byte that is
-not UTF-8 one naming the artifact and the byte's offset in the file.
+Readers skip the '#' meta lines before the header and read the rest
+with ingest's `split_rows`, which streams the file in blocks of whole
+rows and splits them as csv would, cells the writer quoted and "\\r\\n"
+line ends included, without csv. Each column comes as ingest's `Cells`,
+the byte ranges of its cells. A row of the wrong width or with a cell
+over csv's field limit raises ValueError naming the artifact and the
+data row, and a byte that is not UTF-8 one naming the artifact and the
+byte's offset in the file.
 
 Each reader hands every chunk of columns to its artifact's converter
 (`_converted`), which converts the cells by ingest's `column_values` or
@@ -297,9 +295,9 @@ def _column_chunks(path: str | Path, names: Sequence[str]) -> Iterator[tuple[int
 
     Rows are numbered from 1 after the header. There is at least one
     chunk, which may hold no rows. Raises ValueError naming the artifact
-    and row if a row has more or fewer cells than the header, or if csv
-    cannot parse it, and naming the artifact and the offset of a byte
-    that is not UTF-8.
+    and row if a row has more or fewer cells than the header, or a cell
+    over csv's field limit, and naming the artifact and the offset of a
+    byte that is not UTF-8.
     """
     with open(path, "rb") as handle, gc_paused(), _naming(path):
         columns: list[str] | None = None

@@ -12,24 +12,14 @@ only in their column aliases and converters.
 The readers take a binary handle to UTF-8 text, in which a leading
 byte-order mark is ignored, and the run's `RunConfig`, whose
 `delimiter` and `naive_utc_offset_minutes` they read. They never seek
-the handle, so it may be a pipe. Rows are what csv reads in
-`newline=''` mode: a line ends at "\\r\\n", "\\r" or "\\n", whichever the
-export uses, and a row's number is the line it starts on, line ends
-inside a quoted cell counted.
-Text is plain when it holds no '"' or NUL, no "\\r" but that of a
-"\\r\\n", and no line longer than csv's field limit, and the delimiter
-is ASCII. Each "\\n"- or "\\r\\n"-ended line of plain text is one row,
-`line.split(delimiter)`, or [] if it is empty, so `split_rows` splits
-plain text without csv and without decoding it: every cell ends at a
-delimiter or a line end, so numpy finds each cell's byte range, and a
-chunk of rows hands out its cells as `Cells`, byte ranges of one
-buffer. It streams the text in blocks of whole lines, never the whole
-input at once, and decodes a plain block that is not ASCII once, to
-check that it is UTF-8; from the first block that is not plain (a
-quoted cell, a lone "\\r", a NUL), csv reads the rest, and each chunk
-of csv's cells is encoded into one buffer. A decode error gives the
-offset of the bad byte in the file. The staged artifact readers split
-with it too.
+the handle, so it may be a pipe. One splitter, `split_rows`, reads every
+input, and the staged artifacts too, without csv and without decoding:
+its rows are those csv's default dialect reads in `newline=''` mode,
+quoted cells and "\\r" line ends included. It streams the text in blocks
+of whole rows, numpy finds each cell's byte range in a block, and a
+chunk of rows hands out its cells as `Cells`, byte ranges of one buffer;
+only a quoted cell that is more than one quoted text is copied. A decode
+error gives the offset of the bad byte in the file.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -77,17 +67,12 @@ only. The table iterates as `RawFix` rows.
 from __future__ import annotations
 
 import codecs
-import csv
 import gc
-import io
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from functools import partial, reduce
-from itertools import chain
+from functools import partial
 from math import isfinite
-from operator import iadd
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -261,7 +246,7 @@ class Cells:
         size = np.minimum(self.ends - self.starts, _CODE_BYTES)
         keys = self.words(self.starts) & _HIGH_BYTES[size]
         coded = self.ends - self.starts <= _CODE_BYTES
-        if self.data.find(b"\0", _PAD, len(self.data) - _PAD) >= 0:  # csv reads NUL
+        if self.data.find(b"\0", _PAD, len(self.data) - _PAD) >= 0:  # a cell may hold NUL
             nul = (self.windows(_CODE_BYTES, self.starts) == 0) & (np.arange(_CODE_BYTES) < size[:, None])
             coded &= ~nul.any(axis=1)
         if not coded.all():
@@ -691,10 +676,10 @@ def int64_cell(text: str) -> int:
 def gc_paused() -> Iterator[None]:
     """Pause cyclic garbage collection while a table is built.
 
-    Reading a table allocates many lists: csv's rows, and the values the
-    converters build. None of them forms a cycle, but each batch of
-    allocations would trigger a collection that rescans every list
-    allocated so far.
+    Reading a table allocates many objects: the texts of the cells that
+    are decoded, and the values the converters build. None of them forms
+    a cycle, but each batch of allocations would trigger a collection
+    that rescans every container allocated so far.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -709,6 +694,8 @@ def gc_paused() -> Iterator[None]:
 CHUNK_ROWS = 1 << 15
 # bytes read at a time, then on to the end of the line
 BLOCK_BYTES = 1 << 21
+# csv's default field size limit: a row with a longer cell fails, with csv's reason
+_FIELD_LIMIT = 131072
 
 
 @dataclass(frozen=True, eq=False)
@@ -716,8 +703,8 @@ class Rows:
     """A chunk of rows of delimited text; their cells are byte ranges of one buffer.
 
     Row i starts on line `line_nos[i]`, and its cells are `cells`
-    `starts[i]` to `starts[i] + widths[i] - 1`. A row csv could not read
-    has no cells, and csv's reason in `failed`.
+    `starts[i]` to `starts[i] + widths[i] - 1`. A row with a cell over
+    csv's field limit has no cells, and csv's reason in `failed`.
     """
 
     line_nos: np.ndarray
@@ -748,11 +735,58 @@ def utf8_text(data: bytes, offset: int) -> str:
         raise ValueError(f"'utf-8' codec can't decode {what} in position {where}: {exc.reason}") from None
 
 
-def _line_blocks(handle: BinaryIO, head: bytes) -> Iterator[bytes]:
-    """`head`, then the rest of `handle`, in blocks of whole lines; only the last may lack its "\\n"."""
+class _Quotes(NamedTuple):
+    """The runs of '"' in a block, read as csv's default dialect reads them (`_quotes`)."""
+
+    starts: np.ndarray  # the byte each run starts at
+    inside: np.ndarray  # whether a quoted span is open after it
+    drops: np.ndarray  # the quotes csv drops: each span's first and last, one of each `""` in it
+
+
+def _quotes(block: bytes, delimiter: bytes, inside: bool = False) -> _Quotes:
+    """The runs of '"' in `block`, which starts inside a quoted span if `inside`.
+
+    Outside a span, a run at a cell start (the block's start, or just
+    after a line-end byte or the delimiter) opens one with its first
+    quote; any other run is text. Inside, each `""` is one quote, and an
+    odd quote left over closes the span. So a run of odd size at a cell
+    start flips whether a span is open, one of odd size elsewhere leaves
+    it closed, and one of even size changes nothing: a span is open
+    after a run when the flips since the last run that closed it are odd.
+    """
+    chars = np.frombuffer(_PADDING + block, np.uint8)
+    at = np.flatnonzero(chars == ord('"'))
+    first = np.flatnonzero(np.diff(at, prepend=-2) != 1)  # each run's first quote among `at`
+    starts, sizes = at[first], np.diff(first, append=len(at))
+    cell_start = (starts == _PAD) | (chars[starts - 1] == ord("\n")) | (chars[starts - 1] == ord("\r"))
+    cell_start |= np.logical_and.reduce([chars[starts - len(delimiter) + k] == b for k, b in enumerate(delimiter)])
+    odd = sizes % 2 == 1
+    flips = np.cumsum(odd & cell_start)
+    closed = np.maximum.accumulate(np.where(odd & ~cell_start, np.arange(len(sizes)), -1))
+    after = (flips - np.where(closed >= 0, flips[closed], -int(inside))) % 2 == 1
+    before = np.concatenate(([inside], after[:-1]))
+    dropped = np.where(before, (sizes + 1) // 2, np.where(cell_start, sizes - (sizes - 1) // 2, 0))  # its first ones
+    total = np.cumsum(dropped)
+    drops = np.repeat(starts - total + dropped, dropped) + np.arange(total[-1])
+    return _Quotes(starts - _PAD, after, drops - _PAD)
+
+
+def _row_blocks(handle: BinaryIO, head: bytes, delimiter: bytes) -> Iterator[tuple[bytes, _Quotes | None]]:
+    """`head`, then the rest of `handle`, in blocks of whole rows, with their quotes (None if there are none).
+
+    A block is BLOCK_BYTES read on to the end of the line, and on by as
+    much again while a quoted span is open at its end.
+    """
     while block := head + handle.read(BLOCK_BYTES):
-        yield block if block.endswith(b"\n") else block + handle.readline()
-        head = b""
+        head, parts, quotes, inside = b"", [], None, False
+        while block:
+            parts.append(block if block.endswith(b"\n") else block + handle.readline())
+            if b'"' in parts[-1]:
+                quotes = _quotes(parts[-1], delimiter, inside)
+                inside = bool(quotes.inside[-1])
+            block = handle.read(BLOCK_BYTES) if inside else b""
+        block = b"".join(parts)
+        yield block, quotes if len(parts) == 1 else _quotes(block, delimiter)
 
 
 def split_rows(
@@ -761,120 +795,84 @@ def split_rows(
     """The rows of UTF-8 delimited text, `head` and then the rest of `handle`, in chunks.
 
     `head` holds bytes already read from the handle; the text starts on
-    line `line`, at byte `offset` of the input. Text is plain when it
-    holds no '"' or NUL, every "\\r" in it comes just before a "\\n", no
-    line is longer than csv's field limit, and the delimiter is ASCII,
-    not '"' or a line end. Each line of plain text, ended by "\\n" or
-    "\\r\\n", is then one row, as csv reads it in `newline=''` mode:
-    `line.split(delimiter)`, or [] if the line is empty. The text is
-    read in blocks of whole lines, and each plain block is split so
-    without being decoded: every cell ends at a delimiter or a line end,
-    so numpy finds the byte range of each cell, and the block's bytes
-    are the buffer of its chunks of CHUNK_ROWS lines. A block that is
-    not ASCII is decoded once, to check that it is UTF-8. From the first
-    block that is not plain, csv reads the rest of the text
-    (`_csv_chunks`). A decode error names the offset of the bad byte in
-    the input.
+    line `line`, at byte `offset` of the input. The rows are those csv's
+    default dialect reads in `newline=''` mode: a line ends at "\\r\\n",
+    "\\r" or "\\n", and a cell at a line end or at the delimiter's UTF-8
+    bytes (which UTF-8 never holds inside another character) outside
+    quoted spans (`_quotes`). A row's number is the line it starts on; a
+    row with a cell over csv's field limit has no cells, and csv's
+    reason. Each block of whole rows (`_row_blocks`), less the quotes csv
+    drops, is the buffer of its chunks of CHUNK_ROWS rows. A block that
+    is not ASCII is decoded once, to check that it is UTF-8; a decode
+    error names the offset of the bad byte.
     """
-    blocks = _line_blocks(handle, head)
-    if len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n':
-        for block in blocks:
-            if b'"' in block or b"\0" in block:
-                break
-            chars = np.frombuffer(block, np.uint8)
-            bounds = np.flatnonzero((chars == ord(delimiter)) | (chars == ord("\n")))
-            line_end = chars[bounds] == ord("\n")
-            if not block.endswith(b"\n"):
-                bounds, line_end = np.append(bounds, len(block)), np.append(line_end, True)
-            last = np.flatnonzero(line_end)  # the last cell of each line
-            ends = bounds[last]
-            lengths = np.diff(ends, prepend=-1) - 1
-            data = _PADDING + block + _PADDING
-            cell_ends = bounds + _PAD
-            cell_starts = np.concatenate(([_PAD], cell_ends[:-1] + 1))
-            if b"\r" in block:  # plain if each "\r" is the start of a "\r\n" line end
-                # the lines whose last byte is "\r", all ended by "\n" unless the block ends in "\r"
-                crlf = np.frombuffer(data, np.uint8)[cell_ends[last] - 1] == ord("\r")
-                if block.endswith(b"\r") or np.count_nonzero(crlf) != block.count(b"\r"):
-                    break
-                cell_ends[last] -= crlf
-                lengths -= crlf
-            if lengths.max() > csv.field_size_limit():
-                break
-            first = np.concatenate(([0], last[:-1] + 1))
-            if not block.isascii():
-                utf8_text(block, offset)
-            for a in range(0, len(ends), CHUNK_ROWS):
-                b = min(a + CHUNK_ROWS, len(ends))
-                cells = slice(first[a], last[b - 1] + 1)
-                yield Rows(
-                    np.arange(line + a, line + b),
-                    np.where(lengths[a:b] > 0, last[a:b] - first[a:b] + 1, 0),
-                    first[a:b] - first[a],
-                    Cells(data, cell_starts[cells], cell_ends[cells]),
-                    {},
-                )
-            offset, line = offset + len(block), line + len(ends)
-        else:
-            return
-        blocks = chain([block], blocks)  # csv reads on from the block that is not plain
-    yield from _csv_chunks(blocks, offset, delimiter, line)
-
-
-def _csv_chunks(blocks: Iterable[bytes], offset: int, delimiter: str, line: int) -> Iterator[Rows]:
-    """The rows of blocks of whole lines from `offset` in the handle, as csv reads them, in chunks.
-
-    A row's number is the line it starts on: `line`, the number of the
-    first line, plus the lines csv has read before the row. csv's field
-    limit is lifted while csv parses, so an oversized quoted cell is read
-    whole, line breaks and all; a row with a cell over the limit then
-    fails with csv's reason, and rows are searched for it only when the
-    chunk's longest cell is over it. A row that csv cannot parse has no
-    cells, and csv's reason. Each chunk's cells are encoded into one buffer.
-    """
-    limit = csv.field_size_limit()
-    reader = csv.reader(_text_lines(blocks, offset), delimiter=delimiter)
-    while True:
-        cells: list[list[str]] = []
-        line_nos: list[int] = []
-        failed: dict[int, str] = {}
-        csv.field_size_limit(sys.maxsize)
-        try:
-            while len(cells) < CHUNK_ROWS:
-                at = line + reader.line_num
-                try:
-                    cells.append(next(reader))
-                except StopIteration:
-                    break
-                except csv.Error as exc:
-                    failed[len(cells)] = str(exc)
-                    cells.append([])
-                line_nos.append(at)
-        finally:
-            csv.field_size_limit(limit)
-        if not cells:
-            return
-        flat = reduce(iadd, cells, [])
-        if max(map(len, flat), default=0) > limit:
-            for i, row in enumerate(cells):
-                if any(len(cell) > limit for cell in row):
-                    failed[i], cells[i] = f"field larger than field limit ({limit})", []
-            flat = reduce(iadd, cells, [])
-        widths = np.fromiter(map(len, cells), np.int64, len(cells))
-        yield Rows(np.array(line_nos, np.int64), widths, np.cumsum(widths) - widths, Cells.of(flat), failed)
-        if len(cells) < CHUNK_ROWS:
-            return
-
-
-def _text_lines(blocks: Iterable[bytes], offset: int) -> Iterator[str]:
-    """Blocks of whole lines, from `offset` in the handle, as lines of text for csv.
-
-    Lines end as in `newline=''` mode: at "\\r\\n", "\\r" or "\\n". A block
-    ends after a "\\n", so no "\\r\\n" is split between blocks.
-    """
-    for block in blocks:
-        yield from io.StringIO(utf8_text(block, offset), newline="")
+    separator = delimiter.encode("utf-8", "surrogatepass")
+    for block, quotes in _row_blocks(handle, head, separator):
+        if not block.isascii():
+            utf8_text(block, offset)
         offset += len(block)
+        data = _PADDING + block + _PADDING
+        padded = np.frombuffer(data, np.uint8)
+        chars = padded[_PAD:-_PAD]
+        is_end = chars == ord("\n")
+        if len(separator) == 1:
+            is_end |= chars == separator[0]
+        else:
+            at = np.flatnonzero(chars == separator[0])
+            is_end[at[np.logical_and.reduce([padded[at + _PAD + k] == b for k, b in enumerate(separator)])]] = True
+        if b"\r" in block:  # a "\r" ends a line too, unless a "\n" follows
+            cr = np.flatnonzero(chars == ord("\r"))
+            is_end[cr[padded[cr + _PAD + 1] != ord("\n")]] = True
+        bounds = np.flatnonzero(is_end)
+        line_end = chars[bounds] != separator[0]
+        breaks = bounds[:0]  # the line ends inside quoted cells
+        if quotes is not None:  # spans open and close at the runs after which `inside` flips
+            flips = np.searchsorted(bounds, quotes.starts[np.diff(quotes.inside, prepend=False)])
+            inside = np.repeat(np.arange(len(flips) + 1) % 2 == 1, np.diff(flips, prepend=0, append=len(bounds)))
+            breaks = bounds[inside & line_end]
+            bounds, line_end = bounds[~inside], line_end[~inside]
+        if not (len(bounds) and line_end[-1] and bounds[-1] == len(block) - 1):  # no line end at the end
+            bounds, line_end = np.append(bounds, len(block)), np.append(line_end, True)
+        last = np.flatnonzero(line_end)  # the last cell of each row
+        ends = bounds[last]
+        lengths = np.diff(ends, prepend=-1) - 1
+        line_nos = np.arange(line, line + len(ends))
+        if len(breaks):
+            line_nos[1:] += np.searchsorted(breaks, ends[:-1])
+        if b"\r" in block:  # the last cell of a row that ends in "\r\n" ends before the "\r"
+            crlf = (padded[ends + _PAD] == ord("\n")) & (padded[ends + _PAD - 1] == ord("\r"))
+            lengths -= crlf
+        if quotes is not None:  # the block without the quotes csv drops: each cell is a byte range of it
+            keep = np.ones(len(block), bool)
+            keep[quotes.drops] = False
+            data = _PADDING + chars[keep].tobytes() + _PADDING
+            bounds -= np.searchsorted(quotes.drops, bounds)
+        cell_ends = bounds + _PAD
+        cell_starts = np.concatenate(([_PAD], cell_ends[:-1] + 1))
+        if len(separator) > 1:
+            cell_starts[1:] += (len(separator) - 1) * ~line_end[:-1]
+        if b"\r" in block:
+            cell_ends[last] -= crlf
+        first = np.concatenate(([0], last[:-1] + 1))
+        widths = np.where(lengths > 0, last - first + 1, 0)
+        failed = {}
+        if lengths.max() > _FIELD_LIMIT:
+            long = np.flatnonzero(cell_ends - cell_starts > _FIELD_LIMIT).tolist()
+            over = [i for i in long if len(data[cell_starts[i] : cell_ends[i]].decode()) > _FIELD_LIMIT]
+            reason = f"field larger than field limit ({_FIELD_LIMIT})"
+            failed = dict.fromkeys(np.searchsorted(last, over).tolist(), reason)
+            widths[list(failed)] = 0
+        for a in range(0, len(ends), CHUNK_ROWS):
+            b = min(a + CHUNK_ROWS, len(ends))
+            cells = slice(first[a], last[b - 1] + 1)
+            yield Rows(
+                line_nos[a:b],
+                widths[a:b],
+                first[a:b] - first[a],
+                Cells(data, cell_starts[cells], cell_ends[cells]),
+                {i - a: reason for i, reason in failed.items() if a <= i < b},
+            )
+        line += len(ends) + len(breaks)
 
 
 # --- the shared table reader -------------------------------------------------

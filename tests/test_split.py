@@ -1,4 +1,4 @@
-"""The line splitter: plain text split as csv splits it, and the switch to csv."""
+"""The line splitter: every text split as csv splits it, without csv."""
 
 import csv
 import io
@@ -186,7 +186,18 @@ def test_empty_text_has_no_rows():
 def test_non_ascii_delimiter_is_read_by_csv():
     with csv_calls() as calls:
         assert split("a§b\n\nc\n".encode(), "§") == [(1, ["a", "b"]), (2, []), (3, ["c"])]
-    assert calls.calls == 1
+    assert calls.calls == 0
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_field_limit_counts_characters(extra):
+    """csv's field limit counts a cell's characters, not its bytes, and a doubled quote as one."""
+    cell = "\u00e9" * (131072 - 1) + '""' + "x" * extra
+    text = f'a,"{cell}"\nb\n'
+    (rows,) = split_rows(io.BytesIO(text.encode()), ",")
+    assert rows.failed == ({0: "field larger than field limit (131072)"} if extra else {})
+    assert rows.row(0) == ([] if extra else next(csv.reader(io.StringIO(text, newline=""))))
+    assert (rows.line_nos.tolist(), rows.row(1)) == ([1, 2], ["b"])
 
 
 @pytest.mark.parametrize(
@@ -194,9 +205,9 @@ def test_non_ascii_delimiter_is_read_by_csv():
     [
         (b"a,b\r\n\r\nc\r\n", 0, [(1, ["a", "b"]), (2, []), (3, ["c"])]),
         (b"a,b\r\nc", 0, [(1, ["a", "b"]), (2, ["c"])]),
-        (b"a,b\r\nc\r", 1, [(1, ["a", "b"]), (2, ["c"])]),  # a lone "\r", at the end of the text
-        (b"a,b\rc\r\n", 1, [(1, ["a", "b"]), (2, ["c"])]),
-        (b"a,b\r\r\nc\n", 1, [(1, ["a", "b"]), (2, []), (3, ["c"])]),
+        (b"a,b\r\nc\r", 0, [(1, ["a", "b"]), (2, ["c"])]),  # a lone "\r", at the end of the text
+        (b"a,b\rc\r\n", 0, [(1, ["a", "b"]), (2, ["c"])]),
+        (b"a,b\r\r\nc\n", 0, [(1, ["a", "b"]), (2, []), (3, ["c"])]),
     ],
 )
 def test_only_a_lone_cr_takes_the_csv_path(text, calls, rows):
@@ -205,7 +216,7 @@ def test_only_a_lone_cr_takes_the_csv_path(text, calls, rows):
     assert made.calls == calls
 
 
-# --- the switch to csv gives the same rows -----------------------------------
+# --- quoted and "\r" copies give the same rows -----------------------------
 
 GPS_ROWS = [
     "# exported by a logger",
@@ -259,7 +270,7 @@ def test_gps_log_switching_to_csv_reads_alike(monkeypatch, block_bytes, change):
     for k in range(len(GPS_ROWS)):
         with csv_calls() as calls:
             assert parsed_gps(change(GPS_ROWS, k)) == plain, k
-        assert calls.calls == (1 if change is quoted else 0)  # a "\r\n" line end is plain
+        assert calls.calls == 0
 
 
 class Unseekable(io.BytesIO):
@@ -281,8 +292,7 @@ def test_switching_to_csv_never_seeks(monkeypatch, block_bytes, change):
         with csv_calls() as calls:
             chunks = list(split_rows(Unseekable(text.encode()), ","))
         assert [(int(rows.line_nos[i]), rows.row(i)) for rows in chunks for i in range(len(rows))] == expected, k
-        # a "\r" ending the line before an empty one makes a "\r\n" line end, which is plain
-        assert calls.calls == (0 if "\r\n" in text else 1)
+        assert calls.calls == 0
 
 
 def test_survey_switching_to_csv_reads_alike(monkeypatch):
@@ -302,16 +312,11 @@ def test_survey_switching_to_csv_reads_alike(monkeypatch):
 def test_nul_takes_the_csv_path():
     line = "u\x001,2016-04-03T10:02:11Z,23.1,72.6,,5,,gps"
     text = "".join(row + "\n" for row in [GPS_HEADER, "u2,2016-04-03T10:02:11Z,23.1,72.6,,5,,gps", line])
-    try:  # csv reads NUL from Python 3.11 on; before, it fails on the line
-        next(csv.reader([line + "\n"]))
-        rejected = []
-    except csv.Error as exc:
-        rejected = [(3, str(exc))]
-    with csv_calls() as calls:
+    with csv_calls() as calls:  # NUL is text, as csv reads it from Python 3.11 on, on every Python
         fixes, report = parse_gps_log(io.BytesIO(text.encode()))
-    assert calls.calls == 1
-    assert report.entries == rejected
-    assert fixes.user.values == (("u2",) if rejected else ("u\x001", "u2"))
+    assert calls.calls == 0
+    assert report.entries == []
+    assert fixes.user.values == ("u\x001", "u2")
 
 
 # --- the same for the staged artifacts ---------------------------------------
@@ -341,16 +346,21 @@ def test_artifact_switching_to_csv_reads_alike(mini_run, tmp_path, monkeypatch, 
         path.write_text(change(lines, k), encoding="utf-8", newline="")
         with csv_calls() as calls:
             assert table_columns(read(path)) == plain, k
-        assert calls.calls == (1 if change is quoted else 0)  # a "\r\n" line end is plain
+        assert calls.calls == 0
 
 
-# --- every reader reads a "\r\n" twin alike, without csv ---------------------
+# --- every reader reads a "\r\n" twin and a quoted one alike, without csv ---
 
 
 def parsed(parse, path: Path) -> tuple:
     with open(path, "rb") as handle:
         rows, report = parse(handle)
     return (table_columns(rows) if isinstance(rows, ingest.FixTable) else rows), report.entries
+
+
+def quote_cells(line: bytes) -> bytes:
+    """The line with every cell quoted, unless it is empty or a '#' line."""
+    return line if not line or line.startswith(b"#") else b",".join(b'"' + cell + b'"' for cell in line.split(b","))
 
 
 # reader: (the files it reads, lines that make the first file fail or reject rows, the reader)
@@ -377,21 +387,21 @@ TWIN_READERS = {
 
 @pytest.mark.parametrize("reader", TWIN_READERS)
 def test_crlf_twin_reads_alike_without_csv(mini_run, tmp_path, reader):
-    """Rows, reasons and line numbers of a copy with "\\r\\n" line ends are the original's."""
+    """Rows, reasons and line numbers of "\r\n" copies, one with every cell quoted, are the original's."""
     names, bad_lines, read = TWIN_READERS[reader]
     sources = [(DATA if name.startswith("mini_") else mini_run) / name for name in names]
 
-    def outcome(extra: list[bytes], line_end: bytes):
+    def outcome(extra: list[bytes], line_end: bytes, quote: bool = False):
         """What `read` gives, or the error it raises, on the sources with `extra` after the first's lines."""
-        folder = tmp_path / f"{len(extra)}{line_end.hex()}"
+        folder = tmp_path / f"{len(extra)}{line_end.hex()}{quote:d}"
         folder.mkdir()
         paths = []
         for k, source in enumerate(sources):
             text = source.read_bytes()
-            assert b"\r" not in text and text.endswith(b"\n")
-            text += b"".join(line + b"\n" for line in (extra if k == 0 else []))
+            assert b"\r" not in text and b'"' not in text and text.endswith(b"\n")
+            lines = text.split(b"\n")[:-1] + (extra if k == 0 else [])
             paths.append(folder / source.name)
-            paths[-1].write_bytes(text.replace(b"\n", line_end))
+            paths[-1].write_bytes(b"".join((quote_cells(line) if quote else line) + line_end for line in lines))
         try:
             return read(*paths)
         except ValueError as exc:
@@ -402,5 +412,6 @@ def test_crlf_twin_reads_alike_without_csv(mini_run, tmp_path, reader):
         plains.append(outcome(extra, b"\n"))
         with csv_calls() as calls:
             assert outcome(extra, b"\r\n") == plains[-1]
+            assert outcome(extra, b"\r\n", quote=True) == plains[-1]
         assert calls.calls == 0
     assert plains[0] != plains[1]  # the bad lines were read, and rejected or failed
