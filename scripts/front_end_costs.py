@@ -18,16 +18,18 @@ REPEAT times and the script prints its median wall time:
     read_fixes         the written fixes.csv
     read_clean_fixes   the written clean_fixes.csv
 
-then the three readers again on two copies of each file: one whose
-lines end in "\r\n", which the plain splitter reads as it reads "\n"
-line ends, and one whose first cell of every line is quoted, which the
-csv module reads (`ingest.split_rows`):
+then the three readers again on two copies of each file, which
+`ingest.split_rows` splits as it splits the file: one whose lines end
+in "\r\n", and one whose first cell of every line is quoted; and
+`parse_gps_log` on the log written with user ids of 14 bytes
+("participant000", more past 1,000 users) in place of 5 ("u0000"):
 
     parse_gps_log crlf, read_fixes crlf, read_clean_fixes crlf
     parse_gps_log quoted, read_fixes quoted, read_clean_fixes quoted
+    parse_gps_log long ids
 
 then the peak of the memory that Python and numpy allocate during one
-call of each of those nine, by `tracemalloc`: where a reader's memory
+call of each of those ten, by `tracemalloc`: where a reader's memory
 goes, in-process. Last come the byte kernels, each on the first
 KERNEL_CELLS cells of one column (fewer if the file is shorter), cut
 from the file as the readers cut it, and timed over KERNEL_REPEAT calls:
@@ -36,7 +38,7 @@ from the file as the readers cut it, and timed over KERNEL_REPEAT calls:
     lat, accuracy      exact_floats on the log's lat and accuracy
     clean lat          exact_floats on clean_fixes.csv's lat
     days, slots        iso_days and exact_ints on clean_fixes.csv's day and slot
-    users              Cells.text_column on the log's users
+    users, long users  Cells.text_column on the users of the log and of its long-id copy
 
     PYTHONPATH=src python scripts/front_end_costs.py --users 32 --days 7
 
@@ -47,6 +49,7 @@ orient, they do not replace an end-to-end benchmark.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import tempfile
 import time
@@ -149,6 +152,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         log, fixes_csv, clean_csv = (Path(tmp) / name for name in ("gps.csv", "fixes.csv", "clean.csv"))
         write_fixes(log, generated, {})
+        long_ids = log.with_name("long_ids_gps.csv")
+        digits = max(3, len(str(args.users - 1)))  # so that the ids sort as the short ones do
+        names = tuple(f"participant{i:0{digits}d}" for i in range(args.users))
+        write_fixes(long_ids, dataclasses.replace(generated, user=TextColumn(generated.user.codes, names)), {})
 
         def parse(path: Path = log) -> FixTable:
             with open(path, "rb") as handle:
@@ -184,12 +191,14 @@ def main() -> None:
             "parse_gps_log quoted": lambda: parse(quoted[log]),
             "read_fixes quoted": lambda: read_fixes(quoted[fixes_csv]),
             "read_clean_fixes quoted": lambda: read_clean_fixes(quoted[clean_csv]),
+            "parse_gps_log long ids": lambda: parse(long_ids),
         }
         for name, call in calls.items():
             print(f"{name:<23} {median_s(call, args.repeat) * 1000:9.1f} ms")
         for name in ("parse_gps_log", "read_fixes", "read_clean_fixes"):
-            for copy in (name, f"{name} crlf", f"{name} quoted"):
-                print(f"{copy:<23} {peak_mb(calls[copy]):9.1f} MiB peak")
+            for copy in (name, f"{name} crlf", f"{name} quoted", f"{name} long ids"):
+                if copy in calls:
+                    print(f"{copy:<23} {peak_mb(calls[copy]):9.1f} MiB peak")
         kernels = {
             "timestamps": (bulk_timestamps_us, log, "timestamp"),
             "lat": (exact_floats, log, "lat"),
@@ -198,6 +207,7 @@ def main() -> None:
             "days": (iso_days, clean_csv, "day"),
             "slots": (exact_ints, clean_csv, "slot"),
             "users": (Cells.text_column, log, "user_id"),
+            "long users": (Cells.text_column, long_ids, "user_id"),
         }
         for name, (kernel, path, column) in kernels.items():
             cells = column_cells(path, column)
