@@ -765,7 +765,7 @@ def _quotes(block: bytes, delimiter: bytes, inside: bool = False) -> _Quotes:
     closed = np.maximum.accumulate(np.where(odd & ~cell_start, np.arange(len(sizes)), -1))
     after = (flips - np.where(closed >= 0, flips[closed], -int(inside))) % 2 == 1
     before = np.concatenate(([inside], after[:-1]))
-    dropped = np.where(before, (sizes + 1) // 2, np.where(cell_start, sizes - (sizes - 1) // 2, 0))  # its first ones
+    dropped = np.where(before, (sizes + 1) // 2, np.where(cell_start, sizes - (sizes - 1) // 2, 0))  # the first ones
     total = np.cumsum(dropped)
     drops = np.repeat(starts - total + dropped, dropped) + np.arange(total[-1])
     return _Quotes(starts - _PAD, after, drops - _PAD)
@@ -845,8 +845,9 @@ def split_rows(
         if quotes is not None:  # the block without the quotes csv drops: each cell is a byte range of it
             keep = np.ones(len(block), bool)
             keep[quotes.drops] = False
-            data = _PADDING + chars[keep].tobytes() + _PADDING
+            data = b"".join((_PADDING, chars[keep], _PADDING))
             bounds -= np.searchsorted(quotes.drops, bounds)
+            del keep, chars, padded  # only the copy is needed while the chunks are converted
         cell_ends = bounds + _PAD
         cell_starts = np.concatenate(([_PAD], cell_ends[:-1] + 1))
         if len(separator) > 1:

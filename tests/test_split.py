@@ -156,8 +156,8 @@ def any_texts(draw):
         text += row + end
     text += draw(st.sampled_from(["", "x", '"x']))
     if breaks and draw(st.integers(0, 3)) == 0:
-        lines, rest = divmod(ingest.BLOCK_BYTES - draw(st.sampled_from(breaks)), len(PAD_LINE))
-        text = PAD_LINE * lines + PAD_LINE[-rest:] + text
+        pads, rest = divmod(ingest.BLOCK_BYTES - draw(st.sampled_from(breaks)), len(PAD_LINE))
+        text = PAD_LINE * pads + PAD_LINE[-rest:] + text
     return text, delimiter
 
 
