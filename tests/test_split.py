@@ -179,6 +179,21 @@ def test_any_text_splits_as_csv(drawn, chunk_rows, block_bytes):
         assert split(text.encode(), delimiter) == expected
 
 
+@pytest.mark.parametrize("short", [1, 4, 9])
+def test_block_that_ends_in_a_quoted_cell_reads_on(short):
+    """A block of BLOCK_BYTES whose last line ends inside a quoted cell is read on to the cell's end."""
+    rows = 'u1,"a\nb\r\nc",x\nu2,"\n","\n\n"\n'  # the block's bytes end `short` bytes into them
+    pads, rest = divmod(ingest.BLOCK_BYTES - short, len(PAD_LINE))
+    text = PAD_LINE * pads + PAD_LINE[-rest:] + rows
+    reader = csv.reader(io.StringIO(text, newline=""))
+    expected, line = [], 1
+    for row in reader:
+        expected.append((line, row))
+        line = reader.line_num + 1
+    assert expected[-2:] == [(pads + 2, ["u1", "a\nb\r\nc", "x"]), (pads + 5, ["u2", "\n", "\n\n"])]
+    assert split(text.encode()) == expected
+
+
 def test_empty_text_has_no_rows():
     assert split(b"") == []
 
