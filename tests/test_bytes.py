@@ -3,8 +3,8 @@
 `exact_floats` must give `float(cell)` bit for bit on every cell it
 takes, and take exactly the short decimal cells; every other cell goes
 to `float`. A byte-coded text column must equal `TextColumn.of` of the
-texts. A GPS log read on the plain path and its quoted, CRLF-ended twin,
-which csv reads, must give equal tables and reject reports.
+texts. A GPS log and its quoted, CRLF-ended twin must give equal tables
+and reject reports.
 """
 
 import io
@@ -201,7 +201,7 @@ def test_a_nul_is_not_padding():
     assert same_column(Cells.of(texts).text_column(), TextColumn.of(texts))
 
 
-# --- a plain log and its csv twin ------------------------------------------------
+# --- a plain log and its quoted twin ---------------------------------------------
 
 GPS_HEADER = ["user_id", "timestamp", "lat", "lon", "elevation", "accuracy", "satellites", "provider"]
 PLAIN_FLOATS = FLOAT_TEXTS.filter(lambda text: not set(text) & set(',"\r\n\0'))

@@ -609,7 +609,7 @@ class TestStageErrors:
         assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
         path = outdir / "fixes.csv"
         data = path.read_bytes()
-        if quote:  # a quoted cell in the first data row: csv reads the rest of the file
+        if quote:  # a quoted cell in the first data row
             at = data.index(b"\nlone") + 1
             end = data.index(b",", at)
             data = data[:at] + b'"' + data[at:end] + b'"' + data[end:]

@@ -388,7 +388,7 @@ class TestOversizedField:
 
     @pytest.mark.parametrize("block_bytes", [64, ingest.BLOCK_BYTES])
     def test_gps_row_rejected_after_the_switch_to_csv(self, monkeypatch, block_bytes):
-        # the quoted first cell sends the text to csv; the long line comes blocks later
+        # a quoted first cell, and the long line blocks later
         monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
         rows = ['"u0",2016-04-03T10:02:11Z,23.1,72.6,,30,,gps', *self.GPS_ROWS]
         fixes, report = parse_gps_log(gps_source(*rows))

@@ -2,7 +2,7 @@
 
 - An order-preserving rename of every user id renames the ids in the
   output and changes nothing else. The new ids hold ',' or '"', so every
-  file with ids in it takes the csv path of ingest and of the staged
+  file with ids in it holds quoted cells, for ingest and for the staged
   readers.
 - Shifting every timestamp and the window by k whole days moves every
   date in the output by k days and leaves the analysis unchanged.
