@@ -22,14 +22,17 @@ then the three readers again on two copies of each file, which
 `ingest.split_rows` splits as it splits the file: one whose lines end
 in "\r\n", and one whose first cell of every line is quoted; and
 `parse_gps_log` on the log written with user ids of 14 bytes
-("participant000", more past 1,000 users) in place of 5 ("u0000"):
+("participant000", more past 1,000 users) in place of 5 ("u0000"), and
+on the log with its user and timestamp columns swapped, so that the
+first cell of each row, which the table reader codes to find blank,
+comment and header rows, is a timestamp:
 
     parse_gps_log crlf, read_fixes crlf, read_clean_fixes crlf
     parse_gps_log quoted, read_fixes quoted, read_clean_fixes quoted
-    parse_gps_log long ids
+    parse_gps_log long ids, parse_gps_log timestamp first
 
 then the peak of the memory that Python and numpy allocate during one
-call of each of those ten, by `tracemalloc`: where a reader's memory
+call of each of those eleven, by `tracemalloc`: where a reader's memory
 goes, in-process. Last come the byte kernels, each on the first
 KERNEL_CELLS cells of one column (fewer if the file is shorter), cut
 from the file as the readers cut it, and timed over KERNEL_REPEAT calls:
@@ -165,6 +168,11 @@ def main() -> None:
         result = filter_pipeline(fixes, survey, cfg)
         write_fixes(fixes_csv, fixes, {})
         write_clean_fixes(clean_csv, result.clean_fixes, {})
+        timestamp_first = log.with_name("timestamp_first_gps.csv")
+        with open(timestamp_first, "wb") as handle:
+            for line in log.read_bytes().splitlines(True):
+                user, timestamp, rest = line.split(b",", 2)
+                handle.write(b",".join((timestamp, user, rest)))
         crlf, quoted = {}, {}
         for path in (log, fixes_csv, clean_csv):
             text = path.read_bytes()
@@ -192,13 +200,14 @@ def main() -> None:
             "read_fixes quoted": lambda: read_fixes(quoted[fixes_csv]),
             "read_clean_fixes quoted": lambda: read_clean_fixes(quoted[clean_csv]),
             "parse_gps_log long ids": lambda: parse(long_ids),
+            "parse_gps_log timestamp first": lambda: parse(timestamp_first),
         }
         for name, call in calls.items():
-            print(f"{name:<23} {median_s(call, args.repeat) * 1000:9.1f} ms")
+            print(f"{name:<29} {median_s(call, args.repeat) * 1000:9.1f} ms")
         for name in ("parse_gps_log", "read_fixes", "read_clean_fixes"):
-            for copy in (name, f"{name} crlf", f"{name} quoted", f"{name} long ids"):
+            for copy in (name, f"{name} crlf", f"{name} quoted", f"{name} long ids", f"{name} timestamp first"):
                 if copy in calls:
-                    print(f"{copy:<23} {peak_mb(calls[copy]):9.1f} MiB peak")
+                    print(f"{copy:<29} {peak_mb(calls[copy]):9.1f} MiB peak")
         kernels = {
             "timestamps": (bulk_timestamps_us, log, "timestamp"),
             "lat": (exact_floats, log, "lat"),
@@ -212,7 +221,7 @@ def main() -> None:
         for name, (kernel, path, column) in kernels.items():
             cells = column_cells(path, column)
             ms = median_s(partial(kernel, cells), KERNEL_REPEAT) * 1000
-            print(f"{name:<23} {ms:9.3f} ms for {len(cells)} cells")
+            print(f"{name:<29} {ms:9.3f} ms for {len(cells)} cells")
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ shortest round-trip `repr`; each distinct float, day and slot of a
 chunk (told apart by its bits, so -0.0 is not 0.0) is formatted,
 checked and given its separator once. Times are `isoformat()` UTC,
 built per row in one byte matrix. A text column is a `TextColumn`
-(`write_table` makes them of its rows' `fmt` texts); the csv module
-itself quotes each distinct text that holds a delimiter, a quote or a
-line-break character, once per artifact.
+(`write_table` makes them of its rows' `fmt` texts); each distinct text
+that holds ',', '"', "\r" or "\n" is quoted once per artifact, as csv's
+writer quotes it.
 
-Every writer checks what it formats: a quoted cell must parse back
-through csv to its text, a float, day or slot text must read back as
+Every writer checks what it formats: a text cell must split back by
+`split_rows` to its text, a float, day or slot text must read back as
 the reader reads it to its value's bits, and a time to its instant, by
 the reader's own `_iso_us` alone, on the byte matrix; otherwise it
 raises ValueError naming the artifact. It returns a `Receipt`: the
@@ -55,7 +55,6 @@ the slot range, that its cell is a geohash-8 cell, that its pair is in
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 from contextlib import contextmanager
@@ -63,7 +62,6 @@ from datetime import date
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from types import SimpleNamespace
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -98,6 +96,8 @@ from .preprocess import CleanTable, clean_fix_checks, day_of, epoch_day, slot_ch
 
 # joins the items of a tuple cell: `pairs.csv` common_days, `subgroups.csv` outliers
 _ITEM_SEP = "|"
+# a text cell that holds one of these is quoted
+_QUOTED = frozenset(',"\r\n')
 
 
 def file_sha256(path: str | Path) -> str:
@@ -132,10 +132,10 @@ class Receipt(NamedTuple):
 
 @contextmanager
 def _naming(path: str | Path) -> Iterator[None]:
-    """Re-raise a ValueError, OverflowError or csv.Error as a ValueError that names the artifact."""
+    """Re-raise a ValueError or OverflowError as a ValueError that names the artifact."""
     try:
         yield
-    except (ValueError, OverflowError, csv.Error) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -190,33 +190,32 @@ def _write_columns(
 
 
 def _csv_cells(texts: Sequence[str]) -> np.ndarray:
-    """Each text as a csv cell, quoted exactly where the csv module quotes it.
+    """Each text as a cell: quoted, its quotes doubled, if it holds ',', '"', "\r" or "\n".
 
-    The csv writer is told that rows end in "\r\n", so it quotes a text
-    holding either line-break character: the reader ends a row at both.
+    csv's writer quotes a cell by that rule when rows end in "\r\n"; the
+    reader ends a row at either line-break character.
     """
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    # a second cell, because csv quotes an empty cell that is alone in its row
-    writer.writerows((text, "") for text in texts)
-    return np.array([line[:-3] for line in lines], dtype=object)
+    cells = ['"' + text.replace('"', '""') + '"' if not _QUOTED.isdisjoint(text) else text for text in texts]
+    return np.array(cells, dtype=object)
 
 
 def _checked_cells(texts: Sequence[str]) -> np.ndarray:
-    """`_csv_cells(texts)`, each checked.
+    """`_csv_cells(texts)`, each checked by the reader that will read it.
 
-    Each cell, followed by a delimiter, must parse back through csv to
-    its text, or ValueError (or csv.Error, if csv cannot parse them).
+    Each cell, followed by a delimiter, must split back to its text by
+    `split_rows`, or ValueError.
     """
     cells = _csv_cells(texts)
-    source = io.StringIO("".join(f"{cell},\n" for cell in cells.tolist()), newline="")
-    back = list(csv.reader(source))
-    if back != [[text, ""] for text in texts]:
-        i = next(
-            (i for i, text in enumerate(texts) if i >= len(back) or back[i] != [text, ""]),
-            len(texts) - 1,
-        )
-        raise ValueError(f"csv cell {cells[i]!r} does not parse back to {texts[i]!r}")
+    source = io.BytesIO("".join(f"{cell},\n" for cell in cells.tolist()).encode("utf-8"))
+    back = []
+    for rows in split_rows(source, ","):
+        if rows.failed:
+            raise ValueError(next(iter(rows.failed.values())))
+        split = rows.cells.texts()
+        back += [split[a : a + n] for a, n in zip(rows.starts.tolist(), rows.widths.tolist())]
+    for text, cell, row in zip(texts, cells.tolist(), chain(back, repeat(None))):
+        if row != [text, ""]:
+            raise ValueError(f"csv cell {cell!r} does not parse back to {text!r}")
     return cells
 
 
@@ -228,9 +227,10 @@ def _text_cells(
     A column's cells end in its character of `ends`. Each distinct value
     is quoted, checked, given its separator and searched for line ends once.
     """
+    checked = iter(_checked_cells([value for column in columns for value in column.values]).tolist())
     cells, line_ends = [], []
     for column, end in zip(columns, ends, strict=True):
-        quoted = _checked_cells(column.values) + end
+        quoted = np.array([next(checked) + end for _ in column.values], dtype=object)
         cells.append(lambda rows, quoted=quoted, codes=column.codes: quoted[codes[rows]].tolist())
         breaks = np.array([value.count("\n") for value in column.values], dtype=np.int64)
         if breaks.any():

@@ -16,11 +16,12 @@ calls from disk. The analysis stages of a call share one
 
 The exit status rests on a write check. Each stage returns the receipts
 of its writers (`artifacts.Receipt`). The writers have already checked
-every distinct cell text they wrote: it parses back, through csv or as a
-number, to the value it stands for. `main` then checks each file against
-its receipt: it ends with a line end and holds exactly the line ends its
-writer wrote, one per meta line, header and data row plus each "\n"
-inside a quoted cell, so no row is missing, cut short or split.
+every distinct cell text they wrote: it reads back, split by the
+readers' `split_rows` or as a number, to the value it stands for. `main`
+then checks each file against its receipt: it ends with a line end and
+holds exactly the line ends its writer wrote, one per meta line, header
+and data row plus each "\n" inside a quoted cell, so no row is missing,
+cut short or split.
 
 The analysis stages (features, compare, sweep-t, sweep-q, subgroups,
 evolve) are one function, `_analysis_stage`: each writes the rows its

@@ -116,7 +116,7 @@ class RunConfig:
     gps: str | None = None
     survey: str | None = None
     outdir: str = field(default="out", metadata={"flags": ("-o", "--outdir")})
-    delimiter: str = _checked(",", _rule(  # one character that csv can split on
+    delimiter: str = _checked(",", _rule(  # one character that `split_rows` can split on
         lambda d: len(d) == 1 and d not in '"\r\n',
         "delimiter must be one character other than '\"', CR or LF, got {!r}",
     ))

@@ -35,8 +35,8 @@ and by Python's own `float` and `int` otherwise:
   reprs, digits outside ASCII) are decoded, a column's at once, and go
   to `float`;
 - a text column (user, elevation, satellites, provider) codes each cell
-  of at most 8 bytes as one uint64 of its bytes, and decodes and
-  converts each distinct cell once (`Cells.text_column`).
+  as big-endian uint64 words of its bytes, one sort per word count, and
+  decodes and converts each distinct cell once (`Cells.text_column`).
 
 Timestamps in these shapes are parsed in bulk:
 
@@ -177,7 +177,7 @@ class TextColumn:
 # inside the buffer
 _PAD = 32
 _PADDING = bytes(_PAD)
-# a text cell of at most this many bytes is coded as one uint64
+# the bytes of a text code's word, a uint64
 _CODE_BYTES = 8
 # the high n bytes of a uint64, for n = 0..8
 _HIGH_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], dtype=np.uint64)
@@ -217,15 +217,6 @@ class Cells:
     def chars(self) -> np.ndarray:
         return np.frombuffer(self.data, np.uint8)
 
-    def words(self, at: np.ndarray) -> np.ndarray:
-        """The 8 bytes from each offset of `at` on, as one big-endian uint64 each."""
-        words = np.ndarray((len(self.data) - 7,), ">u8", self.data, 0, (1,))
-        return words[at].astype(np.uint64)
-
-    def windows(self, width: int, at: np.ndarray) -> np.ndarray:
-        """The `width` bytes from each offset of `at` on, a row each."""
-        return np.lib.stride_tricks.sliding_window_view(self.chars(), width)[at]
-
     def texts(self, rows: np.ndarray | slice | None = None) -> list[str]:
         """The texts of the cells (of `rows`, an index array or slice, if given), each decoded alone."""
         cells = self if rows is None else self.take(rows)
@@ -237,36 +228,43 @@ class Cells:
     def text_column(self) -> TextColumn:
         """The cells as a `TextColumn`, equal to `TextColumn.of(list(self))`.
 
-        A cell of at most 8 bytes and no NUL is coded as its bytes packed
-        big-endian into a uint64, zero-padded; UTF-8 orders like code
-        points, so the codes sort as the texts do. Each distinct code is
-        decoded once. Longer cells and cells holding a NUL, which would
-        read as padding, are decoded.
+        A cell is coded as big-endian uint64 words of its bytes, the last
+        zero-padded; `_coded` codes the cells of each word count (an empty
+        cell has one), and `TextColumn.concat` merges the counts.
         """
-        size = np.minimum(self.ends - self.starts, _CODE_BYTES)
-        keys = self.words(self.starts) & _HIGH_BYTES[size]
-        coded = self.ends - self.starts <= _CODE_BYTES
-        if self.data.find(b"\0", _PAD, len(self.data) - _PAD) >= 0:  # a cell may hold NUL
-            nul = (self.windows(_CODE_BYTES, self.starts) == 0) & (np.arange(_CODE_BYTES) < size[:, None])
-            coded &= ~nul.any(axis=1)
-        if not coded.all():
-            rest = np.flatnonzero(~coded)
-            keys[rest] = 0  # coded as '', then recoded below
-        distinct, codes = np.unique(keys, return_inverse=True)
-        column = TextColumn(
-            codes.astype(np.int32).ravel(),
-            tuple(
-                key.to_bytes(_CODE_BYTES, "big").rstrip(b"\0").decode("utf-8", "surrogatepass")
-                for key in distinct.tolist()
-            ),
-        )
-        if coded.all():
-            return column
-        short = np.flatnonzero(coded)
-        merged = TextColumn.concat([column.take(short), TextColumn.of(self.texts(rest))])
+        sizes = self.ends - self.starts
+        nul = self.data.find(b"\0", _PAD, len(self.data) - _PAD) >= 0
+        if sizes.max(initial=0) <= _CODE_BYTES:  # one word each: no word counts to find
+            return self._coded(1, sizes, nul)
+        n_words = np.maximum(-(-sizes // _CODE_BYTES), 1)
+        counts = np.flatnonzero(np.bincount(n_words)).tolist()
+        if len(counts) == 1:
+            return self._coded(counts[0], sizes, nul)
+        groups = [np.flatnonzero(n_words == count) for count in counts]
+        merged = TextColumn.concat([self.take(at)._coded(n, sizes[at], nul) for n, at in zip(counts, groups)])
         codes = np.empty(len(self), dtype=np.int32)
-        codes[short], codes[rest] = merged.codes[: len(short)], merged.codes[len(short) :]
+        codes[np.concatenate(groups)] = merged.codes
         return TextColumn(codes, merged.values)
+
+    def _coded(self, n_words: int, sizes: np.ndarray, nul: bool) -> TextColumn:
+        """The cells, of `n_words` words and `sizes` bytes each, as a `TextColumn`.
+
+        UTF-8 orders like code points, so one sort of their words, less any
+        word equal in every cell, orders the cells as their texts. If `nul`,
+        the buffer holds a NUL, which reads as padding, and the sizes are a
+        last key. Each distinct cell is decoded once.
+        """
+        words = np.ndarray((len(self.data) - 7,), ">u8", self.data, 0, (1,))  # the 8 bytes from each byte on
+        last = sizes - _CODE_BYTES * (n_words - 1)  # the bytes of each cell's last word
+        keys = [words[self.starts + _CODE_BYTES * k].astype(np.uint64) for k in range(n_words)] + [last] * nul
+        keys[n_words - 1] &= _HIGH_BYTES[last]
+        keys = [key for key in keys if (key != key[:1]).any()] or keys[:1]
+        order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+        first = np.ones(len(order), dtype=bool)  # whether each sorted cell is its text's first
+        first[1:] = np.logical_or.reduce([np.diff(key[order]) != 0 for key in keys])
+        codes = np.empty(len(order), dtype=np.int32)
+        codes[order] = np.cumsum(first, dtype=np.int32) - 1
+        return TextColumn(codes, tuple(self.texts(order[first])))
 
 
 class ColumnTable:
@@ -438,7 +436,7 @@ def _real_date(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarr
 
 def _byte_rows(cells: Cells, width: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The `width` bytes from each offset of `at` on, a row per position, and those bytes less "0"."""
-    chars = np.ascontiguousarray(cells.windows(width, at).T)
+    chars = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(cells.chars(), width)[at].T)
     return chars, chars - np.uint8(ord("0"))  # wraps, so a byte below "0" is above 9 too
 
 

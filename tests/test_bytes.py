@@ -3,22 +3,30 @@
 `exact_floats` must give `float(cell)` bit for bit on every cell it
 takes, and take exactly the short decimal cells; every other cell goes
 to `float`. A byte-coded text column must equal `TextColumn.of` of the
-texts. A GPS log and its quoted, CRLF-ended twin must give equal tables
-and reject reports.
+texts, and a text written to an artifact must be quoted where csv's
+writer quotes it and read back as it was. A GPS log and its quoted,
+CRLF-ended twin must give equal tables and reject reports.
 """
 
+import csv
 import io
+import operator
 import re
 import struct
+import sys
+import tempfile
 from dataclasses import fields
 from datetime import date, datetime
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiediv.artifacts import _column_chunks, _csv_cells, write_table
 from tiediv.ingest import (
     Cells,
     TextColumn,
@@ -174,9 +182,11 @@ def test_iso_days_are_fromisoformat(texts):
             assert expected is None, text  # a real date in this shape is read from its bytes
 
 
-# text cells: longer than a code's 8 bytes, multi-byte characters, NUL and line ends
-TEXT_CHARS = st.sampled_from(list("ab z0.-,") + ["\0", "\n", "é", "中", "\U0001d7ce", "\x7f"])
-TEXTS = st.lists(st.text(TEXT_CHARS, max_size=12), max_size=40)
+# text cells: multi-byte characters, NUL, quotes and line ends; of 0 to 4 words of 8 bytes
+# (more with multi-byte characters), many sharing their first 8, 14 or 16 bytes
+TEXT_CHARS = st.sampled_from(list('ab z0.-,"') + ["\0", "\r", "\n", "é", "中", "\U0001d7ce", "\x7f"])
+SHARED_PREFIXES = st.sampled_from(["", "particip", "participant000", "a" * 16])
+TEXTS = st.lists(st.builds(operator.add, SHARED_PREFIXES, st.text(TEXT_CHARS, max_size=12)), max_size=40)
 
 
 def same_column(column: TextColumn, expected: TextColumn) -> bool:
@@ -198,7 +208,32 @@ def test_byte_coded_text_columns_are_text_column_of(texts, data):
 
 def test_a_nul_is_not_padding():
     texts = ["a", "a\0", "a\0\0", "\0", "", "a\0b", "a" * 8, "a" * 7 + "\0"]
+    # cells that share their first 8 or 16 bytes, of 1 to 4 words
+    texts += ["participant000", "participant000\0", "particip", "particip\0", "a" * 16, "a" * 16 + "\0"]
+    texts += ["a" * 24, "a" * 24 + "\0", "a" * 25, "a" * 31 + "\0", "a" * 32]
     assert same_column(Cells.of(texts).text_column(), TextColumn.of(texts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(TEXTS)
+def test_text_cells_read_back_as_written(texts):
+    # the writer quotes a text holding ',', '"' or a line-break character, and writes a NUL as it is
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "texts.csv"
+        write_table(path, {}, ["text", "again"], [(text, text) for text in texts])
+        chunks = list(_column_chunks(path, ["text", "again"]))
+    for name in ("text", "again"):
+        assert [text for _, cells in chunks for text in cells[name].texts()] == texts
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="csv.writer before 3.11 cannot write a NUL")
+@settings(max_examples=200, deadline=None)
+@given(TEXTS)
+def test_text_cells_are_quoted_where_csv_quotes_them(texts):
+    for text, cell in zip(texts, _csv_cells(texts).tolist(), strict=True):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow([text, ""])
+        assert line.getvalue() == cell + ",\r\n"
 
 
 # --- a plain log and its quoted twin ---------------------------------------------

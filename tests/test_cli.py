@@ -189,6 +189,17 @@ class TestMessyChain:
         assert {tuple(row[:2]) for row in rows} == {tuple(sorted(pair)) for pair in pairs}
 
 
+def test_user_id_holding_a_nul_is_written_and_read_back(tmp_path, outdir):
+    # the splitter reads a NUL as text on every Python, and the writers write it as it is
+    nul_id = "sch\0" + "000a"
+    inputs = renamed_inputs(tmp_path / "in", {"sch000a": nul_id})
+    assert run("ingest", *inputs, "-o", str(outdir)) == 0
+    assert run("preprocess", *inputs, "-o", str(outdir)) == 0
+    assert nul_id in artifacts.read_fixes(outdir / "fixes.csv").user.values
+    assert nul_id in artifacts.read_clean_fixes(outdir / "clean_fixes.csv").user.values
+    assert nul_id in artifacts.read_valid_days(outdir / "valid_days.csv")
+
+
 SHUFFLE_INVARIANT = ("clean_fixes.csv", "valid_days.csv", "pairs.csv", "encounters.csv", "features.csv")
 
 
