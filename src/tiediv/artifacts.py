@@ -6,18 +6,19 @@ data rows. Writing the same records with the same config produces
 byte-identical files, so re-runs are cheap to verify and artifacts can
 be diffed.
 
-One column writer writes every artifact, CHUNK_ROWS rows at a time. A
-chunk comes as columns of cells that already end in their separator
-("," or, in the last column, "\n"), and one `"".join` of the columns,
-interleaved, is its text. The fix artifacts are written from and read
-back into column tables (`FixTable`, `CleanTable`). Floats are their
-shortest round-trip `repr`; each distinct float, day and slot of a
-chunk (told apart by its bits, so -0.0 is not 0.0) is formatted,
-checked and given its separator once. Times are `isoformat()` UTC,
-built per row in one byte matrix. A text column is a `TextColumn`
-(`write_table` makes them of its rows' `fmt` texts); each distinct text
-that holds ',', '"', "\r" or "\n" is quoted once per artifact, as csv's
-writer quotes it.
+`write_columns` writes every artifact from a mapping of names to
+columns, so its header, the keys, cannot come apart from its rows;
+`write_table` zips rows into such a mapping strictly. A chunk of
+CHUNK_ROWS rows comes as columns of cells that already end in their
+separator ("," or, in the last column, "\n"), and one `"".join` of the
+columns, interleaved, is its text. A column's type picks its cells
+(`_typed_cells`): a numpy float is its shortest round-trip `repr`, an int
+its `str`, a `datetime64[D]` its ISO date, each distinct value of a chunk
+(told apart by its bits, so -0.0 is not 0.0) formatted, checked and
+given its separator once; a `datetime64[us]` is `isoformat()` UTC, built
+per row in one byte matrix. Any other column is text, a `TextColumn` or
+values written as their `fmt` texts; each distinct text that holds ',',
+'"', "\r" or "\n" is quoted once per artifact, as csv's writer quotes it.
 
 Every writer checks what it formats: a text cell must split back by
 `split_rows` to its text, a float, day or slot text must read back as
@@ -114,8 +115,8 @@ def fmt(value) -> str:
         return value
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, date):
         return value.isoformat()
     if isinstance(value, tuple):
@@ -153,40 +154,52 @@ def write_table(
     columns: Sequence[str],
     rows: Sequence[Sequence],
 ) -> Receipt:
-    """Write rows of values as their `fmt` texts, through the column writer."""
+    """Write rows of values, each as its `fmt` text, under the names `columns` by `write_columns`.
+
+    A row of another width than `columns` raises ValueError naming the artifact.
+    """
     with _naming(path):
-        texts = [TextColumn.of(list(map(fmt, column))) for column in zip(*rows, strict=True)]
-        cells, line_ends = _text_cells(texts, "," * (len(texts) - 1) + "\n" if texts else "")
-        return _write_columns(
-            path, meta, columns, len(rows), lambda chunk: [cell(chunk) for cell in cells], line_ends
-        )
+        values = list(zip(*rows, strict=True)) if rows else [()] * len(columns)
+        named = dict(zip(columns, values, strict=True))
+        if len(named) != len(columns):
+            raise ValueError(f"a column name is repeated in {list(columns)}")
+    return write_columns(path, meta, named)
 
 
-def _write_columns(
+def write_columns(
     path: str | Path,
     meta: Mapping[str, str],
-    columns: Sequence[str],
-    n_rows: int,
-    format_chunk: Callable[[slice], Sequence[list[str]]],
-    cell_line_ends: Callable[[slice], int],
+    columns: Mapping[str, np.ndarray | TextColumn | Sequence],
 ) -> Receipt:
-    """Write the meta lines, the header, and rows whose cells `format_chunk` gives.
+    """Write the meta lines, a header of the mapping's keys, and rows of its columns, all of one length.
 
-    `format_chunk` gives the columns of a slice of rows, CHUNK_ROWS rows at
-    a time. The cells must already be checked csv cells, each ending in
-    its separator: "," or, in the last column, "\n". `cell_line_ends`
-    counts the "\n"s inside the cells of a slice of rows.
+    A numpy column of numbers or instants has `_typed_cells`. Any other
+    column is text: a `TextColumn`, or a sequence written as its values'
+    `fmt` texts (`_text_cells`). A cell that does not read back as its
+    value raises ValueError naming the artifact.
     """
-    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
-    head += ",".join(_csv_cells(columns)) + "\n"
-    lines = head.count("\n")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(head)
-        for start in range(0, n_rows, CHUNK_ROWS):
-            rows = slice(start, min(start + CHUNK_ROWS, n_rows))
-            handle.write(_join_rows(format_chunk(rows)))
-            lines += rows.stop - rows.start + cell_line_ends(rows)
-    return Receipt(Path(path), lines)
+    with _naming(path):
+        lengths = {len(column) for column in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of {sorted(lengths)} rows")
+        n_rows, ends = max(lengths, default=0), "," * (len(columns) - 1) + "\n"
+        texts = {
+            i: column if isinstance(column, TextColumn) else TextColumn.of(list(map(fmt, column)))
+            for i, column in enumerate(columns.values())
+            if not (isinstance(column, np.ndarray) and column.dtype.kind in "fiuM")
+        }
+        quoted, cell_line_ends = _text_cells(texts, ends)
+        head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+        head += ",".join(_csv_cells(list(columns))) + "\n"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(head)
+            for start in range(0, n_rows, CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                handle.write(_join_rows([
+                    quoted[i][texts[i].codes[rows]].tolist() if i in texts else _typed_cells(column[rows], ends[i])
+                    for i, column in enumerate(columns.values())
+                ]))
+    return Receipt(Path(path), head.count("\n") + n_rows + cell_line_ends)
 
 
 def _csv_cells(texts: Sequence[str]) -> np.ndarray:
@@ -219,23 +232,37 @@ def _checked_cells(texts: Sequence[str]) -> np.ndarray:
     return cells
 
 
-def _text_cells(
-    columns: Sequence[TextColumn], ends: str
-) -> tuple[list[Callable[[slice], list[str]]], Callable[[slice], int]]:
-    """For each column, the csv cells of a slice of it; and the "\n"s inside a slice's cells.
+def _text_cells(columns: Mapping[int, TextColumn], ends: str) -> tuple[dict[int, np.ndarray], int]:
+    """The csv cells of each column i's distinct values, ending in `ends[i]`; and the "\n"s in all rows' cells.
 
-    A column's cells end in its character of `ends`. Each distinct value
-    is quoted, checked, given its separator and searched for line ends once.
+    Each distinct value is quoted, checked, given its separator and searched for line ends once.
     """
-    checked = iter(_checked_cells([value for column in columns for value in column.values]).tolist())
-    cells, line_ends = [], []
-    for column, end in zip(columns, ends, strict=True):
-        quoted = np.array([next(checked) + end for _ in column.values], dtype=object)
-        cells.append(lambda rows, quoted=quoted, codes=column.codes: quoted[codes[rows]].tolist())
+    checked = iter(_checked_cells([value for column in columns.values() for value in column.values]).tolist())
+    cells, line_ends = {}, 0
+    for i, column in columns.items():
+        cells[i] = np.array([next(checked) + ends[i] for _ in column.values], dtype=object)
         breaks = np.array([value.count("\n") for value in column.values], dtype=np.int64)
         if breaks.any():
-            line_ends.append(breaks[column.codes])
-    return cells, lambda rows: sum(int(counts[rows].sum()) for counts in line_ends)
+            line_ends += int(breaks[column.codes].sum())
+    return cells, line_ends
+
+
+def _typed_cells(values: np.ndarray, end: str) -> list[str]:
+    """The cells of a numpy column, each followed by `end`, in the text its dtype picks.
+
+    Floats are shortest round-trip `repr`s, ints `str`s, `datetime64[D]`
+    ISO dates and `datetime64[us]` the `isoformat()` of UTC instants; each
+    must read back as the reader reads it, or ValueError.
+    """
+    if values.dtype.kind == "f":
+        return _distinct_texts(values, _float_texts, float, end)
+    if values.dtype.kind in "iu":
+        return _distinct_texts(values, _int_texts, int, end)
+    if values.dtype == np.dtype("datetime64[D]"):
+        return _distinct_texts(values, _day_texts, _epoch_day, end)
+    if values.dtype == np.dtype("datetime64[us]"):
+        return _time_cells(values.view(np.int64), end)
+    raise TypeError(f"no cells for a numpy column of {values.dtype}")
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -245,20 +272,20 @@ def _bits(values: np.ndarray) -> np.ndarray:
 def _distinct_texts(
     values: np.ndarray,
     texts: Callable[[np.ndarray], list[str]],
-    parse: Callable[[list[str]], Sequence],
+    parse: Callable[[str], object],
     end: str,
 ) -> list[str]:
     """`texts(values)`, each followed by `end`, formatting each distinct value only once.
 
     Values are told apart by their bit pattern, not by `==`, so 0.0 and
-    -0.0 keep their own texts. `parse` reads texts back as the reader
+    -0.0 keep their own texts. `parse` reads a text back as the reader
     does; each distinct text must give its value's bits back, or
     ValueError.
     """
     bits, inverse = np.unique(_bits(values), return_inverse=True)
     distinct = bits.view(values.dtype)
     formatted = texts(distinct)
-    wrong = _bits(np.asarray(parse(formatted), dtype=values.dtype)) != bits
+    wrong = _bits(np.asarray(list(map(parse, formatted)), dtype=values.dtype)) != bits
     if wrong.any():
         i = int(np.flatnonzero(wrong)[0])
         raise ValueError(f"{formatted[i]!r} does not read back as {distinct[i].item()!r}")
@@ -350,8 +377,8 @@ def _iso_utc_bytes(t_us: np.ndarray) -> np.ndarray:
     return chars
 
 
-def _time_cells(t_us: np.ndarray) -> list[str]:
-    """`fixes.csv`'s timestamp cells, `isoformat()` and ",", each checked as the reader reads it.
+def _time_cells(t_us: np.ndarray, end: str) -> list[str]:
+    """The `isoformat()` cell of each UTC instant, then `end`, each checked as the reader reads it.
 
     `_iso_us` reads each cell back from the byte matrix, in its 25- or
     32-byte shape; a cell that is not its instant raises ValueError.
@@ -368,15 +395,11 @@ def _time_cells(t_us: np.ndarray) -> list[str]:
     if wrong.any():
         i = int(np.flatnonzero(wrong)[0])
         raise ValueError(f"{cells[i][:-1]!r} does not read back as {t_us[i].item()!r}")
-    return cells
+    return cells if end == "," else [cell[:-1] + end for cell in cells]
 
 
 def _float_texts(floats: np.ndarray) -> list[str]:
     return list(map(repr, floats.tolist()))
-
-
-def _float_cells(values: np.ndarray, end: str = ",") -> list[str]:
-    return _distinct_texts(values, _float_texts, lambda texts: list(map(float, texts)), end)
 
 
 def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> list:
@@ -402,24 +425,9 @@ FIX_COLUMNS = tuple(_GPS_ALIASES)  # the canonical GPS log columns, in ingest's 
 
 
 def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> Receipt:
-    with _naming(path):
-        (user, elevation, satellites, provider), line_ends = _text_cells(
-            (fixes.user, fixes.elevation, fixes.satellites, fixes.provider), ",,,\n"
-        )
-
-        def columns(rows: slice) -> list[list[str]]:
-            return [
-                user(rows),
-                _time_cells(fixes.t_us[rows]),
-                _float_cells(fixes.lat[rows]),
-                _float_cells(fixes.lon[rows]),
-                elevation(rows),
-                _float_cells(fixes.accuracy[rows]),
-                satellites(rows),
-                provider(rows),
-            ]
-
-        return _write_columns(path, meta, FIX_COLUMNS, len(fixes), columns, line_ends)
+    values = (fixes.user, fixes.t_us.view("datetime64[us]"), fixes.lat, fixes.lon, fixes.elevation)
+    values += (fixes.accuracy, fixes.satellites, fixes.provider)
+    return write_columns(path, meta, dict(zip(FIX_COLUMNS, values, strict=True)))
 
 
 def read_fixes(path: str | Path) -> FixTable:
@@ -445,23 +453,13 @@ CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
 
 
 def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> Receipt:
-    with _naming(path):
-        (user,), line_ends = _text_cells((fixes.user,), ",")
-
-        def columns(rows: slice) -> list[list[str]]:
-            return [
-                user(rows),
-                _distinct_texts(fixes.day[rows], _day_texts, lambda days: list(map(_epoch_day, days)), ","),
-                _distinct_texts(fixes.slot[rows], _int_texts, lambda texts: list(map(int, texts)), ","),
-                _float_cells(fixes.lat[rows]),
-                _float_cells(fixes.lon[rows], "\n"),
-            ]
-
-        return _write_columns(path, meta, CLEAN_FIX_COLUMNS, len(fixes), columns, line_ends)
+    day = fixes.day.astype(np.int64, copy=False).view("datetime64[D]")
+    values = (fixes.user, day, fixes.slot, fixes.lat, fixes.lon)
+    return write_columns(path, meta, dict(zip(CLEAN_FIX_COLUMNS, values, strict=True)))
 
 
 def _day_texts(days: np.ndarray) -> list[str]:
-    return np.datetime_as_string(days.astype("datetime64[D]")).tolist()
+    return np.datetime_as_string(days).tolist()
 
 
 def _int_texts(values: np.ndarray) -> list[str]:

@@ -4,8 +4,10 @@
 takes, and take exactly the short decimal cells; every other cell goes
 to `float`. A byte-coded text column must equal `TextColumn.of` of the
 texts, and a text written to an artifact must be quoted where csv's
-writer quotes it and read back as it was. A GPS log and its quoted,
-CRLF-ended twin must give equal tables and reject reports.
+writer quotes it and read back as it was. A typed numpy column must
+write the bytes that its values, as Python objects in rows, write. A
+GPS log and its quoted, CRLF-ended twin must give equal tables and
+reject reports.
 """
 
 import csv
@@ -16,7 +18,7 @@ import struct
 import sys
 import tempfile
 from dataclasses import fields
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiediv.artifacts import _column_chunks, _csv_cells, write_table
+from tiediv.artifacts import _column_chunks, _csv_cells, check_written, write_columns, write_table
 from tiediv.ingest import (
     Cells,
     TextColumn,
@@ -36,7 +38,9 @@ from tiediv.ingest import (
     exact_ints,
     iso_days,
     parse_gps_log,
+    to_epoch_us,
 )
+from tiediv.preprocess import epoch_day
 
 # cells a float reader meets: the fast path's edges, and what only `float` reads
 EDGE_FLOATS = [
@@ -234,6 +238,53 @@ def test_text_cells_are_quoted_where_csv_quotes_them(texts):
         line = io.StringIO()
         csv.writer(line, lineterminator="\r\n").writerow([text, ""])
         assert line.getvalue() == cell + ",\r\n"
+
+
+# --- typed columns and rows of Python values -------------------------------------
+
+TYPED_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0e-308, 1e16, -1e16, 1e-5, float("nan"), float("inf")]),
+)
+INSTANTS = st.datetimes(min_value=datetime.min, max_value=datetime.max).flatmap(
+    lambda t: st.sampled_from([t, t.replace(microsecond=0)])
+).map(lambda t: t.replace(tzinfo=timezone.utc))
+TYPED_ROWS = st.lists(st.tuples(TYPED_FLOATS, st.integers(-(2**63), 2**63 - 1), st.dates(), INSTANTS), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TYPED_ROWS, st.permutations(["float", "int", "day", "instant"]))
+def test_typed_columns_write_as_rows_of_python_values(rows, order):
+    # each kind of column, in each place, the last one too, whose cells end in "\n"
+    floats, ints, days, instants = map(list, zip(*rows)) if rows else ([], [], [], [])
+    typed = {
+        "float": np.array(floats, dtype=np.float64),
+        "int": np.array(ints, dtype=np.int64),
+        "day": np.array(list(map(epoch_day, days)), dtype=np.int64).astype("datetime64[D]"),
+        "instant": np.array(list(map(to_epoch_us, instants)), dtype=np.int64).astype("datetime64[us]"),
+    }
+    python = {"float": floats, "int": ints, "day": days, "instant": instants}
+    meta = {"rows": str(len(rows))}
+    with tempfile.TemporaryDirectory() as tmp:
+        columns_path, rows_path = Path(tmp) / "columns.csv", Path(tmp) / "rows.csv"
+        check_written(write_columns(columns_path, meta, {name: typed[name] for name in order}))
+        check_written(write_table(rows_path, meta, order, list(zip(*(python[name] for name in order)))))
+        assert columns_path.read_bytes() == rows_path.read_bytes()
+
+
+def test_typed_floats_refuse_a_negative_nan(tmp_path):
+    path = tmp_path / "nan.csv"
+    with pytest.raises(ValueError) as raised:
+        write_columns(path, {}, {"x": np.array([1.5, np.copysign(np.nan, -1.0)])})
+    assert str(raised.value) == f"{path}: 'nan' does not read back as nan"
+
+
+def test_numpy_floats_in_rows_write_as_python_floats(tmp_path):
+    # numpy 2 gives np.float64 a repr of its own; a cell must not depend on it
+    floats = [0.5, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, float("inf"), float("nan")]
+    for name, kind in (("python", float), ("numpy", np.float64)):
+        write_table(tmp_path / f"{name}.csv", {}, ["x", "pair"], [(kind(v), (kind(v), kind(-v))) for v in floats])
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 
 # --- a plain log and its quoted twin ---------------------------------------------

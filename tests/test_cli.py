@@ -776,6 +776,22 @@ class TestWriteCheck:
         err = self.run_ingest(outdir, capsys, inputs)
         assert err == f"error: {outdir / 'fixes.csv'}: csv cell 'sch,000a' does not parse back to 'sch,000a'\n"
 
+    @pytest.mark.parametrize("row, wrong", [((1, 2, 3), "longer"), ((1,), "shorter")])
+    def test_row_of_another_width_than_its_header(self, tmp_path, row, wrong):
+        # every row one value too long or too short: no row disagrees with another, only with the header
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError) as raised:
+            artifacts.write_table(path, {}, ["a", "b"], [row, row])
+        assert str(raised.value) == f"{path}: zip() argument 2 is {wrong} than argument 1"
+        assert not path.exists()
+
+    def test_columns_that_cannot_share_a_header(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="columns of \\[1, 2\\] rows"):
+            artifacts.write_columns(path, {}, {"a": np.zeros(2), "b": ["x"]})
+        with pytest.raises(ValueError, match="a column name is repeated"):
+            artifacts.write_table(path, {}, ["a", "a"], [(1, 2)])
+
     def test_dropped_row(self, outdir, capsys, monkeypatch):
         self.patch_join_rows(monkeypatch, self.drop_first_row)
         err = self.run_ingest(outdir, capsys)

@@ -182,7 +182,7 @@ class TestBulkTimestamps:
     def test_isoformat_texts(self):
         instants = random_instants(random.Random(5), 300) + [datetime(1969, 12, 31, 23, 59, 59, 500000, tzinfo=UTC)]
         t_us = np.array([to_epoch_us(t) for t in instants], dtype=np.int64)
-        assert _time_cells(t_us) == [f"{text}," for text in iso_utc_texts(t_us)]
+        assert _time_cells(t_us, ",") == [f"{text}," for text in iso_utc_texts(t_us)]
 
 
     @given(
@@ -196,7 +196,7 @@ class TestBulkTimestamps:
     @settings(max_examples=300, deadline=None)
     def test_isoformat_texts_over_the_whole_datetime_range(self, instants):
         t_us = np.array([to_epoch_us(t.replace(tzinfo=UTC)) for t in instants], dtype=np.int64)
-        assert _time_cells(t_us) == [f"{text}," for text in iso_utc_texts(t_us)]
+        assert _time_cells(t_us, ",") == [f"{text}," for text in iso_utc_texts(t_us)]
 
     def test_non_ascii_cells_in_a_batch_are_left_to_the_scalar_parser(self):
         # each ASCII rendering next to one of the same length in characters
