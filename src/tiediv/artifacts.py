@@ -24,10 +24,11 @@ Every writer checks what it formats: a text cell must split back by
 `split_rows` to its text, a float, day or slot text must read back as
 the reader reads it to its value's bits, and a time to its instant, by
 the reader's own `_iso_us` alone, on the byte matrix; otherwise it
-raises ValueError naming the artifact. It returns a `Receipt`: the
-path and the line ends ("\n") it wrote, one per meta line, header and
-data row plus each inside a cell. `check_written` counts the file's
-line ends against it.
+raises ValueError naming the artifact. It publishes the artifact or
+nothing (`_publish`): it writes a temporary file beside it, renames that
+onto the artifact's name only once the file holds the line ends ("\n")
+it formatted, and on any failure removes both it and any earlier file
+of the artifact's name.
 
 Readers skip the '#' meta lines before the header and read the rest
 with ingest's `split_rows`, which streams the file in blocks of whole
@@ -58,12 +59,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 from contextlib import contextmanager
 from datetime import date
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -124,13 +126,6 @@ def fmt(value) -> str:
     return str(value)
 
 
-class Receipt(NamedTuple):
-    """What a writer wrote to `path`: `lines` line ends ("\n"), cells' own included."""
-
-    path: Path
-    lines: int
-
-
 @contextmanager
 def _naming(path: str | Path) -> Iterator[None]:
     """Re-raise a ValueError or OverflowError as a ValueError that names the artifact."""
@@ -149,28 +144,20 @@ def _join_rows(columns: Sequence[list[str]]) -> str:
 
 
 def write_table(
-    path: str | Path,
-    meta: Mapping[str, str],
-    columns: Sequence[str],
-    rows: Sequence[Sequence],
-) -> Receipt:
-    """Write rows of values, each as its `fmt` text, under the names `columns` by `write_columns`.
+    path: str | Path, meta: Mapping[str, str], columns: Sequence[str], rows: Sequence[Sequence]
+) -> Path:
+    """Write rows of values, each as its `fmt` text, under the names `columns`, as `write_columns` does.
 
     A row of another width than `columns` raises ValueError naming the artifact.
     """
-    with _naming(path):
-        values = list(zip(*rows, strict=True)) if rows else [()] * len(columns)
-        named = dict(zip(columns, values, strict=True))
-        if len(named) != len(columns):
-            raise ValueError(f"a column name is repeated in {list(columns)}")
-    return write_columns(path, meta, named)
+    return _publish(
+        path, lambda: _column_texts(meta, columns, list(zip(*rows, strict=True)) if rows else [()] * len(columns))
+    )
 
 
 def write_columns(
-    path: str | Path,
-    meta: Mapping[str, str],
-    columns: Mapping[str, np.ndarray | TextColumn | Sequence],
-) -> Receipt:
+    path: str | Path, meta: Mapping[str, str], columns: Mapping[str, np.ndarray | TextColumn | Sequence]
+) -> Path:
     """Write the meta lines, a header of the mapping's keys, and rows of its columns, all of one length.
 
     A numpy column of numbers or instants has `_typed_cells`. Any other
@@ -178,28 +165,69 @@ def write_columns(
     `fmt` texts (`_text_cells`). A cell that does not read back as its
     value raises ValueError naming the artifact.
     """
-    with _naming(path):
-        lengths = {len(column) for column in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"columns of {sorted(lengths)} rows")
-        n_rows, ends = max(lengths, default=0), "," * (len(columns) - 1) + "\n"
-        texts = {
-            i: column if isinstance(column, TextColumn) else TextColumn.of(list(map(fmt, column)))
-            for i, column in enumerate(columns.values())
-            if not (isinstance(column, np.ndarray) and column.dtype.kind in "fiuM")
-        }
-        quoted, cell_line_ends = _text_cells(texts, ends)
-        head = "".join(f"# {key}={value}\n" for key, value in meta.items())
-        head += ",".join(_csv_cells(list(columns))) + "\n"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(head)
-            for start in range(0, n_rows, CHUNK_ROWS):
-                rows = slice(start, start + CHUNK_ROWS)
-                handle.write(_join_rows([
-                    quoted[i][texts[i].codes[rows]].tolist() if i in texts else _typed_cells(column[rows], ends[i])
-                    for i, column in enumerate(columns.values())
-                ]))
-    return Receipt(Path(path), head.count("\n") + n_rows + cell_line_ends)
+    return _publish(path, lambda: _column_texts(meta, list(columns), list(columns.values())))
+
+
+def _column_texts(meta: Mapping[str, str], names: Sequence[str], values: Sequence) -> tuple[int, Iterator[str]]:
+    """The line ends and the texts (the head, then each chunk's) of the artifact of columns `values`."""
+    columns = dict(zip(names, values, strict=True))
+    if len(columns) != len(names):
+        raise ValueError(f"a column name is repeated in {list(names)}")
+    lengths = {len(column) for column in values}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of {sorted(lengths)} rows")
+    n_rows, ends = max(lengths, default=0), "," * (len(columns) - 1) + "\n"
+    texts = {
+        i: column if isinstance(column, TextColumn) else TextColumn.of(list(map(fmt, column)))
+        for i, column in enumerate(values)
+        if not (isinstance(column, np.ndarray) and column.dtype.kind in "fiuM")
+    }
+    quoted, cell_line_ends = _text_cells(texts, ends)
+    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    head += ",".join(_csv_cells(names)) + "\n"
+
+    def chunks() -> Iterator[str]:
+        yield head
+        for start in range(0, n_rows, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            yield _join_rows([
+                quoted[i][texts[i].codes[rows]].tolist() if i in texts else _typed_cells(column[rows], ends[i])
+                for i, column in enumerate(values)
+            ])
+
+    return head.count("\n") + n_rows + cell_line_ends, chunks()
+
+
+def _publish(path: str | Path, texts: Callable[[], tuple[int, Iterable[str]]]) -> Path:
+    """Write the texts of `texts()` to a temporary file beside `path`, check it, and rename it to `path`.
+
+    The file must end with a line end and hold just the line ends that
+    `texts()` gives, so that no row is missing, cut short or split, or
+    ValueError. Any exception removes the temporary file and any earlier
+    file at `path`; a ValueError or OverflowError names `path`.
+    """
+    path = Path(path)
+    temp = path.with_name(f"{path.name}.tmp")  # a fixed name: a later write replaces one a killed run left
+    try:
+        with _naming(path):
+            lines, chunks = texts()
+            with open(temp, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(chunks)
+            line_ends, last = 0, b""
+            with open(temp, "rb") as handle:
+                for block in iter(lambda: handle.read(1 << 20), b""):
+                    line_ends += block.count(b"\n")
+                    last = block[-1:]
+            if last != b"\n":
+                raise ValueError("does not end with a line end")
+            if line_ends != lines:
+                raise ValueError(f"holds {line_ends} lines, but {lines} were written")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def _csv_cells(texts: Sequence[str]) -> np.ndarray:
@@ -290,20 +318,6 @@ def _distinct_texts(
         i = int(np.flatnonzero(wrong)[0])
         raise ValueError(f"{formatted[i]!r} does not read back as {distinct[i].item()!r}")
     return (np.array(formatted, dtype=object) + end)[inverse].tolist()
-
-
-def check_written(receipt: Receipt) -> None:
-    """Raise ValueError unless the file holds the line ends its writer wrote, and ends with one."""
-    path = receipt.path
-    line_ends, last = 0, b""
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            line_ends += block.count(b"\n")
-            last = block[-1:]
-    if last != b"\n":
-        raise ValueError(f"{path}: does not end with a line end")
-    if line_ends != receipt.lines:
-        raise ValueError(f"{path}: holds {line_ends} lines, but {receipt.lines} were written")
 
 
 def _skip_meta(handle: BinaryIO) -> tuple[int, int, bytes]:
@@ -424,7 +438,7 @@ def _converted(path: str | Path, names: Sequence[str], convert: Callable) -> lis
 FIX_COLUMNS = tuple(_GPS_ALIASES)  # the canonical GPS log columns, in ingest's order
 
 
-def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> Receipt:
+def write_fixes(path: str | Path, fixes: FixTable, meta: Mapping[str, str]) -> Path:
     values = (fixes.user, fixes.t_us.view("datetime64[us]"), fixes.lat, fixes.lon, fixes.elevation)
     values += (fixes.accuracy, fixes.satellites, fixes.provider)
     return write_columns(path, meta, dict(zip(FIX_COLUMNS, values, strict=True)))
@@ -438,9 +452,7 @@ def read_fixes(path: str | Path) -> FixTable:
 SURVEY_COLUMNS = SurveyRecord._fields
 
 
-def write_survey(
-    path: str | Path, records: Sequence[SurveyRecord], meta: Mapping[str, str]
-) -> Receipt:
+def write_survey(path: str | Path, records: Sequence[SurveyRecord], meta: Mapping[str, str]) -> Path:
     return write_table(path, meta, SURVEY_COLUMNS, records)
 
 
@@ -452,7 +464,7 @@ def read_survey(path: str | Path) -> list[SurveyRecord]:
 CLEAN_FIX_COLUMNS = ("user_id", "day", "slot", "lat", "lon")
 
 
-def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> Receipt:
+def write_clean_fixes(path: str | Path, fixes: CleanTable, meta: Mapping[str, str]) -> Path:
     day = fixes.day.astype(np.int64, copy=False).view("datetime64[D]")
     values = (fixes.user, day, fixes.slot, fixes.lat, fixes.lon)
     return write_columns(path, meta, dict(zip(CLEAN_FIX_COLUMNS, values, strict=True)))
@@ -511,7 +523,7 @@ VALID_DAY_COLUMNS = ("user_id", "day")
 
 def write_valid_days(
     path: str | Path, valid_days: Mapping[str, tuple[date, ...]], meta: Mapping[str, str]
-) -> Receipt:
+) -> Path:
     rows = [(user, day) for user in sorted(valid_days) for day in valid_days[user]]
     return write_table(path, meta, VALID_DAY_COLUMNS, rows)
 
@@ -536,10 +548,8 @@ PAIR_COLUMNS = ("user_lo", "user_hi", "n_common_days", "common_days")
 
 
 def write_pairs(
-    path: str | Path,
-    encounter_sets: Mapping[tuple[str, str], EncounterSet],
-    meta: Mapping[str, str],
-) -> Receipt:
+    path: str | Path, encounter_sets: Mapping[tuple[str, str], EncounterSet], meta: Mapping[str, str]
+) -> Path:
     rows = [(*pair, es.n_common_days, es.common_days) for pair, es in sorted(encounter_sets.items())]
     return write_table(path, meta, PAIR_COLUMNS, rows)
 
@@ -548,10 +558,8 @@ ENCOUNTER_COLUMNS = Encounter._fields
 
 
 def write_encounters(
-    path: str | Path,
-    encounter_sets: Mapping[tuple[str, str], EncounterSet],
-    meta: Mapping[str, str],
-) -> Receipt:
+    path: str | Path, encounter_sets: Mapping[tuple[str, str], EncounterSet], meta: Mapping[str, str]
+) -> Path:
     rows = [enc for pair in sorted(encounter_sets) for enc in encounter_sets[pair].encounters]
     return write_table(path, meta, ENCOUNTER_COLUMNS, rows)
 

@@ -14,14 +14,9 @@ re-reads it; a single-stage command reads the artifacts of earlier
 calls from disk. The analysis stages of a call share one
 `features.ObservationTable` there, under "observations", and its columns.
 
-The exit status rests on a write check. Each stage returns the receipts
-of its writers (`artifacts.Receipt`). The writers have already checked
-every distinct cell text they wrote: it reads back, split by the
-readers' `split_rows` or as a number, to the value it stands for. `main`
-then checks each file against its receipt: it ends with a line end and
-holds exactly the line ends its writer wrote, one per meta line, header
-and data row plus each "\n" inside a quoted cell, so no row is missing,
-cut short or split.
+Each stage returns the paths it wrote, which `main` prints once the command
+has succeeded. A writer leaves no artifact it refused (`artifacts._publish`),
+so the next command finds none rather than a refused one.
 
 The analysis stages (features, compare, sweep-t, sweep-q, subgroups,
 evolve) are one function, `_analysis_stage`: each writes the rows its
@@ -41,7 +36,6 @@ from pathlib import Path
 from typing import Callable
 
 from . import artifacts, experiments, features, synth
-from .artifacts import Receipt
 from .config import RunConfig, build_config, flags, load_config_file
 from .encounter import canonical_pair, detect_encounters
 from .ingest import parse_gps_log, parse_survey
@@ -86,13 +80,6 @@ def _load(written: Written, path: Path, read: Callable[[Path], object]):
     return written[path] if path in written else read(path)
 
 
-def _verify_written(receipts: list[Receipt]) -> None:
-    # exit-status contract: an artifact counts only if it holds what its writer wrote
-    for receipt in receipts:
-        artifacts.check_written(receipt)
-        print(f"wrote {receipt.path}")
-
-
 def _parse_input(path: str, parse: Callable, cfg: RunConfig):
     """`parse(handle, cfg)` of the input file at `path`; a fatal error in it names the file."""
     with open(path, "rb") as handle:
@@ -102,7 +89,7 @@ def _parse_input(path: str, parse: Callable, cfg: RunConfig):
             raise CliError(f"{path}: {exc}") from None
 
 
-def stage_ingest(cfg: RunConfig, written: Written) -> list[Receipt]:
+def stage_ingest(cfg: RunConfig, written: Written) -> list[Path]:
     if not cfg.gps or not cfg.survey:
         raise CliError("ingest needs --gps and --survey input paths")
     for path in (cfg.gps, cfg.survey):
@@ -113,24 +100,22 @@ def stage_ingest(cfg: RunConfig, written: Written) -> list[Receipt]:
 
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, cfg.gps, cfg.survey)
-    receipts = [
+    paths = [
         artifacts.write_fixes(_out(cfg, "fixes.csv"), fixes, meta),
         artifacts.write_survey(_out(cfg, "survey.csv"), survey, meta),
     ]
     written[_out(cfg, "fixes.csv")] = fixes
     written[_out(cfg, "survey.csv")] = survey
-    _out(cfg, "ingest_rejects.txt").write_text(
-        "== gps ==\n" + fix_report.as_text() + "== survey ==\n" + survey_report.as_text(),
-        encoding="utf-8",
-    )
+    rejects = "== gps ==\n" + fix_report.as_text() + "== survey ==\n" + survey_report.as_text()
+    artifacts._publish(_out(cfg, "ingest_rejects.txt"), lambda: (rejects.count("\n"), [rejects]))
     print(
         f"ingest: {fix_report.n_accepted} fixes (+{fix_report.n_rejected} rejected), "
         f"{survey_report.n_accepted} survey records (+{survey_report.n_rejected} rejected)"
     )
-    return receipts
+    return paths
 
 
-def stage_preprocess(cfg: RunConfig, written: Written) -> list[Receipt]:
+def stage_preprocess(cfg: RunConfig, written: Written) -> list[Path]:
     fixes_path = _require(cfg, "fixes.csv", "ingest")
     survey_path = _require(cfg, "survey.csv", "ingest")
     fixes = _load(written, fixes_path, artifacts.read_fixes)
@@ -142,7 +127,7 @@ def stage_preprocess(cfg: RunConfig, written: Written) -> list[Receipt]:
     meta["dedupe"] = "per-slot, min accuracy, earliest timestamp, smallest lat/lon"
     for key, value in result.counts.items():
         meta[f"count_{key}"] = str(value)
-    receipts = [
+    paths = [
         artifacts.write_clean_fixes(_out(cfg, "clean_fixes.csv"), result.clean_fixes, meta),
         artifacts.write_valid_days(_out(cfg, "valid_days.csv"), result.valid_days, meta),
     ]
@@ -152,10 +137,10 @@ def stage_preprocess(cfg: RunConfig, written: Written) -> list[Receipt]:
         f"preprocess: {len(result.clean_fixes)} clean fixes, "
         f"{len(result.valid_days)} retained users"
     )
-    return receipts
+    return paths
 
 
-def stage_encounters(cfg: RunConfig, written: Written) -> list[Receipt]:
+def stage_encounters(cfg: RunConfig, written: Written) -> list[Path]:
     clean_path = _require(cfg, "clean_fixes.csv", "preprocess")
     days_path = _require(cfg, "valid_days.csv", "preprocess")
     survey_path = _require(cfg, "survey.csv", "ingest")
@@ -173,14 +158,14 @@ def stage_encounters(cfg: RunConfig, written: Written) -> list[Receipt]:
         pairs=surveyed_pairs,
     )
     meta = _meta(cfg, clean_path, days_path, survey_path)
-    receipts = [
+    paths = [
         artifacts.write_pairs(_out(cfg, "pairs.csv"), encounter_sets, meta),
         artifacts.write_encounters(_out(cfg, "encounters.csv"), encounter_sets, meta),
     ]
     written[_out(cfg, "encounters.csv")] = encounter_sets
     n_enc = sum(es.n_encounters for es in encounter_sets.values())
     print(f"encounters: {n_enc} encounters across {len(encounter_sets)} eligible pairs")
-    return receipts
+    return paths
 
 
 def _load_observations(cfg: RunConfig, written: Written):
@@ -201,10 +186,10 @@ def _analysis_stage(
     row_type: type,
     rows_of: Callable[[features.ObservationTable, RunConfig], list],
     **extra_meta: str,
-) -> Callable[..., list[Receipt]]:
+) -> Callable[..., list[Path]]:
     """A stage that writes `rows_of(observations, cfg)` to `artifact`, `row_type`'s fields as columns."""
 
-    def stage(cfg: RunConfig, written: Written) -> list[Receipt]:
+    def stage(cfg: RunConfig, written: Written) -> list[Path]:
         observations, inputs = _load_observations(cfg, written)
         rows = rows_of(observations, cfg)
         meta = {**_meta(cfg, *inputs), **extra_meta}
@@ -247,11 +232,11 @@ stage_evolve = _analysis_stage(
 )
 
 
-def stage_synth(cfg: RunConfig, written: Written) -> list[Receipt]:
+def stage_synth(cfg: RunConfig, written: Written) -> list[Path]:
     result = synth.synth_generate(cfg)
     Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg)
-    receipts = [
+    paths = [
         artifacts.write_fixes(
             _out(cfg, "synth_gps.csv"), synth.gps_log(result.fixes, cfg.zone_offset_minutes), meta
         ),
@@ -261,15 +246,12 @@ def stage_synth(cfg: RunConfig, written: Written) -> list[Receipt]:
         f"synth: {len(result.fixes)} fixes, {len(result.survey)} survey records "
         f"({cfg.synth_pairs} pairs per archetype)"
     )
-    return receipts
+    return paths
 
 
-def stage_all(cfg: RunConfig, written: Written) -> list[Receipt]:
-    receipts = []
-    for name, stage in _STAGE_FUNCS.items():
-        if name not in _NOT_PIPELINE:
-            receipts += stage(cfg, written)
-    return receipts
+def stage_all(cfg: RunConfig, written: Written) -> list[Path]:
+    stages = [stage for name, stage in _STAGE_FUNCS.items() if name not in _NOT_PIPELINE]
+    return [path for stage in stages for path in stage(cfg, written)]
 
 
 # command -> stage; `all` runs every entry not in _NOT_PIPELINE, in order
@@ -312,7 +294,8 @@ def main(argv: list[str] | None = None) -> int:
             if key.startswith("cfg_") and value is not None
         }
         cfg = build_config(file_values, flag_values)
-        _verify_written(_STAGE_FUNCS[args.command](cfg, {}))
+        for path in _STAGE_FUNCS[args.command](cfg, {}):
+            print(f"wrote {path}")
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

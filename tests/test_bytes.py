@@ -28,8 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiediv.artifacts import _column_chunks, _csv_cells, check_written, write_columns, write_table
+from tiediv.artifacts import _column_chunks, _csv_cells, write_columns, write_table
 from tiediv.ingest import (
+    CHUNK_ROWS,
     Cells,
     TextColumn,
     _floats,
@@ -267,8 +268,9 @@ def test_typed_columns_write_as_rows_of_python_values(rows, order):
     meta = {"rows": str(len(rows))}
     with tempfile.TemporaryDirectory() as tmp:
         columns_path, rows_path = Path(tmp) / "columns.csv", Path(tmp) / "rows.csv"
-        check_written(write_columns(columns_path, meta, {name: typed[name] for name in order}))
-        check_written(write_table(rows_path, meta, order, list(zip(*(python[name] for name in order)))))
+        # each writer checks the line ends of its file before it publishes it under its path
+        assert write_columns(columns_path, meta, {name: typed[name] for name in order}) == columns_path
+        assert write_table(rows_path, meta, order, list(zip(*(python[name] for name in order)))) == rows_path
         assert columns_path.read_bytes() == rows_path.read_bytes()
 
 
@@ -277,6 +279,19 @@ def test_typed_floats_refuse_a_negative_nan(tmp_path):
     with pytest.raises(ValueError) as raised:
         write_columns(path, {}, {"x": np.array([1.5, np.copysign(np.nan, -1.0)])})
     assert str(raised.value) == f"{path}: 'nan' does not read back as nan"
+
+
+def test_a_refused_chunk_leaves_no_file(tmp_path):
+    # the first chunk is written before the second fails its read-back: neither it, a
+    # temporary file nor the file an earlier call wrote to the path is left
+    path = tmp_path / "chunks.csv"
+    floats = np.arange(CHUNK_ROWS + 100, dtype=np.float64)
+    write_columns(path, {}, {"x": floats})
+    floats[CHUNK_ROWS + 1] = np.copysign(np.nan, -1.0)
+    with pytest.raises(ValueError) as raised:
+        write_columns(path, {}, {"x": floats})
+    assert str(raised.value) == f"{path}: 'nan' does not read back as nan"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numpy_floats_in_rows_write_as_python_floats(tmp_path):

@@ -765,9 +765,14 @@ class TestWriteCheck:
     def drop_first_row(self, join_rows):
         return lambda columns: join_rows([column[1:] for column in columns])
 
-    def head_lines(self, path: Path) -> int:
-        """The '#' meta lines and the header of an artifact."""
-        lines = path.read_text(encoding="utf-8").splitlines()
+    def head_lines(self, outdir: Path, inputs=("--gps", GPS, "--survey", SURVEY)) -> int:
+        """The '#' meta lines and the header of `fixes.csv`, from a good ingest of `inputs` into `outdir`.
+
+        A refused artifact is never published, so its head is read from a good run's; the
+        meta lines do not depend on the outdir.
+        """
+        assert run("ingest", *inputs, "-o", str(outdir)) == 0
+        lines = (outdir / "fixes.csv").read_text(encoding="utf-8").splitlines()
         return next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
 
     def test_unquoted_comma_in_a_user_id(self, tmp_path, outdir, capsys, monkeypatch):
@@ -792,12 +797,29 @@ class TestWriteCheck:
         with pytest.raises(ValueError, match="a column name is repeated"):
             artifacts.write_table(path, {}, ["a", "a"], [(1, 2)])
 
-    def test_dropped_row(self, outdir, capsys, monkeypatch):
+    def test_dropped_row(self, tmp_path, outdir, capsys, monkeypatch):
+        written = self.head_lines(tmp_path / "good") + 3120
         self.patch_join_rows(monkeypatch, self.drop_first_row)
         err = self.run_ingest(outdir, capsys)
         path = outdir / "fixes.csv"
-        written = self.head_lines(path) + 3120
         assert err == f"error: {path}: holds {written - 1} lines, but {written} were written\n"
+
+    def test_refused_artifact_is_not_published(self, outdir, capsys, monkeypatch):
+        # neither the refused fixes.csv nor its temporary file is left, so the next stage cannot read it
+        self.patch_join_rows(monkeypatch, self.drop_first_row)
+        self.run_ingest(outdir, capsys)
+        assert list(outdir.iterdir()) == []
+        assert run("preprocess", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {outdir / 'fixes.csv'} not found; run `tiediv ingest` first\n"
+
+    def test_refused_rewrite_removes_the_earlier_artifact(self, outdir, capsys, monkeypatch):
+        # a good run's fixes.csv is not read in place of the refused one
+        assert run("ingest", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0
+        self.patch_join_rows(monkeypatch, self.drop_first_row)
+        self.run_ingest(outdir, capsys)
+        assert sorted(p.name for p in outdir.iterdir()) == ["ingest_rejects.txt", "survey.csv"]
+        assert run("preprocess", "-o", str(outdir)) == 1
+        assert capsys.readouterr().err == f"error: {outdir / 'fixes.csv'} not found; run `tiediv ingest` first\n"
 
     def test_float_text_that_does_not_round_trip(self, outdir, capsys, monkeypatch):
         monkeypatch.setattr(artifacts, "_float_texts", lambda floats: [f"{v:.6g}" for v in floats.tolist()])
@@ -827,24 +849,23 @@ class TestWriteCheck:
         err = self.run_ingest(outdir, capsys)
         assert err == f"error: {outdir / 'fixes.csv'}: does not end with a line end\n"
 
-    def test_header_only_artifact_when_rows_were_written(self, outdir, capsys, monkeypatch):
+    def test_header_only_artifact_when_rows_were_written(self, tmp_path, outdir, capsys, monkeypatch):
+        head = self.head_lines(tmp_path / "good")
         self.patch_join_rows(monkeypatch, lambda join_rows: lambda columns: "")
         err = self.run_ingest(outdir, capsys)
         path = outdir / "fixes.csv"
-        head = self.head_lines(path)
         assert err == f"error: {path}: holds {head} lines, but {head + 3120} were written\n"
 
     @pytest.mark.parametrize("line_break", ["\n", "\r"])
     def test_quoted_line_break_is_counted(self, tmp_path, outdir, capsys, monkeypatch, line_break):
         inputs = renamed_inputs(tmp_path / "in", {"sch000a": f"sch{line_break}000a"})
-        receipts = []
-        check_written = artifacts.check_written
-        monkeypatch.setattr(artifacts, "check_written", lambda r: receipts.append(r) or check_written(r))
+        head = self.head_lines(tmp_path / "good", inputs)
         assert run("all", *inputs, "-o", str(outdir)) == 0
-        # fixes.csv: one line end per row, and one more inside each of the 600 cells of sch\n000a
+        # fixes.csv: one line end per row, and one more inside each of the 600 cells of sch\n000a;
+        # its writer published it, so it counted these line ends as it formatted them
         fixes = outdir / "fixes.csv"
         in_cells = 600 if line_break == "\n" else 0
-        assert receipts[0] == (fixes, self.head_lines(fixes) + 3120 + in_cells)
+        assert fixes.read_bytes().count(b"\n") == head + 3120 + in_cells
         # the staged readers read each such cell back: a rerun stage writes the same bytes
         written = hash_dir(outdir)
         for stage in ("preprocess", "encounters", "features"):
@@ -853,7 +874,7 @@ class TestWriteCheck:
         self.patch_join_rows(monkeypatch, self.drop_first_row)
         err = self.run_ingest(tmp_path / "dropped", capsys, inputs)
         path = tmp_path / "dropped" / "fixes.csv"
-        written = self.head_lines(path) + 3120 + in_cells
+        written = head + 3120 + in_cells
         dropped = 1 + (line_break == "\n")  # the first row is sch\n000a's
         assert err == f"error: {path}: holds {written - dropped} lines, but {written} were written\n"
 
@@ -861,11 +882,21 @@ class TestWriteCheck:
         # each chunk loses its text up to its first "\n", which lies inside the
         # first row's quoted user id: the rows that csv reads stay 3120
         inputs = renamed_inputs(tmp_path / "in", {"sch000a": "sch\n000a"})
-        self.patch_join_rows(monkeypatch, lambda join_rows: lambda columns: join_rows(columns).partition("\n")[2])
+        head = self.head_lines(tmp_path / "good", inputs)
+        cut = []  # the text of each chunk as written
+
+        def from_first_line_end(join_rows):
+            def join(columns):
+                cut.append(join_rows(columns).partition("\n")[2])
+                return cut[-1]
+
+            return join
+
+        self.patch_join_rows(monkeypatch, from_first_line_end)
         err = self.run_ingest(tmp_path / "cut", capsys, inputs)
         path = tmp_path / "cut" / "fixes.csv"
-        assert path.read_text(encoding="utf-8").splitlines()[self.head_lines(path)].startswith('000a",')
-        written = self.head_lines(path) + 3120 + 600
+        assert cut[0].startswith('000a",')
+        written = head + 3120 + 600
         assert err == f"error: {path}: holds {written - 1} lines, but {written} were written\n"
 
 

@@ -430,3 +430,45 @@ def test_crlf_twin_reads_alike_without_csv(mini_run, tmp_path, reader):
             assert outcome(extra, b"\r\n", quote=True) == plains[-1]
         assert calls.calls == 0
     assert plains[0] != plains[1]  # the bad lines were read, and rejected or failed
+
+
+# A first cell is built of these: '#'; space, no-break space, line separator and file
+# separator, which `str.strip` removes; the Kelvin sign, whose `lower()` is 'k'; and the
+# header's first cell, as it is and in capitals. '\u212aey' lowers to 'key', five bytes to
+# three; 'Key\u212aKey' lowers to 'keykkey', and only its inner bytes past ASCII mark a
+# nine-byte cell of it as one to decode
+FIRST_CELL_PIECES = ["#", " ", "\xa0", "\u2028", "\x1c", "\u212a"]
+HEADER_CELLS = ["key", " Key ", "\u212aey", "Key\u212aKey"]
+
+
+def header_and_rows(header_cell: str):
+    pieces = st.sampled_from([*FIRST_CELL_PIECES, header_cell, header_cell.upper()])
+    rows = st.tuples(st.lists(pieces, max_size=4).map("".join), st.sampled_from(["", "v", "value"]))
+    return st.tuples(st.just(header_cell), st.lists(rows, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(HEADER_CELLS).flatmap(header_and_rows))
+def test_first_cell_screen_keeps_what_the_text_rule_keeps(header_and_rows):
+    """The rows the table reader keeps, screening first cells on their bytes, are those the text rule keeps.
+
+    The text rule decodes every first cell, and looks at each row whose first
+    cell, stripped, is empty, starts with '#' or lowers to the header's first
+    cell: it skips a blank or comment row there, and rejects a repeated header.
+    """
+    header_cell, rows = header_and_rows
+    header = [header_cell.strip().lower(), "value"]
+    text = "".join(f"{first},{second}\n" for first, second in [(header_cell, "value"), *rows])
+    report = ingest.RejectionReport()
+    kept = ingest._kept_rows(next(split_rows(io.BytesIO(text.encode("utf-8")), ",")), 1, header, report)
+    expected, repeated = [], []
+    for i, (first, second) in enumerate(rows, start=1):
+        if not (head := first.strip()) or head[0] == "#" or head.lower() == header[0]:
+            if [first.strip().lower(), second.strip().lower()] == header:
+                repeated.append((i + 1, "duplicate header row"))
+                continue
+            if not (head or second.strip()) or head[:1] == "#":  # a blank or comment row
+                continue
+        expected.append(i)
+    assert kept.tolist() == expected
+    assert report.entries == repeated
