@@ -202,9 +202,9 @@ def _publish(path: str | Path, texts: Callable[[], tuple[int, Iterable[str]]]) -
     """Write the texts of `texts()` to a temporary file beside `path`, check it, and rename it to `path`.
 
     The file must end with a line end and hold just the line ends that
-    `texts()` gives, so that no row is missing, cut short or split, or
-    ValueError. Any exception removes the temporary file and any earlier
-    file at `path`; a ValueError or OverflowError names `path`.
+    `texts()` gives, so that no row is missing, cut short or split;
+    otherwise ValueError. Any exception removes the temporary file and any
+    earlier file at `path`; a ValueError or OverflowError names `path`.
     """
     path = Path(path)
     temp = path.with_name(f"{path.name}.tmp")  # a fixed name: a later write replaces one a killed run left
