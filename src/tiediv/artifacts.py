@@ -198,6 +198,11 @@ def _column_texts(meta: Mapping[str, str], names: Sequence[str], values: Sequenc
     return head.count("\n") + n_rows + cell_line_ends, chunks()
 
 
+def publish_text(path: str | Path, text: str) -> Path:
+    """Publish `text`, which ends with a line end, as the artifact at `path`, as `_publish` does."""
+    return _publish(path, lambda: (text.count("\n"), [text]))
+
+
 def _publish(path: str | Path, texts: Callable[[], tuple[int, Iterable[str]]]) -> Path:
     """Write the texts of `texts()` to a temporary file beside `path`, check it, and rename it to `path`.
 

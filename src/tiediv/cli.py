@@ -16,7 +16,10 @@ calls from disk. The analysis stages of a call share one
 
 Each stage returns the paths it wrote, which `main` prints once the command
 has succeeded. A writer leaves no artifact it refused (`artifacts._publish`),
-so the next command finds none rather than a refused one.
+so the next command finds none rather than a refused one. A command that
+fails names no path: the artifacts it published before the failure (say
+`fixes.csv` before a refused `survey.csv`, or the earlier stages' of `all`)
+stay in the output directory, each one checked.
 
 The analysis stages (features, compare, sweep-t, sweep-q, subgroups,
 evolve) are one function, `_analysis_stage`: each writes the rows its
@@ -107,7 +110,7 @@ def stage_ingest(cfg: RunConfig, written: Written) -> list[Path]:
     written[_out(cfg, "fixes.csv")] = fixes
     written[_out(cfg, "survey.csv")] = survey
     rejects = "== gps ==\n" + fix_report.as_text() + "== survey ==\n" + survey_report.as_text()
-    artifacts._publish(_out(cfg, "ingest_rejects.txt"), lambda: (rejects.count("\n"), [rejects]))
+    artifacts.publish_text(_out(cfg, "ingest_rejects.txt"), rejects)
     print(
         f"ingest: {fix_report.n_accepted} fixes (+{fix_report.n_rejected} rejected), "
         f"{survey_report.n_accepted} survey records (+{survey_report.n_rejected} rejected)"

@@ -916,10 +916,6 @@ def _resolve_header(
     return positions
 
 
-# the bytes that `str.strip` removes at a cell's edge, and those of a character past ASCII
-_EDGE_BYTES = np.array([b >= 0x80 or chr(b).isspace() for b in range(256)])
-
-
 def _kept_rows(rows: Rows, first: int, header: list[str], report: RejectionReport) -> np.ndarray:
     """The indices of the data rows from index `first` on that a table keeps.
 
@@ -930,22 +926,17 @@ def _kept_rows(rows: Rows, first: int, header: list[str], report: RejectionRepor
     """
     width = len(header)
     index = np.arange(first, len(rows))
-    # Rows of another width, or whose first cell is blank, a comment or the
-    # header's, need a look. Only a first cell that is empty, starts with '#',
-    # has an `_EDGE_BYTES` byte at an edge, a byte past ASCII or the header
-    # cell's length can be such a cell; only those are decoded, once each.
+    # Rows of another width and rows whose first cell is blank, a comment or
+    # the header's first cell need a look. Those first cells are found among
+    # the distinct first cells; other rows are kept as they are.
     look = rows.widths[index] != width
-    full = np.flatnonzero(~look)
-    firsts = rows.column(index[full], 0)
-    chars, starts, ends = firsts.chars(), firsts.starts, firsts.ends
-    screen = (ends == starts) | (ends - starts == len(header[0])) | (chars[starts] == ord("#"))
-    screen |= _EDGE_BYTES[chars[starts]] | _EDGE_BYTES[chars[ends - 1]]
-    if not firsts.data.isascii():
-        past = np.flatnonzero(chars >= 0x80)
-        screen |= np.searchsorted(past, starts) != np.searchsorted(past, ends)
-    firsts = firsts.take(np.flatnonzero(screen)).text_column()
-    odd = [not (head := cell.strip()) or head[0] == "#" or head.lower() == header[0] for cell in firsts.values]
-    look[full[screen]] = np.array(odd, dtype=bool)[firsts.codes]
+    firsts = rows.column(index[~look], 0).text_column()
+    odd = np.array(
+        [not (head := cell.strip()) or head[0] == "#" or head.lower() == header[0] for cell in firsts.values],
+        dtype=bool,
+    )
+    if odd.any():
+        look[~look] = odd[firsts.codes]
     keep = ~look
     for k in np.flatnonzero(look).tolist():
         i = first + k

@@ -821,6 +821,15 @@ class TestWriteCheck:
         assert run("preprocess", "-o", str(outdir)) == 1
         assert capsys.readouterr().err == f"error: {outdir / 'fixes.csv'} not found; run `tiediv ingest` first\n"
 
+    def test_published_text_is_checked(self, outdir):
+        # ingest_rejects.txt's writer: a text cut short of its line end is refused, and nothing is left
+        outdir.mkdir()
+        assert artifacts.publish_text(outdir / "notes.txt", "a\nb\n") == outdir / "notes.txt"
+        assert (outdir / "notes.txt").read_bytes() == b"a\nb\n"
+        with pytest.raises(ValueError, match="notes.txt: does not end with a line end"):
+            artifacts.publish_text(outdir / "notes.txt", "a\nb")
+        assert list(outdir.iterdir()) == []
+
     def test_float_text_that_does_not_round_trip(self, outdir, capsys, monkeypatch):
         monkeypatch.setattr(artifacts, "_float_texts", lambda floats: [f"{v:.6g}" for v in floats.tolist()])
         err = self.run_ingest(outdir, capsys)

@@ -435,8 +435,8 @@ def test_crlf_twin_reads_alike_without_csv(mini_run, tmp_path, reader):
 # A first cell is built of these: '#'; space, no-break space, line separator and file
 # separator, which `str.strip` removes; the Kelvin sign, whose `lower()` is 'k'; and the
 # header's first cell, as it is and in capitals. '\u212aey' lowers to 'key', five bytes to
-# three; 'Key\u212aKey' lowers to 'keykkey', and only its inner bytes past ASCII mark a
-# nine-byte cell of it as one to decode
+# three, and 'Key\u212aKey' to 'keykkey', so a cell's byte length alone does not tell
+# whether it is the header's
 FIRST_CELL_PIECES = ["#", " ", "\xa0", "\u2028", "\x1c", "\u212a"]
 HEADER_CELLS = ["key", " Key ", "\u212aey", "Key\u212aKey"]
 
@@ -449,8 +449,8 @@ def header_and_rows(header_cell: str):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(HEADER_CELLS).flatmap(header_and_rows))
-def test_first_cell_screen_keeps_what_the_text_rule_keeps(header_and_rows):
-    """The rows the table reader keeps, screening first cells on their bytes, are those the text rule keeps.
+def test_kept_rows_are_those_the_text_rule_keeps(header_and_rows):
+    """The rows the table reader keeps are those the text rule, row by row, keeps.
 
     The text rule decodes every first cell, and looks at each row whose first
     cell, stripped, is empty, starts with '#' or lowers to the header's first
