@@ -35,7 +35,8 @@ then the peak of the memory that Python and numpy allocate during one
 call of each of those eleven, by `tracemalloc`: where a reader's memory
 goes, in-process. Last come the byte kernels, each on the first
 KERNEL_CELLS cells of one column (fewer if the file is shorter), cut
-from the file as the readers cut it, and timed over KERNEL_REPEAT calls:
+from the file block by block as the readers cut it, and timed over
+KERNEL_REPEAT calls:
 
     timestamps         bulk_timestamps_us on the log's timestamps
     lat, accuracy      exact_floats on the log's lat and accuracy
@@ -132,13 +133,27 @@ def peak_mb(call) -> float:
 
 
 def column_cells(path: Path, name: str) -> Cells:
-    """The first KERNEL_CELLS cells of column `name` of a plain artifact, byte ranges of its text."""
+    """The first KERNEL_CELLS cells of column `name` of a plain artifact, byte ranges of its text.
+
+    They are gathered from as many blocks of `split_rows` as they span,
+    over the blocks' buffers joined into one.
+    """
+    parts, left = [], KERNEL_CELLS
     with open(path, "rb") as handle:
         while (header := handle.readline()).startswith(b"#"):  # the meta lines
             pass
-        rows = next(split_rows(handle, ","))
-    column = header.decode().rstrip("\n").split(",").index(name)
-    return rows.column(np.arange(min(len(rows), KERNEL_CELLS)), column)
+        column = header.decode().rstrip("\n").split(",").index(name)
+        for rows in split_rows(handle, ","):
+            parts.append(rows.column(np.arange(min(len(rows), left)), column))
+            left -= len(parts[-1])
+            if not left:
+                break
+    offsets = np.cumsum([0] + [len(part.data) for part in parts[:-1]])
+    return Cells(
+        b"".join(part.data for part in parts),
+        np.concatenate([part.starts + offset for part, offset in zip(parts, offsets)]),
+        np.concatenate([part.ends + offset for part, offset in zip(parts, offsets)]),
+    )
 
 
 def main() -> None:

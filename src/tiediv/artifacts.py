@@ -8,8 +8,8 @@ be diffed.
 
 `write_columns` writes every artifact from a mapping of names to
 columns, so its header, the keys, cannot come apart from its rows;
-`write_table` zips rows into such a mapping strictly. A chunk of
-CHUNK_ROWS rows comes as columns of cells that already end in their
+`write_table` zips rows into such a mapping strictly. The writer's chunk
+of CHUNK_ROWS rows comes as columns of cells that already end in their
 separator ("," or, in the last column, "\n"), and one `"".join` of the
 columns, interleaved, is its text. A column's type picks its cells
 (`_typed_cells`): a numpy float is its shortest round-trip `repr`, an int
@@ -39,7 +39,7 @@ over csv's field limit raises ValueError naming the artifact and the
 data row, and a byte that is not UTF-8 one naming the artifact and the
 byte's offset in the file.
 
-Each reader hands every chunk of columns to its artifact's converter
+Each reader hands each block's columns to its artifact's converter
 (`_converted`), which converts the cells by ingest's `column_values` or
 `_bulk` and checks the rows by one ordered list (`ingest._passing`); the
 reader raises ValueError naming the artifact, the first data row that
@@ -337,10 +337,10 @@ def _skip_meta(handle: BinaryIO) -> tuple[int, int, bytes]:
 
 
 def _column_chunks(path: str | Path, names: Sequence[str]) -> Iterator[tuple[int, dict[str, Cells]]]:
-    """(first row, cells of the named columns) of an artifact, a chunk of `split_rows` at a time.
+    """(first row, cells of the named columns) of an artifact, a block of `split_rows` at a time.
 
     Rows are numbered from 1 after the header. There is at least one
-    chunk, which may hold no rows. Raises ValueError naming the artifact
+    block, which may hold no rows. Raises ValueError naming the artifact
     and row if a row has more or fewer cells than the header, or a cell
     over csv's field limit, and naming the artifact and the offset of a
     byte that is not UTF-8.

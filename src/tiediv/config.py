@@ -233,19 +233,24 @@ _KEYS = {
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key=value config file; '#' starts a comment line."""
+    """Read a flat key=value config file; '#' starts a comment line.
+
+    A leading byte-order mark is skipped. Whitespace around a value is
+    dropped, but a value of whitespace alone keeps all but its spaces, so
+    `delimiter=` and a tab set a tab.
+    """
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = stripped.partition("=")
+        key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         if key not in _KEYS:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[_KEYS[key]] = value.strip()
+        values[_KEYS[key]] = value.strip() or value.strip(" ")
     return values
 
 

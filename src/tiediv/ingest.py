@@ -16,10 +16,10 @@ the handle, so it may be a pipe. One splitter, `split_rows`, reads every
 input, and the staged artifacts too, without csv and without decoding:
 its rows are those csv's default dialect reads in `newline=''` mode,
 quoted cells and "\\r" line ends included. It streams the text in blocks
-of whole rows, numpy finds each cell's byte range in a block, and a
-chunk of rows hands out its cells as `Cells`, byte ranges of one buffer;
-only a quoted cell that is more than one quoted text is copied. A decode
-error gives the offset of the bad byte in the file.
+of whole rows, its one unit of work: numpy finds each cell's byte range
+in a block, whose rows hand out their cells as `Cells`, byte ranges of
+one buffer; only a quoted cell that is more than one quoted text is
+copied. A decode error gives the offset of the bad byte in the file.
 
 The GPS log comes back as a `FixTable`: one numpy column per field, an
 int32 user code into a sorted name table, epoch microseconds (UTC) for
@@ -688,17 +688,19 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-# rows converted at a time; bounds the memory a large input needs
+# rows the artifact writer formats at a time, and the most fixes of a run of
+# encounter's join; the reader works a block at a time, not a chunk of rows
 CHUNK_ROWS = 1 << 15
-# bytes read at a time, then on to the end of the line
-BLOCK_BYTES = 1 << 21
+# bytes read at a time, then on to the end of the line; the reader splits and
+# converts a block at once, so this bounds the memory a large input needs
+BLOCK_BYTES = 1 << 20
 # csv's default field size limit: a row with a longer cell fails, with csv's reason
 _FIELD_LIMIT = 131072
 
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """A chunk of rows of delimited text; their cells are byte ranges of one buffer.
+    """The rows of one block of delimited text; their cells are byte ranges of one buffer.
 
     Row i starts on line `line_nos[i]`, and its cells are `cells`
     `starts[i]` to `starts[i] + widths[i] - 1`. A row with a cell over
@@ -790,7 +792,7 @@ def _row_blocks(handle: BinaryIO, head: bytes, delimiter: bytes) -> Iterator[tup
 def split_rows(
     handle: BinaryIO, delimiter: str, line: int = 1, offset: int = 0, head: bytes = b""
 ) -> Iterator[Rows]:
-    """The rows of UTF-8 delimited text, `head` and then the rest of `handle`, in chunks.
+    """The rows of UTF-8 delimited text, `head` and then the rest of `handle`, a `Rows` per block.
 
     `head` holds bytes already read from the handle; the text starts on
     line `line`, at byte `offset` of the input. The rows are those csv's
@@ -800,9 +802,9 @@ def split_rows(
     quoted spans (`_quotes`). A row's number is the line it starts on; a
     row with a cell over csv's field limit has no cells, and csv's
     reason. Each block of whole rows (`_row_blocks`), less the quotes csv
-    drops, is the buffer of its chunks of CHUNK_ROWS rows. A block that
-    is not ASCII is decoded once, to check that it is UTF-8; a decode
-    error names the offset of the bad byte.
+    drops, is the buffer of one `Rows`. A block that is not ASCII is
+    decoded once, to check that it is UTF-8; a decode error names the
+    offset of the bad byte.
     """
     separator = delimiter.encode("utf-8", "surrogatepass")
     for block, quotes in _row_blocks(handle, head, separator):
@@ -845,7 +847,7 @@ def split_rows(
             keep[quotes.drops] = False
             data = b"".join((_PADDING, chars[keep], _PADDING))
             bounds -= np.searchsorted(quotes.drops, bounds)
-            del keep, chars, padded  # only the copy is needed while the chunks are converted
+            del keep, chars, padded  # only the copy is needed while the rows are converted
         cell_ends = bounds + _PAD
         cell_starts = np.concatenate(([_PAD], cell_ends[:-1] + 1))
         if len(separator) > 1:
@@ -861,16 +863,7 @@ def split_rows(
             reason = f"field larger than field limit ({_FIELD_LIMIT})"
             failed = dict.fromkeys(np.searchsorted(last, over).tolist(), reason)
             widths[list(failed)] = 0
-        for a in range(0, len(ends), CHUNK_ROWS):
-            b = min(a + CHUNK_ROWS, len(ends))
-            cells = slice(first[a], last[b - 1] + 1)
-            yield Rows(
-                line_nos[a:b],
-                widths[a:b],
-                first[a:b] - first[a],
-                Cells(data, cell_starts[cells], cell_ends[cells]),
-                {i - a: reason for i, reason in failed.items() if a <= i < b},
-            )
+        yield Rows(line_nos, widths, first, Cells(data, cell_starts, cell_ends), failed)
         line += len(ends) + len(breaks)
 
 
@@ -885,9 +878,9 @@ def _is_blank(cells: list[str]) -> bool:
     return not cells or all(not c.strip() for c in cells)
 
 
-def _find_header(chunks: Iterator[Rows]) -> tuple[list[str], Rows, int]:
-    """The cells of the first non-blank, non-comment row, its chunk, and the index after it."""
-    for rows in chunks:
+def _find_header(blocks: Iterator[Rows]) -> tuple[list[str], Rows, int]:
+    """The cells of the first non-blank, non-comment row, its block's rows, and the index after it."""
+    for rows in blocks:
         for i in range(len(rows)):
             if i in rows.failed:
                 raise SchemaError(f"line {rows.line_nos[i]}: {rows.failed[i]}")
@@ -964,7 +957,7 @@ def _read_table(
     """The well-formed data rows of one delimited table, in chunks of columns.
 
     The first non-blank, non-comment row is the header. Each chunk
-    holds the kept rows of one chunk of `split_rows`: their line numbers
+    holds the kept rows of one block of `split_rows`: their line numbers
     and the cells of every resolved column (by canonical name). There is
     at least one chunk, which may hold no rows. Blank and comment rows
     are skipped; duplicate-header, short and unparseable rows go to
@@ -972,14 +965,14 @@ def _read_table(
     """
     head = source.read(len(codecs.BOM_UTF8))
     skip = len(head) if head == codecs.BOM_UTF8 else 0
-    chunks = split_rows(source, delimiter, offset=skip, head=head[skip:])
-    header, rows, first = _find_header(chunks)
+    blocks = split_rows(source, delimiter, offset=skip, head=head[skip:])
+    header, rows, first = _find_header(blocks)
     positions = _resolve_header(header, aliases, required)
     header_lowered = [c.strip().lower() for c in header]
     while rows is not None:
         kept = _kept_rows(rows, first, header_lowered, report)
         yield rows.line_nos[kept].tolist(), {name: rows.column(kept, i) for name, i in positions.items()}
-        rows, first = next(chunks, None), 0
+        rows, first = next(blocks, None), 0
 
 
 # --- the column checks -------------------------------------------------------

@@ -595,10 +595,11 @@ class TestStageErrors:
         assert run("encounters", "-o", str(outdir)) == 1
         assert capsys.readouterr().err == f"error: {path}: data row 3: 6 cells, 5 columns\n"
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2])
-    def test_staged_row_of_the_wrong_width_in_a_later_chunk(self, outdir, capsys, monkeypatch, chunk_rows):
+    # the wide row in blocks of one data row, and of two
+    @pytest.mark.parametrize("block_bytes", [1, 64])
+    def test_staged_row_of_the_wrong_width_in_a_later_chunk(self, outdir, capsys, monkeypatch, block_bytes):
         path = self.widened_row(outdir)
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
         capsys.readouterr()
         assert run("encounters", "-o", str(outdir)) == 1
         assert capsys.readouterr().err == f"error: {path}: data row 3: 6 cells, 5 columns\n"
@@ -614,7 +615,7 @@ class TestStageErrors:
         assert run("encounters", "-o", str(outdir)) == 1
         assert capsys.readouterr().err == f"error: {path}: field larger than field limit (131072)\n"
 
-    @pytest.mark.parametrize("block_bytes", [4096, ingest.BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [4096, 1 << 21])  # the last holds the artifact
     @pytest.mark.parametrize("quote", [False, True], ids=["plain", "csv"])
     def test_undecodable_byte_in_a_staged_artifact(self, outdir, capsys, monkeypatch, block_bytes, quote):
         assert run("all", "--gps", GPS, "--survey", SURVEY, "-o", str(outdir)) == 0

@@ -147,6 +147,24 @@ def test_config_file_skips_comment_lines_and_rejects_a_line_without_equals(tmp_p
         load_config_file(path)
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # as a spreadsheet or Windows editor saves it; the data readers skip the mark too
+    path = tmp_path / "run.conf"
+    path.write_text("min_days = 3\nzone-offset = 330\n", encoding="utf-8-sig")
+    assert load_config_file(path) == {"min_days": "3", "zone_offset_minutes": "330"}
+
+
+@pytest.mark.parametrize("line", ["delimiter=\t", "delimiter = \t", "delimiter=\t  "])
+def test_config_file_sets_a_tab_delimiter(tmp_path, line):
+    path = tmp_path / "run.conf"
+    path.write_text(f"# a tab-separated export\n{line}\nmin_days = 3\n", encoding="utf-8")
+    assert load_config_file(path) == {"delimiter": "\t", "min_days": "3"}
+    cfg = build_config(load_config_file(path))
+    log = "user_id\ttimestamp\tlat\tlon\taccuracy\nu1\t2016-04-03T10:02:11Z\t23.1\t72.6\t5\n"
+    fixes, report = parse_gps_log(io.BytesIO(log.encode()), cfg)
+    assert ([f.user_id for f in fixes], report.entries) == (["u1"], [])
+
+
 def test_config_file_rejects_short_flag(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("o=out\n", encoding="utf-8")

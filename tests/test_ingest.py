@@ -13,7 +13,6 @@ from tiediv.artifacts import read_survey, write_survey
 from tiediv.cli import main
 from tiediv.config import RunConfig
 from tiediv.ingest import (
-    CHUNK_ROWS,
     SchemaError,
     SurveyRecord,
     parse_gps_log,
@@ -297,7 +296,7 @@ class TestParseSurvey:
         ]
 
     def test_repeated_rating_found_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 1)  # a block per row
         records, report = parse_survey(survey_source("A,B,5,4", "B,A,3,2", "A,B,5,4"))
         assert len(records) == 2
         assert report.entries == [(4, "duplicate rating")]
@@ -355,7 +354,7 @@ class Pipe(io.BytesIO):
 
 
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
-@pytest.mark.parametrize("block_bytes", [ingest.BLOCK_BYTES, 1 << 14])
+@pytest.mark.parametrize("block_bytes", [1 << 21, 1 << 14])  # the first holds each file
 def test_readers_stream_their_handle(monkeypatch, bom, block_bytes):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
     data = Path(__file__).parent / "data"
@@ -379,14 +378,16 @@ class TestOversizedField:
         "u3,later,23.2,72.7,,12,,gps",
     )
 
-    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 2])
-    def test_gps_row_rejected_and_reading_goes_on(self, monkeypatch, chunk_rows):
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+    # a block of 32 KiB read on to the long row's end, then one of the rows after it;
+    # blocks of 64 bytes: the header, the row before the long one with it, the rest
+    @pytest.mark.parametrize("block_bytes", [1 << 15, 64])
+    def test_gps_row_rejected_and_reading_goes_on(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
         fixes, report = parse_gps_log(gps_source(*self.GPS_ROWS))
         assert report.entries == [(3, self.REASON), (5, "unparseable timestamp: 'later'")]
         assert [f.user_id for f in fixes] == ["u1", "u2"]
 
-    @pytest.mark.parametrize("block_bytes", [64, ingest.BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [64, 1 << 21])  # the last holds the log
     def test_gps_row_rejected_after_the_switch_to_csv(self, monkeypatch, block_bytes):
         # a quoted first cell, and the long line blocks later
         monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
@@ -442,9 +443,10 @@ class TestLineNumbers:
         GPS_HEADER.rstrip("\n"),
     )
 
-    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 1, 2])
-    def test_rows_after_quoted_line_breaks(self, monkeypatch, chunk_rows):
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+    # a block that holds the log, a block per row, and blocks of a row or two
+    @pytest.mark.parametrize("block_bytes", [1 << 15, 1, 64])
+    def test_rows_after_quoted_line_breaks(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
         fixes, report = parse_gps_log(gps_source(*self.ROWS))
         assert report.entries == [
             (4, "unparseable timestamp: 'bad'"),
@@ -503,9 +505,11 @@ class TestLineEnds:
         (9, "duplicate header row"),
     ]
 
-    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 2])
-    def test_lf_crlf_and_cr_logs_read_alike(self, monkeypatch, chunk_rows):
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+    # a block that holds the log, and blocks of a row or two; a block is read on to a "\n",
+    # so the "\r" log is one block either way
+    @pytest.mark.parametrize("block_bytes", [1 << 15, 64])
+    def test_lf_crlf_and_cr_logs_read_alike(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
         parsed = {}
         for eol in ("\n", "\r\n", "\r"):
             log = "".join(line.format(eol=eol) + eol for line in self.LINES)

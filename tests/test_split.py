@@ -97,24 +97,19 @@ def plain_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     table=plain_tables(),
-    chunk_rows=st.sampled_from([1, 2, 3, ingest.CHUNK_ROWS]),
     block_bytes=st.sampled_from([1, 7, 64, ingest.BLOCK_BYTES]),
 )
-def test_plain_text_splits_as_csv(table, chunk_rows, block_bytes):
+def test_plain_text_splits_as_csv(table, block_bytes):
     text, delimiter, width = table
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     expected = [(reader.line_num, row) for row in reader]
-    with (
-        mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows),
-        mock.patch.object(ingest, "BLOCK_BYTES", block_bytes),
-        csv_calls() as calls,
-    ):
-        chunks = list(split_rows(io.BytesIO(text.encode()), delimiter))
+    with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), csv_calls() as calls:
+        blocks = list(split_rows(io.BytesIO(text.encode()), delimiter))
     assert calls.calls == 0  # plain text, "\r\n" line ends and all, never reaches csv
-    assert [(int(rows.line_nos[i]), rows.row(i)) for rows in chunks for i in range(len(rows))] == expected
+    assert [(int(rows.line_nos[i]), rows.row(i)) for rows in blocks for i in range(len(rows))] == expected
     # the bulk columns of the rows with at least `width` cells hold their first `width` cells
     columns = [[] for _ in range(width)]
-    for rows in chunks:
+    for rows in blocks:
         wide = np.flatnonzero(rows.widths >= width)
         for j, column in enumerate(columns):
             column += rows.column(wide, j).texts()
@@ -164,10 +159,9 @@ def any_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     drawn=any_texts(),
-    chunk_rows=st.sampled_from([1, 2, ingest.CHUNK_ROWS]),
     block_bytes=st.sampled_from([1, 7, 64, ingest.BLOCK_BYTES]),
 )
-def test_any_text_splits_as_csv(drawn, chunk_rows, block_bytes):
+def test_any_text_splits_as_csv(drawn, block_bytes):
     """Plain or not, each row is csv's, numbered by the line it starts on."""
     text, delimiter = drawn
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
@@ -175,7 +169,7 @@ def test_any_text_splits_as_csv(drawn, chunk_rows, block_bytes):
     for row in reader:
         expected.append((line, row))
         line = reader.line_num + 1
-    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows), mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+    with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
         assert split(text.encode(), delimiter) == expected
 
 
@@ -196,6 +190,17 @@ def test_block_that_ends_in_a_quoted_cell_reads_on(short):
 
 def test_empty_text_has_no_rows():
     assert split(b"") == []
+
+
+def test_a_block_is_one_rows(monkeypatch):
+    """The reader's unit of work is the block: `split_rows` hands out each one whole."""
+    text = b"a\n" * 40_000
+    (rows,) = split_rows(io.BytesIO(text), ",")
+    assert rows.line_nos.tolist() == list(range(1, 40_001))
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)  # 32 rows a read, each ending on a line end
+    blocks = list(split_rows(io.BytesIO(text), ","))
+    assert [len(rows) for rows in blocks] == [32] * 1250
+    assert np.concatenate([rows.line_nos for rows in blocks]).tolist() == list(range(1, 40_001))
 
 
 def test_non_ascii_delimiter_is_read_by_csv():
@@ -270,11 +275,10 @@ def parsed_gps(text: str) -> tuple[list, list]:
     return table_columns(fixes), report.entries
 
 
-@pytest.mark.parametrize("block_bytes", [1, 100, 700, ingest.BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1, 100, 700, 1 << 21])  # the last holds the log
 @pytest.mark.parametrize("change", [quoted, crlf])
 def test_gps_log_switching_to_csv_reads_alike(monkeypatch, block_bytes, change):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(ingest, "CHUNK_ROWS", 5)
     plain = parsed_gps("".join(line + "\n" for line in GPS_ROWS))
     assert len(plain[0][0][0]) == 25  # the long row keeps its first cells
     assert plain[1] == [
@@ -295,11 +299,10 @@ class Unseekable(io.BytesIO):
         raise io.UnsupportedOperation("seek")
 
 
-@pytest.mark.parametrize("block_bytes", [1, 100, ingest.BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1, 100, 1 << 21])  # the last holds the log
 @pytest.mark.parametrize("change", [quoted, lone_cr])
 def test_switching_to_csv_never_seeks(monkeypatch, block_bytes, change):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(ingest, "CHUNK_ROWS", 5)
     for k in range(len(GPS_ROWS)):
         text = change(GPS_ROWS, k)
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -348,11 +351,10 @@ def mini_run(tmp_path_factory) -> Path:
 @pytest.mark.parametrize(
     ("name", "read"), [("fixes.csv", artifacts.read_fixes), ("clean_fixes.csv", artifacts.read_clean_fixes)]
 )
-@pytest.mark.parametrize("block_bytes", [4096, ingest.BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [4096, 1 << 21])  # the last holds the artifact
 @pytest.mark.parametrize("change", [quoted, crlf])
 def test_artifact_switching_to_csv_reads_alike(mini_run, tmp_path, monkeypatch, name, read, block_bytes, change):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(ingest, "CHUNK_ROWS", 1000)
     lines = (mini_run / name).read_text(encoding="utf-8").rstrip("\n").split("\n")
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     plain = table_columns(read(mini_run / name))
